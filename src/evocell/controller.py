@@ -10,17 +10,19 @@ two previous-cell inputs by learned begin vectors. If an op field was
 chosen, a third head produces logits over the active op subset. Every
 softmax is squashed (shape_logits), so no decision can become deterministic.
 
-Three aligned implementations live here: a differentiable tape walk
-(trace_logprob), a scalar no-tape sampler (sample_mutation), and a batched
-sampler (sample_mutation_batch) for bulk statistics. They share formulas,
-so recorded log-probabilities agree across paths to tight tolerance.
+Sampling and training run on the numpy engine: encode_forward caches one
+encoder pass, sample_mutation (or sample_mutation_batch, for many parents)
+samples from it, and trace_grads backpropagates through the same cache by
+hand-derived BPTT. The tape walk trace_logprob is the reference those are
+checked against (gradcheck and the equivalence tests); it is not on the
+training path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import IntEnum
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,6 +38,7 @@ from .arch_space import (
 )
 from . import nn_core
 from .nn_core import (
+    LSTMCache,
     LSTMParams,
     Tensor,
     concat,
@@ -44,13 +47,13 @@ from .nn_core import (
     init_lstm,
     init_param,
     log_softmax,
-    log_softmax_np,
+    lstm_backward_np,
     lstm_forward,
-    lstm_forward_batch,
     lstm_forward_np,
     sample_index_np,
     shape_logits,
-    shape_logits_np,
+    squashed_logp_grad_np,
+    squashed_logp_np,
 )
 
 
@@ -194,7 +197,7 @@ def unidirectional_variant(
 
 
 # ---------------------------------------------------------------------------
-# Candidate bookkeeping shared by all three walk implementations.
+# Candidate bookkeeping shared by every walk.
 #
 # For an input mutation at block b, candidates are scored in the order
 #   [block 1, ..., block b-1, prev cell, cell before previous]
@@ -217,8 +220,32 @@ def _candidate_index(block: int, ref: int) -> int:
     raise ValueError(f"input ref {ref} illegal at block {block}")
 
 
+def _check_trace(cell: CellSpec, trace: MutationTrace) -> None:
+    if len(trace.actions) != cell.num_blocks:
+        raise ValueError(
+            f"trace has {len(trace.actions)} actions for {cell.num_blocks} blocks"
+        )
+
+
+def _replacement_index(params: ControllerParams, b: int, action: MutationAction) -> int:
+    """Validate block b's action; return its index in the replacement head."""
+    if action.block != b:
+        raise ValueError(f"action {b - 1} targets block {action.block}, expected {b}")
+    if action.target in (MutTarget.I1, MutTarget.I2):
+        if isinstance(action.replacement, Op):
+            raise ValueError("input mutation carries an op replacement")
+        return _candidate_index(b, int(action.replacement))
+    if not isinstance(action.replacement, Op):
+        raise ValueError("op mutation carries an input replacement")
+    if int(action.replacement) >= params.num_ops:
+        raise ValueError(
+            f"op {action.replacement!r} outside active subset of {params.num_ops}"
+        )
+    return int(action.replacement)
+
+
 # ---------------------------------------------------------------------------
-# Differentiable walk
+# Differentiable walk: the tape reference for gradcheck and the engine tests
 # ---------------------------------------------------------------------------
 
 
@@ -249,16 +276,12 @@ def trace_logprob(
     a replacement outside the legal candidate set, or an op outside the
     active subset).
     """
-    if len(trace.actions) != cell.num_blocks:
-        raise ValueError(
-            f"trace has {len(trace.actions)} actions for {cell.num_blocks} blocks"
-        )
+    _check_trace(cell, trace)
     states, (begin1, begin2) = encode_cell(params, cell)
     total_lp: Optional[Tensor] = None
     total_h: Optional[Tensor] = None
     for b, action in enumerate(trace.actions, start=1):
-        if action.block != b:
-            raise ValueError(f"action {b - 1} targets block {action.block}, expected {b}")
+        idx = _replacement_index(params, b, action)
         base = 5 * (b - 1)
         field_states = [states[base + j] for j in range(4)]
         scores = concat(
@@ -269,8 +292,6 @@ def trace_logprob(
         ent = entropy_from_logp(router_logp)
         state_id = field_states[int(action.target)]
         if action.target in (MutTarget.I1, MutTarget.I2):
-            if isinstance(action.replacement, Op):
-                raise ValueError("input mutation carries an op replacement")
             cand_states = [states[5 * (k - 1) + 4] for k in range(1, b)]
             cand_states += [begin1, begin2]
             pair_scores = concat(
@@ -281,17 +302,9 @@ def trace_logprob(
                 axis=1,
             )
             repl_logp = log_softmax(shape_logits(pair_scores))
-            idx = _candidate_index(b, int(action.replacement))
         else:
-            if not isinstance(action.replacement, Op):
-                raise ValueError("op mutation carries an input replacement")
-            if int(action.replacement) >= params.num_ops:
-                raise ValueError(
-                    f"op {action.replacement!r} outside active subset of {params.num_ops}"
-                )
             op_scores = state_id @ params.w_op + params.b_op
             repl_logp = log_softmax(shape_logits(op_scores))
-            idx = int(action.replacement)
         lp = lp + repl_logp.pick(0, idx)
         ent = ent + entropy_from_logp(repl_logp)
         total_lp = lp if total_lp is None else total_lp + lp
@@ -300,60 +313,111 @@ def trace_logprob(
 
 
 # ---------------------------------------------------------------------------
-# Scalar sampler (no tape)
+# numpy engine: one cached encoder forward, the samplers that read it, and
+# the hand-derived backward that reuses it
 # ---------------------------------------------------------------------------
 
 
-def _encode_np(params: ControllerParams, cell: CellSpec) -> np.ndarray:
-    ids = encode_tokens(cell)
-    X = params.embedding.data[np.asarray(ids, dtype=np.intp)]
-    hf = lstm_forward_np(params.fwd, X)
+@dataclass
+class EncoderForward:
+    """One cell's cached encoder pass.
+
+    Sampling reads its states; trace_grads backpropagates through its LSTM
+    caches. It is valid only while the parameters are unchanged.
+    """
+
+    cell: CellSpec
+    ids: np.ndarray  # token ids, (T,)
+    fwd: LSTMCache
+    bwd: Optional[LSTMCache]  # run over the reversed sequence
+    states: np.ndarray  # (T, W): forward states, then backward states in token order
+
+
+def _encode_ids(
+    params: ControllerParams, ids: np.ndarray
+) -> Tuple[LSTMCache, Optional[LSTMCache], np.ndarray]:
+    """ids: (N, T) -> (forward cache, backward cache, states (N, T, W))."""
+    X = params.embedding.data[ids]
+    fwd = lstm_forward_np(params.fwd, X)
     if params.bwd is None:
-        return hf
-    hb = lstm_forward_np(params.bwd, X[::-1])[::-1]
-    return np.concatenate([hf, hb], axis=1)
+        return fwd, None, fwd.states
+    bwd = lstm_forward_np(params.bwd, X[:, ::-1])
+    return fwd, bwd, np.concatenate([fwd.states, bwd.states[:, ::-1]], axis=2)
+
+
+def encode_forward(params: ControllerParams, cell: CellSpec) -> EncoderForward:
+    ids = np.asarray(encode_tokens(cell), dtype=np.intp)
+    fwd, bwd, states = _encode_ids(params, ids[None])
+    return EncoderForward(cell, ids, fwd, bwd, states[0])
+
+
+def _encode_np(params: ControllerParams, cell: CellSpec) -> np.ndarray:
+    return encode_forward(params, cell).states
+
+
+# Head scores. Each takes one parent's states (T, W) or a batch's (N, T, W).
+
+
+def _router_raw(params: ControllerParams, states: np.ndarray, b: int) -> np.ndarray:
+    base = 5 * (b - 1)
+    w_r, b_r = params.w_router.data[:, 0], params.b_router.data[0, 0]
+    return states[..., base : base + 4, :] @ w_r + b_r
+
+
+def _input_candidates(
+    params: ControllerParams, states: np.ndarray, b: int
+) -> np.ndarray:
+    """(..., b+1, W): the combiner states of blocks 1..b-1, then the begin vectors."""
+    begins = np.concatenate([params.begin_prev1.data, params.begin_prev2.data])
+    begins = np.broadcast_to(begins, states.shape[:-2] + begins.shape)
+    return np.concatenate([states[..., 4 : 5 * (b - 1) : 5, :], begins], axis=-2)
+
+
+def _input_raw(
+    params: ControllerParams, state_id: np.ndarray, cands: np.ndarray
+) -> np.ndarray:
+    W = params.state_width
+    w = params.w_input.data[:, 0]
+    return (state_id @ w[:W])[..., None] + cands @ w[W:] + params.b_input.data[0, 0]
+
+
+def _op_raw(params: ControllerParams, state_id: np.ndarray) -> np.ndarray:
+    return state_id @ params.w_op.data + params.b_op.data[0]
 
 
 def sample_mutation(
-    params: ControllerParams, cell: CellSpec, rng: np.random.Generator
+    params: ControllerParams,
+    cell: CellSpec,
+    rng: np.random.Generator,
+    forward: Optional[EncoderForward] = None,
 ) -> MutationTrace:
     """Sample one mutation per block from the current policy.
 
     Consumes exactly two uniforms per block (router, replacement), in block
-    order. The recorded log-probs match trace_logprob's recomputation.
+    order. The recorded log-probs match trace_logprob's recomputation. A
+    caller that will train on the sample passes the encoder pass it keeps
+    (encode_forward under the current parameters); otherwise one is run.
     """
-    states = _encode_np(params, cell)
-    begin1 = params.begin_prev1.data[0]
-    begin2 = params.begin_prev2.data[0]
-    W = params.state_width
-    w_r = params.w_router.data[:, 0]
-    b_r = params.b_router.data[0, 0]
-    w_in_state = params.w_input.data[:W, 0]
-    w_in_cand = params.w_input.data[W:, 0]
-    b_in = params.b_input.data[0, 0]
+    if forward is None or forward.cell != cell:
+        forward = encode_forward(params, cell)
+    states = forward.states
     actions: List[MutationAction] = []
     total_lp = 0.0
     total_h = 0.0
     for b in range(1, cell.num_blocks + 1):
-        base = 5 * (b - 1)
-        raw = np.array([states[base + j] @ w_r + b_r for j in range(4)])
-        router_logp = log_softmax_np(shape_logits_np(raw))
+        router_logp = squashed_logp_np(_router_raw(params, states, b))
         t_idx = sample_index_np(router_logp, rng)
         router_lp = float(router_logp[t_idx])
         router_h = float(entropy_from_logp_np(router_logp))
-        state_id = states[base + t_idx]
+        state_id = states[5 * (b - 1) + t_idx]
         target = MutTarget(t_idx)
         if target in (MutTarget.I1, MutTarget.I2):
-            cands = [states[5 * (k - 1) + 4] for k in range(1, b)] + [begin1, begin2]
-            raw = np.array(
-                [state_id @ w_in_state + cand @ w_in_cand + b_in for cand in cands]
-            )
-            repl_logp = log_softmax_np(shape_logits_np(raw))
+            cands = _input_candidates(params, states, b)
+            repl_logp = squashed_logp_np(_input_raw(params, state_id, cands))
             r_idx = sample_index_np(repl_logp, rng)
             replacement: Replacement = input_candidate_refs(b)[r_idx]
         else:
-            raw = state_id @ params.w_op.data + params.b_op.data[0]
-            repl_logp = log_softmax_np(shape_logits_np(raw))
+            repl_logp = squashed_logp_np(_op_raw(params, state_id))
             r_idx = sample_index_np(repl_logp, rng)
             replacement = Op(r_idx)
         repl_lp = float(repl_logp[r_idx])
@@ -374,11 +438,106 @@ def sample_mutation(
     return MutationTrace(tuple(actions), total_lp, total_h)
 
 
+def trace_grads(
+    params: ControllerParams,
+    cell: CellSpec,
+    trace: MutationTrace,
+    forward: Optional[EncoderForward] = None,
+) -> Tuple[float, Dict[str, np.ndarray]]:
+    """A trace's total log-prob and its gradient per parameter name.
+
+    Hand-derived BPTT through the heads (squash and log-softmax), both
+    encoder directions, the begin vectors and the embedding rows; it agrees
+    with trace_logprob's tape to rounding. `forward` is reused when it
+    encodes `cell` (it must come from the current parameters); otherwise
+    the encoder runs again. Validates the trace as trace_logprob does.
+    """
+    _check_trace(cell, trace)
+    if forward is None or forward.cell != cell:
+        forward = encode_forward(params, cell)
+    S = forward.states
+    W = params.state_width
+    H = params.hidden_size
+    w_r = params.w_router.data[:, 0]
+    w_in = params.w_input.data[:, 0]
+    dS = np.zeros_like(S)
+    d_w_r = np.zeros(W)
+    d_w_in = np.zeros(2 * W)
+    d_w_op = np.zeros_like(params.w_op.data)
+    d_b_op = np.zeros(params.num_ops)
+    d_begin = np.zeros((2, W))
+    d_b_r = d_b_in = 0.0
+    total_lp = 0.0
+    for b, action in enumerate(trace.actions, start=1):
+        idx = _replacement_index(params, b, action)
+        base = 5 * (b - 1)
+        t_idx = int(action.target)
+        raw = _router_raw(params, S, b)
+        logp = squashed_logp_np(raw)
+        g = squashed_logp_grad_np(raw, logp, t_idx)
+        total_lp += float(logp[t_idx])
+        dS[base : base + 4] += np.outer(g, w_r)
+        d_w_r += g @ S[base : base + 4]
+        d_b_r += g.sum()
+        state_id = S[base + t_idx]
+        if t_idx < 2:
+            cands = _input_candidates(params, S, b)
+            raw = _input_raw(params, state_id, cands)
+            logp = squashed_logp_np(raw)
+            g = squashed_logp_grad_np(raw, logp, idx)
+            g_sum = g.sum()
+            dS[base + t_idx] += g_sum * w_in[:W]
+            d_w_in[:W] += g_sum * state_id
+            d_cands = np.outer(g, w_in[W:])
+            dS[4 : 5 * (b - 1) : 5] += d_cands[: b - 1]
+            d_begin += d_cands[b - 1 :]
+            d_w_in[W:] += g @ cands
+            d_b_in += g_sum
+        else:
+            raw = _op_raw(params, state_id)
+            logp = squashed_logp_np(raw)
+            g = squashed_logp_grad_np(raw, logp, idx)
+            dS[base + t_idx] += params.w_op.data @ g
+            d_w_op += np.outer(state_id, g)
+            d_b_op += g
+        total_lp += float(logp[idx])
+
+    grads = {
+        "begin_prev1": d_begin[0:1],
+        "begin_prev2": d_begin[1:2],
+        "w_router": d_w_r[:, None],
+        "b_router": np.array([[d_b_r]]),
+        "w_input": d_w_in[:, None],
+        "b_input": np.array([[d_b_in]]),
+        "w_op": d_w_op,
+        "b_op": d_b_op[None],
+    }
+    dWx, dWh, db, dX = lstm_backward_np(params.fwd, forward.fwd, dS[None, :, :H])
+    grads.update({"fwd.Wx": dWx, "fwd.Wh": dWh, "fwd.b": db})
+    dX = dX[0]
+    if params.bwd is not None:
+        dh_b = dS[None, ::-1, H:]  # the backward run's step order
+        dWx, dWh, db, dX_b = lstm_backward_np(params.bwd, forward.bwd, dh_b)
+        grads.update({"bwd.Wx": dWx, "bwd.Wh": dWh, "bwd.b": db})
+        dX += dX_b[0, ::-1]
+    d_embedding = np.zeros_like(params.embedding.data)
+    np.add.at(d_embedding, forward.ids, dX)
+    grads["embedding"] = d_embedding
+    return total_lp, grads
+
+
 # ---------------------------------------------------------------------------
 # Batched sampler: same policy, many parents at once. Draw order differs
 # from the scalar path (one uniform vector per decision column), so the two
-# samplers are distributionally identical but not stream-compatible.
+# samplers are distributionally identical but not stream-compatible. Nothing
+# trains on batched samples, so the encoder caches are not kept.
 # ---------------------------------------------------------------------------
+
+# Parents encoded per forward pass. A pass caches every step's activations;
+# at 16 rows of 25 tokens and H = 100 that cache stays within a core's L2,
+# where a 64-row pass measured slower than 16-row passes and held 4x the
+# memory.
+ENCODE_ROWS = 16
 
 
 def sample_mutation_batch(
@@ -388,28 +547,18 @@ def sample_mutation_batch(
         return []
     B = cells[0].num_blocks
     ids = np.array([encode_tokens(c) for c in cells], dtype=np.intp)
-    X = params.embedding.data[ids]  # (N, T, E)
-    hf = lstm_forward_batch(params.fwd, X)
-    if params.bwd is None:
-        states = hf
-    else:
-        hb = lstm_forward_batch(params.bwd, X[:, ::-1, :])[:, ::-1, :]
-        states = np.concatenate([hf, hb], axis=2)
+    states = np.concatenate(  # (N, T, W)
+        [
+            _encode_ids(params, ids[r : r + ENCODE_ROWS])[2]
+            for r in range(0, len(cells), ENCODE_ROWS)
+        ]
+    )
     N = states.shape[0]
-    W = params.state_width
-    w_r = params.w_router.data[:, 0]
-    b_r = params.b_router.data[0, 0]
-    w_in_state = params.w_input.data[:W, 0]
-    w_in_cand = params.w_input.data[W:, 0]
-    b_in = params.b_input.data[0, 0]
-    begin1 = params.begin_prev1.data[0]
-    begin2 = params.begin_prev2.data[0]
 
     per_block: List[Tuple[np.ndarray, ...]] = []
     for b in range(1, B + 1):
         base = 5 * (b - 1)
-        raw = states[:, base : base + 4, :] @ w_r + b_r  # (N, 4)
-        router_logp = log_softmax_np(shape_logits_np(raw))
+        router_logp = squashed_logp_np(_router_raw(params, states, b))  # (N, 4)
         u = rng.random(N)
         cum = np.cumsum(np.exp(router_logp), axis=1)
         t_idx = np.minimum((cum <= u[:, None]).sum(axis=1), 3)
@@ -417,15 +566,9 @@ def sample_mutation_batch(
         router_h = entropy_from_logp_np(router_logp)
         state_id = states[np.arange(N), base + t_idx, :]  # (N, W)
 
-        # input-replacement scores over b+1 candidates
-        cand_cols = [states[:, 5 * (k - 1) + 4, :] for k in range(1, b)]
-        cand_cols += [np.broadcast_to(begin1, (N, W)), np.broadcast_to(begin2, (N, W))]
-        cand = np.stack(cand_cols, axis=1)  # (N, b+1, W)
-        in_raw = (state_id @ w_in_state)[:, None] + cand @ w_in_cand + b_in
-        in_logp = log_softmax_np(shape_logits_np(in_raw))
-        # op scores
-        op_raw = state_id @ params.w_op.data + params.b_op.data
-        op_logp = log_softmax_np(shape_logits_np(op_raw))
+        cands = _input_candidates(params, states, b)  # (N, b+1, W)
+        in_logp = squashed_logp_np(_input_raw(params, state_id, cands))
+        op_logp = squashed_logp_np(_op_raw(params, state_id))
 
         u2 = rng.random(N)
         cum_in = np.cumsum(np.exp(in_logp), axis=1)

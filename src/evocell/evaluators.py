@@ -206,36 +206,45 @@ def build_tabular(
     seed: int,
     maturity: Optional[MaturityModel] = None,
     cap: int = 10**7,
-    chunk: int = 1_000_000,
 ) -> TabularOracle:
-    """Tabulate the seeded landscape over every cell of a reduced space."""
+    """Tabulate the seeded landscape over every cell of a reduced space.
+
+    The table has one axis per digit (C order is rank order); each score
+    term is broadcast-added along its two digit axes, in _raw_score's term
+    order, so every entry equals the scalar path bit for bit.
+    """
     total = space_size(cfg)
     if total > cap:
         raise ValueError(f"space has {total} cells, above the tabulation cap {cap}")
     weights = _LandscapeWeights.draw(cfg, seed)
     radices = digit_radices(cfg)
     B = cfg.num_blocks
-    raw = np.empty(total, dtype=np.float64)
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        digits = np.unravel_index(np.arange(start, stop), radices)
-        acc = np.zeros(stop - start, dtype=np.float64)
-        for b in range(B):
-            d_i1, d_i2 = digits[4 * b], digits[4 * b + 1]
-            d_o1, d_o2 = digits[4 * b + 2], digits[4 * b + 3]
-            acc += weights.w_op[b, d_o1, d_o2]
-            acc += weights.w_in[b, d_i1, d_i2]
-            if b + 1 < B:
-                acc += weights.w_pair[b, d_o1, digits[4 * (b + 1) + 2]]
-        raw[start:stop] = acc
-    fitness = 1.0 / (1.0 + np.exp(-raw))
+    raw = np.zeros(radices, dtype=np.float64)
+
+    def along(term: np.ndarray, axis_a: int, axis_b: int) -> np.ndarray:
+        shape = [1] * len(radices)
+        shape[axis_a], shape[axis_b] = term.shape
+        return term.reshape(shape)
+
+    for b in range(B):
+        raw += along(weights.w_op[b], 4 * b + 2, 4 * b + 3)
+        raw += along(weights.w_in[b, : b + 2, : b + 2], 4 * b, 4 * b + 1)
+        if b + 1 < B:
+            raw += along(weights.w_pair[b], 4 * b + 2, 4 * (b + 1) + 2)
+    fitness = raw.reshape(-1)
+    # 1 / (1 + exp(-raw)) and the affine rescale, in place
+    np.negative(fitness, out=fitness)
+    np.exp(fitness, out=fitness)
+    fitness += 1.0
+    np.divide(1.0, fitness, out=fitness)
     lo, hi = float(fitness.min()), float(fitness.max())
     if hi > lo:
-        fitness = TABULAR_LOW + (TABULAR_HIGH - TABULAR_LOW) * (fitness - lo) / (
-            hi - lo
-        )
+        fitness -= lo
+        fitness *= TABULAR_HIGH - TABULAR_LOW
+        fitness /= hi - lo
+        fitness += TABULAR_LOW
     else:  # degenerate flat landscape
-        fitness = np.full_like(fitness, 0.5 * (TABULAR_LOW + TABULAR_HIGH))
+        fitness[:] = 0.5 * (TABULAR_LOW + TABULAR_HIGH)
     return TabularOracle(cfg, fitness, seed, maturity)
 
 

@@ -19,13 +19,15 @@ from . import controller as ctrl
 from .arch_space import CellSpec, SpaceConfig, legal_inputs, Op, random_cell
 from .controller import (
     ControllerParams,
+    EncoderForward,
     MutationAction,
     MutationTrace,
     MutTarget,
     apply_mutation,
+    encode_forward,
     input_candidate_refs,
     sample_mutation,
-    trace_logprob,
+    trace_grads,
 )
 from .evaluators import FitnessOracle, inherit_maturity
 from .reinforce import ReinforceTrainer
@@ -62,17 +64,33 @@ class MutationPolicy(Protocol):
 
 
 class ControllerPolicy:
-    """Adapter putting ControllerParams behind the policy protocol."""
+    """Adapter putting ControllerParams behind the policy protocol.
+
+    It keeps the encoder pass of its last proposal, so the update that
+    follows reuses it instead of encoding the parent again.
+    """
 
     def __init__(self, params: ControllerParams, rng: np.random.Generator):
         self.params = params
         self.rng = rng
+        self._forward: Optional[EncoderForward] = None
 
     def propose(self, cell: CellSpec) -> MutationTrace:
-        return sample_mutation(self.params, cell, self.rng)
+        self._forward = encode_forward(self.params, cell)
+        return sample_mutation(self.params, cell, self.rng, self._forward)
 
-    def logprob_fn(self, cell: CellSpec, trace: MutationTrace):
-        return lambda: trace_logprob(self.params, cell, trace)[0]
+    def grad_fn(self, cell: CellSpec, trace: MutationTrace):
+        """Gradient closure for ReinforceTrainer.update.
+
+        The kept encoder pass is handed over once; the trainer's Adam step
+        then makes it stale, so a later call encodes the cell anew.
+        """
+
+        def grads():
+            forward, self._forward = self._forward, None
+            return trace_grads(self.params, cell, trace, forward)
+
+        return grads
 
 
 class RandomMutationPolicy:
@@ -226,11 +244,11 @@ def evolution_step(
 
     diagnostics = None
     if trainer is not None:
-        logprob_fn = getattr(policy, "logprob_fn", None)
-        if logprob_fn is None:
+        grad_fn = getattr(policy, "grad_fn", None)
+        if grad_fn is None:
             raise ValueError("trainer attached to a policy without gradients")
         diagnostics = trainer.update(
-            logprob_fn(parent.cell, trace), trace.total_entropy, child_fitness
+            grad_fn(parent.cell, trace), trace.total_entropy, child_fitness
         )
     return StepRecord(
         step=step,

@@ -35,6 +35,7 @@ from .arch_space import (
     CellSpec,
     Op,
     SpaceConfig,
+    cell_digits,
     cell_from_text,
     cell_to_text,
     random_cell,
@@ -49,10 +50,8 @@ from .nn_core import (
     init_lstm,
     init_param,
     log_softmax,
-    log_softmax_np,
     sample_index_np,
     shape_logits,
-    shape_logits_np,
 )
 from .controller import (
     ControllerParams,
@@ -189,6 +188,18 @@ def resolve_target(oracle: FitnessOracle) -> Tuple[float, str]:
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class _ConstructionWalk:
+    """One pass of the construction policy, kept for its gradient."""
+
+    cell: CellSpec
+    digits: List[int]  # the choice made at each step
+    tokens: List[int]  # the token each choice feeds to the next step
+    cache: nn_core.LSTMCache
+    total_logprob: float
+    total_entropy: float
+
+
 class ConstructionPolicy:
     """Recurrent policy that emits a cell as 4 * num_blocks choices.
 
@@ -217,6 +228,7 @@ class ConstructionPolicy:
         self.b_input = init_param((1, B + 1), rng)
         self.w_op = init_param((hidden_size, cfg.num_ops), rng)
         self.b_op = init_param((1, cfg.num_ops), rng)
+        self._last: Optional[_ConstructionWalk] = None
 
     def named_params(self) -> List[Tuple[str, Tensor]]:
         return [
@@ -237,43 +249,98 @@ class ConstructionPolicy:
             plan.extend((("input", b), ("input", b), ("op", b), ("op", b)))
         return plan
 
-    def sample(self, rng: np.random.Generator) -> Tuple[CellSpec, float, float]:
-        """Draw one cell; returns (cell, total log-prob, total entropy)."""
-        H = self.hidden_size
-        Wx, Wh, bb = self.lstm.Wx.data, self.lstm.Wh.data, self.lstm.b.data[0]
-        h = np.zeros(H)
-        c = np.zeros(H)
-        x = self.start.data[0]
+    def _raw(self, kind: str, b: int, h: np.ndarray) -> np.ndarray:
+        if kind == "input":
+            return (h @ self.w_input.data + self.b_input.data[0])[: b + 1]
+        return h @ self.w_op.data + self.b_op.data[0]
+
+    def _walk(
+        self, rng: Optional[np.random.Generator], digits: Optional[Sequence[int]] = None
+    ) -> _ConstructionWalk:
+        """Run the policy over one cell: sample each choice from rng, or
+        teacher-force the given digits. Both fill the LSTM cache identically."""
+        T = 4 * self.cfg.num_blocks
+        X = np.empty((T, 1, self.embed_size))
+        cache = nn_core.LSTMCache.empty(X, self.hidden_size)
         op_base = 2 + self.cfg.num_blocks
-        digits: List[int] = []
+        x = self.start.data[0]
+        chosen: List[int] = []
+        tokens: List[int] = []
         total_lp = 0.0
         total_h = 0.0
-        for kind, b in self._decision_plan():
-            z = x @ Wx + h @ Wh + bb
-            i = 1.0 / (1.0 + np.exp(-z[:H]))
-            f = 1.0 / (1.0 + np.exp(-z[H : 2 * H]))
-            g = np.tanh(z[2 * H : 3 * H])
-            o = 1.0 / (1.0 + np.exp(-z[3 * H :]))
-            c = f * c + i * g
-            h = o * np.tanh(c)
-            if kind == "input":
-                raw = (h @ self.w_input.data + self.b_input.data[0])[: b + 1]
-            else:
-                raw = h @ self.w_op.data + self.b_op.data[0]
-            logp = log_softmax_np(shape_logits_np(raw))
-            idx = sample_index_np(logp, rng)
+        for t, (kind, b) in enumerate(self._decision_plan()):
+            cache.X[t, 0] = x
+            np.matmul(x, self.lstm.Wx.data, out=cache.gates[t, 0])
+            nn_core.lstm_step_np(self.lstm, cache, t)
+            logp = nn_core.squashed_logp_np(self._raw(kind, b, cache.h[t, 0]))
+            idx = sample_index_np(logp, rng) if digits is None else int(digits[t])
             total_lp += float(logp[idx])
             total_h += float(entropy_from_logp_np(logp))
-            digits.append(idx)
-            token = idx if kind == "input" else op_base + idx
-            x = self.embedding.data[token]
-        cell = _cell_from_choice_digits(digits, self.cfg)
-        return cell, total_lp, total_h
+            chosen.append(idx)
+            tokens.append(idx if kind == "input" else op_base + idx)
+            x = self.embedding.data[tokens[-1]]
+        cell = _cell_from_choice_digits(chosen, self.cfg)
+        return _ConstructionWalk(cell, chosen, tokens, cache, total_lp, total_h)
+
+    def sample(self, rng: np.random.Generator) -> Tuple[CellSpec, float, float]:
+        """Draw one cell; returns (cell, total log-prob, total entropy).
+
+        The walk is kept so that grads() for this cell reuses it.
+        """
+        walk = self._walk(rng)
+        self._last = walk
+        return walk.cell, walk.total_logprob, walk.total_entropy
+
+    def grads(self, cell: CellSpec) -> Tuple[float, Dict[str, np.ndarray]]:
+        """Log-prob of emitting exactly this cell and its gradient per
+        parameter name, by hand-derived BPTT; logprob() is the tape reference.
+
+        The walk of the last sample() is reused once if it emitted this
+        cell (the parameters must be unchanged since); otherwise the cell's
+        choices are replayed through a fresh walk.
+        """
+        walk, self._last = self._last, None
+        if walk is None or walk.cell != cell:
+            walk = self._walk(None, cell_digits(cell))
+        cache = walk.cache
+        T, H = len(walk.digits), self.hidden_size
+        dh = np.zeros((1, T, H))
+        d_w_input = np.zeros_like(self.w_input.data)
+        d_b_input = np.zeros_like(self.b_input.data)
+        d_w_op = np.zeros_like(self.w_op.data)
+        d_b_op = np.zeros_like(self.b_op.data)
+        for t, (kind, b) in enumerate(self._decision_plan()):
+            h = cache.h[t, 0]
+            raw = self._raw(kind, b, h)
+            logp = nn_core.squashed_logp_np(raw)
+            g = nn_core.squashed_logp_grad_np(raw, logp, walk.digits[t])
+            if kind == "input":
+                dh[0, t] = self.w_input.data[:, : b + 1] @ g
+                d_w_input[:, : b + 1] += np.outer(h, g)
+                d_b_input[0, : b + 1] += g
+            else:
+                dh[0, t] = self.w_op.data @ g
+                d_w_op += np.outer(h, g)
+                d_b_op[0] += g
+        dWx, dWh, db, dX = nn_core.lstm_backward_np(self.lstm, cache, dh)
+        d_embedding = np.zeros_like(self.embedding.data)
+        # step t > 0 reads the token chosen at step t - 1
+        np.add.at(d_embedding, walk.tokens[:-1], dX[0, 1:])
+        grads = {
+            "embedding": d_embedding,
+            "start": dX[0, :1].copy(),
+            "lstm.Wx": dWx,
+            "lstm.Wh": dWh,
+            "lstm.b": db,
+            "w_input": d_w_input,
+            "b_input": d_b_input,
+            "w_op": d_w_op,
+            "b_op": d_b_op,
+        }
+        return walk.total_logprob, grads
 
     def logprob(self, cell: CellSpec) -> Tuple[Tensor, Tensor]:
         """Differentiable (log-prob, entropy) of emitting exactly this cell."""
-        from .arch_space import cell_digits
-
         digits = cell_digits(cell)
         H = self.hidden_size
         h = Tensor(np.zeros((1, H)))
@@ -552,7 +619,7 @@ def _run_rl_construct(
     for index in range(1, cfg.budget + 1):
         cell, _lp, ent = policy.sample(streams["policy"])
         observed = oracle.evaluate(cell, 1.0, streams["eval"])
-        diag = trainer.update(lambda: policy.logprob(cell)[0], ent, observed)
+        diag = trainer.update(lambda: policy.grads(cell), ent, observed)
         true = oracle.true_fitness(cell)
         true_vals.append(true)
         if true > best_true:

@@ -1,9 +1,12 @@
-"""Minimal float64 neural substrate with reverse-mode gradients.
+"""Minimal float64 neural substrate for desk-scale recurrent policies.
 
-Everything here is sized for desk-scale recurrent policies trained one
-sample at a time: 2-D tensors on numpy, a tape for backward passes, a
-standard LSTM cell, linear heads, softmax sampling, Adam, and a
-finite-difference checker that keeps the analytic gradients honest.
+Sampling and training run on a numpy engine without a tape: a cached,
+time-major LSTM forward (lstm_forward_np; lstm_step_np for autoregressive
+feeds), a hand-derived BPTT backward over the same cache
+(lstm_backward_np), the squashed log-softmax heads and their gradient, and
+Adam. The 2-D tape autodiff (Tensor, lstm_forward, ...) stays as the
+reference those are checked against, together with a central-difference
+checker (gradcheck, check_grads) that keeps every analytic gradient honest.
 """
 
 from __future__ import annotations
@@ -444,7 +447,7 @@ def gradcheck(
     named_params: Sequence[Tuple[str, Tensor]],
     h: float = 1e-5,
 ) -> float:
-    """Compare analytic gradients of f() against central differences.
+    """Compare the tape's analytic gradients of f() against central differences.
 
     Returns the max error over all coordinates, where error is
     |analytic - numeric| / max(1, |analytic|, |numeric|): relative for
@@ -460,6 +463,17 @@ def gradcheck(
         name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
         for name, t in named_params
     }
+    return check_grads(lambda: f().item(), analytic, named_params, h)
+
+
+def check_grads(
+    f: Callable[[], float],
+    analytic: Dict[str, np.ndarray],
+    named_params: Sequence[Tuple[str, Tensor]],
+    h: float = 1e-5,
+) -> float:
+    """Max error of given analytic gradients of f() against central
+    differences, measured as gradcheck measures it."""
     worst = 0.0
     for name, t in named_params:
         flat = t.data.reshape(-1)
@@ -467,9 +481,9 @@ def gradcheck(
         for k in range(flat.size):
             saved = flat[k]
             flat[k] = saved + h
-            up = f().item()
+            up = f()
             flat[k] = saved - h
-            down = f().item()
+            down = f()
             flat[k] = saved
             numeric = (up - down) / (2.0 * h)
             err = abs(a_flat[k] - numeric) / max(1.0, abs(a_flat[k]), abs(numeric))
@@ -515,45 +529,145 @@ def load_params(path: str) -> Tuple[dict, Dict[str, np.ndarray]]:
 
 
 # ---------------------------------------------------------------------------
-# numpy fast paths (no tape). These mirror the tape formulas exactly so that
-# sampled log-probabilities agree with recomputed differentiable ones.
+# numpy engine (no tape): one cached LSTM forward that sampling runs, and one
+# hand-derived BPTT backward that training runs on the same cache. The tape
+# above is the reference both are checked against.
 # ---------------------------------------------------------------------------
 
 
-def lstm_forward_np(params: LSTMParams, X: np.ndarray) -> np.ndarray:
-    """X: (T, input_size) -> states (T, H). Zero initial states."""
+@dataclass
+class LSTMCache:
+    """Activations of one LSTM run over T steps of N sequences, kept for BPTT.
+
+    Arrays are time-major, so each step reads and writes contiguous rows.
+    gates holds i, f, g, o after their nonlinearities; X holds the inputs in
+    step order (a backward-direction run stores them reversed).
+    """
+
+    X: np.ndarray  # (T, N, input_size)
+    gates: np.ndarray  # (T, N, 4H)
+    c: np.ndarray  # (T, N, H)
+    tanh_c: np.ndarray  # (T, N, H)
+    h: np.ndarray  # (T, N, H)
+
+    @classmethod
+    def empty(cls, X: np.ndarray, hidden_size: int) -> "LSTMCache":
+        """A cache for time-major inputs X (T, N, input_size)."""
+        T, N, _ = X.shape
+        H = hidden_size
+        return cls(
+            X,
+            np.empty((T, N, 4 * H)),
+            np.empty((T, N, H)),
+            np.empty((T, N, H)),
+            np.empty((T, N, H)),
+        )
+
+    @property
+    def states(self) -> np.ndarray:
+        """The outputs as (N, T, H)."""
+        return self.h.transpose(1, 0, 2)
+
+
+def _sigmoid_inplace(z: np.ndarray) -> None:
+    # the same operations as 1 / (1 + exp(-z)), without temporaries
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    np.divide(1.0, z, out=z)
+
+
+def lstm_step_np(params: LSTMParams, cache: LSTMCache, t: int) -> None:
+    """Advance step t in place; cache.gates[t] holds x_t @ Wx on entry.
+
+    Zero initial states. Autoregressive callers fill step t's input
+    projection themselves, then call this.
+    """
     H = params.hidden_size
-    Wx, Wh, b = params.Wx.data, params.Wh.data, params.b.data[0]
-    h = np.zeros(H)
-    c = np.zeros(H)
-    out = np.empty((X.shape[0], H))
-    for t in range(X.shape[0]):
-        z = X[t] @ Wx + h @ Wh + b
-        i = 1.0 / (1.0 + np.exp(-z[:H]))
-        f = 1.0 / (1.0 + np.exp(-z[H : 2 * H]))
-        g = np.tanh(z[2 * H : 3 * H])
-        o = 1.0 / (1.0 + np.exp(-z[3 * H :]))
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        out[t] = h
-    return out
+    z = cache.gates[t]
+    if t > 0:
+        z += cache.h[t - 1] @ params.Wh.data
+    z += params.b.data  # per step, while the rows are in cache
+    g = np.tanh(z[:, 2 * H : 3 * H])
+    _sigmoid_inplace(z)  # one contiguous pass beats three strided ones
+    z[:, 2 * H : 3 * H] = g
+    c = cache.c[t]
+    np.multiply(z[:, :H], z[:, 2 * H : 3 * H], out=c)
+    if t > 0:
+        c += z[:, H : 2 * H] * cache.c[t - 1]
+    np.tanh(c, out=cache.tanh_c[t])
+    np.multiply(z[:, 3 * H :], cache.tanh_c[t], out=cache.h[t])
+
+
+def lstm_forward_np(params: LSTMParams, X: np.ndarray) -> LSTMCache:
+    """X: (N, T, input_size) -> cache; cache.states holds the outputs (N, T, H).
+
+    Zero initial states. The input projection of every step is one GEMM.
+    """
+    N, T, E = X.shape
+    H = params.hidden_size
+    cache = LSTMCache.empty(np.ascontiguousarray(X.transpose(1, 0, 2)), H)
+    gates = cache.gates.reshape(T * N, 4 * H)
+    np.matmul(cache.X.reshape(T * N, E), params.Wx.data, out=gates)
+    for t in range(T):
+        lstm_step_np(params, cache, t)
+    return cache
 
 
 def lstm_forward_batch(params: LSTMParams, X: np.ndarray) -> np.ndarray:
-    """X: (N, T, input_size) -> states (N, T, H). Zero initial states."""
-    N, T, _ = X.shape
-    H = params.hidden_size
-    Wx, Wh, b = params.Wx.data, params.Wh.data, params.b.data
-    h = np.zeros((N, H))
-    c = np.zeros((N, H))
-    out = np.empty((N, T, H))
-    for t in range(T):
-        z = X[:, t, :] @ Wx + h @ Wh + b
-        i = 1.0 / (1.0 + np.exp(-z[:, :H]))
-        f = 1.0 / (1.0 + np.exp(-z[:, H : 2 * H]))
-        g = np.tanh(z[:, 2 * H : 3 * H])
-        o = 1.0 / (1.0 + np.exp(-z[:, 3 * H :]))
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        out[:, t, :] = h
-    return out
+    """X: (N, T, input_size) -> states (N, T, H), for callers of the earlier
+    batch API that need no gradient."""
+    return lstm_forward_np(params, X).states
+
+
+def lstm_backward_np(
+    params: LSTMParams, cache: LSTMCache, dh: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """BPTT through a cached run: returns (dWx, dWh, db, dX), dX as (N, T, E).
+
+    dh: (N, T, H), the loss gradient with respect to each step's state.
+    """
+    N, T, H = dh.shape
+    dh = dh.transpose(1, 0, 2)
+    gates, c, tc = cache.gates, cache.c, cache.tanh_c
+    i, f, g, o = (gates[..., k * H : (k + 1) * H] for k in range(4))
+    # dc_t = dh_t * o (1 - tanh(c)^2) + dc_{t+1} * f_{t+1}; then
+    # dz = dc * k for i, f, g and dz = dh * k for o, with k below
+    dc_from_dh = o * (1.0 - tc * tc)
+    k = np.empty((T, N, 4 * H))
+    k[..., :H] = g * i * (1.0 - i)
+    k[0, :, H : 2 * H] = 0.0  # zero initial cell state
+    k[1:, :, H : 2 * H] = c[:-1] * f[1:] * (1.0 - f[1:])
+    k[..., 2 * H : 3 * H] = i * (1.0 - g * g)
+    k[..., 3 * H :] = tc * o * (1.0 - o)
+    dz = np.empty((T, N, 4 * H))
+    k4, dz4 = k.reshape(T, N, 4, H), dz.reshape(T, N, 4, H)
+    WhT = params.Wh.data.T
+    dc = np.zeros((N, H))
+    for t in range(T - 1, -1, -1):
+        dh_t = dh[t] if t == T - 1 else dh[t] + dz[t + 1] @ WhT
+        if t < T - 1:
+            dc *= f[t + 1]
+        dc += dh_t * dc_from_dh[t]
+        np.multiply(dc[:, None, :], k4[t, :, :3], out=dz4[t, :, :3])
+        np.multiply(dh_t, k4[t, :, 3], out=dz4[t, :, 3])
+    E = cache.X.shape[2]
+    dz_flat = dz.reshape(T * N, 4 * H)
+    dWx = cache.X.reshape(T * N, E).T @ dz_flat
+    dWh = cache.h[:-1].reshape(-1, H).T @ dz[1:].reshape(-1, 4 * H)
+    db = dz_flat.sum(axis=0, keepdims=True)
+    dX = (dz_flat @ params.Wx.data.T).reshape(T, N, E).transpose(1, 0, 2)
+    return dWx, dWh, db, dX
+
+
+def squashed_logp_np(raw: np.ndarray) -> np.ndarray:
+    """Log-probabilities of shape_logits(raw), as the tape computes them."""
+    return log_softmax_np(shape_logits_np(raw))
+
+
+def squashed_logp_grad_np(raw: np.ndarray, logp: np.ndarray, idx: int) -> np.ndarray:
+    """d logp[idx] / d raw through the log-softmax and the 2.5 tanh(raw/5) squash."""
+    u = np.tanh(raw / 5.0)
+    grad = -np.exp(logp)
+    grad[idx] += 1.0
+    return grad * (0.5 * (1.0 - u * u))

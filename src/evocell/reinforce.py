@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import tandg
@@ -44,13 +44,16 @@ class RewardConfig:
             raise ValueError(f"unknown baseline kind {self.baseline!r}")
 
 
+GradFn = Callable[[], Tuple[float, Dict[str, np.ndarray]]]
+
+
 class ReinforceTrainer:
     """One optimizer + baseline around a set of policy parameters.
 
-    The trainer is policy-agnostic: update() takes a closure that rebuilds
-    the differentiable log-probability of whatever was sampled. The EMA
-    baseline initializes to the first observed reward and is always updated
-    after the advantage that used it.
+    The trainer is policy-agnostic: update() takes a closure that returns
+    the log-probability of whatever was sampled and its gradient per
+    parameter name. The EMA baseline initializes to the first observed
+    reward and is always updated after the advantage that used it.
     """
 
     def __init__(
@@ -67,13 +70,16 @@ class ReinforceTrainer:
 
     def update(
         self,
-        logprob_fn: Callable[[], Tensor],
+        grad_fn: GradFn,
         entropy: float,
         fitness: float,
     ) -> Dict[str, float]:
         """Single REINFORCE step; returns step diagnostics.
 
-        Raises RuntimeError if any gradient turns non-finite.
+        grad_fn() returns (log-prob, {name: d log-prob / d param}); the
+        trainer scales those arrays in place into the loss gradient. A
+        missing name counts as a zero gradient. Raises RuntimeError if any
+        gradient turns non-finite.
         """
         reward = (
             shaped_reward(fitness, self.cfg.fitness_clip)
@@ -85,25 +91,22 @@ class ReinforceTrainer:
             base = 0.0
         advantage = reward - base
 
-        for _, t in self.named_params:
-            t.grad = None
-        logp = logprob_fn()
-        loss = logp * (-advantage)
-        loss.backward()
-
+        logp, grads = grad_fn()
         sq_sum = 0.0
-        for name, t in self.named_params:
-            if t.grad is None:
+        for name, _ in self.named_params:
+            g = grads.get(name)
+            if g is None:
                 continue
-            if not np.all(np.isfinite(t.grad)):
+            g *= -advantage  # loss = -advantage * log-prob
+            if not np.all(np.isfinite(g)):
                 raise RuntimeError(
                     f"non-finite gradient in {name!r} at step {self.steps} "
                     f"(reward={reward}, advantage={advantage})"
                 )
-            sq_sum += float((t.grad * t.grad).sum())
+            sq_sum += float(np.vdot(g, g))
         grad_norm = math.sqrt(sq_sum)
 
-        adam_step(self.adam, self.named_params)
+        adam_step(self.adam, self.named_params, grads)
         if self.cfg.baseline == "ema":
             self.baseline = (
                 self.cfg.baseline_decay * base
@@ -114,7 +117,7 @@ class ReinforceTrainer:
             "step": float(self.steps),
             "reward": reward,
             "advantage": advantage,
-            "logprob": logp.item(),
+            "logprob": float(logp),
             "entropy": entropy,
             "grad_norm": grad_norm,
         }
@@ -127,9 +130,9 @@ def update_on_trace(
     trace: "ctrl.MutationTrace",
     fitness: float,
 ) -> Dict[str, float]:
-    """Convenience glue for the mutation controller."""
+    """Convenience glue for the mutation controller (encodes the parent anew)."""
     return trainer.update(
-        lambda: ctrl.trace_logprob(params, parent, trace)[0],
+        lambda: ctrl.trace_grads(params, parent, trace),
         trace.total_entropy,
         fitness,
     )

@@ -28,6 +28,7 @@ from evocell.evaluators import (
     MaturityModel,
     TabularOracle,
     _LandscapeWeights,
+    _raw_score,
     build_tabular,
     inherit_maturity,
     load_oracle,
@@ -277,10 +278,21 @@ def test_build_tabular_deterministic_and_seed_sensitive():
     assert not np.array_equal(a.table, c.table)
 
 
-def test_build_tabular_chunking_is_invisible():
-    whole = build_tabular(CFG23, seed=7)
-    chunked = build_tabular(CFG23, seed=7, chunk=100)
-    assert np.array_equal(whole.table, chunked.table)
+def test_build_tabular_equals_scalar_path_bit_for_bit():
+    # per cell: _raw_score, then numpy's sigmoid, then the affine rescale
+    tab = build_tabular(CFG23, seed=7)
+    weights = _LandscapeWeights.draw(CFG23, 7)
+    raw = [
+        _raw_score(weights, cell_digits(cell_from_rank(r, CFG23)), 2)
+        for r in range(space_size(CFG23))
+    ]
+    fitness = [1.0 / (1.0 + np.exp(-x)) for x in raw]
+    lo, hi = min(fitness), max(fitness)
+    expected = [
+        TABULAR_LOW + (TABULAR_HIGH - TABULAR_LOW) * (f - lo) / (hi - lo)
+        for f in fitness
+    ]
+    assert np.array_equal(tab.table, np.array(expected))
 
 
 def test_build_tabular_respects_cap():

@@ -21,8 +21,8 @@ from evocell.nn_core import (
     linear,
     load_params,
     log_softmax,
+    lstm_backward_np,
     lstm_forward,
-    lstm_forward_batch,
     lstm_forward_np,
     lstm_step,
     sample_index_np,
@@ -222,11 +222,35 @@ def test_numpy_fast_paths_match_tape():
     params = init_lstm(3, 4, rng, std=0.3)
     X = rng.normal(size=(6, 3))
     tape_states = lstm_forward(params, [Tensor(X[t : t + 1]) for t in range(6)])
-    fast = lstm_forward_np(params, X)
+    cache = lstm_forward_np(params, np.stack([X, X * 0.5]))
+    assert cache.states.shape == (2, 6, 4)
     for t in range(6):
-        assert np.allclose(tape_states[t].data[0], fast[t], atol=1e-12)
-    batch = lstm_forward_batch(params, np.stack([X, X * 0.5]))
-    assert np.allclose(batch[0], fast, atol=1e-12)
+        assert np.allclose(tape_states[t].data[0], cache.states[0, t], atol=1e-12)
+    # rows are independent: a batch row equals the same sequence run alone
+    alone = lstm_forward_np(params, X[None] * 0.5).states[0]
+    assert np.allclose(alone, cache.states[1], atol=1e-15)
+    assert np.array_equal(np.tanh(cache.c), cache.tanh_c)
+
+
+def test_numpy_backward_matches_tape():
+    rng = np.random.default_rng(22)
+    params = init_lstm(3, 4, rng, std=0.5)
+    X = rng.normal(size=(2, 5, 3))
+    weights = rng.normal(size=(2, 5, 4))  # loss = sum(weights * states)
+    dWx, dWh, db, dX = lstm_backward_np(params, lstm_forward_np(params, X), weights)
+    xs = [[Tensor(X[n, t : t + 1]) for t in range(5)] for n in range(2)]
+    loss = None
+    for n in range(2):
+        for t, h in enumerate(lstm_forward(params, xs[n])):
+            term = (h * Tensor(weights[n, t : t + 1])).sum()
+            loss = term if loss is None else loss + term
+    loss.backward()
+    assert np.allclose(dWx, params.Wx.grad, atol=1e-12)
+    assert np.allclose(dWh, params.Wh.grad, atol=1e-12)
+    assert np.allclose(db, params.b.grad, atol=1e-12)
+    for n in range(2):
+        for t in range(5):
+            assert np.allclose(dX[n, t], xs[n][t].grad[0], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

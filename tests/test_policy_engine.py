@@ -1,0 +1,168 @@
+"""numpy policy engine: hand-derived gradients against the tape reference,
+against central differences, and reuse of the sampling forward."""
+
+import numpy as np
+import pytest
+
+from evocell.arch_space import SpaceConfig, random_cell
+from evocell.controller import (
+    encode_forward,
+    init_controller,
+    sample_mutation,
+    trace_grads,
+    trace_logprob,
+)
+from evocell.evolution import ControllerPolicy
+from evocell.harness import ConstructionPolicy
+from evocell.nn_core import check_grads
+
+
+def _perturb(named_params, rng, scale=0.5):
+    # move the weights off the near-uniform init so every term matters
+    for _, t in named_params:
+        t.data += rng.normal(0.0, scale, size=t.data.shape)
+
+
+def _tape_grads(named_params, f):
+    for _, t in named_params:
+        t.grad = None
+    out = f()
+    out.backward()
+    grads = {
+        name: (t.grad if t.grad is not None else np.zeros_like(t.data))
+        for name, t in named_params
+    }
+    return out.item(), grads
+
+
+def _assert_match(named_params, fused_lp, fused, tape_lp, tape):
+    assert set(fused) == {name for name, _ in named_params}
+    assert abs(fused_lp - tape_lp) <= 1e-12
+    for name, t in named_params:
+        assert fused[name].shape == t.data.shape, name
+        assert np.abs(fused[name] - tape[name]).max() <= 1e-12, name
+
+
+def _controller_draw(seed, bidirectional, size=8):
+    rng = np.random.default_rng(seed)
+    cfg = SpaceConfig(num_blocks=1 + seed % 4, num_ops=2 + seed % 5)
+    params = init_controller(
+        cfg, rng, embed_size=size, hidden_size=size, bidirectional=bidirectional
+    )
+    _perturb(params.named_params(), rng)
+    cell = random_cell(cfg, rng)
+    return params, cell, sample_mutation(params, cell, rng), rng
+
+
+@pytest.mark.parametrize("bidirectional", [True, False])
+def test_controller_grads_match_tape(bidirectional):
+    for seed in range(20):
+        params, cell, trace, _ = _controller_draw(seed, bidirectional)
+        named = params.named_params()
+        lp, grads = trace_grads(params, cell, trace)
+        tape_lp, tape = _tape_grads(
+            named, lambda: trace_logprob(params, cell, trace)[0]
+        )
+        _assert_match(named, lp, grads, tape_lp, tape)
+
+
+def test_construction_grads_match_tape():
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        cfg = SpaceConfig(num_blocks=1 + seed % 4, num_ops=2 + seed % 5)
+        policy = ConstructionPolicy(cfg, rng, embed_size=8, hidden_size=8)
+        named = policy.named_params()
+        _perturb(named, rng)
+        cell, _, _ = policy.sample(rng)
+        lp, grads = policy.grads(cell)
+        tape_lp, tape = _tape_grads(named, lambda: policy.logprob(cell)[0])
+        _assert_match(named, lp, grads, tape_lp, tape)
+
+
+def test_fused_grads_pass_central_differences():
+    cfg = SpaceConfig(num_blocks=2, num_ops=3)
+    for draw in range(4):
+        rng = np.random.default_rng(300 + draw)
+        params = init_controller(
+            cfg, rng, embed_size=4, hidden_size=4, bidirectional=(draw < 2)
+        )
+        cell = random_cell(cfg, rng)
+        trace = sample_mutation(params, cell, rng)
+        _, grads = trace_grads(params, cell, trace)
+        err = check_grads(
+            lambda: trace_grads(params, cell, trace)[0], grads, params.named_params()
+        )
+        assert err < 1e-4
+        policy = ConstructionPolicy(cfg, rng, embed_size=4, hidden_size=4)
+        cell, _, _ = policy.sample(rng)
+        _, grads = policy.grads(cell)
+        err = check_grads(lambda: policy.grads(cell)[0], grads, policy.named_params())
+        assert err < 1e-4
+
+
+def _assert_same(a, b):
+    assert a[0] == b[0]
+    assert set(a[1]) == set(b[1])
+    for name in a[1]:
+        assert np.array_equal(a[1][name], b[1][name]), name
+
+
+def test_sampling_forward_gives_the_fresh_gradient_bit_for_bit():
+    for seed in range(6):
+        params, cell, _, rng = _controller_draw(seed, bidirectional=seed % 2 == 0)
+        forward = encode_forward(params, cell)
+        trace = sample_mutation(params, cell, rng, forward)
+        _assert_same(
+            trace_grads(params, cell, trace, forward), trace_grads(params, cell, trace)
+        )
+        policy = ControllerPolicy(params, rng)
+        trace = policy.propose(cell)
+        _assert_same(policy.grad_fn(cell, trace)(), trace_grads(params, cell, trace))
+
+
+def test_construction_sampling_walk_gives_the_fresh_gradient_bit_for_bit():
+    cfg = SpaceConfig(num_blocks=3, num_ops=4)
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        policy = ConstructionPolicy(cfg, rng, embed_size=8, hidden_size=8)
+        _perturb(policy.named_params(), rng)
+        cell, lp, _ = policy.sample(rng)
+        cached = policy.grads(cell)
+        assert cached[0] == lp
+        _assert_same(cached, policy.grads(cell))  # the walk is used once
+
+
+def test_grad_for_another_cell_recomputes():
+    params, cell, trace, rng = _controller_draw(3, bidirectional=True)
+    other = random_cell(SpaceConfig(params.num_blocks, params.num_ops), rng)
+    while other == cell:
+        other = random_cell(SpaceConfig(params.num_blocks, params.num_ops), rng)
+    other_trace = sample_mutation(params, other, rng)
+    stale = encode_forward(params, cell)
+    _assert_same(
+        trace_grads(params, other, other_trace, stale),
+        trace_grads(params, other, other_trace),
+    )
+
+    cfg = SpaceConfig(num_blocks=3, num_ops=4)
+    policy = ConstructionPolicy(cfg, rng, embed_size=8, hidden_size=8)
+    first, _, _ = policy.sample(rng)
+    second = random_cell(cfg, rng)
+    while second == first:
+        second = random_cell(cfg, rng)
+    fresh = ConstructionPolicy(
+        cfg, np.random.default_rng(0), embed_size=8, hidden_size=8
+    )
+    for (_, a), (_, b) in zip(fresh.named_params(), policy.named_params()):
+        a.data[...] = b.data
+    _assert_same(policy.grads(second), fresh.grads(second))
+
+
+def test_kept_forward_is_not_reused_after_the_parameters_move():
+    params, cell, _, rng = _controller_draw(5, bidirectional=True)
+    policy = ControllerPolicy(params, rng)
+    trace = policy.propose(cell)
+    grads = policy.grad_fn(cell, trace)
+    grads()  # hands the kept forward over, as the trainer's update does
+    params.fwd.Wh.data *= 1.5
+    _assert_same(grads(), trace_grads(params, cell, trace))

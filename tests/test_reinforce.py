@@ -20,6 +20,7 @@ from evocell.controller import (
     MutTarget,
     init_controller,
     sample_mutation,
+    trace_grads,
     trace_logprob,
 )
 from evocell.nn_core import gradcheck
@@ -87,7 +88,7 @@ def test_first_update_with_ema_baseline_is_a_no_op():
     trace = sample_mutation(params, cell, rng)
     before = {name: t.data.copy() for name, t in params.named_params()}
     diag = trainer.update(
-        lambda: trace_logprob(params, cell, trace)[0],
+        lambda: trace_grads(params, cell, trace),
         trace.total_entropy,
         0.6,
     )
@@ -103,7 +104,7 @@ def test_zero_advantage_no_baseline_zero_entropy_keeps_params():
     trace = sample_mutation(params, cell, rng)
     before = {name: t.data.copy() for name, t in params.named_params()}
     diag = trainer.update(
-        lambda: trace_logprob(params, cell, trace)[0], trace.total_entropy, 0.0
+        lambda: trace_grads(params, cell, trace), trace.total_entropy, 0.0
     )
     # fitness 0 -> shaped reward 0; no baseline -> advantage 0 -> no movement
     assert diag["advantage"] == 0.0
@@ -223,15 +224,7 @@ def test_baseline_does_not_flip_expected_gradient_direction():
     grads = []
     for _ in range(n):
         trace = sample_mutation(params, cell, rng)
-        lp, _ = trace_logprob(params, cell, trace)
-        for _, t in params.named_params():
-            t.grad = None
-        lp.backward()
-        g = {
-            name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
-            for name, t in params.named_params()
-        }
-        grads.append(g)
+        grads.append(trace_grads(params, cell, trace)[1])
         rewards.append(reward_of(trace))
     b = float(np.mean(rewards))
     flat_plain = {}
