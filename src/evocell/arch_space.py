@@ -143,21 +143,28 @@ def validate(cell: CellSpec, cfg: SpaceConfig) -> Optional[Violation]:
     return None
 
 
+def random_digits(
+    cfg: SpaceConfig, rng: np.random.Generator, n: Optional[int] = None
+) -> np.ndarray:
+    """Uniform digit vectors (see digit_radices) in one generator call.
+
+    Returns shape (4B,), or (n, 4B) when n is given. The array-high draw
+    takes each digit in C order by the same 32-bit bounded draw as a scalar
+    rng.integers(radix), so the stream and the generator's state afterwards
+    equal one scalar draw per field in token order.
+    """
+    radices = digit_radices(cfg)
+    return rng.integers(radices, size=None if n is None else (n, len(radices)))
+
+
 def random_cell(cfg: SpaceConfig, rng: np.random.Generator) -> CellSpec:
     """Draw a uniformly random valid cell.
 
-    Draw order is fixed (per block: i1, i2, o1, o2) so that runs are
-    reproducible from a seed.
+    All 4B fields come from one random_digits call, drawn per block in the
+    order i1, i2, o1, o2; that stream is identical to one scalar
+    rng.integers per field, so runs are reproducible from a seed.
     """
-    blocks = []
-    for b in range(1, cfg.num_blocks + 1):
-        choices = legal_inputs(b)
-        i1 = choices[int(rng.integers(len(choices)))]
-        i2 = choices[int(rng.integers(len(choices)))]
-        o1 = Op(int(rng.integers(cfg.num_ops)))
-        o2 = Op(int(rng.integers(cfg.num_ops)))
-        blocks.append(BlockSpec(i1, i2, o1, o2))
-    return CellSpec(tuple(blocks), num_ops=cfg.num_ops)
+    return cell_from_digits(random_digits(cfg, rng), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +189,15 @@ def input_token(ref: int) -> int:
     if ref == CELL_PREV1:
         return 1
     return 1 + ref
+
+
+def input_ref(token: int) -> int:
+    """Inverse of input_token."""
+    if token == 0:
+        return CELL_PREV2
+    if token == 1:
+        return CELL_PREV1
+    return token - 1
 
 
 def encode_tokens(cell: CellSpec) -> List[int]:
@@ -223,11 +239,10 @@ def decode_tokens(tokens: Sequence[int], cfg: SpaceConfig) -> CellSpec:
             raise ValueError(f"block {b + 1}: expected op tokens")
         if t_add != add_token:
             raise ValueError(f"block {b + 1}: expected combiner token {add_token}")
-        refs = []
-        for t in (t_i1, t_i2):
-            refs.append(CELL_PREV2 if t == 0 else CELL_PREV1 if t == 1 else t - 1)
         blocks.append(
-            BlockSpec(refs[0], refs[1], Op(t_o1 - op_base), Op(t_o2 - op_base))
+            BlockSpec(
+                input_ref(t_i1), input_ref(t_i2), Op(t_o1 - op_base), Op(t_o2 - op_base)
+            )
         )
     cell = CellSpec(tuple(blocks), num_ops=cfg.num_ops)
     violation = validate(cell, cfg)
@@ -262,23 +277,31 @@ def digit_radices(cfg: SpaceConfig) -> Tuple[int, ...]:
     return tuple(radices)
 
 
-def input_digit(ref: int) -> int:
-    # identical to the token id of the input, by construction
-    return input_token(ref)
-
-
 def cell_digits(cell: CellSpec) -> List[int]:
+    """Mixed-radix digits of a cell: per block i1, i2, o1, o2. An input's
+    digit is its token id."""
     digits: List[int] = []
     for block in cell.blocks:
         digits.extend(
             (
-                input_digit(block.i1),
-                input_digit(block.i2),
+                input_token(block.i1),
+                input_token(block.i2),
                 int(block.o1),
                 int(block.o2),
             )
         )
     return digits
+
+
+def cell_from_digits(digits: Sequence[int], cfg: SpaceConfig) -> CellSpec:
+    """Inverse of cell_digits. Digits are not range-checked: validate() the
+    cell if they come from outside."""
+    d = [int(x) for x in digits]
+    blocks = tuple(
+        BlockSpec(input_ref(d[k]), input_ref(d[k + 1]), Op(d[k + 2]), Op(d[k + 3]))
+        for k in range(0, 4 * cfg.num_blocks, 4)
+    )
+    return CellSpec(blocks, num_ops=cfg.num_ops)
 
 
 def cell_rank(cell: CellSpec, cfg: SpaceConfig) -> int:
@@ -296,15 +319,7 @@ def cell_from_rank(rank: int, cfg: SpaceConfig) -> CellSpec:
         rank, digits[pos] = divmod(rank, radices[pos])
     if rank != 0:
         raise ValueError("rank outside the space")
-    blocks = []
-    for b in range(cfg.num_blocks):
-        d_i1, d_i2, d_o1, d_o2 = digits[4 * b : 4 * b + 4]
-        refs = [
-            CELL_PREV2 if d == 0 else CELL_PREV1 if d == 1 else d - 1
-            for d in (d_i1, d_i2)
-        ]
-        blocks.append(BlockSpec(refs[0], refs[1], Op(d_o1), Op(d_o2)))
-    return CellSpec(tuple(blocks), num_ops=cfg.num_ops)
+    return cell_from_digits(digits, cfg)
 
 
 def enumerate_space(
@@ -317,16 +332,9 @@ def enumerate_space(
     total = space_size(cfg)
     if total > cap:
         raise ValueError(f"space has {total} cells, above the cap of {cap}")
-    slot_choices: List[Sequence[int]] = []
-    for b in range(1, cfg.num_blocks + 1):
-        inputs = legal_inputs(b)
-        slot_choices.extend((inputs, inputs, range(cfg.num_ops), range(cfg.num_ops)))
-    for combo in itertools.product(*slot_choices):
-        blocks = tuple(
-            BlockSpec(combo[4 * b], combo[4 * b + 1], Op(combo[4 * b + 2]), Op(combo[4 * b + 3]))
-            for b in range(cfg.num_blocks)
-        )
-        yield CellSpec(blocks, num_ops=cfg.num_ops)
+    # digits order inputs as their token ids do, so digit order is token order
+    for digits in itertools.product(*map(range, digit_radices(cfg))):
+        yield cell_from_digits(digits, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,25 @@ def _raw_score(weights: _LandscapeWeights, digits, num_blocks: int) -> float:
     return total
 
 
+def _raw_scores(
+    weights: _LandscapeWeights, digits: np.ndarray, num_blocks: int
+) -> np.ndarray:
+    """_raw_score of each row of an (N, 4B) digit matrix: the same terms,
+    added in the same order, so every entry equals the scalar path bit for bit."""
+    total = np.zeros(len(digits))
+    for b in range(num_blocks):
+        d_i1, d_i2, d_o1, d_o2 = digits[:, 4 * b : 4 * b + 4].T
+        total += weights.w_op[b, d_o1, d_o2]
+        total += weights.w_in[b, d_i1, d_i2]
+        if b + 1 < num_blocks:
+            total += weights.w_pair[b, d_o1, digits[:, 4 * (b + 1) + 2]]
+    return total
+
+
+def _squash(raw: float) -> float:
+    return 1.0 / (1.0 + math.exp(-raw))
+
+
 class LandscapeOracle(FitnessOracle):
     """Structured synthetic landscape usable on spaces of any size."""
 
@@ -170,8 +189,18 @@ class LandscapeOracle(FitnessOracle):
         violation = validate(cell, self.cfg)
         if violation is not None:
             raise ValueError(f"cell invalid: {violation}")
-        raw = _raw_score(self.weights, cell_digits(cell), self.cfg.num_blocks)
-        return 1.0 / (1.0 + math.exp(-raw))
+        return _squash(_raw_score(self.weights, cell_digits(cell), self.cfg.num_blocks))
+
+    def max_true_fitness(self, digits: np.ndarray) -> float:
+        """Highest true fitness over the cells of an (N, 4B) digit matrix.
+
+        Rows are not validated: every digit must be below its radix, as
+        random_digits draws them. Equals max(true_fitness(cell)) bit for
+        bit, because the squash is non-decreasing and is applied to the
+        best raw score only.
+        """
+        raw = _raw_scores(self.weights, digits, self.cfg.num_blocks)
+        return _squash(float(raw.max()))
 
 
 class TabularOracle(FitnessOracle):

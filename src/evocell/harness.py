@@ -26,19 +26,20 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import stats
 
 from .arch_space import (
     CellSpec,
-    Op,
     SpaceConfig,
     cell_digits,
+    cell_from_digits,
     cell_from_text,
     cell_to_text,
     random_cell,
+    random_digits,
     vocab_size,
 )
 from . import nn_core
@@ -93,6 +94,7 @@ POPULATION_STRATEGIES = ("reinforced", "reinforced_nonbi", "ea_random")
 TARGET_FRACTION = 0.99
 LOG_VERSION = 1
 PILOT_SAMPLES = 20_000
+PILOT_CHUNK = 1_000  # rows per draw, so the pilot adds no visible peak memory
 
 
 class ConfigError(ValueError):
@@ -167,19 +169,27 @@ def make_oracle(cfg: StrategyConfig) -> FitnessOracle:
     return oracle
 
 
+def pilot_digits(oracle: FitnessOracle) -> Iterator[np.ndarray]:
+    """The target pilot's PILOT_SAMPLES random digit rows, from its fixed
+    seed, in PILOT_CHUNK-row random_digits calls; the rows, like the
+    stream, are the same as from one call."""
+    pilot_rng = np.random.default_rng((oracle.seed or 0) + 1_000_003)
+    for _ in range(PILOT_SAMPLES // PILOT_CHUNK):
+        yield random_digits(oracle.cfg, pilot_rng, PILOT_CHUNK)
+
+
 def resolve_target(oracle: FitnessOracle) -> Tuple[float, str]:
     """Target true fitness for evaluations-to-target accounting.
 
-    Tabular oracles expose their optimum; otherwise a fixed-seed random
-    pilot stands in for it.
+    Tabular oracles expose their optimum; a landscape oracle's stand-in is
+    the best of a fixed-seed random pilot, drawn as digit matrices and
+    scored as arrays. The draw is stream-identical to PILOT_SAMPLES
+    random_cell calls, so the target equals
+    max(true_fitness(random_cell(...))) bit for bit.
     """
     if isinstance(oracle, TabularOracle):
         return TARGET_FRACTION * oracle.optimum_fitness, "oracle_optimum"
-    pilot_rng = np.random.default_rng((oracle.seed or 0) + 1_000_003)
-    best = max(
-        oracle.true_fitness(random_cell(oracle.cfg, pilot_rng))
-        for _ in range(PILOT_SAMPLES)
-    )
+    best = max(oracle.max_true_fitness(rows) for rows in pilot_digits(oracle))
     return TARGET_FRACTION * best, f"random_pilot({PILOT_SAMPLES})"
 
 
@@ -279,7 +289,7 @@ class ConstructionPolicy:
             chosen.append(idx)
             tokens.append(idx if kind == "input" else op_base + idx)
             x = self.embedding.data[tokens[-1]]
-        cell = _cell_from_choice_digits(chosen, self.cfg)
+        cell = cell_from_digits(chosen, self.cfg)
         return _ConstructionWalk(cell, chosen, tokens, cache, total_lp, total_h)
 
     def sample(self, rng: np.random.Generator) -> Tuple[CellSpec, float, float]:
@@ -363,20 +373,6 @@ class ConstructionPolicy:
             token = idx if kind == "input" else op_base + idx
             x = self.embedding.rows([token])
         return total_lp, total_h
-
-
-def _cell_from_choice_digits(digits: Sequence[int], cfg: SpaceConfig) -> CellSpec:
-    from .arch_space import BlockSpec, CELL_PREV1, CELL_PREV2
-
-    blocks = []
-    for b in range(cfg.num_blocks):
-        d_i1, d_i2, d_o1, d_o2 = digits[4 * b : 4 * b + 4]
-        refs = [
-            CELL_PREV2 if d == 0 else CELL_PREV1 if d == 1 else d - 1
-            for d in (d_i1, d_i2)
-        ]
-        blocks.append(BlockSpec(refs[0], refs[1], Op(d_o1), Op(d_o2)))
-    return CellSpec(tuple(blocks), num_ops=cfg.num_ops)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Genotype space: encoding, ranking, enumeration, validation."""
 
+import itertools
 import math
 
 import numpy as np
@@ -17,15 +18,18 @@ from evocell.arch_space import (
     Op,
     SpaceConfig,
     cell_digits,
+    cell_from_digits,
     cell_from_rank,
     cell_from_text,
     cell_rank,
     cell_to_text,
     decode_tokens,
+    digit_radices,
     encode_tokens,
     enumerate_space,
     legal_inputs,
     random_cell,
+    random_digits,
     space_size,
     validate,
     vocab_size,
@@ -202,6 +206,43 @@ def test_random_cells_are_valid():
         cfg = SpaceConfig(num_blocks=blocks, num_ops=ops)
         for _ in range(200):
             assert validate(random_cell(cfg, rng), cfg) is None
+
+
+def _per_field_random_cell(cfg, rng):
+    # the scalar draw random_cell made before it drew all digits in one call
+    blocks = []
+    for b in range(1, cfg.num_blocks + 1):
+        choices = legal_inputs(b)
+        i1 = choices[int(rng.integers(len(choices)))]
+        i2 = choices[int(rng.integers(len(choices)))]
+        o1 = Op(int(rng.integers(cfg.num_ops)))
+        o2 = Op(int(rng.integers(cfg.num_ops)))
+        blocks.append(BlockSpec(i1, i2, o1, o2))
+    return CellSpec(tuple(blocks), num_ops=cfg.num_ops)
+
+
+@pytest.mark.parametrize("blocks, ops", [(1, 2), (2, 5), (3, 4), (5, 6)])
+def test_one_draw_random_cell_is_stream_identical_to_per_field_draws(blocks, ops):
+    cfg = SpaceConfig(num_blocks=blocks, num_ops=ops)
+    for seed in (0, 1, 7, 2**31 - 1):
+        fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(300):
+            cell = random_cell(cfg, fast)
+            assert cell == _per_field_random_cell(cfg, ref)
+            assert all(type(blk.i1) is int and type(blk.i2) is int for blk in cell.blocks)
+        # a matrix draw continues the same stream, row after row
+        for row in random_digits(cfg, fast, 50):
+            assert cell_from_digits(row, cfg) == _per_field_random_cell(cfg, ref)
+        assert fast.integers(2**62) == ref.integers(2**62)
+        assert fast.random() == ref.random()
+
+
+def test_digit_codec_round_trips_over_a_two_block_space():
+    cfg = SpaceConfig(num_blocks=2, num_ops=3)
+    all_digits = itertools.product(*map(range, digit_radices(cfg)))
+    for cell, digits in zip(enumerate_space(cfg), all_digits, strict=True):
+        assert cell_digits(cell) == list(digits)
+        assert cell_from_digits(digits, cfg) == cell
 
 
 def test_random_cell_input_choice_is_uniform():

@@ -15,9 +15,11 @@ from evocell.arch_space import (
     Op,
     SpaceConfig,
     cell_digits,
+    cell_from_digits,
     cell_from_rank,
     digit_radices,
     random_cell,
+    random_digits,
     space_size,
 )
 from evocell.evaluators import (
@@ -29,6 +31,7 @@ from evocell.evaluators import (
     TabularOracle,
     _LandscapeWeights,
     _raw_score,
+    _raw_scores,
     build_tabular,
     inherit_maturity,
     load_oracle,
@@ -293,6 +296,18 @@ def test_build_tabular_equals_scalar_path_bit_for_bit():
         for f in fitness
     ]
     assert np.array_equal(tab.table, np.array(expected))
+
+
+def test_raw_scores_equal_scalar_path_bit_for_bit():
+    cfg = SpaceConfig(num_blocks=5, num_ops=6)
+    weights = _LandscapeWeights.draw(cfg, 7)
+    digits = random_digits(cfg, np.random.default_rng(0), 2000)
+    expected = [_raw_score(weights, row.tolist(), 5) for row in digits]
+    assert np.array_equal(_raw_scores(weights, digits, 5), np.array(expected))
+    land = LandscapeOracle(cfg, 7)
+    assert land.max_true_fitness(digits) == max(
+        land.true_fitness(cell_from_digits(row, cfg)) for row in digits
+    )
 
 
 def test_build_tabular_respects_cap():

@@ -7,15 +7,23 @@ import os
 import numpy as np
 import pytest
 
-from evocell.arch_space import SpaceConfig, cell_from_text, validate
+from evocell.arch_space import (
+    SpaceConfig,
+    cell_from_digits,
+    cell_from_text,
+    random_cell,
+    random_digits,
+    validate,
+)
 from evocell.cli import (
     load_config_file,
     main,
     parse_oracle_spec,
     parse_seeds,
 )
-from evocell.evaluators import build_tabular, save_oracle, load_oracle
+from evocell.evaluators import LandscapeOracle, build_tabular, save_oracle, load_oracle
 from evocell.harness import (
+    PILOT_SAMPLES,
     POPULATION_STRATEGIES,
     STRATEGIES,
     TARGET_FRACTION,
@@ -25,6 +33,7 @@ from evocell.harness import (
     _evals_to_target,
     compare,
     make_oracle,
+    pilot_digits,
     read_jsonl,
     replay,
     resolve_target,
@@ -118,6 +127,30 @@ def test_resolve_target_landscape_uses_pilot():
     assert t1 == t2
     assert "random_pilot" in source
     assert 0.0 < t1 < 1.0
+
+
+@pytest.mark.parametrize("blocks, ops", [(3, 4), (5, 6)])
+@pytest.mark.parametrize("oracle_seed", [0, 7, None])
+def test_landscape_target_equals_scalar_pilot_bit_for_bit(blocks, ops, oracle_seed):
+    oracle = LandscapeOracle(SpaceConfig(num_blocks=blocks, num_ops=ops), oracle_seed)
+    rng = np.random.default_rng((oracle_seed or 0) + 1_000_003)
+    best = max(
+        oracle.true_fitness(random_cell(oracle.cfg, rng)) for _ in range(PILOT_SAMPLES)
+    )
+    target, source = resolve_target(oracle)
+    assert target == TARGET_FRACTION * best
+    assert source == f"random_pilot({PILOT_SAMPLES})"
+    if (blocks, ops, oracle_seed) == (5, 6, 7):
+        assert target == 0.9899845203646035  # the paper space's default oracle
+
+
+def test_pilot_rows_are_one_draw_of_valid_cells():
+    oracle = LandscapeOracle(SpaceConfig(num_blocks=5, num_ops=6), 7)
+    digits = np.concatenate(list(pilot_digits(oracle)))
+    one_call = random_digits(oracle.cfg, np.random.default_rng(7 + 1_000_003), PILOT_SAMPLES)
+    assert np.array_equal(digits, one_call)  # chunked rows are the same rows
+    for row in digits:
+        assert validate(cell_from_digits(row, oracle.cfg), oracle.cfg) is None
 
 
 def test_evals_to_target_indexing():
