@@ -46,16 +46,10 @@ NUM_OPS_TOTAL = len(Op)
 
 @dataclass(frozen=True)
 class SpaceConfig:
-    """Search-space shape: blocks per cell and the active operation subset.
-
-    num_cells and num_filters describe how cells would be stacked into a
-    full network; they are carried as metadata and never searched over.
-    """
+    """Search-space shape: blocks per cell and the active operation subset."""
 
     num_blocks: int
     num_ops: int = NUM_OPS_TOTAL
-    num_cells: int = 2
-    num_filters: int = 24
 
     def __post_init__(self) -> None:
         if self.num_blocks < 1:

@@ -20,9 +20,9 @@ training path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,16 +40,18 @@ from . import nn_core
 from .nn_core import (
     LSTMCache,
     LSTMParams,
+    ParamLayout,
+    ParamViews,
     Tensor,
     concat,
     entropy_from_logp,
     entropy_from_logp_np,
-    init_lstm,
-    init_param,
     log_softmax,
     lstm_backward_np,
+    lstm_entries,
     lstm_forward,
     lstm_forward_np,
+    lstm_spec,
     sample_index_np,
     shape_logits,
     squashed_logp_grad_np,
@@ -98,7 +100,8 @@ class ControllerParams:
     begin_prev1 / begin_prev2 are free vectors of encoder-output width that
     stand in for the two previous-cell inputs when scoring replacement
     candidates. With bwd=None the encoder is forward-only and every head is
-    dimensioned to width H instead of 2H.
+    dimensioned to width H instead of 2H. Every tensor is a view into one
+    flat buffer, laid out by controller_layout.
     """
 
     embedding: Tensor  # (vocab, E)
@@ -116,6 +119,8 @@ class ControllerParams:
     num_ops: int
     embed_size: int
     hidden_size: int
+    flat: np.ndarray = field(repr=False, compare=False)
+    layout: ParamLayout = field(repr=False, compare=False)
 
     @property
     def bidirectional(self) -> bool:
@@ -126,27 +131,61 @@ class ControllerParams:
         return 2 * self.hidden_size if self.bidirectional else self.hidden_size
 
     def named_params(self) -> List[Tuple[str, Tensor]]:
-        items = [
-            ("embedding", self.embedding),
-            ("fwd.Wx", self.fwd.Wx),
-            ("fwd.Wh", self.fwd.Wh),
-            ("fwd.b", self.fwd.b),
-            ("begin_prev1", self.begin_prev1),
-            ("begin_prev2", self.begin_prev2),
-            ("w_router", self.w_router),
-            ("b_router", self.b_router),
-            ("w_input", self.w_input),
-            ("b_input", self.b_input),
-            ("w_op", self.w_op),
-            ("b_op", self.b_op),
+        return self.layout.named(self)
+
+
+def controller_layout(
+    num_blocks: int,
+    num_ops: int,
+    embed_size: int,
+    hidden_size: int,
+    bidirectional: bool,
+) -> ParamLayout:
+    """The policy's parameters in named_params() order, which is also the
+    order init_controller has always drawn them in."""
+    E, H = embed_size, hidden_size
+    W = 2 * H if bidirectional else H
+    return ParamLayout(
+        [
+            ("embedding", (vocab_size(num_blocks), E)),
+            *lstm_spec("fwd", E, H),
+            *(lstm_spec("bwd", E, H) if bidirectional else []),
+            ("begin_prev1", (1, W)),
+            ("begin_prev2", (1, W)),
+            ("w_router", (W, 1)),
+            ("b_router", (1, 1)),
+            ("w_input", (2 * W, 1)),
+            ("b_input", (1, 1)),
+            ("w_op", (W, num_ops)),
+            ("b_op", (1, num_ops)),
         ]
-        if self.bwd is not None:
-            items[4:4] = [
-                ("bwd.Wx", self.bwd.Wx),
-                ("bwd.Wh", self.bwd.Wh),
-                ("bwd.b", self.bwd.b),
-            ]
-        return items
+    )
+
+
+def _controller_over(
+    flat: np.ndarray, layout: ParamLayout, num_blocks: int, num_ops: int
+) -> ControllerParams:
+    """Controller parameters whose tensors are views of flat."""
+    t = layout.tensors(flat)
+    return ControllerParams(
+        embedding=t["embedding"],
+        fwd=LSTMParams(*lstm_entries(t, "fwd")),
+        bwd=LSTMParams(*lstm_entries(t, "bwd")) if "bwd.Wx" in t else None,
+        begin_prev1=t["begin_prev1"],
+        begin_prev2=t["begin_prev2"],
+        w_router=t["w_router"],
+        b_router=t["b_router"],
+        w_input=t["w_input"],
+        b_input=t["b_input"],
+        w_op=t["w_op"],
+        b_op=t["b_op"],
+        num_blocks=num_blocks,
+        num_ops=num_ops,
+        embed_size=t["embedding"].shape[1],
+        hidden_size=t["fwd.Wh"].shape[0],
+        flat=flat,
+        layout=layout,
+    )
 
 
 def init_controller(
@@ -157,25 +196,10 @@ def init_controller(
     bidirectional: bool = True,
 ) -> ControllerParams:
     """Fresh policy parameters, every weight drawn N(0, 0.01^2)."""
-    vocab = vocab_size(cfg.num_blocks)
-    width = 2 * hidden_size if bidirectional else hidden_size
-    return ControllerParams(
-        embedding=init_param((vocab, embed_size), rng),
-        fwd=init_lstm(embed_size, hidden_size, rng),
-        bwd=init_lstm(embed_size, hidden_size, rng) if bidirectional else None,
-        begin_prev1=init_param((1, width), rng),
-        begin_prev2=init_param((1, width), rng),
-        w_router=init_param((width, 1), rng),
-        b_router=init_param((1, 1), rng),
-        w_input=init_param((2 * width, 1), rng),
-        b_input=init_param((1, 1), rng),
-        w_op=init_param((width, cfg.num_ops), rng),
-        b_op=init_param((1, cfg.num_ops), rng),
-        num_blocks=cfg.num_blocks,
-        num_ops=cfg.num_ops,
-        embed_size=embed_size,
-        hidden_size=hidden_size,
+    layout = controller_layout(
+        cfg.num_blocks, cfg.num_ops, embed_size, hidden_size, bidirectional
     )
+    return _controller_over(layout.draw(rng), layout, cfg.num_blocks, cfg.num_ops)
 
 
 def unidirectional_variant(
@@ -443,8 +467,9 @@ def trace_grads(
     cell: CellSpec,
     trace: MutationTrace,
     forward: Optional[EncoderForward] = None,
-) -> Tuple[float, Dict[str, np.ndarray]]:
-    """A trace's total log-prob and its gradient per parameter name.
+) -> Tuple[float, ParamViews]:
+    """A trace's total log-prob and its gradient: one flat vector in the
+    parameters' layout, returned as its per-name views.
 
     Hand-derived BPTT through the heads (squash and log-softmax), both
     encoder directions, the begin vectors and the embedding rows; it agrees
@@ -460,12 +485,14 @@ def trace_grads(
     H = params.hidden_size
     w_r = params.w_router.data[:, 0]
     w_in = params.w_input.data[:, 0]
+    grads = params.layout.zeros()
     dS = np.zeros_like(S)
-    d_w_r = np.zeros(W)
-    d_w_in = np.zeros(2 * W)
-    d_w_op = np.zeros_like(params.w_op.data)
-    d_b_op = np.zeros(params.num_ops)
-    d_begin = np.zeros((2, W))
+    d_w_r = grads["w_router"][:, 0]
+    d_w_in = grads["w_input"][:, 0]
+    d_w_op = grads["w_op"]
+    d_b_op = grads["b_op"][0]
+    d_begin1 = grads["begin_prev1"][0]
+    d_begin2 = grads["begin_prev2"][0]
     d_b_r = d_b_in = 0.0
     total_lp = 0.0
     for b, action in enumerate(trace.actions, start=1):
@@ -490,7 +517,8 @@ def trace_grads(
             d_w_in[:W] += g_sum * state_id
             d_cands = np.outer(g, w_in[W:])
             dS[4 : 5 * (b - 1) : 5] += d_cands[: b - 1]
-            d_begin += d_cands[b - 1 :]
+            d_begin1 += d_cands[b - 1]
+            d_begin2 += d_cands[b]
             d_w_in[W:] += g @ cands
             d_b_in += g_sum
         else:
@@ -502,27 +530,18 @@ def trace_grads(
             d_b_op += g
         total_lp += float(logp[idx])
 
-    grads = {
-        "begin_prev1": d_begin[0:1],
-        "begin_prev2": d_begin[1:2],
-        "w_router": d_w_r[:, None],
-        "b_router": np.array([[d_b_r]]),
-        "w_input": d_w_in[:, None],
-        "b_input": np.array([[d_b_in]]),
-        "w_op": d_w_op,
-        "b_op": d_b_op[None],
-    }
-    dWx, dWh, db, dX = lstm_backward_np(params.fwd, forward.fwd, dS[None, :, :H])
-    grads.update({"fwd.Wx": dWx, "fwd.Wh": dWh, "fwd.b": db})
-    dX = dX[0]
+    grads["b_router"][0, 0] = d_b_r
+    grads["b_input"][0, 0] = d_b_in
+    dX = lstm_backward_np(
+        params.fwd, forward.fwd, dS[None, :, :H], out=lstm_entries(grads, "fwd")
+    )[3][0]
     if params.bwd is not None:
         dh_b = dS[None, ::-1, H:]  # the backward run's step order
-        dWx, dWh, db, dX_b = lstm_backward_np(params.bwd, forward.bwd, dh_b)
-        grads.update({"bwd.Wx": dWx, "bwd.Wh": dWh, "bwd.b": db})
+        dX_b = lstm_backward_np(
+            params.bwd, forward.bwd, dh_b, out=lstm_entries(grads, "bwd")
+        )[3]
         dX += dX_b[0, ::-1]
-    d_embedding = np.zeros_like(params.embedding.data)
-    np.add.at(d_embedding, forward.ids, dX)
-    grads["embedding"] = d_embedding
+    np.add.at(grads["embedding"], forward.ids, dX)
     return total_lp, grads
 
 
@@ -725,25 +744,16 @@ def save_controller(path: str, params: ControllerParams) -> None:
 
 
 def load_controller(path: str) -> ControllerParams:
-    meta, arrays = nn_core.load_params(path)
+    meta, layout, flat = nn_core.load_params(path)
     if meta.get("kind") != "mutation_controller":
         raise ValueError(f"not a controller checkpoint: {meta.get('kind')!r}")
-    cfg = SpaceConfig(num_blocks=int(meta["num_blocks"]), num_ops=int(meta["num_ops"]))
-    rng = np.random.default_rng(0)
-    params = init_controller(
-        cfg,
-        rng,
-        embed_size=int(meta["embed_size"]),
-        hidden_size=int(meta["hidden_size"]),
-        bidirectional=bool(meta["bidirectional"]),
+    num_blocks, num_ops = int(meta["num_blocks"]), int(meta["num_ops"])
+    expected = controller_layout(
+        num_blocks,
+        num_ops,
+        int(meta["embed_size"]),
+        int(meta["hidden_size"]),
+        bool(meta["bidirectional"]),
     )
-    for name, tensor in params.named_params():
-        if name not in arrays:
-            raise ValueError(f"checkpoint missing parameter {name!r}")
-        if arrays[name].shape != tensor.data.shape:
-            raise ValueError(
-                f"parameter {name!r} has shape {arrays[name].shape}, "
-                f"expected {tensor.data.shape}"
-            )
-        tensor.data[...] = arrays[name]
-    return params
+    expected.check(layout)
+    return _controller_over(flat, expected, num_blocks, num_ops)

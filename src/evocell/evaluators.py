@@ -124,15 +124,17 @@ class FitnessOracle(ABC):
 @dataclass
 class _LandscapeWeights:
     """Seeded score tables. Draw order (w_op, w_in, w_pair) is part of the
-    on-disk contract: changing it would silently re-map every stored seed."""
+    on-disk contract: changing it would silently re-map every stored seed.
+    Seed None means seed 0, as in the target pilot, so such an oracle is
+    reproducible too."""
 
     w_op: np.ndarray  # (B, num_ops, num_ops)
     w_in: np.ndarray  # (B, B+1, B+1); block b uses the leading (b+1) slice
     w_pair: np.ndarray  # (B-1, num_ops, num_ops), adjacent-block interaction
 
     @classmethod
-    def draw(cls, cfg: SpaceConfig, seed: int) -> "_LandscapeWeights":
-        rng = np.random.default_rng(seed)
+    def draw(cls, cfg: SpaceConfig, seed: Optional[int]) -> "_LandscapeWeights":
+        rng = np.random.default_rng(0 if seed is None else seed)
         B, k = cfg.num_blocks, cfg.num_ops
         return cls(
             w_op=rng.normal(0.0, 1.0, size=(B, k, k)),

@@ -45,11 +45,11 @@ from .arch_space import (
 from . import nn_core
 from .nn_core import (
     LSTMParams,
+    ParamLayout,
+    ParamViews,
     Tensor,
     entropy_from_logp,
     entropy_from_logp_np,
-    init_lstm,
-    init_param,
     log_softmax,
     sample_index_np,
     shape_logits,
@@ -217,7 +217,9 @@ class ConstructionPolicy:
     shared head over the first b+1 slots (the legal references at block b);
     ops by a separate head over the active subset. Chosen tokens feed back
     as the next LSTM input, starting from a learned start vector. All
-    logits pass through the same squash as the mutation controller.
+    logits pass through the same squash as the mutation controller. Every
+    tensor is a view into one flat buffer (self.flat, laid out by
+    self.layout).
     """
 
     def __init__(
@@ -231,27 +233,30 @@ class ConstructionPolicy:
         self.embed_size = embed_size
         self.hidden_size = hidden_size
         B = cfg.num_blocks
-        self.embedding = init_param((vocab_size(B), embed_size), rng)
-        self.start = init_param((1, embed_size), rng)
-        self.lstm = init_lstm(embed_size, hidden_size, rng)
-        self.w_input = init_param((hidden_size, B + 1), rng)
-        self.b_input = init_param((1, B + 1), rng)
-        self.w_op = init_param((hidden_size, cfg.num_ops), rng)
-        self.b_op = init_param((1, cfg.num_ops), rng)
+        self.layout = ParamLayout(
+            [
+                ("embedding", (vocab_size(B), embed_size)),
+                ("start", (1, embed_size)),
+                *nn_core.lstm_spec("lstm", embed_size, hidden_size),
+                ("w_input", (hidden_size, B + 1)),
+                ("b_input", (1, B + 1)),
+                ("w_op", (hidden_size, cfg.num_ops)),
+                ("b_op", (1, cfg.num_ops)),
+            ]
+        )
+        self.flat = self.layout.draw(rng)
+        t = self.layout.tensors(self.flat)
+        self.embedding = t["embedding"]
+        self.start = t["start"]
+        self.lstm = LSTMParams(*nn_core.lstm_entries(t, "lstm"))
+        self.w_input = t["w_input"]
+        self.b_input = t["b_input"]
+        self.w_op = t["w_op"]
+        self.b_op = t["b_op"]
         self._last: Optional[_ConstructionWalk] = None
 
     def named_params(self) -> List[Tuple[str, Tensor]]:
-        return [
-            ("embedding", self.embedding),
-            ("start", self.start),
-            ("lstm.Wx", self.lstm.Wx),
-            ("lstm.Wh", self.lstm.Wh),
-            ("lstm.b", self.lstm.b),
-            ("w_input", self.w_input),
-            ("b_input", self.b_input),
-            ("w_op", self.w_op),
-            ("b_op", self.b_op),
-        ]
+        return self.layout.named(self)
 
     def _decision_plan(self) -> List[Tuple[str, int]]:
         plan = []
@@ -301,9 +306,10 @@ class ConstructionPolicy:
         self._last = walk
         return walk.cell, walk.total_logprob, walk.total_entropy
 
-    def grads(self, cell: CellSpec) -> Tuple[float, Dict[str, np.ndarray]]:
-        """Log-prob of emitting exactly this cell and its gradient per
-        parameter name, by hand-derived BPTT; logprob() is the tape reference.
+    def grads(self, cell: CellSpec) -> Tuple[float, ParamViews]:
+        """Log-prob of emitting exactly this cell and its gradient (one flat
+        vector in self.layout, as per-name views), by hand-derived BPTT;
+        logprob() is the tape reference.
 
         The walk of the last sample() is reused once if it emitted this
         cell (the parameters must be unchanged since); otherwise the cell's
@@ -315,10 +321,9 @@ class ConstructionPolicy:
         cache = walk.cache
         T, H = len(walk.digits), self.hidden_size
         dh = np.zeros((1, T, H))
-        d_w_input = np.zeros_like(self.w_input.data)
-        d_b_input = np.zeros_like(self.b_input.data)
-        d_w_op = np.zeros_like(self.w_op.data)
-        d_b_op = np.zeros_like(self.b_op.data)
+        grads = self.layout.zeros()
+        d_w_input, d_b_input = grads["w_input"], grads["b_input"]
+        d_w_op, d_b_op = grads["w_op"], grads["b_op"]
         for t, (kind, b) in enumerate(self._decision_plan()):
             h = cache.h[t, 0]
             raw = self._raw(kind, b, h)
@@ -332,21 +337,12 @@ class ConstructionPolicy:
                 dh[0, t] = self.w_op.data @ g
                 d_w_op += np.outer(h, g)
                 d_b_op[0] += g
-        dWx, dWh, db, dX = nn_core.lstm_backward_np(self.lstm, cache, dh)
-        d_embedding = np.zeros_like(self.embedding.data)
+        dX = nn_core.lstm_backward_np(
+            self.lstm, cache, dh, out=nn_core.lstm_entries(grads, "lstm")
+        )[3]
         # step t > 0 reads the token chosen at step t - 1
-        np.add.at(d_embedding, walk.tokens[:-1], dX[0, 1:])
-        grads = {
-            "embedding": d_embedding,
-            "start": dX[0, :1].copy(),
-            "lstm.Wx": dWx,
-            "lstm.Wh": dWh,
-            "lstm.b": db,
-            "w_input": d_w_input,
-            "b_input": d_b_input,
-            "w_op": d_w_op,
-            "b_op": d_b_op,
-        }
+        np.add.at(grads["embedding"], walk.tokens[:-1], dX[0, 1:])
+        grads["start"][...] = dX[0, :1]
         return walk.total_logprob, grads
 
     def logprob(self, cell: CellSpec) -> Tuple[Tensor, Tensor]:

@@ -4,17 +4,24 @@ Sampling and training run on a numpy engine without a tape: a cached,
 time-major LSTM forward (lstm_forward_np; lstm_step_np for autoregressive
 feeds), a hand-derived BPTT backward over the same cache
 (lstm_backward_np), the squashed log-softmax heads and their gradient, and
-Adam. The 2-D tape autodiff (Tensor, lstm_forward, ...) stays as the
-reference those are checked against, together with a central-difference
-checker (gradcheck, check_grads) that keeps every analytic gradient honest.
+Adam. A policy keeps all its parameters in one flat float64 buffer
+(ParamLayout names the views into it), so Adam, the gradient norm and
+checkpoints each run over one vector; a checkpoint is that buffer plus JSON
+metadata in one binary file. The 2-D tape autodiff (Tensor, lstm_forward,
+...) stays as the reference those are checked against, together with a
+central-difference checker (gradcheck, check_grads) that keeps every
+analytic gradient honest.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -285,6 +292,23 @@ def init_lstm(
     )
 
 
+LSTM_FIELDS = ("Wx", "Wh", "b")
+
+
+def lstm_spec(
+    prefix: str, input_size: int, hidden_size: int
+) -> List[Tuple[str, Tuple[int, int]]]:
+    """Layout entries of one LSTM's weights, in init_lstm's draw order."""
+    H4 = 4 * hidden_size
+    shapes = ((input_size, H4), (hidden_size, H4), (1, H4))
+    return [(f"{prefix}.{k}", shape) for k, shape in zip(LSTM_FIELDS, shapes)]
+
+
+def lstm_entries(named: Mapping[str, object], prefix: str) -> tuple:
+    """One LSTM's (Wx, Wh, b) entries of a name-keyed mapping."""
+    return tuple(named[f"{prefix}.{k}"] for k in LSTM_FIELDS)
+
+
 def lstm_step(
     params: LSTMParams, x: Tensor, h: Tensor, c: Tensor
 ) -> Tuple[Tensor, Tensor]:
@@ -394,47 +418,56 @@ def softmax_sample(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class AdamState:
     lr: float = 0.001
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    m: Dict[str, np.ndarray] = field(default_factory=dict)
-    v: Dict[str, np.ndarray] = field(default_factory=dict)
+    m: Optional[np.ndarray] = None  # first moment, flat; allocated on the first step
+    v: Optional[np.ndarray] = None  # second moment
+    work: Optional[np.ndarray] = None  # (2, size) scratch for the update
 
 
-def adam_step(
-    state: AdamState,
-    named_params: Sequence[Tuple[str, Tensor]],
-    grads: Optional[Dict[str, np.ndarray]] = None,
-) -> None:
-    """One Adam update with bias correction, in place.
+def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> None:
+    """One Adam update with bias correction, in place on a flat parameter
+    vector. A zero gradient entry still decays that entry's moments.
 
-    Gradients default to each tensor's .grad; a missing gradient counts as
-    zero (the moments still decay).
+    Element for element it evaluates the textbook expressions, in their
+    order: m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2, then
+    params -= lr m_hat / (sqrt(v_hat) + eps); two preallocated work vectors
+    stand in for the temporaries.
     """
+    if state.m is None:
+        state.m = np.zeros_like(params)
+        state.v = np.zeros_like(params)
+        state.work = np.empty((2,) + params.shape)
+    if grad.shape != params.shape or state.m.shape != params.shape:
+        raise ValueError(
+            f"Adam over {params.shape} got gradient {grad.shape}, "
+            f"moments {state.m.shape}"
+        )
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
-    for name, param in named_params:
-        g = grads.get(name) if grads is not None else param.grad
-        if g is None:
-            g = np.zeros_like(param.data)
-        if name not in state.m:
-            state.m[name] = np.zeros_like(param.data)
-            state.v[name] = np.zeros_like(param.data)
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        param.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m, v = state.m, state.v
+    w, step = state.work
+    m *= state.beta1
+    np.multiply(grad, 1.0 - state.beta1, out=w)
+    m += w
+    v *= state.beta2
+    np.multiply(grad, grad, out=w)
+    w *= 1.0 - state.beta2
+    v += w
+    np.divide(v, bc2, out=w)
+    np.sqrt(w, out=w)
+    w += state.eps
+    np.divide(m, bc1, out=step)
+    step *= state.lr
+    step /= w
+    params -= step
 
 
 # ---------------------------------------------------------------------------
@@ -492,11 +525,129 @@ def check_grads(
 
 
 # ---------------------------------------------------------------------------
-# Checkpointing: versioned JSON mapping name -> shape + flat float64 data.
-# Python's repr-based JSON floats round-trip bit-exactly.
+# One flat parameter buffer. A policy's parameters are views into one
+# contiguous float64 vector, back to back in named_params() order, so the
+# optimizer, the gradient norm and checkpoints each see a single vector.
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 1
+
+class ParamLayout:
+    """Named 2-D parameters packed in order, without gaps, into one flat
+    float64 buffer; the one place their offsets are computed."""
+
+    def __init__(self, spec: Sequence[Tuple[str, Sequence[int]]]):
+        self.names = tuple(name for name, _ in spec)
+        self.shapes = tuple(tuple(int(d) for d in shape) for _, shape in spec)
+        self.offsets = tuple(
+            itertools.accumulate((math.prod(s) for s in self.shapes), initial=0)
+        )
+        self.size = self.offsets[-1]
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ParamLayout) and (self.names, self.shapes) == (
+            other.names,
+            other.shapes,
+        )
+
+    def spec(self) -> List[list]:
+        """JSON form: [[name, shape], ...]."""
+        return [[name, list(shape)] for name, shape in zip(self.names, self.shapes)]
+
+    def views(self, flat: np.ndarray) -> "ParamViews":
+        return ParamViews(self, flat)
+
+    def zeros(self) -> "ParamViews":
+        return ParamViews(self, np.zeros(self.size))
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        """A fresh buffer drawn N(0, INIT_STD^2) in one call: the same
+        values, and the same rng state after, as init_param on each
+        parameter in layout order."""
+        return rng.normal(0.0, INIT_STD, size=self.size)
+
+    def tensors(self, flat: np.ndarray) -> Dict[str, Tensor]:
+        """A Tensor over each parameter's view of flat."""
+        return {name: Tensor(view) for name, view in self.views(flat).items()}
+
+    def named(self, owner: object) -> List[Tuple[str, Tensor]]:
+        """(name, owner's tensor) in layout order; a dotted name is an
+        attribute path, as in "fwd.Wx"."""
+        return [(name, attrgetter(name)(owner)) for name in self.names]
+
+    def name_at(self, index: int) -> str:
+        """The parameter holding flat element index."""
+        return self.names[bisect.bisect_right(self.offsets, index) - 1]
+
+    def check(self, stored: "ParamLayout") -> None:
+        """Raise ValueError unless stored is this layout."""
+        for name in self.names:
+            if name not in stored.names:
+                raise ValueError(f"checkpoint missing parameter {name!r}")
+        for name in stored.names:
+            if name not in self.names:
+                raise ValueError(f"checkpoint has unexpected parameter {name!r}")
+        stored_shapes = dict(zip(stored.names, stored.shapes))
+        for name, shape in zip(self.names, self.shapes):
+            if stored_shapes[name] != shape:
+                raise ValueError(
+                    f"parameter {name!r} has shape {stored_shapes[name]}, "
+                    f"expected {shape}"
+                )
+        if stored.names != self.names:
+            raise ValueError("checkpoint parameters are out of layout order")
+
+
+class ParamViews(dict):
+    """name -> that parameter's view of one flat buffer, in layout order.
+
+    .flat is the buffer and .layout its layout; writing a view writes the
+    buffer.
+    """
+
+    def __init__(self, layout: ParamLayout, flat: np.ndarray):
+        if flat.dtype != np.float64 or flat.shape != (layout.size,):
+            raise ValueError(
+                f"layout of {layout.size} float64 values over a {flat.dtype} "
+                f"buffer of shape {flat.shape}"
+            )
+        o = layout.offsets
+        super().__init__(
+            (name, flat[a:b].reshape(shape))
+            for name, shape, a, b in zip(layout.names, layout.shapes, o, o[1:])
+        )
+        self.layout = layout
+        self.flat = flat
+
+
+def _address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
+def flat_buffer(named_params: Sequence[Tuple[str, Tensor]]) -> ParamViews:
+    """The flat buffer that named_params' tensors tile, in order and without
+    gaps, as views; ValueError if they do not."""
+    layout = ParamLayout([(name, t.data.shape) for name, t in named_params])
+    flat = named_params[0][1].data.base if named_params else None
+    if isinstance(flat, np.ndarray) and flat.shape == (layout.size,):
+        views = layout.views(flat)
+        if all(
+            t.data.base is flat
+            and t.data.strides == views[name].strides
+            and _address(t.data) == _address(views[name])
+            for name, t in named_params
+        ):
+            return views
+    raise ValueError("parameters are not views tiling one flat float64 buffer")
+
+
+# ---------------------------------------------------------------------------
+# Checkpointing: one binary .npz file (whatever the path's suffix) holding
+# the flat float64 buffer and a JSON header with the version, the caller's
+# metadata and the layout. Loading reads no pickles.
+# ---------------------------------------------------------------------------
+
+CHECKPOINT_VERSION = 2
+_ZIP_MAGIC = b"PK\x03\x04"
 
 
 def save_params(
@@ -504,28 +655,41 @@ def save_params(
     named_params: Sequence[Tuple[str, Tensor]],
     meta: Optional[dict] = None,
 ) -> None:
-    payload = {
+    """Write the parameters to exactly path (no suffix is added)."""
+    layout = ParamLayout([(name, t.data.shape) for name, t in named_params])
+    header = {
         "version": CHECKPOINT_VERSION,
         "meta": meta or {},
-        "params": {
-            name: {"shape": list(t.data.shape), "data": t.data.reshape(-1).tolist()}
-            for name, t in named_params
-        },
+        "layout": layout.spec(),
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
+    flat = np.concatenate([t.data.reshape(-1) for _, t in named_params])
+    with open(path, "wb") as fh:
+        np.savez(fh, header=np.array(json.dumps(header)), params=flat)
 
 
-def load_params(path: str) -> Tuple[dict, Dict[str, np.ndarray]]:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")
-    arrays = {
-        name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        for name, entry in payload["params"].items()
-    }
-    return payload.get("meta", {}), arrays
+def load_params(path: str) -> Tuple[dict, ParamLayout, np.ndarray]:
+    """(meta, layout, flat buffer) of a checkpoint; the buffer owns its memory."""
+    with open(path, "rb") as fh:
+        if fh.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
+            raise ValueError(
+                f"unsupported checkpoint version: {path} is not a "
+                f"version-{CHECKPOINT_VERSION} binary checkpoint"
+            )
+        fh.seek(0)
+        with np.load(fh, allow_pickle=False) as payload:
+            header = json.loads(str(payload["header"]))
+            flat = payload["params"]
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {header.get('version')!r}")
+    layout = ParamLayout(header["layout"])
+    if flat.dtype != np.float64 or flat.shape != (layout.size,):
+        raise ValueError(
+            f"checkpoint holds {flat.dtype} values of shape {flat.shape}, "
+            f"its layout needs ({layout.size},) float64"
+        )
+    # np.load's array is a view of a read buffer; parameters must own theirs
+    flat = np.require(flat, requirements=["C", "W", "O"])
+    return header.get("meta", {}), layout, flat
 
 
 # ---------------------------------------------------------------------------
@@ -621,11 +785,16 @@ def lstm_forward_batch(params: LSTMParams, X: np.ndarray) -> np.ndarray:
 
 
 def lstm_backward_np(
-    params: LSTMParams, cache: LSTMCache, dh: np.ndarray
+    params: LSTMParams,
+    cache: LSTMCache,
+    dh: np.ndarray,
+    out: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """BPTT through a cached run: returns (dWx, dWh, db, dX), dX as (N, T, E).
 
     dh: (N, T, H), the loss gradient with respect to each step's state.
+    The weight gradients overwrite out = (dWx, dWh, db) when given, e.g.
+    views of a flat gradient.
     """
     N, T, H = dh.shape
     dh = dh.transpose(1, 0, 2)
@@ -652,10 +821,13 @@ def lstm_backward_np(
         np.multiply(dc[:, None, :], k4[t, :, :3], out=dz4[t, :, :3])
         np.multiply(dh_t, k4[t, :, 3], out=dz4[t, :, 3])
     E = cache.X.shape[2]
+    if out is None:
+        out = (np.empty((E, 4 * H)), np.empty((H, 4 * H)), np.empty((1, 4 * H)))
+    dWx, dWh, db = out
     dz_flat = dz.reshape(T * N, 4 * H)
-    dWx = cache.X.reshape(T * N, E).T @ dz_flat
-    dWh = cache.h[:-1].reshape(-1, H).T @ dz[1:].reshape(-1, 4 * H)
-    db = dz_flat.sum(axis=0, keepdims=True)
+    np.matmul(cache.X.reshape(T * N, E).T, dz_flat, out=dWx)
+    np.matmul(cache.h[:-1].reshape(-1, H).T, dz[1:].reshape(-1, 4 * H), out=dWh)
+    dz_flat.sum(axis=0, keepdims=True, out=db)
     dX = (dz_flat @ params.Wx.data.T).reshape(T, N, E).transpose(1, 0, 2)
     return dWx, dWh, db, dX
 

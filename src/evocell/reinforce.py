@@ -18,7 +18,7 @@ from scipy.special import tandg
 
 from . import controller as ctrl
 from .arch_space import CellSpec
-from .nn_core import AdamState, Tensor, adam_step
+from .nn_core import AdamState, ParamViews, Tensor, adam_step, flat_buffer
 
 FITNESS_CLIP = 0.999
 
@@ -44,16 +44,18 @@ class RewardConfig:
             raise ValueError(f"unknown baseline kind {self.baseline!r}")
 
 
-GradFn = Callable[[], Tuple[float, Dict[str, np.ndarray]]]
+GradFn = Callable[[], Tuple[float, ParamViews]]
 
 
 class ReinforceTrainer:
     """One optimizer + baseline around a set of policy parameters.
 
     The trainer is policy-agnostic: update() takes a closure that returns
-    the log-probability of whatever was sampled and its gradient per
-    parameter name. The EMA baseline initializes to the first observed
-    reward and is always updated after the advantage that used it.
+    the log-probability of whatever was sampled and its gradient, a flat
+    vector in the parameters' layout. The parameters must be views tiling
+    one flat buffer, as every policy's named_params() are. The EMA baseline
+    initializes to the first observed reward and is always updated after
+    the advantage that used it.
     """
 
     def __init__(
@@ -62,7 +64,7 @@ class ReinforceTrainer:
         cfg: Optional[RewardConfig] = None,
         lr: float = 0.001,
     ):
-        self.named_params = list(named_params)
+        self.params = flat_buffer(list(named_params))
         self.cfg = cfg or RewardConfig()
         self.adam = AdamState(lr=lr)
         self.baseline: Optional[float] = None
@@ -76,10 +78,10 @@ class ReinforceTrainer:
     ) -> Dict[str, float]:
         """Single REINFORCE step; returns step diagnostics.
 
-        grad_fn() returns (log-prob, {name: d log-prob / d param}); the
-        trainer scales those arrays in place into the loss gradient. A
-        missing name counts as a zero gradient. Raises RuntimeError if any
-        gradient turns non-finite.
+        grad_fn() returns (log-prob, d log-prob / d params) with the
+        gradient in the parameters' layout; the trainer scales it in place
+        into the loss gradient. Raises RuntimeError, naming the parameter,
+        if any gradient entry turns non-finite.
         """
         reward = (
             shaped_reward(fitness, self.cfg.fitness_clip)
@@ -92,21 +94,23 @@ class ReinforceTrainer:
         advantage = reward - base
 
         logp, grads = grad_fn()
-        sq_sum = 0.0
-        for name, _ in self.named_params:
-            g = grads.get(name)
-            if g is None:
-                continue
-            g *= -advantage  # loss = -advantage * log-prob
-            if not np.all(np.isfinite(g)):
+        if grads.layout != self.params.layout:
+            raise ValueError("gradient layout differs from the parameters'")
+        g = grads.flat
+        g *= -advantage  # loss = -advantage * log-prob
+        sq_sum = float(np.vdot(g, g))
+        # the norm doubles as the finiteness check: a NaN or inf entry makes
+        # it non-finite, and only then (or on overflow) is the vector scanned
+        if not math.isfinite(sq_sum):
+            bad = np.flatnonzero(~np.isfinite(g))
+            if bad.size:
                 raise RuntimeError(
-                    f"non-finite gradient in {name!r} at step {self.steps} "
-                    f"(reward={reward}, advantage={advantage})"
+                    f"non-finite gradient in {self.params.layout.name_at(bad[0])!r} "
+                    f"at step {self.steps} (reward={reward}, advantage={advantage})"
                 )
-            sq_sum += float(np.vdot(g, g))
         grad_norm = math.sqrt(sq_sum)
 
-        adam_step(self.adam, self.named_params, grads)
+        adam_step(self.adam, self.params.flat, g)
         if self.cfg.baseline == "ema":
             self.baseline = (
                 self.cfg.baseline_decay * base

@@ -406,6 +406,23 @@ def test_replay_rl_construct_bit_exact(tmp_path):
     assert [e["fitness"] for e in replayed["evals"]] == logged_fitness
 
 
+@pytest.mark.parametrize("kind", ["landscape", "tabular"])
+def test_oracle_seed_none_is_seed_0_and_replays(kind, tmp_path):
+    cfg = _cfg("ea_random", oracle_kind=kind, oracle_seed=None)
+    first, second = make_oracle(cfg), make_oracle(cfg)
+    if kind == "landscape":
+        for name in ("w_op", "w_in", "w_pair"):
+            assert np.array_equal(
+                getattr(first.weights, name), getattr(second.weights, name)
+            )
+    else:
+        assert np.array_equal(first.table, second.table)
+    _, log = run_strategy(cfg, seed=0, oracle=first)
+    path = str(tmp_path / "trace_ea_random_0.jsonl")
+    write_jsonl(path, log)
+    assert replay(path) == log[-1]
+
+
 def test_replay_detects_tampered_log(comparison, tmp_path):
     cfg, strategies, out, report = comparison
     records = read_jsonl(str(out / "trace_ea_random_0.jsonl"))
