@@ -7,10 +7,14 @@ Subcommands:
   oracle    build a fitness table file, or export one to CSV
   replay    recompute a logged run from its trace file
 
-Options resolve as command line > config file > built-in defaults. The
-config file is flat ``key = value`` lines (``#`` comments allowed) using the
-long option names with underscores. Configuration errors exit with status 2;
-anything else that goes wrong is a bug and raises.
+The run settings are harness.StrategyConfig's fields: their flags, types
+and defaults come from its field metadata, and --blocks / --ops set its
+space and --oracle its oracle. Each subcommand registers only the options
+it reads. Options resolve as command line > config file > default. The
+config file is flat ``key = value`` lines (``#`` comments allowed) whose
+keys are the subcommand's long option names with underscores.
+Configuration errors exit with status 2; anything else that goes wrong is
+a bug and raises.
 """
 
 from __future__ import annotations
@@ -20,16 +24,17 @@ import csv
 import json
 import os
 import sys
-from typing import Dict, List, Optional
+from dataclasses import fields
+from typing import Dict, List, Optional, Sequence
 
 from .arch_space import SpaceConfig, cell_from_rank, cell_to_text
-from .evaluators import MaturityModel, build_tabular, load_oracle, save_oracle
+from .evaluators import save_oracle
 from .harness import (
-    STRATEGIES,
     ConfigError,
     StrategyConfig,
     compare,
     make_oracle,
+    read_oracle_file,
     replay,
     resolve_target,
     run_strategy,
@@ -37,49 +42,40 @@ from .harness import (
     write_jsonl,
 )
 
-DEFAULTS: Dict[str, object] = {
-    "strategy": "reinforced",
-    "strategies": "reinforced,ea_random,random",
-    "blocks": 3,
-    "ops": 4,
-    "pop": 20,
-    "sample": 5,
-    "budget": 300,
-    "seed": 0,
-    "seeds": "0:10",
-    "oracle": "tabular:7",
-    "noise": None,
-    "baseline": "ema",
-    "entropy_weight": 0.1,
-    "hidden": 100,
-    "embed": 100,
-    "lr": 0.001,
-    "out": "runs",
+_FLAGGED = [f for f in fields(StrategyConfig) if f.metadata.get("flag")]
+
+# option name (the flag with underscores; also the config-file key) -> the
+# StrategyConfig field it sets
+FIELD_OF = {f.metadata["flag"]: f.name for f in _FLAGGED}
+
+# option name -> argparse keywords. A "default" here is the CLI's own: run
+# settings left unset keep StrategyConfig's.
+OPTIONS: Dict[str, dict] = {
+    **{f.metadata["flag"]: f.metadata["cli"] for f in _FLAGGED},
+    "blocks": {"type": int},
+    "ops": {"type": int},
+    "oracle": {"help": "tabular:SEED | landscape:SEED | file:PATH"},
+    "seed": {"type": int, "default": 0},
+    "seeds": {"default": "0:10", "help": "A:B range or comma list"},
+    "strategies": {
+        "default": "reinforced,ea_random,random",
+        "help": "comma-separated strategy names",
+    },
+    "out": {"default": "runs"},
 }
 
-_CONVERTERS = {
-    "strategy": str,
-    "strategies": str,
-    "blocks": int,
-    "ops": int,
-    "pop": int,
-    "sample": int,
-    "budget": int,
-    "seed": int,
-    "seeds": str,
-    "oracle": str,
-    "noise": float,
-    "baseline": str,
-    "entropy_weight": float,
-    "hidden": int,
-    "embed": int,
-    "lr": float,
-    "out": str,
-}
+# what search and compare set: every field but the strategy (compare takes
+# --strategies) and the oracle seed, which --oracle sets there
+RUN_OPTIONS = (
+    "blocks",
+    "ops",
+    "oracle",
+    *(o for o in FIELD_OF if o not in ("strategy", "oracle_seed")),
+)
 
 
-def load_config_file(path: str) -> Dict[str, object]:
-    """Flat key = value file; unknown keys are configuration errors."""
+def load_config_file(path: str, keys: Sequence[str]) -> Dict[str, object]:
+    """Flat key = value file; keys outside `keys` are configuration errors."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     values: Dict[str, object] = {}
@@ -92,41 +88,37 @@ def load_config_file(path: str) -> Dict[str, object]:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            value = value.strip()
-            if key not in _CONVERTERS:
+            if key not in keys:
                 raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
             try:
-                values[key] = _CONVERTERS[key](value)
+                values[key] = OPTIONS[key].get("type", str)(value.strip())
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
     return values
 
 
-def resolve(args: argparse.Namespace, key: str):
-    cli_value = getattr(args, key, None)
-    if cli_value is not None:
-        return cli_value
-    file_values = getattr(args, "_file_values", {})
-    if key in file_values:
-        return file_values[key]
-    return DEFAULTS.get(key)
-
-
 def parse_oracle_spec(spec: str):
-    """'tabular:SEED' | 'landscape:SEED' | 'file:PATH'; seed defaults to 7."""
+    """'tabular:SEED' | 'landscape:SEED' | 'file:PATH'; the seed defaults to
+    StrategyConfig's."""
     kind, _, rest = spec.partition(":")
     if kind == "file":
         if not rest:
             raise ConfigError("oracle spec 'file:' requires a path")
-        return "file", 7, rest
+        return "file", StrategyConfig.oracle_seed, rest
     if kind in ("tabular", "landscape"):
         if not rest:
-            return kind, 7, None
+            return kind, StrategyConfig.oracle_seed, None
         try:
             return kind, int(rest), None
         except ValueError:
             raise ConfigError(f"oracle seed must be an integer, got {rest!r}")
     raise ConfigError(f"unknown oracle spec {spec!r}")
+
+
+def check_seed(seed: int) -> int:
+    if seed < 0:
+        raise ConfigError(f"seeds must be >= 0, got {seed}")
+    return seed
 
 
 def parse_seeds(spec: str) -> List[int]:
@@ -135,60 +127,47 @@ def parse_seeds(spec: str) -> List[int]:
     try:
         if ":" in spec:
             lo, _, hi = spec.partition(":")
-            lo_i, hi_i = int(lo), int(hi)
-            if hi_i <= lo_i:
-                raise ConfigError(f"empty seed range {spec!r}")
-            return list(range(lo_i, hi_i))
-        return [int(part) for part in spec.split(",") if part.strip()]
+            seeds = list(range(int(lo), int(hi)))
+        else:
+            seeds = [int(part) for part in spec.split(",") if part.strip()]
     except ValueError:
         raise ConfigError(f"bad seeds spec {spec!r}")
+    if not seeds:
+        raise ConfigError(f"no seeds in {spec!r}")
+    return [check_seed(seed) for seed in seeds]
 
 
-def build_strategy_config(args: argparse.Namespace, strategy: str) -> StrategyConfig:
-    blocks = int(resolve(args, "blocks"))
-    ops = int(resolve(args, "ops"))
+def build_strategy_config(opts: Dict[str, object], **fixed) -> StrategyConfig:
+    """The validated StrategyConfig that opts (and the fixed fields) set;
+    what they leave unset keeps StrategyConfig's default."""
+    values = {FIELD_OF[o]: opts[o] for o in FIELD_OF if o in opts}
     try:
-        space = SpaceConfig(num_blocks=blocks, num_ops=ops)
+        values["space"] = SpaceConfig(
+            num_blocks=opts.get("blocks", StrategyConfig.space.num_blocks),
+            num_ops=opts.get("ops", StrategyConfig.space.num_ops),
+        )
     except ValueError as exc:
         raise ConfigError(str(exc))
-    kind, oracle_seed, path = parse_oracle_spec(str(resolve(args, "oracle")))
-    baseline = resolve(args, "baseline")
-    if isinstance(baseline, str) and baseline.lower() in ("none", "off", ""):
-        baseline = None
-    noise = resolve(args, "noise")
-    cfg = StrategyConfig(
-        strategy=strategy,
-        space=space,
-        oracle_kind=kind,
-        oracle_seed=oracle_seed,
-        oracle_path=path,
-        pop_size=int(resolve(args, "pop")),
-        sample_size=int(resolve(args, "sample")),
-        budget=int(resolve(args, "budget")),
-        noise=None if noise is None else float(noise),
-        embed_size=int(resolve(args, "embed")),
-        hidden_size=int(resolve(args, "hidden")),
-        learning_rate=float(resolve(args, "lr")),
-        entropy_weight=float(resolve(args, "entropy_weight")),
-        baseline=baseline,
-    )
+    if "oracle" in opts:
+        kind, seed, path = parse_oracle_spec(str(opts["oracle"]))
+        values.update(oracle_kind=kind, oracle_seed=seed, oracle_path=path)
+    cfg = StrategyConfig(**{**values, **fixed})
     validate_config(cfg)
     return cfg
 
 
-def cmd_search(args: argparse.Namespace) -> int:
-    strategy = str(resolve(args, "strategy"))
-    cfg = build_strategy_config(args, strategy)
-    seed = int(resolve(args, "seed"))
-    out_dir = str(resolve(args, "out"))
+def cmd_search(opts: Dict[str, object]) -> int:
+    cfg = build_strategy_config(opts)
+    seed = check_seed(opts["seed"])
+    out_dir = str(opts["out"])
     os.makedirs(out_dir, exist_ok=True)
     oracle = make_oracle(cfg)
     target, target_source = resolve_target(oracle)
     summary, log = run_strategy(cfg, seed, oracle, target)
-    trace_path = os.path.join(out_dir, f"trace_{strategy}_{seed}.jsonl")
+    trace_path = os.path.join(out_dir, f"trace_{cfg.strategy}_{seed}.jsonl")
     write_jsonl(trace_path, log)
     payload = {
-        "strategy": strategy,
+        "strategy": cfg.strategy,
         "seed": seed,
         "target": target,
         "target_source": target_source,
@@ -197,7 +176,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         "wall_time_s": round(summary.wall_time, 3),
         "trace": trace_path,
     }
-    with open(os.path.join(out_dir, f"search_{strategy}_{seed}.json"), "w") as fh:
+    with open(os.path.join(out_dir, f"search_{cfg.strategy}_{seed}.json"), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
     reached = (
         str(summary.evals_to_target)
@@ -205,26 +184,20 @@ def cmd_search(args: argparse.Namespace) -> int:
         else "never"
     )
     print(
-        f"{strategy} seed={seed}: best_true={summary.final_best_true:.4f} "
+        f"{cfg.strategy} seed={seed}: best_true={summary.final_best_true:.4f} "
         f"target={target:.4f} evals_to_target={reached} "
         f"({summary.wall_time:.1f}s) -> {trace_path}"
     )
     return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    names = [
-        s.strip() for s in str(resolve(args, "strategies")).split(",") if s.strip()
-    ]
+def cmd_compare(opts: Dict[str, object]) -> int:
+    names = [s.strip() for s in str(opts["strategies"]).split(",") if s.strip()]
     if not names:
         raise ConfigError("no strategies given")
-    seeds = parse_seeds(str(resolve(args, "seeds")))
-    if not seeds:
-        raise ConfigError("no seeds given")
-    cfg = build_strategy_config(args, names[0])
-    for name in names:
-        validate_config(StrategyConfig(**{**_cfg_dict(cfg), "strategy": name}))
-    out_dir = str(resolve(args, "out"))
+    seeds = parse_seeds(str(opts["seeds"]))
+    cfg = build_strategy_config(opts, strategy=names[0])
+    out_dir = str(opts["out"])
     report = compare(cfg, names, seeds, out_dir)
     print(f"wrote {os.path.join(out_dir, 'runs.csv')}")
     print(f"wrote {os.path.join(out_dir, 'summary.json')}")
@@ -248,84 +221,74 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cfg_dict(cfg: StrategyConfig) -> dict:
-    from .harness import asdict_config
-
-    return asdict_config(cfg)
-
-
-def cmd_oracle(args: argparse.Namespace) -> int:
-    if args.oracle_cmd == "build":
-        blocks = int(resolve(args, "blocks"))
-        ops = int(resolve(args, "ops"))
-        try:
-            space = SpaceConfig(num_blocks=blocks, num_ops=ops)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-        noise = resolve(args, "noise")
-        sigma = 0.01 if noise is None else float(noise)
-        seed = int(args.oracle_seed if args.oracle_seed is not None else 7)
-        oracle = build_tabular(space, seed, MaturityModel(sigma=sigma))
-        out = str(resolve(args, "out"))
-        if os.path.isdir(out):
-            out = os.path.join(out, f"oracle_b{blocks}_k{ops}_s{seed}.json")
+def cmd_oracle_build(opts: Dict[str, object]) -> int:
+    cfg = build_strategy_config(opts)
+    oracle = make_oracle(cfg)
+    out = str(opts["out"])
+    if os.path.isdir(out):
+        blocks, ops = cfg.space.num_blocks, cfg.space.num_ops
+        out = os.path.join(out, f"oracle_b{blocks}_k{ops}_s{cfg.oracle_seed}.json")
+    try:
         save_oracle(out, oracle)
-        print(
-            f"built table of {oracle.table.size} cells, "
-            f"optimum {oracle.optimum_fitness:.4f} at rank {oracle.optimum_rank} "
-            f"-> {out}"
-        )
-        return 0
-    if args.oracle_cmd == "export":
-        oracle = load_oracle(args.oracle_file)
-        out = str(resolve(args, "out"))
-        if os.path.isdir(out):
-            out = os.path.join(out, "oracle_export.csv")
-        with open(out, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["rank", "cell", "true_fitness"])
-            for rank in range(oracle.table.size):
-                writer.writerow(
-                    [
-                        rank,
-                        cell_to_text(cell_from_rank(rank, oracle.cfg)),
-                        repr(float(oracle.table[rank])),
-                    ]
-                )
-        print(f"exported {oracle.table.size} rows -> {out}")
-        return 0
-    raise ConfigError(f"unknown oracle subcommand {args.oracle_cmd!r}")
+    except ValueError as exc:  # the table is above the export cap
+        raise ConfigError(str(exc))
+    print(
+        f"built table of {oracle.table.size} cells, "
+        f"optimum {oracle.optimum_fitness:.4f} at rank {oracle.optimum_rank} "
+        f"-> {out}"
+    )
+    return 0
 
 
-def cmd_replay(args: argparse.Namespace) -> int:
-    final = replay(args.log)
-    if args.out_file:
-        with open(args.out_file, "w") as fh:
+def cmd_oracle_export(opts: Dict[str, object]) -> int:
+    oracle = read_oracle_file(opts["oracle_file"])
+    out = str(opts["out"])
+    if os.path.isdir(out):
+        out = os.path.join(out, "oracle_export.csv")
+    with open(out, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["rank", "cell", "true_fitness"])
+        for rank in range(oracle.table.size):
+            writer.writerow(
+                [
+                    rank,
+                    cell_to_text(cell_from_rank(rank, oracle.cfg)),
+                    repr(float(oracle.table[rank])),
+                ]
+            )
+    print(f"exported {oracle.table.size} rows -> {out}")
+    return 0
+
+
+def cmd_replay(opts: Dict[str, object]) -> int:
+    final = replay(opts["log"])
+    if opts["out_file"]:
+        with open(opts["out_file"], "w") as fh:
             json.dump(final, fh, indent=2, sort_keys=True)
     print(
-        f"replayed {args.log}: best_cell={final['best_cell']} "
+        f"replayed {opts['log']}: best_cell={final['best_cell']} "
         f"best_true={final['best_true']:.6f}"
     )
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _subcommand(sub, name: str, func, options: Sequence[str], text: str):
+    """A subparser with --config and the named OPTIONS. An option left off
+    the command line is absent from the parsed namespace (not None), so a
+    config file can fill it. No abbreviations: in oracle build, --oracle
+    would otherwise read as --oracle-seed."""
+    parser = sub.add_parser(name, help=text, allow_abbrev=False)
     parser.add_argument("--config", default=None, help="flat key=value config file")
-    parser.add_argument("--blocks", type=int, default=None)
-    parser.add_argument("--ops", type=int, default=None)
-    parser.add_argument("--pop", type=int, default=None)
-    parser.add_argument("--sample", type=int, default=None)
-    parser.add_argument("--budget", type=int, default=None)
-    parser.add_argument(
-        "--oracle", default=None, help="tabular:SEED | landscape:SEED | file:PATH"
-    )
-    parser.add_argument("--noise", type=float, default=None)
-    parser.add_argument("--baseline", default=None, help="ema | none")
-    parser.add_argument("--entropy-weight", dest="entropy_weight", type=float, default=None)
-    parser.add_argument("--hidden", type=int, default=None)
-    parser.add_argument("--embed", type=int, default=None)
-    parser.add_argument("--lr", type=float, default=None)
-    parser.add_argument("--out", default=None)
+    for option in options:
+        kwargs = {k: v for k, v in OPTIONS[option].items() if k != "default"}
+        parser.add_argument(
+            "--" + option.replace("_", "-"),
+            dest=option,
+            default=argparse.SUPPRESS,
+            **kwargs,
+        )
+    parser.set_defaults(func=func, options=tuple(options))
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,49 +297,43 @@ def build_parser() -> argparse.ArgumentParser:
         description="Evolutionary cell search with a learned mutation policy.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p_search = sub.add_parser("search", help="run one strategy at one seed")
-    _add_common(p_search)
-    p_search.add_argument("--strategy", default=None, choices=STRATEGIES)
-    p_search.add_argument("--seed", type=int, default=None)
-    p_search.set_defaults(func=cmd_search)
-
-    p_compare = sub.add_parser("compare", help="run strategies across seeds")
-    _add_common(p_compare)
-    p_compare.add_argument(
-        "--strategies", default=None, help="comma-separated strategy names"
+    _subcommand(
+        sub, "search", cmd_search, ("strategy", *RUN_OPTIONS, "seed", "out"),
+        "run one strategy at one seed",
     )
-    p_compare.add_argument("--seeds", default=None, help="A:B range or comma list")
-    p_compare.set_defaults(func=cmd_compare)
-
+    _subcommand(
+        sub, "compare", cmd_compare, ("strategies", *RUN_OPTIONS, "seeds", "out"),
+        "run strategies across seeds",
+    )
     p_oracle = sub.add_parser("oracle", help="build or export fitness tables")
     oracle_sub = p_oracle.add_subparsers(dest="oracle_cmd", required=True)
-    p_build = oracle_sub.add_parser("build", help="tabulate a seeded landscape")
-    _add_common(p_build)
-    p_build.add_argument("--oracle-seed", dest="oracle_seed", type=int, default=None)
-    p_build.set_defaults(func=cmd_oracle)
-    p_export = oracle_sub.add_parser("export", help="dump a table file to CSV")
-    _add_common(p_export)
+    _subcommand(
+        oracle_sub, "build", cmd_oracle_build,
+        ("blocks", "ops", "noise", "oracle_seed", "out"),
+        "tabulate a seeded landscape",
+    )
+    p_export = _subcommand(
+        oracle_sub, "export", cmd_oracle_export, ("out",), "dump a table file to CSV"
+    )
     p_export.add_argument("oracle_file", help="path to a saved oracle file")
-    p_export.set_defaults(func=cmd_oracle)
 
     p_replay = sub.add_parser("replay", help="recompute a logged run")
     p_replay.add_argument("log", help="trace_<strategy>_<seed>.jsonl path")
     p_replay.add_argument("--out", dest="out_file", default=None)
-    p_replay.set_defaults(func=cmd_replay)
-
+    p_replay.set_defaults(func=cmd_replay, options=())
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    opts = {
+        o: OPTIONS[o]["default"] for o in args.options if "default" in OPTIONS[o]
+    }
     try:
         if getattr(args, "config", None):
-            args._file_values = load_config_file(args.config)
-        else:
-            args._file_values = {}
-        return args.func(args)
+            opts.update(load_config_file(args.config, args.options))
+        opts.update(vars(args))
+        return args.func(opts)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

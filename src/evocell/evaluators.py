@@ -20,8 +20,8 @@ from __future__ import annotations
 import json
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -300,13 +300,7 @@ def save_oracle(path: str, oracle: TabularOracle, entry_cap: int = 10**6) -> Non
             "num_ops": oracle.cfg.num_ops,
         },
         "seed": oracle.seed,
-        "maturity": {
-            "tau": oracle.maturity.tau,
-            "sigma": oracle.maturity.sigma,
-            "full_budget": oracle.maturity.full_budget,
-            "finetune_epochs": oracle.maturity.finetune_epochs,
-            "init_epochs": oracle.maturity.init_epochs,
-        },
+        "maturity": asdict(oracle.maturity),
         "optimum": {
             "cell": cell_to_text(oracle.optimum_cell),
             "fitness": oracle.optimum_fitness,

@@ -15,8 +15,7 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from . import controller as ctrl
-from .arch_space import CellSpec, SpaceConfig, legal_inputs, Op, random_cell
+from .arch_space import CellSpec, SpaceConfig, Op, random_cell
 from .controller import (
     ControllerParams,
     EncoderForward,

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,6 +43,7 @@ from .arch_space import (
 )
 from . import nn_core
 from .nn_core import (
+    AdamState,
     LSTMParams,
     ParamLayout,
     ParamViews,
@@ -54,13 +54,7 @@ from .nn_core import (
     sample_index_np,
     shape_logits,
 )
-from .controller import (
-    ControllerParams,
-    MutationTrace,
-    init_controller,
-    trace_from_dict,
-    trace_to_dict,
-)
+from .controller import init_controller, trace_from_dict, trace_to_dict
 from .evaluators import (
     FitnessOracle,
     LandscapeOracle,
@@ -71,7 +65,6 @@ from .evaluators import (
 )
 from .evolution import (
     ControllerPolicy,
-    Population,
     RandomMutationPolicy,
     ReplayMutationPolicy,
     RunResult,
@@ -101,26 +94,63 @@ class ConfigError(ValueError):
     """Raised for invalid run configuration; the CLI exits nonzero on it."""
 
 
+def parse_baseline(text: str) -> Optional[str]:
+    """'ema', or 'none' / 'off' / '' for no baseline."""
+    return None if text.lower() in ("none", "off", "") else text
+
+
+def _setting(default, flag: Optional[str] = None, header=None, **cli):
+    """A StrategyConfig field's default; its CLI flag, which is also its
+    config-file key, with argparse keywords (type, choices, help); and its
+    (section, key) in the log header."""
+    return field(default=default, metadata={"flag": flag, "header": header, "cli": cli})
+
+
 @dataclass
 class StrategyConfig:
-    """Everything needed to reproduce a run except the seed."""
+    """Everything needed to reproduce a run except the seed.
 
-    strategy: str
-    space: SpaceConfig
-    oracle_kind: str = "tabular"  # tabular | landscape | file
-    oracle_seed: int = 7
-    oracle_path: Optional[str] = None
-    pop_size: int = 20
-    sample_size: int = 5
-    budget: int = 500  # total oracle evaluations, initialization included
-    noise: Optional[float] = None  # observation sigma; None keeps defaults
-    embed_size: int = 100
-    hidden_size: int = 100
-    learning_rate: float = 0.001
-    entropy_weight: float = 0.1
-    baseline: Optional[str] = "ema"
-    baseline_decay: float = 0.95
-    fitness_clip: float = 0.999
+    The one schema of a run's settings: the CLI builds its flags and
+    config-file keys from the field metadata, and header_record /
+    config_from_header write and read the log header from it. space is
+    set by --blocks / --ops, and oracle_kind (tabular | landscape | file),
+    oracle_seed and oracle_path by --oracle (oracle build takes
+    --oracle-seed); noise is logged as the oracle's maturity sigma.
+    """
+
+    strategy: str = _setting("reinforced", "strategy", choices=STRATEGIES)
+    space: SpaceConfig = SpaceConfig(num_blocks=3, num_ops=4)
+    oracle_kind: str = _setting("tabular", header=("oracle", "kind"))
+    oracle_seed: Optional[int] = _setting(
+        7, "oracle_seed", ("oracle", "seed"), type=int
+    )
+    oracle_path: Optional[str] = _setting(None, header=("oracle", "path"))
+    pop_size: int = _setting(20, "pop", ("run", "pop_size"), type=int)
+    sample_size: int = _setting(5, "sample", ("run", "sample_size"), type=int)
+    budget: int = _setting(  # total oracle evaluations, initialization included
+        500, "budget", ("run", "budget"), type=int
+    )
+    noise: Optional[float] = _setting(  # None keeps the oracle's own sigma
+        None, "noise", type=float, help="observation sigma"
+    )
+    embed_size: int = _setting(100, "embed", ("policy", "embed_size"), type=int)
+    hidden_size: int = _setting(100, "hidden", ("policy", "hidden_size"), type=int)
+    learning_rate: float = _setting(
+        AdamState.lr, "lr", ("policy", "learning_rate"), type=float
+    )
+    entropy_weight: float = _setting(
+        RewardConfig.entropy_weight,
+        "entropy_weight",
+        ("policy", "entropy_weight"),
+        type=float,
+    )
+    baseline: Optional[str] = _setting(
+        RewardConfig.baseline,
+        "baseline",
+        ("policy", "baseline"),
+        type=parse_baseline,
+        help="ema | none",
+    )
 
 
 def validate_config(cfg: StrategyConfig) -> None:
@@ -146,20 +176,39 @@ def validate_config(cfg: StrategyConfig) -> None:
         raise ConfigError(f"unknown oracle kind {cfg.oracle_kind!r}")
     if cfg.oracle_kind == "file" and not cfg.oracle_path:
         raise ConfigError("oracle kind 'file' requires a path")
+    if cfg.oracle_seed is not None and cfg.oracle_seed < 0:
+        raise ConfigError(f"oracle seed must be >= 0, got {cfg.oracle_seed}")
     if cfg.noise is not None and cfg.noise < 0:
         raise ConfigError(f"noise must be >= 0, got {cfg.noise}")
+    if min(cfg.embed_size, cfg.hidden_size) < 1:
+        raise ConfigError(
+            f"embed_size and hidden_size must be >= 1, got {cfg.embed_size}, "
+            f"{cfg.hidden_size}"
+        )
+    if not cfg.learning_rate > 0:
+        raise ConfigError(f"learning rate must be > 0, got {cfg.learning_rate}")
     if cfg.baseline not in (None, "ema"):
         raise ConfigError(f"unknown baseline {cfg.baseline!r}")
 
 
+def read_oracle_file(path: str) -> TabularOracle:
+    """load_oracle, with an unreadable or malformed file as a ConfigError."""
+    try:
+        return load_oracle(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot read oracle file {path}: {exc}")
+
+
 def make_oracle(cfg: StrategyConfig) -> FitnessOracle:
-    sigma = cfg.noise if cfg.noise is not None else 0.01
-    maturity = MaturityModel(sigma=sigma)
+    maturity = MaturityModel() if cfg.noise is None else MaturityModel(sigma=cfg.noise)
     if cfg.oracle_kind == "tabular":
-        return build_tabular(cfg.space, cfg.oracle_seed, maturity)
+        try:
+            return build_tabular(cfg.space, cfg.oracle_seed, maturity)
+        except ValueError as exc:  # the space is above the tabulation cap
+            raise ConfigError(str(exc))
     if cfg.oracle_kind == "landscape":
         return LandscapeOracle(cfg.space, cfg.oracle_seed, maturity)
-    oracle = load_oracle(cfg.oracle_path)
+    oracle = read_oracle_file(cfg.oracle_path)
     if oracle.cfg != cfg.space:
         raise ConfigError(
             f"oracle file space {oracle.cfg} does not match requested {cfg.space}"
@@ -430,51 +479,54 @@ def _population_trajectories(
 
 
 def _reward_config(cfg: StrategyConfig) -> RewardConfig:
-    return RewardConfig(
-        entropy_weight=cfg.entropy_weight,
-        fitness_clip=cfg.fitness_clip,
-        baseline=cfg.baseline,
-        baseline_decay=cfg.baseline_decay,
-    )
+    return RewardConfig(entropy_weight=cfg.entropy_weight, baseline=cfg.baseline)
 
 
-def _header_record(cfg: StrategyConfig, seed: int, oracle: FitnessOracle) -> dict:
+def config_sections(cfg: StrategyConfig) -> Dict[str, dict]:
+    """cfg's record, by section, in the log header and summary.json.
+
+    The policy section also carries the reward settings that are fixed at
+    RewardConfig's defaults (fitness_clip, baseline_decay).
+    """
+    sections = {"space": asdict(cfg.space), "policy": asdict(_reward_config(cfg))}
+    for f in fields(cfg):
+        if f.metadata.get("header"):
+            section, key = f.metadata["header"]
+            sections.setdefault(section, {})[key] = getattr(cfg, f.name)
+    return sections
+
+
+def header_record(cfg: StrategyConfig, seed: int, oracle: FitnessOracle) -> dict:
+    """A run log's first record; config_from_header reads it back."""
     return {
         "kind": "header",
         "version": LOG_VERSION,
         "strategy": cfg.strategy,
         "seed": seed,
-        "space": {
-            "num_blocks": cfg.space.num_blocks,
-            "num_ops": cfg.space.num_ops,
-        },
-        "oracle": {
-            "kind": cfg.oracle_kind,
-            "seed": cfg.oracle_seed,
-            "path": cfg.oracle_path,
-        },
-        "maturity": {
-            "tau": oracle.maturity.tau,
-            "sigma": oracle.maturity.sigma,
-            "full_budget": oracle.maturity.full_budget,
-            "finetune_epochs": oracle.maturity.finetune_epochs,
-            "init_epochs": oracle.maturity.init_epochs,
-        },
-        "run": {
-            "pop_size": cfg.pop_size,
-            "sample_size": cfg.sample_size,
-            "budget": cfg.budget,
-        },
-        "policy": {
-            "embed_size": cfg.embed_size,
-            "hidden_size": cfg.hidden_size,
-            "learning_rate": cfg.learning_rate,
-            "entropy_weight": cfg.entropy_weight,
-            "baseline": cfg.baseline,
-            "baseline_decay": cfg.baseline_decay,
-            "fitness_clip": cfg.fitness_clip,
-        },
+        "maturity": asdict(oracle.maturity),
+        **config_sections(cfg),
     }
+
+
+def config_from_header(header: dict) -> Tuple[StrategyConfig, int]:
+    """The validated (config, seed) that header_record wrote; noise is the
+    logged maturity sigma."""
+    try:
+        values = {
+            f.name: header[f.metadata["header"][0]][f.metadata["header"][1]]
+            for f in fields(StrategyConfig)
+            if f.metadata.get("header")
+        }
+        cfg = StrategyConfig(
+            strategy=header["strategy"],
+            space=SpaceConfig(**header["space"]),
+            noise=header["maturity"]["sigma"],
+            **values,
+        )
+        validate_config(cfg)
+        return cfg, int(header["seed"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed log header: {exc!r}")
 
 
 def _step_to_dict(rec: StepRecord) -> dict:
@@ -505,6 +557,30 @@ def _final_record(members, best_cell: str, best_true: float) -> dict:
     }
 
 
+def _summary(
+    cfg: StrategyConfig,
+    seed: int,
+    target: float,
+    true_vals: List[float],
+    best_true: float,
+    pop_mean: Optional[List[float]] = None,
+    pop_var: Optional[List[float]] = None,
+) -> RunSummary:
+    best_so_far = list(np.maximum.accumulate(true_vals))
+    return RunSummary(
+        strategy=cfg.strategy,
+        seed=seed,
+        target=target,
+        true_per_eval=true_vals,
+        best_so_far=best_so_far,
+        pop_mean=pop_mean,
+        pop_var=pop_var,
+        evals_to_target=_evals_to_target(best_so_far, target),
+        final_best_true=best_true,
+        wall_time=0.0,
+    )
+
+
 def run_strategy(
     cfg: StrategyConfig,
     seed: int,
@@ -518,10 +594,8 @@ def run_strategy(
     started = time.perf_counter()
     if cfg.strategy in POPULATION_STRATEGIES:
         summary, log = _run_population_strategy(cfg, seed, oracle, target)
-    elif cfg.strategy == "rl_construct":
-        summary, log = _run_rl_construct(cfg, seed, oracle, target)
     else:
-        summary, log = _run_random(cfg, seed, oracle, target)
+        summary, log = _run_sampling(cfg, seed, oracle, target)
     summary.wall_time = time.perf_counter() - started
     return summary, log
 
@@ -559,9 +633,8 @@ def _run_population_strategy(
         eval_rng=streams["eval"],
     )
     true_vals, pop_mean, pop_var = _population_trajectories(result, oracle)
-    best_so_far = list(np.maximum.accumulate(true_vals))
     best_true = oracle.true_fitness(result.best.cell)
-    log = [_header_record(cfg, seed, oracle)]
+    log = [header_record(cfg, seed, oracle)]
     for ind in result.population.history[: cfg.pop_size]:
         log.append(
             {
@@ -576,110 +649,51 @@ def _run_population_strategy(
     log.append(
         _final_record(result.population.members, cell_to_text(result.best.cell), best_true)
     )
-    summary = RunSummary(
-        strategy=cfg.strategy,
-        seed=seed,
-        target=target,
-        true_per_eval=true_vals,
-        best_so_far=best_so_far,
-        pop_mean=pop_mean,
-        pop_var=pop_var,
-        evals_to_target=_evals_to_target(best_so_far, target),
-        final_best_true=best_true,
-        wall_time=0.0,
-    )
-    return summary, log
+    return _summary(cfg, seed, target, true_vals, best_true, pop_mean, pop_var), log
 
 
-def _run_rl_construct(
+def _run_sampling(
     cfg: StrategyConfig, seed: int, oracle: FitnessOracle, target: float
 ) -> Tuple[RunSummary, List[dict]]:
+    """random and rl_construct: every evaluation is a fresh cell at full
+    maturity. random draws it from the init stream (the cells a population
+    would start from); rl_construct draws it from the construction policy,
+    takes one update on its observed fitness and logs that update's
+    gradient norm."""
     streams = rng_streams(seed)
-    policy = ConstructionPolicy(
-        cfg.space,
-        streams["params"],
-        embed_size=cfg.embed_size,
-        hidden_size=cfg.hidden_size,
-    )
-    trainer = ReinforceTrainer(
-        policy.named_params(), _reward_config(cfg), lr=cfg.learning_rate
-    )
-    log = [_header_record(cfg, seed, oracle)]
-    true_vals: List[float] = []
-    best_cell: Optional[CellSpec] = None
-    best_true = -1.0
-    for index in range(1, cfg.budget + 1):
-        cell, _lp, ent = policy.sample(streams["policy"])
-        observed = oracle.evaluate(cell, 1.0, streams["eval"])
-        diag = trainer.update(lambda: policy.grads(cell), ent, observed)
-        true = oracle.true_fitness(cell)
-        true_vals.append(true)
-        if true > best_true:
-            best_true, best_cell = true, cell
-        log.append(
-            {
-                "kind": "eval",
-                "index": index,
-                "cell": cell_to_text(cell),
-                "fitness": observed,
-                "grad_norm": diag["grad_norm"],
-            }
+    construct = cfg.strategy == "rl_construct"
+    if construct:
+        policy = ConstructionPolicy(
+            cfg.space,
+            streams["params"],
+            embed_size=cfg.embed_size,
+            hidden_size=cfg.hidden_size,
         )
-    best_so_far = list(np.maximum.accumulate(true_vals))
-    log.append(_final_record([], cell_to_text(best_cell), best_true))
-    summary = RunSummary(
-        strategy=cfg.strategy,
-        seed=seed,
-        target=target,
-        true_per_eval=true_vals,
-        best_so_far=best_so_far,
-        pop_mean=None,
-        pop_var=None,
-        evals_to_target=_evals_to_target(best_so_far, target),
-        final_best_true=best_true,
-        wall_time=0.0,
-    )
-    return summary, log
-
-
-def _run_random(
-    cfg: StrategyConfig, seed: int, oracle: FitnessOracle, target: float
-) -> Tuple[RunSummary, List[dict]]:
-    streams = rng_streams(seed)
-    log = [_header_record(cfg, seed, oracle)]
-    true_vals: List[float] = []
-    best_cell: Optional[CellSpec] = None
-    best_true = -1.0
-    for index in range(1, cfg.budget + 1):
-        cell = random_cell(cfg.space, streams["init"])
-        observed = oracle.evaluate(cell, 1.0, streams["eval"])
-        true = oracle.true_fitness(cell)
-        true_vals.append(true)
-        if true > best_true:
-            best_true, best_cell = true, cell
-        log.append(
-            {
-                "kind": "eval",
-                "index": index,
-                "cell": cell_to_text(cell),
-                "fitness": observed,
-            }
+        trainer = ReinforceTrainer(
+            policy.named_params(), _reward_config(cfg), lr=cfg.learning_rate
         )
-    best_so_far = list(np.maximum.accumulate(true_vals))
-    log.append(_final_record([], cell_to_text(best_cell), best_true))
-    summary = RunSummary(
-        strategy=cfg.strategy,
-        seed=seed,
-        target=target,
-        true_per_eval=true_vals,
-        best_so_far=best_so_far,
-        pop_mean=None,
-        pop_var=None,
-        evals_to_target=_evals_to_target(best_so_far, target),
-        final_best_true=best_true,
-        wall_time=0.0,
-    )
-    return summary, log
+    log = [header_record(cfg, seed, oracle)]
+    true_vals: List[float] = []
+    for index in range(1, cfg.budget + 1):
+        if construct:
+            cell, _lp, ent = policy.sample(streams["policy"])
+        else:
+            cell = random_cell(cfg.space, streams["init"])
+        observed = oracle.evaluate(cell, 1.0, streams["eval"])
+        record = {
+            "kind": "eval",
+            "index": index,
+            "cell": cell_to_text(cell),
+            "fitness": observed,
+        }
+        if construct:
+            diag = trainer.update(lambda: policy.grads(cell), ent, observed)
+            record["grad_norm"] = diag["grad_norm"]
+        true_vals.append(oracle.true_fitness(cell))
+        log.append(record)
+    best = int(np.argmax(true_vals))  # the first evaluation of the best cell
+    log.append(_final_record([], log[1 + best]["cell"], true_vals[best]))
+    return _summary(cfg, seed, target, true_vals, true_vals[best]), log
 
 
 # ---------------------------------------------------------------------------
@@ -719,8 +733,7 @@ def compare(
     dict. Identical inputs produce a byte-identical runs.csv.
     """
     for name in strategies:
-        if name not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {name!r}")
+        validate_config(replace(cfg, strategy=name))
     if len(set(seeds)) != len(seeds):
         raise ConfigError("duplicate seeds in comparison")
     os.makedirs(out_dir, exist_ok=True)
@@ -729,8 +742,7 @@ def compare(
 
     summaries: Dict[str, List[RunSummary]] = {name: [] for name in strategies}
     for name in strategies:
-        run_cfg = StrategyConfig(**{**asdict_config(cfg), "strategy": name})
-        validate_config(run_cfg)
+        run_cfg = replace(cfg, strategy=name)
         for seed in seeds:
             summary, log = run_strategy(run_cfg, seed, oracle, target)
             summaries[name].append(summary)
@@ -753,12 +765,6 @@ def compare(
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
     return report
-
-
-def asdict_config(cfg: StrategyConfig) -> dict:
-    out = asdict(cfg)
-    out["space"] = cfg.space  # keep the dataclass, not a nested dict
-    return out
 
 
 def build_report(
@@ -822,17 +828,7 @@ def build_report(
 
     return {
         "version": LOG_VERSION,
-        "space": {"num_blocks": cfg.space.num_blocks, "num_ops": cfg.space.num_ops},
-        "oracle": {
-            "kind": cfg.oracle_kind,
-            "seed": cfg.oracle_seed,
-            "path": cfg.oracle_path,
-        },
-        "run": {
-            "pop_size": cfg.pop_size,
-            "sample_size": cfg.sample_size,
-            "budget": cfg.budget,
-        },
+        **config_sections(cfg),
         "target": target,
         "target_source": target_source,
         "seeds": list(seeds),
@@ -895,34 +891,6 @@ def write_runs_csv(
 # ---------------------------------------------------------------------------
 
 
-def _config_from_header(header: dict) -> Tuple[StrategyConfig, int, MaturityModel]:
-    space = SpaceConfig(
-        num_blocks=int(header["space"]["num_blocks"]),
-        num_ops=int(header["space"]["num_ops"]),
-    )
-    maturity = MaturityModel(**header["maturity"])
-    policy = header["policy"]
-    cfg = StrategyConfig(
-        strategy=header["strategy"],
-        space=space,
-        oracle_kind=header["oracle"]["kind"],
-        oracle_seed=header["oracle"]["seed"],
-        oracle_path=header["oracle"]["path"],
-        pop_size=int(header["run"]["pop_size"]),
-        sample_size=int(header["run"]["sample_size"]),
-        budget=int(header["run"]["budget"]),
-        noise=header["maturity"]["sigma"],
-        embed_size=int(policy["embed_size"]),
-        hidden_size=int(policy["hidden_size"]),
-        learning_rate=float(policy["learning_rate"]),
-        entropy_weight=float(policy["entropy_weight"]),
-        baseline=policy["baseline"],
-        baseline_decay=float(policy["baseline_decay"]),
-        fitness_clip=float(policy["fitness_clip"]),
-    )
-    return cfg, int(header["seed"]), maturity
-
-
 def replay(log_path: str) -> dict:
     """Recompute a logged run's evaluations; returns the new final record.
 
@@ -932,13 +900,16 @@ def replay(log_path: str) -> dict:
     re-derived from the logged seed. The result must match the original
     final record bit for bit.
     """
-    records = read_jsonl(log_path)
+    try:
+        records = read_jsonl(log_path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read log {log_path}: {exc}")
     if not records or records[0].get("kind") != "header":
         raise ConfigError(f"{log_path} does not start with a header record")
     header = records[0]
     if header.get("version") != LOG_VERSION:
         raise ConfigError(f"unsupported log version {header.get('version')!r}")
-    cfg, seed, _maturity = _config_from_header(header)
+    cfg, seed = config_from_header(header)
     oracle = make_oracle(cfg)
 
     if cfg.strategy in POPULATION_STRATEGIES:

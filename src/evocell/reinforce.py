@@ -62,7 +62,7 @@ class ReinforceTrainer:
         self,
         named_params: Sequence[Tuple[str, Tensor]],
         cfg: Optional[RewardConfig] = None,
-        lr: float = 0.001,
+        lr: float = AdamState.lr,
     ):
         self.params = flat_buffer(list(named_params))
         self.cfg = cfg or RewardConfig()

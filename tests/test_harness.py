@@ -3,9 +3,12 @@
 import json
 import math
 import os
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+
+from evocell import cli
 
 from evocell.arch_space import (
     SpaceConfig,
@@ -32,6 +35,8 @@ from evocell.harness import (
     StrategyConfig,
     _evals_to_target,
     compare,
+    config_from_header,
+    header_record,
     make_oracle,
     pilot_digits,
     read_jsonl,
@@ -86,6 +91,16 @@ def test_validate_config_rejects_bad_inputs():
         validate_config(_cfg("random", noise=-0.1))
     with pytest.raises(ConfigError):
         validate_config(_cfg("random", baseline="avg"))
+    with pytest.raises(ConfigError):
+        validate_config(_cfg("random", oracle_seed=-1))
+    with pytest.raises(ConfigError):
+        validate_config(_cfg("reinforced", embed_size=0))
+    with pytest.raises(ConfigError):
+        validate_config(_cfg("reinforced", hidden_size=0))
+    with pytest.raises(ConfigError):
+        validate_config(_cfg("reinforced", learning_rate=-1.0))
+    with pytest.raises(ConfigError):
+        validate_config(_cfg("rl_construct", learning_rate=0.0))
     validate_config(_cfg("reinforced"))  # the good case passes
 
 
@@ -443,6 +458,33 @@ def test_replay_rejects_bad_header(tmp_path):
     write_jsonl(str(path), records)
     with pytest.raises(ConfigError):
         replay(str(path))
+    write_jsonl(str(path), [{"kind": "header", "version": 1, "strategy": "random"}])
+    with pytest.raises(ConfigError):
+        replay(str(path))
+    cfg = _cfg("random", budget=5)
+    _, log = run_strategy(cfg, seed=0, oracle=make_oracle(cfg))
+    log[0]["run"]["budget"] = 0
+    write_jsonl(str(path), log)
+    with pytest.raises(ConfigError):
+        replay(str(path))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_header_round_trips_through_config(strategy):
+    cfg = _cfg(
+        strategy,
+        budget=10,
+        oracle_kind="landscape",
+        oracle_seed=3,
+        noise=0.05,
+        baseline=None,
+        learning_rate=0.01,
+    )
+    _, log = run_strategy(cfg, seed=4, oracle=make_oracle(cfg))
+    header = log[0]
+    read, seed = config_from_header(header)
+    assert (read, seed) == (cfg, 4)
+    assert header_record(read, seed, make_oracle(read)) == header
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +499,10 @@ def test_parse_seeds():
         parse_seeds("3:3")
     with pytest.raises(ConfigError):
         parse_seeds("a,b")
+    with pytest.raises(ConfigError):
+        parse_seeds("-1:2")
+    with pytest.raises(ConfigError):
+        parse_seeds("3,-4")
 
 
 def test_parse_oracle_spec():
@@ -590,3 +636,116 @@ def test_cli_config_error_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "replay_missing",
+        "replay_not_json",
+        "oracle_file_missing",
+        "export_missing",
+        "negative_seed",
+        "tabular_above_cap",
+        "table_above_export_cap",
+    ],
+)
+def test_cli_bad_input_exits_2(case, tmp_path, capsys):
+    missing = str(tmp_path / "absent.json")
+    not_json = tmp_path / "trace.jsonl"
+    not_json.write_text("not json\n")
+    argv = {
+        "replay_missing": ["replay", missing],
+        "replay_not_json": ["replay", str(not_json)],
+        "oracle_file_missing": _search_args(tmp_path, ["--oracle", f"file:{missing}"]),
+        "export_missing": ["oracle", "export", missing, "--out", str(tmp_path)],
+        "negative_seed": _search_args(tmp_path, ["--seed", "-1"]),
+        "tabular_above_cap": _search_args(tmp_path, ["--blocks", "5", "--ops", "6"]),
+        "table_above_export_cap": ["oracle", "build", "--out", str(tmp_path)],
+    }[case]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "build", "--oracle", "tabular:5"],
+        ["oracle", "build", "--lr", "9", "--pop", "1"],
+        ["oracle", "export", "table.json", "--budget", "-4", "--hidden", "0"],
+    ],
+)
+def test_cli_oracle_subcommands_reject_flags_they_do_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class _Captured(Exception):
+    """Stops a CLI command at the config it built."""
+
+
+@pytest.fixture
+def built_configs(monkeypatch):
+    seen = []
+
+    def capture(cfg, *args, **kwargs):
+        seen.append(cfg)
+        raise _Captured
+
+    monkeypatch.setattr(cli, "make_oracle", capture)
+    monkeypatch.setattr(cli, "compare", capture)
+    return seen
+
+
+def test_cli_defaults_are_strategy_config_defaults(built_configs, tmp_path):
+    for argv in (["search"], ["compare"], ["oracle", "build"]):
+        with pytest.raises(_Captured):
+            main([*argv, "--out", str(tmp_path)])
+    assert built_configs == [StrategyConfig()] * 3
+
+
+# one non-default value per search option, as config-file text
+_SEARCH_SETTINGS = [
+    ("strategy", "random"),
+    ("blocks", "2"),
+    ("ops", "3"),
+    ("oracle", "landscape:11"),
+    ("oracle", "file:table.json"),
+    ("pop", "9"),
+    ("sample", "3"),
+    ("budget", "99"),
+    ("noise", "0.2"),
+    ("embed", "6"),
+    ("hidden", "7"),
+    ("lr", "0.01"),
+    ("entropy_weight", "0.3"),
+    ("baseline", "none"),
+]
+
+
+def _settings(cfg):
+    """cfg's fields, with the space's two as their own entries."""
+    out = {f.name: getattr(cfg, f.name) for f in fields(StrategyConfig)}
+    space = out.pop("space")
+    return {**out, "num_blocks": space.num_blocks, "num_ops": space.num_ops}
+
+
+def test_cli_sets_every_config_field_through_exactly_one_option(built_configs, tmp_path):
+    default = _settings(StrategyConfig())
+    cfg_file = tmp_path / "run.cfg"
+    set_by = {}
+    for key, value in _SEARCH_SETTINGS:
+        cfg_file.write_text(f"{key} = {value}\n")
+        for argv in (["--config", str(cfg_file)], ["--" + key.replace("_", "-"), value]):
+            with pytest.raises(_Captured):
+                main(["search", *argv])
+        by_file, by_flag = built_configs[-2:]
+        assert by_file == by_flag
+        changed = [k for k, v in _settings(by_file).items() if v != default[k]]
+        assert changed, key
+        for name in changed:
+            set_by.setdefault(name, set()).add(key)
+    assert set(set_by) == set(default)
+    assert all(len(keys) == 1 for keys in set_by.values()), set_by
