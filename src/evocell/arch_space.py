@@ -14,6 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cache, cached_property
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,6 +43,7 @@ class Op(IntEnum):
 
 
 NUM_OPS_TOTAL = len(Op)
+_OP_OF_DIGIT = {int(op): op for op in Op}  # without an enum call per field
 
 
 @dataclass(frozen=True)
@@ -89,6 +91,23 @@ class CellSpec:
     def num_blocks(self) -> int:
         return len(self.blocks)
 
+    @cached_property
+    def digits(self) -> Tuple[int, ...]:
+        """Mixed-radix digits, per block i1, i2, o1, o2; an input's digit is
+        its token id. Computed once per cell and kept outside the dataclass
+        fields, so ==, hash, repr and asdict do not see it."""
+        digits: List[int] = []
+        for block in self.blocks:
+            digits.extend(
+                (
+                    input_token(block.i1),
+                    input_token(block.i2),
+                    int(block.o1),
+                    int(block.o2),
+                )
+            )
+        return tuple(digits)
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -107,6 +126,12 @@ def legal_inputs(block_index: int) -> List[int]:
     return [CELL_PREV2, CELL_PREV1] + list(range(1, block_index))
 
 
+@cache
+def _legal_input_refs(block_index: int) -> Tuple[int, ...]:
+    """legal_inputs, built once per block index."""
+    return tuple(legal_inputs(block_index))
+
+
 def validate(cell: CellSpec, cfg: SpaceConfig) -> Optional[Violation]:
     """Check a cell against a space config. Returns None if valid.
 
@@ -123,11 +148,11 @@ def validate(cell: CellSpec, cfg: SpaceConfig) -> Optional[Violation]:
             0, "num_ops", f"expected num_ops {cfg.num_ops}, got {cell.num_ops}"
         )
     for b, block in enumerate(cell.blocks, start=1):
-        allowed = legal_inputs(b)
+        allowed = _legal_input_refs(b)
         for field_name, ref in (("i1", block.i1), ("i2", block.i2)):
             if ref not in allowed:
                 return Violation(
-                    b, field_name, f"input {ref} not in legal set {allowed}"
+                    b, field_name, f"input {ref} not in legal set {list(allowed)}"
                 )
         for field_name, op in (("o1", block.o1), ("o2", block.o2)):
             if not 0 <= int(op) < cfg.num_ops:
@@ -271,37 +296,39 @@ def digit_radices(cfg: SpaceConfig) -> Tuple[int, ...]:
     return tuple(radices)
 
 
-def cell_digits(cell: CellSpec) -> List[int]:
-    """Mixed-radix digits of a cell: per block i1, i2, o1, o2. An input's
-    digit is its token id."""
-    digits: List[int] = []
-    for block in cell.blocks:
-        digits.extend(
-            (
-                input_token(block.i1),
-                input_token(block.i2),
-                int(block.o1),
-                int(block.o2),
-            )
-        )
-    return digits
+def cell_digits(cell: CellSpec) -> Tuple[int, ...]:
+    """Mixed-radix digits of a cell (CellSpec.digits, computed once per
+    cell): per block i1, i2, o1, o2. An input's digit is its token id."""
+    return cell.digits
 
 
 def cell_from_digits(digits: Sequence[int], cfg: SpaceConfig) -> CellSpec:
-    """Inverse of cell_digits. Digits are not range-checked: validate() the
-    cell if they come from outside."""
-    d = [int(x) for x in digits]
+    """Inverse of cell_digits; the cell keeps the digits as its cached
+    CellSpec.digits.
+
+    Each digit must lie in [0, radix) (digit_radices), as random_digits
+    and cell_digits give them: the digits are kept as given, and only an
+    op digit that names no Op is caught (KeyError).
+    """
+    d = tuple(map(int, digits))
     blocks = tuple(
-        BlockSpec(input_ref(d[k]), input_ref(d[k + 1]), Op(d[k + 2]), Op(d[k + 3]))
+        BlockSpec(
+            input_ref(d[k]),
+            input_ref(d[k + 1]),
+            _OP_OF_DIGIT[d[k + 2]],
+            _OP_OF_DIGIT[d[k + 3]],
+        )
         for k in range(0, 4 * cfg.num_blocks, 4)
     )
-    return CellSpec(blocks, num_ops=cfg.num_ops)
+    cell = CellSpec(blocks, num_ops=cfg.num_ops)
+    vars(cell)["digits"] = d  # fills the cached_property
+    return cell
 
 
 def cell_rank(cell: CellSpec, cfg: SpaceConfig) -> int:
     """Rank of a cell in the lexicographic enumeration order."""
     rank = 0
-    for digit, radix in zip(cell_digits(cell), digit_radices(cfg)):
+    for digit, radix in zip(cell.digits, digit_radices(cfg)):
         rank = rank * radix + digit
     return rank
 

@@ -20,7 +20,7 @@ training path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -29,11 +29,12 @@ import numpy as np
 from .arch_space import (
     CELL_PREV1,
     CELL_PREV2,
+    BlockSpec,
     CellSpec,
     Op,
     SpaceConfig,
     encode_tokens,
-    validate,
+    legal_inputs,
     vocab_size,
 )
 from . import nn_core
@@ -235,13 +236,12 @@ def input_candidate_refs(block: int) -> List[int]:
 
 
 def _candidate_index(block: int, ref: int) -> int:
+    """Index of a legal input ref among block's candidates."""
     if ref == CELL_PREV1:
         return block - 1
     if ref == CELL_PREV2:
         return block
-    if 1 <= ref <= block - 1:
-        return ref - 1
-    raise ValueError(f"input ref {ref} illegal at block {block}")
+    return ref - 1
 
 
 def _check_trace(cell: CellSpec, trace: MutationTrace) -> None:
@@ -251,20 +251,31 @@ def _check_trace(cell: CellSpec, trace: MutationTrace) -> None:
         )
 
 
-def _replacement_index(params: ControllerParams, b: int, action: MutationAction) -> int:
-    """Validate block b's action; return its index in the replacement head."""
+def _check_action(b: int, action: MutationAction, num_ops: int) -> bool:
+    """Check that block b's action is for block b and that its replacement
+    is in the legal set of the field it writes; True if that is an input."""
     if action.block != b:
         raise ValueError(f"action {b - 1} targets block {action.block}, expected {b}")
+    new = action.replacement
     if action.target in (MutTarget.I1, MutTarget.I2):
-        if isinstance(action.replacement, Op):
-            raise ValueError("input mutation carries an op replacement")
+        if isinstance(new, Op):
+            raise ValueError(f"block {b}: input mutation carries an op replacement")
+        if not CELL_PREV2 <= new < b or new == 0:
+            raise ValueError(
+                f"block {b}: input {new} not in legal set {legal_inputs(b)}"
+            )
+        return True
+    if not isinstance(new, Op):
+        raise ValueError(f"block {b}: op mutation carries an input replacement")
+    if new >= num_ops:
+        raise ValueError(f"block {b}: op {new!r} outside active subset of {num_ops}")
+    return False
+
+
+def _replacement_index(params: ControllerParams, b: int, action: MutationAction) -> int:
+    """Validate block b's action; return its index in the replacement head."""
+    if _check_action(b, action, params.num_ops):
         return _candidate_index(b, int(action.replacement))
-    if not isinstance(action.replacement, Op):
-        raise ValueError("op mutation carries an input replacement")
-    if int(action.replacement) >= params.num_ops:
-        raise ValueError(
-            f"op {action.replacement!r} outside active subset of {params.num_ops}"
-        )
     return int(action.replacement)
 
 
@@ -645,38 +656,28 @@ def apply_mutation(cell: CellSpec, trace: MutationTrace) -> CellSpec:
     """Rewrite one field per block as recorded in the trace.
 
     At most num_blocks fields change; a replacement equal to the current
-    value is a legitimate no-op. The result is validated and always valid
-    for traces produced by this module.
+    value is a legitimate no-op. Only what the trace writes is checked: one
+    action per block, in block order, each carrying a replacement of its
+    field's kind from that field's legal set (ValueError otherwise). Every
+    other field is copied from the parent, so the child of a valid parent
+    is valid; the child is not validated again here (an oracle validates
+    each cell it evaluates).
     """
-    if len(trace.actions) != cell.num_blocks:
-        raise ValueError(
-            f"trace has {len(trace.actions)} actions for {cell.num_blocks} blocks"
-        )
-    new_blocks = list(cell.blocks)
-    for b, action in enumerate(trace.actions, start=1):
-        if action.block != b:
-            raise ValueError(f"action {b - 1} targets block {action.block}, expected {b}")
-        is_input_target = action.target in (MutTarget.I1, MutTarget.I2)
-        if is_input_target and isinstance(action.replacement, Op):
-            raise ValueError(f"block {b}: input mutation carries an op replacement")
-        if not is_input_target and not isinstance(action.replacement, Op):
-            raise ValueError(f"block {b}: op mutation carries an input replacement")
-        blk = new_blocks[b - 1]
-        if action.target == MutTarget.I1:
-            blk = replace(blk, i1=int(action.replacement))
-        elif action.target == MutTarget.I2:
-            blk = replace(blk, i2=int(action.replacement))
-        elif action.target == MutTarget.O1:
-            blk = replace(blk, o1=Op(action.replacement))
+    _check_trace(cell, trace)
+    blocks = []
+    for b, (blk, action) in enumerate(zip(cell.blocks, trace.actions), start=1):
+        _check_action(b, action, cell.num_ops)
+        target, new = action.target, action.replacement
+        if target == MutTarget.I1:
+            blk = BlockSpec(int(new), blk.i2, blk.o1, blk.o2)
+        elif target == MutTarget.I2:
+            blk = BlockSpec(blk.i1, int(new), blk.o1, blk.o2)
+        elif target == MutTarget.O1:
+            blk = BlockSpec(blk.i1, blk.i2, new, blk.o2)
         else:
-            blk = replace(blk, o2=Op(action.replacement))
-        new_blocks[b - 1] = blk
-    child = CellSpec(tuple(new_blocks), num_ops=cell.num_ops)
-    cfg = SpaceConfig(num_blocks=cell.num_blocks, num_ops=cell.num_ops)
-    violation = validate(child, cfg)
-    if violation is not None:
-        raise ValueError(f"mutated cell invalid: {violation}")
-    return child
+            blk = BlockSpec(blk.i1, blk.i2, blk.o1, new)
+        blocks.append(blk)
+    return CellSpec(tuple(blocks), num_ops=cell.num_ops)
 
 
 # ---------------------------------------------------------------------------

@@ -19,16 +19,16 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .arch_space import (
     CellSpec,
     SpaceConfig,
-    cell_digits,
     cell_from_rank,
     cell_from_text,
     cell_rank,
@@ -74,9 +74,7 @@ def overlap_fraction(parent: CellSpec, child: CellSpec) -> float:
     """Fraction of the 4 * num_blocks variable tokens left unchanged."""
     if parent.num_blocks != child.num_blocks or parent.num_ops != child.num_ops:
         raise ValueError("parent and child come from different spaces")
-    same = sum(
-        int(p == c) for p, c in zip(cell_digits(parent), cell_digits(child))
-    )
+    same = sum(map(operator.eq, parent.digits, child.digits))
     return same / (4.0 * parent.num_blocks)
 
 
@@ -94,8 +92,11 @@ def inherit_maturity(
 class FitnessOracle(ABC):
     """Interface every fitness source implements.
 
-    true_fitness is a test-and-analysis hook; searches are only allowed to
-    look at evaluate().
+    An evaluation reads a cell's true fitness once (true_fitness, which
+    validates the cell) and observes it (observe). A search carries that
+    true value with the cell for analysis (trajectories, the best cell,
+    re-evaluation at full maturity) and never calls the oracle again for
+    it; selection looks only at observed fitness.
     """
 
     cfg: SpaceConfig
@@ -105,14 +106,22 @@ class FitnessOracle(ABC):
     def true_fitness(self, cell: CellSpec) -> float:
         ...
 
-    def evaluate(
-        self, cell: CellSpec, maturity: float, rng: np.random.Generator
-    ) -> float:
-        """Observed fitness at the given maturity; deterministic per rng state."""
-        observed = self.true_fitness(cell) * self.maturity.factor(maturity)
+    def observe(self, true: float, maturity: float, rng: np.random.Generator) -> float:
+        """Observed fitness of a cell of this true fitness at the given
+        maturity: attenuated, plus noise from rng, clamped to [0, 0.999]."""
+        observed = true * self.maturity.factor(maturity)
         if self.maturity.sigma > 0.0:
             observed += self.maturity.sigma * rng.standard_normal()
         return min(max(observed, 0.0), OBSERVED_MAX)
+
+    def evaluate(
+        self, cell: CellSpec, maturity: float, rng: np.random.Generator
+    ) -> Tuple[float, float]:
+        """(observed, true) fitness of one evaluation at the given maturity:
+        observe(true_fitness(cell), ...), deterministic per rng state. The
+        true value comes back so that a search carries it with the cell."""
+        true = self.true_fitness(cell)
+        return self.observe(true, maturity, rng), true
 
     def cost(self, cell: CellSpec, inherited: bool) -> float:
         """Abstract training cost in epoch units."""
@@ -191,7 +200,7 @@ class LandscapeOracle(FitnessOracle):
         violation = validate(cell, self.cfg)
         if violation is not None:
             raise ValueError(f"cell invalid: {violation}")
-        return _squash(_raw_score(self.weights, cell_digits(cell), self.cfg.num_blocks))
+        return _squash(_raw_score(self.weights, cell.digits, self.cfg.num_blocks))
 
     def max_true_fitness(self, digits: np.ndarray) -> float:
         """Highest true fitness over the cells of an (N, 4B) digit matrix.

@@ -10,6 +10,7 @@ child evaluation triggers one policy-gradient update.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
@@ -34,8 +35,17 @@ from .reinforce import ReinforceTrainer
 
 @dataclass(frozen=True)
 class Individual:
+    """One evaluated cell.
+
+    fitness is what selection reads. true_fitness is the oracle's true
+    value, computed by the same evaluation and carried for analysis only:
+    trajectories, the best final cell and re-evaluation at full maturity
+    read it instead of asking the oracle again.
+    """
+
     cell: CellSpec
     fitness: float  # observed fitness at birth (or after final re-evaluation)
+    true_fitness: float
     maturity: float
     id: int
     parent_id: Optional[int]
@@ -92,6 +102,13 @@ class ControllerPolicy:
         return grads
 
 
+@functools.cache
+def _log_count(n: int) -> float:
+    """float(np.log(n)), computed once per candidate count: the logged
+    log-probabilities keep numpy's bits without a numpy call per draw."""
+    return float(np.log(float(n)))
+
+
 class RandomMutationPolicy:
     """Uniform target and uniform legal replacement; no learning signal.
 
@@ -107,9 +124,9 @@ class RandomMutationPolicy:
         actions = []
         total_lp = 0.0
         total_h = 0.0
+        log4 = _log_count(4)
         for b in range(1, cell.num_blocks + 1):
             target = MutTarget(int(self.rng.integers(4)))
-            router_lp = -np.log(4.0)
             if target in (MutTarget.I1, MutTarget.I2):
                 refs = input_candidate_refs(b)
                 replacement = refs[int(self.rng.integers(len(refs)))]
@@ -117,21 +134,22 @@ class RandomMutationPolicy:
             else:
                 replacement = Op(int(self.rng.integers(cell.num_ops)))
                 n = cell.num_ops
-            repl_lp = -np.log(float(n))
+            log_n = _log_count(n)
+            router_lp, repl_lp = -log4, -log_n
             actions.append(
                 MutationAction(
                     block=b,
                     target=target,
                     replacement=replacement,
-                    router_logprob=float(router_lp),
-                    replace_logprob=float(repl_lp),
-                    router_entropy=float(np.log(4.0)),
-                    replace_entropy=float(np.log(float(n))),
+                    router_logprob=router_lp,
+                    replace_logprob=repl_lp,
+                    router_entropy=log4,
+                    replace_entropy=log_n,
                 )
             )
             total_lp += router_lp + repl_lp
-            total_h += np.log(4.0) + np.log(float(n))
-        return MutationTrace(tuple(actions), float(total_lp), float(total_h))
+            total_h += log4 + log_n
+        return MutationTrace(tuple(actions), total_lp, total_h)
 
 
 class ReplayMutationPolicy:
@@ -178,10 +196,11 @@ def initialize(
     m0 = oracle.maturity.initial_maturity()
     for _ in range(pop_size):
         cell = random_cell(cfg, rng)
-        fit = oracle.evaluate(cell, m0, eval_rng)
+        fit, true = oracle.evaluate(cell, m0, eval_rng)
         ind = Individual(
             cell=cell,
             fitness=fit,
+            true_fitness=true,
             maturity=m0,
             id=pop.allocate_id(),
             parent_id=None,
@@ -228,16 +247,17 @@ def evolution_step(
     child_maturity = inherit_maturity(
         oracle.maturity, parent.maturity, parent.cell, child_cell
     )
-    child_fitness = oracle.evaluate(child_cell, child_maturity, eval_rng)
+    child_fitness, child_true = oracle.evaluate(child_cell, child_maturity, eval_rng)
     child = Individual(
         cell=child_cell,
         fitness=child_fitness,
+        true_fitness=child_true,
         maturity=child_maturity,
         id=pop.allocate_id(),
         parent_id=parent.id,
         birth_step=step,
     )
-    pop.members = [ind for ind in pop.members if ind.id != doomed.id]
+    del pop.members[next(i for i, ind in zip(picks, sample) if ind is doomed)]
     pop.members.append(child)
     pop.history.append(child)
 
@@ -251,7 +271,7 @@ def evolution_step(
         )
     return StepRecord(
         step=step,
-        sampled_ids=tuple(int(ind.id) for ind in sample),
+        sampled_ids=tuple([ind.id for ind in sample]),
         parent_id=parent.id,
         parent_fitness=parent.fitness,
         child_id=child.id,
@@ -305,14 +325,12 @@ def run(
         pop.members = [
             replace(
                 ind,
-                fitness=oracle.evaluate(ind.cell, 1.0, eval_rng),
+                fitness=oracle.observe(ind.true_fitness, 1.0, eval_rng),
                 maturity=1.0,
             )
             for ind in pop.members
         ]
-    best = max(
-        pop.members, key=lambda ind: (oracle.true_fitness(ind.cell), -ind.id)
-    )
+    best = max(pop.members, key=lambda ind: (ind.true_fitness, -ind.id))
     return RunResult(population=pop, records=records, best=best)
 
 

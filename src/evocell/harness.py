@@ -447,27 +447,33 @@ def _evals_to_target(best_so_far: Sequence[float], target: float) -> Optional[in
 
 
 def _population_trajectories(
-    result: RunResult, oracle: FitnessOracle
+    result: RunResult,
 ) -> Tuple[List[float], List[float], List[float]]:
+    """Each evaluation's carried true fitness, and the mean and variance of
+    the live population's true fitness after it.
+
+    While the population fills, the live set is a growing prefix of the
+    history; after that, each step removes one member and appends the
+    child, the order Population.members keeps. Rows are reduced as one
+    (steps, pop) matrix, each row's sum in the same order as a 1-D mean.
+    """
     history = result.population.history
-    true_vals = [oracle.true_fitness(ind.cell) for ind in history]
-    by_id = {ind.id: t for ind, t in zip(history, true_vals)}
     pop_size = result.population.capacity
-    live: Dict[int, float] = {}
-    pop_mean: List[float] = []
-    pop_var: List[float] = []
-    step_cursor = 0
-    for i, ind in enumerate(history):
-        if i < pop_size:
-            live[ind.id] = true_vals[i]
-        else:
-            record = result.records[step_cursor]
-            step_cursor += 1
-            del live[record.removed_id]
-            live[record.child_id] = by_id[record.child_id]
-        vals = np.fromiter(live.values(), dtype=np.float64)
-        pop_mean.append(float(vals.mean()))
-        pop_var.append(float(vals.var()))
+    true_vals = [ind.true_fitness for ind in history]
+    first = np.array(true_vals[:pop_size])
+    pop_mean = [float(first[:k].mean()) for k in range(1, pop_size + 1)]
+    pop_var = [float(first[:k].var()) for k in range(1, pop_size + 1)]
+    live_ids = [ind.id for ind in history[:pop_size]]
+    live = true_vals[:pop_size]
+    rows = np.empty((len(result.records), pop_size))
+    for row, record, child_true in zip(rows, result.records, true_vals[pop_size:]):
+        at = live_ids.index(record.removed_id)
+        del live_ids[at], live[at]
+        live_ids.append(record.child_id)
+        live.append(child_true)
+        row[:] = live
+    pop_mean.extend(rows.mean(axis=1).tolist())
+    pop_var.extend(rows.var(axis=1).tolist())
     return true_vals, pop_mean, pop_var
 
 
@@ -632,8 +638,8 @@ def _run_population_strategy(
         tournament_rng=streams["tournament"],
         eval_rng=streams["eval"],
     )
-    true_vals, pop_mean, pop_var = _population_trajectories(result, oracle)
-    best_true = oracle.true_fitness(result.best.cell)
+    true_vals, pop_mean, pop_var = _population_trajectories(result)
+    best_true = result.best.true_fitness
     log = [header_record(cfg, seed, oracle)]
     for ind in result.population.history[: cfg.pop_size]:
         log.append(
@@ -679,7 +685,7 @@ def _run_sampling(
             cell, _lp, ent = policy.sample(streams["policy"])
         else:
             cell = random_cell(cfg.space, streams["init"])
-        observed = oracle.evaluate(cell, 1.0, streams["eval"])
+        observed, true = oracle.evaluate(cell, 1.0, streams["eval"])
         record = {
             "kind": "eval",
             "index": index,
@@ -689,7 +695,7 @@ def _run_sampling(
         if construct:
             diag = trainer.update(lambda: policy.grads(cell), ent, observed)
             record["grad_norm"] = diag["grad_norm"]
-        true_vals.append(oracle.true_fitness(cell))
+        true_vals.append(true)
         log.append(record)
     best = int(np.argmax(true_vals))  # the first evaluation of the best cell
     log.append(_final_record([], log[1 + best]["cell"], true_vals[best]))
@@ -891,74 +897,124 @@ def write_runs_csv(
 # ---------------------------------------------------------------------------
 
 
+class ReplayDiverged(ConfigError, RuntimeError):
+    """A well-formed log that a re-run from its header and seed does not
+    reproduce: an edited record, or a change in the code."""
+
+
+_INIT_KEYS = ("id", "cell", "fitness", "maturity")
+_STEP_KEYS = (
+    "step", "parent_id", "removed_id", "child_id", "child_fitness", "child_maturity"
+)
+
+
+def _log_records(log_path: str, records: Sequence[dict], cfg: StrategyConfig):
+    """The records after the header by kind, with the fields replay reads:
+    init (its _INIT_KEYS), step (its _STEP_KEYS, which are also StepRecord
+    fields, and parsed trace) and eval
+    (index, cell text, parsed cell, fitness). A record that lacks them, or
+    whose cell or trace does not parse, is a ConfigError that names it; so
+    is a count of records that does not match the header's pop_size and
+    budget."""
+    found = {"init": [], "step": [], "eval": []}
+    for number, record in enumerate(records[1:], start=2):
+        try:
+            kind = record["kind"]
+            if kind == "init":
+                entry = tuple(record[k] for k in _INIT_KEYS)
+            elif kind == "step":
+                trace = trace_from_dict(record["trace"])
+                entry = ({k: record[k] for k in _STEP_KEYS}, trace)
+            elif kind == "eval":
+                text = record["cell"]
+                cell = cell_from_text(text, cfg.space)
+                entry = (record["index"], text, cell, record["fitness"])
+            elif kind == "final":
+                continue
+            else:
+                raise ValueError(f"unknown record kind {kind!r}")
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{log_path}: record {number} is malformed: {exc!r}")
+        found[kind].append(entry)
+    if cfg.strategy in POPULATION_STRATEGIES:
+        expected = {"init": cfg.pop_size, "step": cfg.budget - cfg.pop_size, "eval": 0}
+    else:
+        expected = {"init": 0, "step": 0, "eval": cfg.budget}
+    for kind, count in expected.items():
+        if len(found[kind]) != count:
+            raise ConfigError(
+                f"{log_path}: {len(found[kind])} {kind} records, but the header's "
+                f"pop_size {cfg.pop_size} and budget {cfg.budget} give {count}"
+            )
+    return found
+
+
 def replay(log_path: str) -> dict:
     """Recompute a logged run's evaluations; returns the new final record.
 
     Mutation traces (or logged cells, for non-population strategies) are
     taken from the log, so the policy networks are never rebuilt; random
     streams for initialization, tournaments, and observation noise are
-    re-derived from the logged seed. The result must match the original
-    final record bit for bit.
+    re-derived from the logged seed. Every logged evaluation (its ids,
+    observed fitness and maturity) must come out bit for bit, or
+    ReplayDiverged names the first that does not; the caller compares
+    the result with the logged final record. A malformed log is a
+    ConfigError.
     """
     try:
         records = read_jsonl(log_path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read log {log_path}: {exc}")
-    if not records or records[0].get("kind") != "header":
+    header = records[0] if records else None
+    if not isinstance(header, dict) or header.get("kind") != "header":
         raise ConfigError(f"{log_path} does not start with a header record")
-    header = records[0]
     if header.get("version") != LOG_VERSION:
         raise ConfigError(f"unsupported log version {header.get('version')!r}")
     cfg, seed = config_from_header(header)
     oracle = make_oracle(cfg)
+    found = _log_records(log_path, records, cfg)
+    streams = rng_streams(seed)
 
     if cfg.strategy in POPULATION_STRATEGIES:
-        init_records = [r for r in records if r["kind"] == "init"]
-        step_records = [r for r in records if r["kind"] == "step"]
-        traces = [trace_from_dict(r["trace"]) for r in step_records]
-        streams = rng_streams(seed)
-        policy = ReplayMutationPolicy(traces)
-        result = run_evolution(
-            cfg.space,
-            oracle,
-            policy,
-            None,
-            budget=len(traces),
-            pop_size=cfg.pop_size,
-            sample_size=cfg.sample_size,
-            rng=streams["init"],
-            tournament_rng=streams["tournament"],
-            eval_rng=streams["eval"],
-        )
-        for logged, ind in zip(init_records, result.population.history):
-            if logged["cell"] != cell_to_text(ind.cell) or logged["id"] != ind.id:
-                raise RuntimeError("replay diverged from log during initialization")
-        for logged, rec in zip(step_records, result.records):
-            if (
-                logged["parent_id"] != rec.parent_id
-                or logged["removed_id"] != rec.removed_id
-                or logged["child_id"] != rec.child_id
-            ):
-                raise RuntimeError(
+        steps = found["step"]
+        try:
+            result = run_evolution(
+                cfg.space,
+                oracle,
+                ReplayMutationPolicy([trace for _, trace in steps]),
+                None,
+                budget=len(steps),
+                pop_size=cfg.pop_size,
+                sample_size=cfg.sample_size,
+                rng=streams["init"],
+                tournament_rng=streams["tournament"],
+                eval_rng=streams["eval"],
+            )
+        except ValueError as exc:  # a logged trace that its parent cannot take
+            raise ReplayDiverged(f"{log_path}: a logged mutation does not apply: {exc}")
+        for logged, ind in zip(found["init"], result.population.history):
+            if logged != (ind.id, cell_to_text(ind.cell), ind.fitness, ind.maturity):
+                raise ReplayDiverged(
+                    f"replay diverged from log during initialization, at id {ind.id}"
+                )
+        for (logged, _), rec in zip(steps, result.records):
+            if logged != {k: getattr(rec, k) for k in _STEP_KEYS}:
+                raise ReplayDiverged(
                     f"replay diverged from log at step {logged['step']}"
                 )
-        best_true = oracle.true_fitness(result.best.cell)
+        best = result.best
         return _final_record(
-            result.population.members, cell_to_text(result.best.cell), best_true
+            result.population.members, cell_to_text(best.cell), best.true_fitness
         )
 
-    eval_records = [r for r in records if r["kind"] == "eval"]
-    streams = rng_streams(seed)
-    best_cell_text = None
-    best_true = -1.0
-    members = []
-    for record in eval_records:
-        cell = cell_from_text(record["cell"], cfg.space)
-        observed = oracle.evaluate(cell, 1.0, streams["eval"])
-        record_true = oracle.true_fitness(cell)
-        if record_true > best_true:
-            best_true, best_cell_text = record_true, record["cell"]
-        members.append((record["index"], observed))
-    final = _final_record([], best_cell_text, best_true)
-    final["evals"] = [{"index": i, "fitness": f} for i, f in members]
+    evals, true_vals = [], []
+    for index, _, cell, logged_fitness in found["eval"]:
+        observed, true = oracle.evaluate(cell, 1.0, streams["eval"])
+        if observed != logged_fitness:
+            raise ReplayDiverged(f"replay diverged from log at eval {index}")
+        evals.append({"index": index, "fitness": observed})
+        true_vals.append(true)
+    best = int(np.argmax(true_vals))  # the first evaluation of the best cell
+    final = _final_record([], found["eval"][best][1], true_vals[best])
+    final["evals"] = evals
     return final

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -241,8 +242,26 @@ def test_digit_codec_round_trips_over_a_two_block_space():
     cfg = SpaceConfig(num_blocks=2, num_ops=3)
     all_digits = itertools.product(*map(range, digit_radices(cfg)))
     for cell, digits in zip(enumerate_space(cfg), all_digits, strict=True):
-        assert cell_digits(cell) == list(digits)
+        # a cell built from its blocks computes its digits; cell_from_digits keeps them
+        assert cell_digits(CellSpec(cell.blocks, cell.num_ops)) == digits
+        assert cell_digits(cell) == digits
         assert cell_from_digits(digits, cfg) == cell
+
+
+def test_cached_digits_leave_cell_identity_alone():
+    cfg = SpaceConfig(num_blocks=3, num_ops=4)
+    for digits in random_digits(cfg, np.random.default_rng(11), 50):
+        decoded = cell_from_digits(digits, cfg)  # digits cached on creation
+        built = CellSpec(
+            tuple(BlockSpec(b.i1, b.i2, Op(b.o1), Op(b.o2)) for b in decoded.blocks),
+            num_ops=cfg.num_ops,
+        )
+        for _ in range(2):  # before and after built computes its digits
+            assert decoded == built
+            assert hash(decoded) == hash(built)
+            assert repr(decoded) == repr(built)
+            assert asdict(decoded) == asdict(built)
+            assert cell_digits(built) == cell_digits(decoded) == tuple(digits)
 
 
 def test_random_cell_input_choice_is_uniform():
@@ -285,4 +304,4 @@ def test_cell_digits_are_mixed_radix_coordinates():
     cfg = SpaceConfig(num_blocks=2, num_ops=3)
     cell = cell_from_text("-2,-1,SEP3,IDENT".replace("IDENT", "SEP7") + "|1,-1,SEP5,SEP7", cfg)
     # digits per block: (i1, i2, o1, o2) with input digit -2 -> 0, -1 -> 1, k -> k+1
-    assert cell_digits(cell) == [0, 1, 0, 2, 2, 1, 1, 2]
+    assert cell_digits(cell) == (0, 1, 0, 2, 2, 1, 1, 2)

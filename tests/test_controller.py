@@ -301,6 +301,30 @@ def test_apply_mutation_rejects_type_confusion():
         apply_mutation(cell, input_on_op)
 
 
+@pytest.mark.parametrize(
+    "target, replacement",
+    [(MutTarget.I1, 1), (MutTarget.I2, 0), (MutTarget.I1, -3), (MutTarget.O2, Op.AVG3)],
+)
+def test_apply_mutation_rejects_a_replacement_outside_its_legal_set(target, replacement):
+    # block 1 reads only the two previous cells; 3 ops leave AVG3 out
+    cell = CellSpec(
+        (BlockSpec(CELL_PREV2, CELL_PREV1, Op.SEP3, Op.SEP5),), num_ops=3
+    )
+    trace = MutationTrace(
+        (
+            MutationAction(
+                block=1, target=target, replacement=replacement,
+                router_logprob=-1.0, replace_logprob=-1.0,
+                router_entropy=1.0, replace_entropy=1.0,
+            ),
+        ),
+        -2.0,
+        2.0,
+    )
+    with pytest.raises(ValueError, match="block 1"):
+        apply_mutation(cell, trace)
+
+
 def test_trace_logprob_validates_the_trace():
     cfg, params, rng = _tiny_controller(blocks=2, ops=3)
     cell = random_cell(cfg, rng)

@@ -147,7 +147,8 @@ def test_evaluate_noiseless_is_exact_product():
     oracle = _FixedOracle(0.8, MaturityModel(sigma=0.0))
     cell = _some_cell()
     rng = np.random.default_rng(2)
-    got = oracle.evaluate(cell, 0.3, rng)
+    got, true = oracle.evaluate(cell, 0.3, rng)
+    assert true == 0.8
     assert got == 0.8 * (1.0 - math.exp(-1.0))
 
 
@@ -163,7 +164,7 @@ def test_evaluate_noise_consumes_exactly_one_draw():
     oracle = _FixedOracle(0.6)
     cell = _some_cell()
     rng = np.random.default_rng(4)
-    got = oracle.evaluate(cell, 0.7, rng)
+    got, _ = oracle.evaluate(cell, 0.7, rng)
     ref_rng = np.random.default_rng(4)
     expected = 0.6 * oracle.maturity.factor(0.7) + 0.01 * ref_rng.standard_normal()
     assert got == min(max(expected, 0.0), 0.999)
@@ -173,14 +174,14 @@ def test_evaluate_noise_consumes_exactly_one_draw():
 
 def test_evaluate_clamps_to_observed_ceiling():
     oracle = _FixedOracle(2.0, MaturityModel(sigma=0.0))
-    assert oracle.evaluate(_some_cell(), 1.0, np.random.default_rng(5)) == 0.999
+    assert oracle.evaluate(_some_cell(), 1.0, np.random.default_rng(5)) == (0.999, 2.0)
 
 
 def test_evaluate_clamps_negative_noise_to_zero():
     oracle = _FixedOracle(0.0, MaturityModel(sigma=1.0))
     cell = _some_cell()
     rng = np.random.default_rng(6)
-    draws = [oracle.evaluate(cell, 1.0, rng) for _ in range(64)]
+    draws = [oracle.evaluate(cell, 1.0, rng)[0] for _ in range(64)]
     assert all(d >= 0.0 for d in draws)
     assert any(d == 0.0 for d in draws)
     assert any(d > 0.0 for d in draws)

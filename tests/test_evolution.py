@@ -1,5 +1,7 @@
 """Tournament loop: selection, replacement, training hooks, reproducibility."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -28,12 +30,13 @@ def _oracle(sigma=0.01, seed=7):
     return build_tabular(CFG, seed=seed, maturity=MaturityModel(sigma=sigma))
 
 
-def _ind(fitness, id, cell=None, maturity=0.1):
+def _ind(fitness, id, cell=None, maturity=0.1, true_fitness=0.5):
     if cell is None:
         cell = random_cell(CFG, np.random.default_rng(id))
     return Individual(
         cell=cell,
         fitness=fitness,
+        true_fitness=true_fitness,
         maturity=maturity,
         id=id,
         parent_id=None,
@@ -71,7 +74,29 @@ def test_initialize_reproduces_fitness_from_streams():
     for ind in pop.members:
         cell = random_cell(CFG, cell_rng)
         assert cell == ind.cell
-        assert oracle.evaluate(cell, 0.1, fit_rng) == ind.fitness
+        assert oracle.evaluate(cell, 0.1, fit_rng) == (ind.fitness, ind.true_fitness)
+
+
+def test_selection_never_reads_the_carried_true_fitness():
+    oracle = _oracle()
+    pops = [
+        initialize(CFG, oracle, 12, np.random.default_rng(1), np.random.default_rng(2))
+        for _ in range(2)
+    ]
+    seeing, blind = pops
+    streams = [(np.random.default_rng(3), np.random.default_rng(4)) for _ in pops]
+    for step in range(1, 11):
+        blind.members = [replace(ind, true_fitness=float("nan")) for ind in blind.members]
+        records = [
+            evolution_step(
+                pop, RandomMutationPolicy(CFG, policy_rng), None, oracle, 5,
+                tournament_rng, np.random.default_rng(step), step=step,
+            )
+            for pop, (policy_rng, tournament_rng) in zip(pops, streams)
+        ]
+        picked = [(r.sampled_ids, r.parent_id, r.removed_id) for r in records]
+        assert picked[0] == picked[1]
+        assert [m.id for m in seeing.members] == [m.id for m in blind.members]
 
 
 def test_initialize_rejects_empty_population():

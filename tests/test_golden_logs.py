@@ -1,0 +1,50 @@
+"""Golden run logs: the bytes of fixed runs on the paper's 5-block/6-op space.
+
+A speed-up must leave every trajectory bit-identical (a run log replays
+only if it does), and tests that compare a run with itself cannot see a
+change that moves every run alike. These digests pin ea_random and random
+runs on the landscape oracle (seed 7, pop 100, sample 25, budget 300, run
+seeds 0 and 1), the code paths that need no BLAS. The digests were taken
+at commit b578729; a change that moves them changes what a seed means and
+must say so.
+"""
+
+import hashlib
+from dataclasses import replace
+
+import pytest
+
+from evocell.arch_space import SpaceConfig
+from evocell.harness import StrategyConfig, make_oracle, resolve_target, run_strategy, write_jsonl
+
+GOLDEN_SHA256 = {
+    ("ea_random", 0): "7a322e098cdbfe886121ff39114465967739453ab91a0d37d8700f9c0600c531",
+    ("ea_random", 1): "a4d7f896106c8054a79f0954d9dab54255c283ca65ac6597d6efebdfb07e2074",
+    ("random", 0): "5410548ced3743ecb3ece2f5817f6a893aa389746682b759ff31aa84b65c999c",
+    ("random", 1): "d4a5388b06b8250af9498b65bf610020f5d7bc42db7715866d1a963818c063f4",
+}
+
+
+@pytest.fixture(scope="module")
+def landscape():
+    cfg = StrategyConfig(
+        space=SpaceConfig(num_blocks=5, num_ops=6),
+        oracle_kind="landscape",
+        oracle_seed=7,
+        pop_size=100,
+        sample_size=25,
+        budget=300,
+    )
+    oracle = make_oracle(cfg)
+    target, _ = resolve_target(oracle)
+    return cfg, oracle, target
+
+
+@pytest.mark.parametrize("strategy, seed", sorted(GOLDEN_SHA256))
+def test_log_bytes_match_golden_digest(landscape, strategy, seed, tmp_path):
+    cfg, oracle, target = landscape
+    _, log = run_strategy(replace(cfg, strategy=strategy), seed, oracle, target)
+    path = tmp_path / f"trace_{strategy}_{seed}.jsonl"
+    write_jsonl(str(path), log)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_SHA256[(strategy, seed)]

@@ -25,6 +25,7 @@ from evocell.cli import (
     parse_seeds,
 )
 from evocell.evaluators import LandscapeOracle, build_tabular, save_oracle, load_oracle
+from evocell.evolution import RandomMutationPolicy, rng_streams, run as run_evolution
 from evocell.harness import (
     PILOT_SAMPLES,
     POPULATION_STRATEGIES,
@@ -32,8 +33,10 @@ from evocell.harness import (
     TARGET_FRACTION,
     ConfigError,
     ConstructionPolicy,
+    ReplayDiverged,
     StrategyConfig,
     _evals_to_target,
+    _population_trajectories,
     compare,
     config_from_header,
     header_record,
@@ -280,6 +283,76 @@ def test_population_summary_trajectories():
     )
 
 
+def _reference_trajectories(result, oracle):
+    """The per-step rebuild that _population_trajectories replaced: true
+    fitness asked of the oracle again, the live set kept as a dict."""
+    history = result.population.history
+    true_vals = [oracle.true_fitness(ind.cell) for ind in history]
+    by_id = {ind.id: t for ind, t in zip(history, true_vals)}
+    live = {}
+    pop_mean, pop_var = [], []
+    steps = iter(result.records)
+    for i, ind in enumerate(history):
+        if i < result.population.capacity:
+            live[ind.id] = true_vals[i]
+        else:
+            record = next(steps)
+            del live[record.removed_id]
+            live[record.child_id] = by_id[record.child_id]
+        vals = np.fromiter(live.values(), dtype=np.float64)
+        pop_mean.append(float(vals.mean()))
+        pop_var.append(float(vals.var()))
+    return true_vals, pop_mean, pop_var
+
+
+@pytest.mark.parametrize(
+    "blocks, ops, kind, pop, sample, budget",
+    [(5, 6, "landscape", 100, 25, 400), (3, 4, "tabular", 20, 5, 300)],
+)
+def test_population_trajectories_equal_per_step_reference(
+    blocks, ops, kind, pop, sample, budget
+):
+    cfg = _cfg(
+        "ea_random",
+        space=SpaceConfig(num_blocks=blocks, num_ops=ops),
+        oracle_kind=kind,
+        pop_size=pop,
+        sample_size=sample,
+        budget=budget,
+    )
+    oracle = make_oracle(cfg)
+    streams = rng_streams(4)  # the streams run_strategy draws from for seed 4
+    result = run_evolution(
+        cfg.space,
+        oracle,
+        RandomMutationPolicy(cfg.space, streams["policy"]),
+        None,
+        budget=budget - pop,
+        pop_size=pop,
+        sample_size=sample,
+        rng=streams["init"],
+        tournament_rng=streams["tournament"],
+        eval_rng=streams["eval"],
+    )
+    trajectories = _population_trajectories(result)
+    assert trajectories == _reference_trajectories(result, oracle)  # bit for bit
+    summary, _ = run_strategy(cfg, seed=4, oracle=oracle, target=1.0)
+    assert (summary.true_per_eval, summary.pop_mean, summary.pop_var) == trajectories
+
+
+@pytest.mark.parametrize("strategy", ["ea_random", "random"])
+def test_each_evaluation_reads_true_fitness_once(strategy):
+    cfg = _cfg(strategy, oracle_kind="landscape", budget=60, pop_size=10, sample_size=4)
+    oracle = make_oracle(cfg)
+    target, _ = resolve_target(oracle)
+    true_fitness = oracle.true_fitness
+    seen = []
+    oracle.true_fitness = lambda cell: seen.append(cell) or true_fitness(cell)
+    summary, _ = run_strategy(cfg, seed=0, oracle=oracle, target=target)
+    assert len(seen) == cfg.budget
+    assert summary.true_per_eval == [true_fitness(cell) for cell in seen]
+
+
 def test_random_summary_matches_exact_order_statistics():
     # for uniform sampling the distribution of the best-of-n true fitness is
     # known in closed form from the table; the empirical mean over seeds must
@@ -447,6 +520,61 @@ def test_replay_detects_tampered_log(comparison, tmp_path):
     write_jsonl(str(tampered), records)
     with pytest.raises(RuntimeError):
         replay(str(tampered))
+
+
+def _logged(strategy, tmp_path, **kwargs):
+    cfg = _cfg(strategy, **kwargs)
+    _, log = run_strategy(cfg, seed=0, oracle=make_oracle(cfg))
+    return log, str(tmp_path / f"trace_{strategy}_0.jsonl")
+
+
+def test_replay_rejects_an_eval_record_with_a_bad_cell(tmp_path):
+    log, path = _logged("random", tmp_path, budget=5)
+    log[3]["cell"] = "garbage"
+    write_jsonl(path, log)
+    with pytest.raises(ConfigError, match="record 4"):
+        replay(path)
+
+
+def test_replay_rejects_a_step_record_without_its_trace(tmp_path):
+    log, path = _logged("ea_random", tmp_path)
+    step = next(r for r in log if r["kind"] == "step")
+    del step["trace"]
+    write_jsonl(path, log)
+    with pytest.raises(ConfigError, match=f"record {log.index(step) + 1}"):
+        replay(path)
+
+
+def test_replay_rejects_a_log_that_is_only_a_header(tmp_path):
+    log, path = _logged("random", tmp_path, budget=5)
+    write_jsonl(path, log[:1])
+    with pytest.raises(ConfigError, match="0 eval records"):
+        replay(path)
+
+
+def test_replay_rejects_a_log_without_its_init_records(tmp_path):
+    log, path = _logged("ea_random", tmp_path)
+    write_jsonl(path, [r for r in log if r["kind"] != "init"])
+    with pytest.raises(ConfigError, match="0 init records"):
+        replay(path)
+
+
+@pytest.mark.parametrize("key", ["child_fitness", "child_maturity"])
+def test_replay_rejects_an_edited_child(key, tmp_path):
+    log, path = _logged("ea_random", tmp_path)
+    step = [r for r in log if r["kind"] == "step"][5]
+    step[key] = math.nextafter(step[key], 1.0)  # one bit up
+    write_jsonl(path, log)
+    with pytest.raises(ReplayDiverged, match=f"step {step['step']}"):
+        replay(path)
+
+
+def test_cli_replay_of_an_edited_log_exits_2(tmp_path, capsys):
+    log, path = _logged("ea_random", tmp_path)
+    next(r for r in log if r["kind"] == "step")["parent_id"] += 1
+    write_jsonl(path, log)
+    assert main(["replay", path]) == 2
+    assert capsys.readouterr().err.startswith("error: replay diverged")
 
 
 def test_replay_rejects_bad_header(tmp_path):
