@@ -8,14 +8,14 @@ head scores every legal replacement candidate, each represented by an
 encoder state: earlier blocks by the state of their combiner token, and the
 two previous-cell inputs by learned begin vectors. If an op field was
 chosen, a third head produces logits over the active op subset. Every
-softmax is squashed (shape_logits), so no decision can become deterministic.
+softmax is squashed (shape_logits_np), so no decision can become
+deterministic.
 
-Sampling and training run on the numpy engine: encode_forward caches one
-encoder pass, sample_mutation (or sample_mutation_batch, for many parents)
-samples from it, and trace_grads backpropagates through the same cache by
-hand-derived BPTT. The tape walk trace_logprob is the reference those are
-checked against (gradcheck and the equivalence tests); it is not on the
-training path.
+Everything runs on the numpy engine: encode_forward caches one encoder
+pass, sample_mutation (or sample_mutation_batch, for many parents) samples
+from it, trace_logprob re-scores a recorded trace forward only, and
+trace_grads backpropagates through the same cache by hand-derived BPTT.
+Central differences of trace_logprob check trace_grads.
 """
 
 from __future__ import annotations
@@ -44,17 +44,12 @@ from .nn_core import (
     ParamLayout,
     ParamViews,
     Tensor,
-    concat,
-    entropy_from_logp,
     entropy_from_logp_np,
-    log_softmax,
     lstm_backward_np,
     lstm_entries,
-    lstm_forward,
     lstm_forward_np,
     lstm_spec,
     sample_index_np,
-    shape_logits,
     squashed_logp_grad_np,
     squashed_logp_np,
 )
@@ -203,24 +198,6 @@ def init_controller(
     return _controller_over(layout.draw(rng), layout, cfg.num_blocks, cfg.num_ops)
 
 
-def unidirectional_variant(
-    params: ControllerParams, rng: np.random.Generator
-) -> ControllerParams:
-    """Forward-only ablation of the encoder, heads re-dimensioned to width H.
-
-    Head shapes change, so this is a fresh initialization at the same sizes,
-    not a weight transplant.
-    """
-    cfg = SpaceConfig(num_blocks=params.num_blocks, num_ops=params.num_ops)
-    return init_controller(
-        cfg,
-        rng,
-        embed_size=params.embed_size,
-        hidden_size=params.hidden_size,
-        bidirectional=False,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Candidate bookkeeping shared by every walk.
 #
@@ -280,74 +257,6 @@ def _replacement_index(params: ControllerParams, b: int, action: MutationAction)
 
 
 # ---------------------------------------------------------------------------
-# Differentiable walk: the tape reference for gradcheck and the engine tests
-# ---------------------------------------------------------------------------
-
-
-def encode_cell(
-    params: ControllerParams, cell: CellSpec
-) -> Tuple[List[Tensor], Tuple[Tensor, Tensor]]:
-    """Per-token encoder states plus the learned begin-state pair.
-
-    State t corresponds to token t of encode_tokens(cell); block b's fields
-    sit at positions 5(b-1)..5(b-1)+3 and its combiner at 5(b-1)+4.
-    """
-    ids = encode_tokens(cell)
-    X = params.embedding.rows(ids)
-    steps = [X.row(t) for t in range(len(ids))]
-    if params.bwd is None:
-        states = lstm_forward(params.fwd, steps)
-    else:
-        states = nn_core.bidir_encode(params.fwd, params.bwd, steps)
-    return states, (params.begin_prev1, params.begin_prev2)
-
-
-def trace_logprob(
-    params: ControllerParams, cell: CellSpec, trace: MutationTrace
-) -> Tuple[Tensor, Tensor]:
-    """Recompute a trace's (total log-prob, total entropy), differentiably.
-
-    Raises ValueError if the trace does not fit the cell (wrong block count,
-    a replacement outside the legal candidate set, or an op outside the
-    active subset).
-    """
-    _check_trace(cell, trace)
-    states, (begin1, begin2) = encode_cell(params, cell)
-    total_lp: Optional[Tensor] = None
-    total_h: Optional[Tensor] = None
-    for b, action in enumerate(trace.actions, start=1):
-        idx = _replacement_index(params, b, action)
-        base = 5 * (b - 1)
-        field_states = [states[base + j] for j in range(4)]
-        scores = concat(
-            [s @ params.w_router + params.b_router for s in field_states], axis=1
-        )
-        router_logp = log_softmax(shape_logits(scores))
-        lp = router_logp.pick(0, int(action.target))
-        ent = entropy_from_logp(router_logp)
-        state_id = field_states[int(action.target)]
-        if action.target in (MutTarget.I1, MutTarget.I2):
-            cand_states = [states[5 * (k - 1) + 4] for k in range(1, b)]
-            cand_states += [begin1, begin2]
-            pair_scores = concat(
-                [
-                    concat([state_id, cand], axis=1) @ params.w_input + params.b_input
-                    for cand in cand_states
-                ],
-                axis=1,
-            )
-            repl_logp = log_softmax(shape_logits(pair_scores))
-        else:
-            op_scores = state_id @ params.w_op + params.b_op
-            repl_logp = log_softmax(shape_logits(op_scores))
-        lp = lp + repl_logp.pick(0, idx)
-        ent = ent + entropy_from_logp(repl_logp)
-        total_lp = lp if total_lp is None else total_lp + lp
-        total_h = ent if total_h is None else total_h + ent
-    return total_lp, total_h
-
-
-# ---------------------------------------------------------------------------
 # numpy engine: one cached encoder forward, the samplers that read it, and
 # the hand-derived backward that reuses it
 # ---------------------------------------------------------------------------
@@ -381,13 +290,12 @@ def _encode_ids(
 
 
 def encode_forward(params: ControllerParams, cell: CellSpec) -> EncoderForward:
+    """One encoder pass over cell. State t belongs to token t of
+    encode_tokens(cell): block b's fields sit at 5(b-1)..5(b-1)+3 and its
+    combiner at 5(b-1)+4."""
     ids = np.asarray(encode_tokens(cell), dtype=np.intp)
     fwd, bwd, states = _encode_ids(params, ids[None])
     return EncoderForward(cell, ids, fwd, bwd, states[0])
-
-
-def _encode_np(params: ControllerParams, cell: CellSpec) -> np.ndarray:
-    return encode_forward(params, cell).states
 
 
 # Head scores. Each takes one parent's states (T, W) or a batch's (N, T, W).
@@ -420,47 +328,42 @@ def _op_raw(params: ControllerParams, state_id: np.ndarray) -> np.ndarray:
     return state_id @ params.w_op.data + params.b_op.data[0]
 
 
-def sample_mutation(
+def _walk(
     params: ControllerParams,
-    cell: CellSpec,
-    rng: np.random.Generator,
-    forward: Optional[EncoderForward] = None,
+    states: np.ndarray,
+    num_blocks: int,
+    rng: Optional[np.random.Generator],
+    forced: Sequence[Tuple[int, int]] = (),
 ) -> MutationTrace:
-    """Sample one mutation per block from the current policy.
-
-    Consumes exactly two uniforms per block (router, replacement), in block
-    order. The recorded log-probs match trace_logprob's recomputation. A
-    caller that will train on the sample passes the encoder pass it keeps
-    (encode_forward under the current parameters); otherwise one is run.
-    """
-    if forward is None or forward.cell != cell:
-        forward = encode_forward(params, cell)
-    states = forward.states
+    """Score one parent's blocks in order: each block's router, then the
+    head of the field it picks. Each choice is sampled from rng, or, without
+    one, read from forced as a (target, replacement index) pair per block;
+    the totals are summed in this order either way."""
     actions: List[MutationAction] = []
     total_lp = 0.0
     total_h = 0.0
-    for b in range(1, cell.num_blocks + 1):
+    for b in range(1, num_blocks + 1):
         router_logp = squashed_logp_np(_router_raw(params, states, b))
-        t_idx = sample_index_np(router_logp, rng)
+        t_idx = forced[b - 1][0] if rng is None else sample_index_np(router_logp, rng)
         router_lp = float(router_logp[t_idx])
         router_h = float(entropy_from_logp_np(router_logp))
         state_id = states[5 * (b - 1) + t_idx]
-        target = MutTarget(t_idx)
-        if target in (MutTarget.I1, MutTarget.I2):
+        is_input = t_idx < 2  # MutTarget.I1 or I2
+        if is_input:
             cands = _input_candidates(params, states, b)
             repl_logp = squashed_logp_np(_input_raw(params, state_id, cands))
-            r_idx = sample_index_np(repl_logp, rng)
-            replacement: Replacement = input_candidate_refs(b)[r_idx]
         else:
             repl_logp = squashed_logp_np(_op_raw(params, state_id))
-            r_idx = sample_index_np(repl_logp, rng)
-            replacement = Op(r_idx)
+        r_idx = forced[b - 1][1] if rng is None else sample_index_np(repl_logp, rng)
+        replacement: Replacement = (
+            input_candidate_refs(b)[r_idx] if is_input else Op(r_idx)
+        )
         repl_lp = float(repl_logp[r_idx])
         repl_h = float(entropy_from_logp_np(repl_logp))
         actions.append(
             MutationAction(
                 block=b,
-                target=target,
+                target=MutTarget(t_idx),
                 replacement=replacement,
                 router_logprob=router_lp,
                 replace_logprob=repl_lp,
@@ -473,6 +376,44 @@ def sample_mutation(
     return MutationTrace(tuple(actions), total_lp, total_h)
 
 
+def sample_mutation(
+    params: ControllerParams,
+    cell: CellSpec,
+    rng: np.random.Generator,
+    forward: Optional[EncoderForward] = None,
+) -> MutationTrace:
+    """Sample one mutation per block from the current policy.
+
+    Consumes exactly two uniforms per block (router, replacement), in block
+    order. trace_logprob recomputes the recorded totals bit for bit. A
+    caller that will train on the sample passes the encoder pass it keeps
+    (encode_forward under the current parameters); otherwise one is run.
+    """
+    if forward is None or forward.cell != cell:
+        forward = encode_forward(params, cell)
+    return _walk(params, forward.states, cell.num_blocks, rng)
+
+
+def trace_logprob(
+    params: ControllerParams, cell: CellSpec, trace: MutationTrace
+) -> Tuple[float, float]:
+    """A trace's (total log-prob, total entropy) under the current
+    parameters, recomputed forward only, as sample_mutation sums them.
+
+    Raises ValueError if the trace does not fit the cell (wrong block count,
+    a replacement outside the legal candidate set, or an op outside the
+    active subset).
+    """
+    _check_trace(cell, trace)
+    forced = [
+        (int(action.target), _replacement_index(params, b, action))
+        for b, action in enumerate(trace.actions, start=1)
+    ]
+    states = encode_forward(params, cell).states
+    walk = _walk(params, states, cell.num_blocks, None, forced)
+    return walk.total_logprob, walk.total_entropy
+
+
 def trace_grads(
     params: ControllerParams,
     cell: CellSpec,
@@ -483,8 +424,9 @@ def trace_grads(
     parameters' layout, returned as its per-name views.
 
     Hand-derived BPTT through the heads (squash and log-softmax), both
-    encoder directions, the begin vectors and the embedding rows; it agrees
-    with trace_logprob's tape to rounding. `forward` is reused when it
+    encoder directions, the begin vectors and the embedding rows; criterion
+    3 checks it against central differences of trace_logprob. `forward` is
+    reused when it
     encodes `cell` (it must come from the current parameters); otherwise
     the encoder runs again. Validates the trace as trace_logprob does.
     """

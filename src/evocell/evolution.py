@@ -301,7 +301,6 @@ def run(
     rng: Optional[np.random.Generator] = None,
     tournament_rng: Optional[np.random.Generator] = None,
     eval_rng: Optional[np.random.Generator] = None,
-    retrain_final: bool = True,
 ) -> RunResult:
     """Initialize, run `budget` evolution steps, then re-evaluate finalists.
 
@@ -321,7 +320,7 @@ def run(
                 pop, policy, trainer, oracle, sample_size, tournament_rng, eval_rng, step
             )
         )
-    if retrain_final and budget > 0:
+    if budget > 0:
         pop.members = [
             replace(
                 ind,

@@ -48,11 +48,8 @@ from .nn_core import (
     ParamLayout,
     ParamViews,
     Tensor,
-    entropy_from_logp,
     entropy_from_logp_np,
-    log_softmax,
     sample_index_np,
-    shape_logits,
 )
 from .controller import init_controller, trace_from_dict, trace_to_dict
 from .evaluators import (
@@ -358,7 +355,7 @@ class ConstructionPolicy:
     def grads(self, cell: CellSpec) -> Tuple[float, ParamViews]:
         """Log-prob of emitting exactly this cell and its gradient (one flat
         vector in self.layout, as per-name views), by hand-derived BPTT;
-        logprob() is the tape reference.
+        criterion 3 checks it against central differences of logprob().
 
         The walk of the last sample() is reused once if it emitted this
         cell (the parameters must be unchanged since); otherwise the cell's
@@ -394,30 +391,11 @@ class ConstructionPolicy:
         grads["start"][...] = dX[0, :1]
         return walk.total_logprob, grads
 
-    def logprob(self, cell: CellSpec) -> Tuple[Tensor, Tensor]:
-        """Differentiable (log-prob, entropy) of emitting exactly this cell."""
-        digits = cell_digits(cell)
-        H = self.hidden_size
-        h = Tensor(np.zeros((1, H)))
-        c = Tensor(np.zeros((1, H)))
-        x = self.start
-        op_base = 2 + self.cfg.num_blocks
-        total_lp: Optional[Tensor] = None
-        total_h: Optional[Tensor] = None
-        for (kind, b), idx in zip(self._decision_plan(), digits):
-            h, c = nn_core.lstm_step(self.lstm, x, h, c)
-            if kind == "input":
-                raw = (h @ self.w_input + self.b_input).cols(0, b + 1)
-            else:
-                raw = h @ self.w_op + self.b_op
-            logp = log_softmax(shape_logits(raw))
-            lp = logp.pick(0, idx)
-            ent = entropy_from_logp(logp)
-            total_lp = lp if total_lp is None else total_lp + lp
-            total_h = ent if total_h is None else total_h + ent
-            token = idx if kind == "input" else op_base + idx
-            x = self.embedding.rows([token])
-        return total_lp, total_h
+    def logprob(self, cell: CellSpec) -> Tuple[float, float]:
+        """(log-prob, entropy) of emitting exactly this cell: the totals of
+        a walk teacher-forced on its choices, as sample() sums them."""
+        walk = self._walk(None, cell_digits(cell))
+        return walk.total_logprob, walk.total_entropy
 
 
 # ---------------------------------------------------------------------------

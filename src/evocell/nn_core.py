@@ -7,10 +7,11 @@ feeds), a hand-derived BPTT backward over the same cache
 Adam. A policy keeps all its parameters in one flat float64 buffer
 (ParamLayout names the views into it), so Adam, the gradient norm and
 checkpoints each run over one vector; a checkpoint is that buffer plus JSON
-metadata in one binary file. The 2-D tape autodiff (Tensor, lstm_forward,
-...) stays as the reference those are checked against, together with a
-central-difference checker (gradcheck, check_grads) that keeps every
-analytic gradient honest.
+metadata in one binary file. check_grads holds every analytic gradient to
+central differences of a forward-only loss.
+
+Parameters are held as Tensors: 2-D arrays that still carry a small tape
+autodiff (backward, gradcheck); no policy path runs it.
 """
 
 from __future__ import annotations
@@ -212,24 +213,6 @@ class Tensor:
                 node._backward_fn(node.grad)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
-    datas = [t.data for t in tensors]
-    out = Tensor(np.concatenate(datas, axis=axis), tuple(tensors))
-    sizes = [d.shape[axis] for d in datas]
-
-    def backward(g: np.ndarray) -> None:
-        offset = 0
-        for t, size in zip(tensors, sizes):
-            if axis == 1:
-                t.grad += g[:, offset : offset + size]
-            else:
-                t.grad += g[offset : offset + size, :]
-            offset += size
-
-    out._backward_fn = backward
-    return out
-
-
 def _topo_order(root: Tensor) -> List[Tensor]:
     """Iterative post-order DFS: parents precede children in the result."""
     order: List[Tensor] = []
@@ -251,22 +234,6 @@ def _topo_order(root: Tensor) -> List[Tensor]:
 
 
 # ---------------------------------------------------------------------------
-# Parameter initialization and linear layers
-# ---------------------------------------------------------------------------
-
-INIT_STD = 0.01
-
-
-def init_param(shape: Tuple[int, int], rng: np.random.Generator, std: float = INIT_STD) -> Tensor:
-    return Tensor(rng.normal(0.0, std, size=shape))
-
-
-def linear(W: Tensor, b: Tensor, x: Tensor) -> Tensor:
-    """y = x @ W + b with W of shape (in, out) and b of shape (1, out)."""
-    return x @ W + b
-
-
-# ---------------------------------------------------------------------------
 # LSTM: gates ordered [input, forget, candidate, output] along the last axis.
 # ---------------------------------------------------------------------------
 
@@ -282,23 +249,13 @@ class LSTMParams:
         return self.Wh.data.shape[0]
 
 
-def init_lstm(
-    input_size: int, hidden_size: int, rng: np.random.Generator, std: float = INIT_STD
-) -> LSTMParams:
-    return LSTMParams(
-        Wx=init_param((input_size, 4 * hidden_size), rng, std),
-        Wh=init_param((hidden_size, 4 * hidden_size), rng, std),
-        b=init_param((1, 4 * hidden_size), rng, std),
-    )
-
-
 LSTM_FIELDS = ("Wx", "Wh", "b")
 
 
 def lstm_spec(
     prefix: str, input_size: int, hidden_size: int
 ) -> List[Tuple[str, Tuple[int, int]]]:
-    """Layout entries of one LSTM's weights, in init_lstm's draw order."""
+    """Layout entries of one LSTM's weights: Wx, Wh, b, in that order."""
     H4 = 4 * hidden_size
     shapes = ((input_size, H4), (hidden_size, H4), (1, H4))
     return [(f"{prefix}.{k}", shape) for k, shape in zip(LSTM_FIELDS, shapes)]
@@ -309,51 +266,6 @@ def lstm_entries(named: Mapping[str, object], prefix: str) -> tuple:
     return tuple(named[f"{prefix}.{k}"] for k in LSTM_FIELDS)
 
 
-def lstm_step(
-    params: LSTMParams, x: Tensor, h: Tensor, c: Tensor
-) -> Tuple[Tensor, Tensor]:
-    H = params.hidden_size
-    z = x @ params.Wx + h @ params.Wh + params.b
-    i = z.cols(0, H).sigmoid()
-    f = z.cols(H, 2 * H).sigmoid()
-    g = z.cols(2 * H, 3 * H).tanh()
-    o = z.cols(3 * H, 4 * H).sigmoid()
-    c_new = f * c + i * g
-    h_new = o * c_new.tanh()
-    return h_new, c_new
-
-
-def lstm_forward(
-    params: LSTMParams,
-    inputs: Sequence[Tensor],
-    h0: Optional[Tensor] = None,
-    c0: Optional[Tensor] = None,
-) -> List[Tensor]:
-    """Run the cell over a sequence of (1, input_size) tensors.
-
-    Initial states default to zeros; callers that learn begin states pass
-    them in explicitly.
-    """
-    H = params.hidden_size
-    h = h0 if h0 is not None else Tensor(np.zeros((1, H)))
-    c = c0 if c0 is not None else Tensor(np.zeros((1, H)))
-    states = []
-    for x in inputs:
-        h, c = lstm_step(params, x, h, c)
-        states.append(h)
-    return states
-
-
-def bidir_encode(
-    fwd: LSTMParams, bwd: LSTMParams, inputs: Sequence[Tensor]
-) -> List[Tensor]:
-    """Concatenate forward and reversed-backward states per position."""
-    hs_f = lstm_forward(fwd, inputs)
-    hs_b = lstm_forward(bwd, list(reversed(inputs)))
-    hs_b = list(reversed(hs_b))
-    return [concat([hf, hb], axis=1) for hf, hb in zip(hs_f, hs_b)]
-
-
 # ---------------------------------------------------------------------------
 # Softmax machinery. Logits are squashed to [-2.5, 2.5] before every softmax
 # so no single choice can collapse the distribution (max/min probability
@@ -361,21 +273,8 @@ def bidir_encode(
 # ---------------------------------------------------------------------------
 
 
-def shape_logits(raw: Tensor) -> Tensor:
-    return (raw / 5.0).tanh() * 2.5
-
-
 def shape_logits_np(raw: np.ndarray) -> np.ndarray:
     return 2.5 * np.tanh(raw / 5.0)
-
-
-def log_softmax(logits: Tensor) -> Tensor:
-    # the max-shift constant is treated as a constant; the softmax gradient
-    # is unchanged by it
-    c = float(logits.data.max())
-    shifted = logits - c
-    lse = shifted.exp().sum().log() + c
-    return logits - lse
 
 
 def log_softmax_np(logits: np.ndarray) -> np.ndarray:
@@ -383,10 +282,6 @@ def log_softmax_np(logits: np.ndarray) -> np.ndarray:
     shifted = logits - c
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True)) + c
     return logits - lse
-
-
-def entropy_from_logp(logp: Tensor) -> Tensor:
-    return -(logp.exp() * logp).sum()
 
 
 def entropy_from_logp_np(logp: np.ndarray) -> np.ndarray:
@@ -400,17 +295,6 @@ def sample_index_np(logp: np.ndarray, rng: np.random.Generator) -> int:
     u = rng.random()
     idx = int(np.searchsorted(cum, u, side="right"))
     return min(idx, p.size - 1)
-
-
-def softmax_sample(
-    logits: Tensor, rng: np.random.Generator
-) -> Tuple[int, Tensor, Tensor]:
-    """Sample an index; return (index, log-prob node, entropy node)."""
-    if not np.all(np.isfinite(logits.data)):
-        raise ValueError("non-finite logits")
-    logp = log_softmax(logits)
-    idx = sample_index_np(logp.data, rng)
-    return idx, logp.pick(0, idx), entropy_from_logp(logp)
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +415,9 @@ def check_grads(
 # ---------------------------------------------------------------------------
 
 
+INIT_STD = 0.01  # every parameter is drawn N(0, INIT_STD^2)
+
+
 class ParamLayout:
     """Named 2-D parameters packed in order, without gaps, into one flat
     float64 buffer; the one place their offsets are computed."""
@@ -561,8 +448,8 @@ class ParamLayout:
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """A fresh buffer drawn N(0, INIT_STD^2) in one call: the same
-        values, and the same rng state after, as init_param on each
-        parameter in layout order."""
+        values, and the same rng state after, as one draw per parameter in
+        layout order."""
         return rng.normal(0.0, INIT_STD, size=self.size)
 
     def tensors(self, flat: np.ndarray) -> Dict[str, Tensor]:
@@ -694,8 +581,7 @@ def load_params(path: str) -> Tuple[dict, ParamLayout, np.ndarray]:
 
 # ---------------------------------------------------------------------------
 # numpy engine (no tape): one cached LSTM forward that sampling runs, and one
-# hand-derived BPTT backward that training runs on the same cache. The tape
-# above is the reference both are checked against.
+# hand-derived BPTT backward that training runs on the same cache.
 # ---------------------------------------------------------------------------
 
 
@@ -833,7 +719,7 @@ def lstm_backward_np(
 
 
 def squashed_logp_np(raw: np.ndarray) -> np.ndarray:
-    """Log-probabilities of shape_logits(raw), as the tape computes them."""
+    """Log-probabilities of the squashed logits shape_logits_np(raw)."""
     return log_softmax_np(shape_logits_np(raw))
 
 

@@ -27,11 +27,12 @@ from evocell.arch_space import (
 )
 from evocell.controller import (
     MutTarget,
-    _encode_np,
     apply_mutation,
+    encode_forward,
     init_controller,
     sample_mutation,
     sample_mutation_batch,
+    trace_grads,
     trace_logprob,
 )
 from evocell.evaluators import MaturityModel, build_tabular
@@ -50,7 +51,7 @@ from evocell.harness import (
     run_strategy,
     write_jsonl,
 )
-from evocell.nn_core import gradcheck, log_softmax_np, shape_logits_np
+from evocell.nn_core import check_grads, log_softmax_np, shape_logits_np
 from evocell.reinforce import (
     ReinforceTrainer,
     RewardConfig,
@@ -139,6 +140,8 @@ def test_criterion_2_reward_shaping(capsys):
 
 
 def test_criterion_3_gradient_correctness(capsys):
+    # the backward each policy trains with, against central differences of
+    # its forward-only log-prob
     t0 = time.perf_counter()
     cfg = SpaceConfig(num_blocks=2, num_ops=3)
     worst_trace = 0.0
@@ -153,8 +156,9 @@ def test_criterion_3_gradient_correctness(capsys):
         )
         cell = random_cell(cfg, rng)
         trace = sample_mutation(params, cell, rng)
-        err = gradcheck(
-            lambda: trace_logprob(params, cell, trace)[0], params.named_params()
+        _, grads = trace_grads(params, cell, trace)
+        err = check_grads(
+            lambda: trace_logprob(params, cell, trace)[0], grads, params.named_params()
         )
         worst_trace = max(worst_trace, err)
     worst_construct = 0.0
@@ -162,7 +166,8 @@ def test_criterion_3_gradient_correctness(capsys):
         rng = np.random.default_rng(400 + draw)
         policy = ConstructionPolicy(cfg, rng, embed_size=4, hidden_size=4)
         cell, _, _ = policy.sample(rng)
-        err = gradcheck(lambda: policy.logprob(cell)[0], policy.named_params())
+        _, grads = policy.grads(cell)
+        err = check_grads(lambda: policy.logprob(cell)[0], grads, policy.named_params())
         worst_construct = max(worst_construct, err)
     elapsed = time.perf_counter() - t0
     ok = worst_trace < 1e-4 and worst_construct < 1e-4 and elapsed < 60.0
@@ -170,8 +175,9 @@ def test_criterion_3_gradient_correctness(capsys):
         capsys,
         3,
         ok,
-        f"max rel-err over 20 draws each: mutation-trace logprob {worst_trace:.2e}, "
-        f"construction logprob {worst_construct:.2e} (<1e-4); {elapsed:.1f}s (<60s)",
+        f"max rel-err over 20 draws each: trace_grads {worst_trace:.2e}, "
+        f"ConstructionPolicy.grads {worst_construct:.2e} (<1e-4); "
+        f"{elapsed:.1f}s (<60s)",
     )
 
 
@@ -282,7 +288,7 @@ def test_criterion_5_evolution_contracts(capsys):
 
 def _rewarded_action_prob(params, cell) -> float:
     """P(router picks the first-block o1 slot) * P(op head picks SEP5)."""
-    states = _encode_np(params, cell)
+    states = encode_forward(params, cell).states
     w_r = params.w_router.data[:, 0]
     b_r = params.b_router.data[0, 0]
     router_logp = log_softmax_np(

@@ -23,7 +23,7 @@ from evocell.controller import (
     MutationTrace,
     MutTarget,
     apply_mutation,
-    encode_cell,
+    encode_forward,
     init_controller,
     input_candidate_refs,
     load_controller,
@@ -31,11 +31,11 @@ from evocell.controller import (
     sample_mutation_batch,
     save_controller,
     trace_from_dict,
+    trace_grads,
     trace_logprob,
     trace_to_dict,
-    unidirectional_variant,
 )
-from evocell.nn_core import Tensor, gradcheck
+from evocell.nn_core import check_grads
 
 TINY = dict(embed_size=4, hidden_size=4)
 
@@ -49,12 +49,11 @@ def _tiny_controller(blocks=2, ops=3, seed=0, bidirectional=True):
 def test_encoding_counts_per_block():
     cfg, params, rng = _tiny_controller(blocks=1)
     cell = random_cell(cfg, rng)
-    states, (b1, b2) = encode_cell(params, cell)
-    assert len(states) == 5
-    assert b1.data.shape == (1, 8) and b2.data.shape == (1, 8)  # width 2H
+    states = encode_forward(params, cell).states
+    assert states.shape == (5, 8)  # width 2H
+    assert params.begin_prev1.data.shape == params.begin_prev2.data.shape == (1, 8)
     cfg3, params3, rng3 = _tiny_controller(blocks=3)
-    states3, _ = encode_cell(params3, random_cell(cfg3, rng3))
-    assert len(states3) == 15
+    assert encode_forward(params3, random_cell(cfg3, rng3)).states.shape == (15, 8)
 
 
 def test_zero_parameters_give_zero_states():
@@ -62,9 +61,8 @@ def test_zero_parameters_give_zero_states():
     for _, tensor in params.named_params():
         tensor.data[:] = 0.0
     cell = random_cell(cfg, rng)
-    states, _ = encode_cell(params, cell)
-    for s in states:
-        assert np.array_equal(s.data, np.zeros_like(s.data))
+    states = encode_forward(params, cell).states
+    assert np.array_equal(states, np.zeros_like(states))
 
 
 def test_one_token_difference_perturbs_every_position():
@@ -83,11 +81,11 @@ def test_one_token_difference_perturbs_every_position():
         ),
         num_ops=3,
     )
-    sa, _ = encode_cell(params, a)
-    sb, _ = encode_cell(params, b)
+    sa = encode_forward(params, a).states
+    sb = encode_forward(params, b).states
     # a bidirectional encoder sees the whole sequence from every position
     for t in range(len(sa)):
-        assert not np.array_equal(sa[t].data, sb[t].data), f"position {t} unchanged"
+        assert not np.array_equal(sa[t], sb[t]), f"position {t} unchanged"
 
 
 def test_block_one_input_candidates_are_the_two_previous_cells():
@@ -166,9 +164,8 @@ def test_scalar_sampled_logprob_matches_differentiable_walk():
         params = init_controller(cfg, np.random.default_rng(seed), **TINY)
         cell = random_cell(cfg, rng)
         trace = sample_mutation(params, cell, rng)
-        lp, ent = trace_logprob(params, cell, trace)
-        assert abs(float(lp.data[0, 0]) - trace.total_logprob) < 1e-9
-        assert abs(float(ent.data[0, 0]) - trace.total_entropy) < 1e-9
+        lp, _ = trace_grads(params, cell, trace)
+        assert abs(lp - trace.total_logprob) < 1e-12
 
 
 def test_batched_sampler_matches_differentiable_walk():
@@ -177,9 +174,11 @@ def test_batched_sampler_matches_differentiable_walk():
     traces = sample_mutation_batch(params, cells, rng)
     assert len(traces) == 64
     for cell, trace in zip(cells, traces):
+        lp, _ = trace_grads(params, cell, trace)
+        assert abs(lp - trace.total_logprob) < 1e-12
         lp, ent = trace_logprob(params, cell, trace)
-        assert abs(float(lp.data[0, 0]) - trace.total_logprob) < 1e-9
-        assert abs(float(ent.data[0, 0]) - trace.total_entropy) < 1e-9
+        assert abs(lp - trace.total_logprob) < 1e-12
+        assert abs(ent - trace.total_entropy) < 1e-12
         assert validate(apply_mutation(cell, trace), cfg) is None
 
 
@@ -187,12 +186,11 @@ def test_trace_logprob_gradcheck_tiny():
     cfg, params, rng = _tiny_controller(blocks=2, ops=3, seed=2)
     cell = random_cell(cfg, rng)
     trace = sample_mutation(params, cell, rng)
-
-    def loss():
-        lp, _ = trace_logprob(params, cell, trace)
-        return lp
-
-    assert gradcheck(loss, params.named_params()) < 1e-4
+    _, grads = trace_grads(params, cell, trace)
+    err = check_grads(
+        lambda: trace_logprob(params, cell, trace)[0], grads, params.named_params()
+    )
+    assert err < 1e-4
 
 
 def test_entropy_bounded_by_uniform():
@@ -361,36 +359,40 @@ def test_trace_json_round_trip():
 
 
 class TestUnidirectional:
+    @staticmethod
+    def _uni():
+        cfg = SpaceConfig(num_blocks=2, num_ops=3)
+        uni = init_controller(
+            cfg, np.random.default_rng(99), bidirectional=False, **TINY
+        )
+        return cfg, uni, np.random.default_rng(5)
+
     def test_state_width_and_counts(self):
-        cfg, params, rng = _tiny_controller(blocks=2, ops=3, seed=5)
-        uni = unidirectional_variant(params, np.random.default_rng(99))
+        cfg, uni, rng = self._uni()
         assert uni.bwd is None
         cell = random_cell(cfg, rng)
-        states, (b1, b2) = encode_cell(uni, cell)
-        assert states[0].data.shape == (1, 4)  # width H, not 2H
-        assert b1.data.shape == (1, 4)
+        assert encode_forward(uni, cell).states.shape == (10, 4)  # width H, not 2H
+        assert uni.begin_prev1.data.shape == (1, 4)
+        assert uni.w_input.data.shape == (8, 1)
 
     def test_sampling_and_walk_agree(self):
-        cfg, params, rng = _tiny_controller(blocks=2, ops=3, seed=5)
-        uni = unidirectional_variant(params, np.random.default_rng(99))
+        cfg, uni, rng = self._uni()
         for _ in range(20):
             cell = random_cell(cfg, rng)
             trace = sample_mutation(uni, cell, rng)
-            lp, _ = trace_logprob(uni, cell, trace)
-            assert abs(float(lp.data[0, 0]) - trace.total_logprob) < 1e-9
+            lp, _ = trace_grads(uni, cell, trace)
+            assert abs(lp - trace.total_logprob) < 1e-12
             assert validate(apply_mutation(cell, trace), cfg) is None
 
     def test_gradcheck(self):
-        cfg, params, rng = _tiny_controller(blocks=2, ops=3, seed=5)
-        uni = unidirectional_variant(params, np.random.default_rng(99))
+        cfg, uni, rng = self._uni()
         cell = random_cell(cfg, rng)
         trace = sample_mutation(uni, cell, rng)
-
-        def loss():
-            lp, _ = trace_logprob(uni, cell, trace)
-            return lp
-
-        assert gradcheck(loss, uni.named_params()) < 1e-4
+        _, grads = trace_grads(uni, cell, trace)
+        err = check_grads(
+            lambda: trace_logprob(uni, cell, trace)[0], grads, uni.named_params()
+        )
+        assert err < 1e-4
 
 
 def test_controller_checkpoint_round_trip(tmp_path):

@@ -349,7 +349,7 @@ def test_random_policy_reaches_near_optimum_on_small_space():
             CFG, oracle, RandomMutationPolicy(CFG, streams["policy"]), None,
             budget=budget, pop_size=pop_size, sample_size=5,
             rng=streams["init"], tournament_rng=streams["tournament"],
-            eval_rng=streams["eval"], retrain_final=False,
+            eval_rng=streams["eval"],
         )
         hit = None
         for i, ind in enumerate(result.population.history, start=1):

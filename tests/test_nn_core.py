@@ -1,4 +1,5 @@
-"""Autodiff core: tensor ops, LSTM, softmax machinery, Adam, checkpoints."""
+"""nn_core: tape tensor ops, the numpy LSTM and its backward, softmax
+machinery, Adam, checkpoints."""
 
 import json
 import math
@@ -12,25 +13,20 @@ from evocell.nn_core import (
     LSTMParams,
     Tensor,
     adam_step,
-    bidir_encode,
-    concat,
-    entropy_from_logp,
+    check_grads,
+    entropy_from_logp_np,
     gradcheck,
-    init_lstm,
-    init_param,
-    linear,
     load_params,
-    log_softmax,
+    log_softmax_np,
     lstm_backward_np,
-    lstm_forward,
     lstm_forward_np,
-    lstm_step,
     sample_index_np,
     save_params,
-    shape_logits,
     shape_logits_np,
-    softmax_sample,
+    squashed_logp_grad_np,
+    squashed_logp_np,
 )
+import tape_reference
 
 
 # ---------------------------------------------------------------------------
@@ -116,46 +112,49 @@ def _hand_lstm_step(x, h, c, Wx, Wh, b):
     return h_new, c_new
 
 
+def _lstm(input_size, hidden_size, rng, std):
+    H4 = 4 * hidden_size
+    shapes = ((input_size, H4), (hidden_size, H4), (1, H4))
+    return LSTMParams(*(Tensor(rng.normal(0.0, std, size=s)) for s in shapes))
+
+
 def test_lstm_step_matches_hand_computation():
     rng = np.random.default_rng(42)
-    Wx = rng.normal(size=(2, 8))
-    Wh = rng.normal(size=(2, 8))
-    b = rng.normal(size=(1, 8))
-    params = LSTMParams(Wx=Tensor(Wx.copy()), Wh=Tensor(Wh.copy()), b=Tensor(b.copy()))
-    x = [0.3, -0.7]
-    h0 = [0.1, 0.2]
-    c0 = [-0.4, 0.5]
-    h_new, c_new = lstm_step(
-        params, Tensor(np.array([x])), Tensor(np.array([h0])), Tensor(np.array([c0]))
-    )
-    h_ref, c_ref = _hand_lstm_step(x, h0, c0, Wx.tolist(), Wh.tolist(), b[0].tolist())
-    assert np.allclose(h_new.data[0], h_ref, atol=1e-12)
-    assert np.allclose(c_new.data[0], c_ref, atol=1e-12)
+    params = _lstm(2, 2, rng, std=1.0)
+    xs = [[0.3, -0.7], [-1.1, 0.4]]
+    cache = lstm_forward_np(params, np.array([xs]))
+    Wx, Wh, b = (p.data.tolist() for p in (params.Wx, params.Wh, params.b))
+    h, c = [0.0, 0.0], [0.0, 0.0]
+    for t, x in enumerate(xs):  # the second step starts from nonzero states
+        h, c = _hand_lstm_step(x, h, c, Wx, Wh, b[0])
+        assert np.allclose(cache.h[t, 0], h, atol=1e-12)
+        assert np.allclose(cache.c[t, 0], c, atol=1e-12)
 
 
 def test_zero_weight_lstm_gives_zero_states():
     params = LSTMParams(
         Wx=Tensor(np.zeros((3, 8))), Wh=Tensor(np.zeros((2, 8))), b=Tensor(np.zeros((1, 8)))
     )
-    inputs = [Tensor(np.ones((1, 3))) for _ in range(4)]
-    for h in lstm_forward(params, inputs):
-        assert np.array_equal(h.data, np.zeros((1, 2)))
+    states = lstm_forward_np(params, np.ones((1, 4, 3))).states
+    assert np.array_equal(states, np.zeros((1, 4, 2)))
 
 
 def test_lstm_gradcheck():
+    # loss = sum(weights * states): dWx, dWh, db and dX of lstm_backward_np
     rng = np.random.default_rng(7)
-    params = init_lstm(4, 4, rng, std=0.5)
-    xs = [Tensor(rng.normal(size=(1, 4))) for _ in range(5)]
-    named = [("Wx", params.Wx), ("Wh", params.Wh), ("b", params.b)]
+    params = _lstm(3, 4, rng, std=0.5)
+    X = Tensor(rng.normal(size=(2 * 5, 3)))  # 2 sequences of 5 steps
+    weights = rng.normal(size=(2, 5, 4))
 
     def loss():
-        total = None
-        for h in lstm_forward(params, xs):
-            s = h.sum()
-            total = s if total is None else total + s
-        return total
+        states = lstm_forward_np(params, X.data.reshape(2, 5, 3)).states
+        return float((states * weights).sum())
 
-    assert gradcheck(loss, named) < 1e-4
+    cache = lstm_forward_np(params, X.data.reshape(2, 5, 3))
+    dWx, dWh, db, dX = lstm_backward_np(params, cache, weights)
+    named = [("Wx", params.Wx), ("Wh", params.Wh), ("b", params.b), ("X", X)]
+    analytic = {"Wx": dWx, "Wh": dWh, "b": db, "X": dX}
+    assert check_grads(loss, analytic, named) < 1e-6
 
 
 def test_embedding_gradcheck_tight():
@@ -168,80 +167,32 @@ def test_embedding_gradcheck_tight():
     assert gradcheck(loss, [("table", table)]) < 1e-6
 
 
-def test_bidir_encode_concatenates_per_position():
-    rng = np.random.default_rng(9)
-    fwd = init_lstm(3, 2, rng, std=0.4)
-    bwd = init_lstm(3, 2, rng, std=0.4)
-    xs = [Tensor(rng.normal(size=(1, 3))) for _ in range(4)]
-    states = bidir_encode(fwd, bwd, xs)
-    assert len(states) == 4
-    assert states[0].data.shape == (1, 4)
-    hs_f = lstm_forward(fwd, xs)
-    hs_b = list(reversed(lstm_forward(bwd, list(reversed(xs)))))
-    for t in range(4):
-        assert np.array_equal(states[t].data[:, :2], hs_f[t].data)
-        assert np.array_equal(states[t].data[:, 2:], hs_b[t].data)
-
-
-def test_bidir_reversal_swaps_roles():
-    rng = np.random.default_rng(11)
-    fwd = init_lstm(3, 2, rng, std=0.4)
-    bwd = init_lstm(3, 2, rng, std=0.4)
-    xs = [Tensor(rng.normal(size=(1, 3))) for _ in range(5)]
-    ab = bidir_encode(fwd, bwd, xs)
-    ba = bidir_encode(bwd, fwd, list(reversed(xs)))
-    for t in range(5):
-        swapped = np.concatenate(
-            [ba[4 - t].data[:, 2:], ba[4 - t].data[:, :2]], axis=1
-        )
-        assert np.allclose(ab[t].data, swapped, atol=1e-15)
-
-
-def test_bidir_gradcheck():
-    rng = np.random.default_rng(13)
-    fwd = init_lstm(2, 2, rng, std=0.5)
-    bwd = init_lstm(2, 2, rng, std=0.5)
-    xs = [Tensor(rng.normal(size=(1, 2))) for _ in range(3)]
-    named = [
-        ("f.Wx", fwd.Wx), ("f.Wh", fwd.Wh), ("f.b", fwd.b),
-        ("b.Wx", bwd.Wx), ("b.Wh", bwd.Wh), ("b.b", bwd.b),
-    ]
-
-    def loss():
-        total = None
-        for h in bidir_encode(fwd, bwd, xs):
-            s = (h * h).sum()
-            total = s if total is None else total + s
-        return total
-
-    assert gradcheck(loss, named) < 1e-4
-
-
 def test_numpy_fast_paths_match_tape():
     rng = np.random.default_rng(21)
-    params = init_lstm(3, 4, rng, std=0.3)
+    params = _lstm(3, 4, rng, std=0.3)
     X = rng.normal(size=(6, 3))
-    tape_states = lstm_forward(params, [Tensor(X[t : t + 1]) for t in range(6)])
+    tape_states = tape_reference.lstm_states(params, [Tensor(X[t : t + 1]) for t in range(6)])
     cache = lstm_forward_np(params, np.stack([X, X * 0.5]))
     assert cache.states.shape == (2, 6, 4)
     for t in range(6):
         assert np.allclose(tape_states[t].data[0], cache.states[0, t], atol=1e-12)
-    # rows are independent: a batch row equals the same sequence run alone
-    alone = lstm_forward_np(params, X[None] * 0.5).states[0]
-    assert np.allclose(alone, cache.states[1], atol=1e-15)
+    # a batch row equals the same sequence run alone
+    for row, seq in enumerate((X, X * 0.5)):
+        alone = lstm_forward_np(params, seq[None]).states[0]
+        assert np.allclose(alone, cache.states[row], atol=1e-15)
     assert np.array_equal(np.tanh(cache.c), cache.tanh_c)
 
 
 def test_numpy_backward_matches_tape():
     rng = np.random.default_rng(22)
-    params = init_lstm(3, 4, rng, std=0.5)
+    params = _lstm(3, 4, rng, std=0.5)
     X = rng.normal(size=(2, 5, 3))
     weights = rng.normal(size=(2, 5, 4))  # loss = sum(weights * states)
     dWx, dWh, db, dX = lstm_backward_np(params, lstm_forward_np(params, X), weights)
     xs = [[Tensor(X[n, t : t + 1]) for t in range(5)] for n in range(2)]
     loss = None
     for n in range(2):
-        for t, h in enumerate(lstm_forward(params, xs[n])):
+        for t, h in enumerate(tape_reference.lstm_states(params, xs[n])):
             term = (h * Tensor(weights[n, t : t + 1])).sum()
             loss = term if loss is None else loss + term
     loss.backward()
@@ -260,40 +211,31 @@ def test_numpy_backward_matches_tape():
 
 def test_uniform_logits_give_uniform_probabilities_and_max_entropy():
     for n in (2, 4, 7):
-        logp = log_softmax(Tensor(np.zeros((1, n))))
-        p = np.exp(logp.data[0])
-        assert np.allclose(p, 1.0 / n, atol=1e-12)
-        assert abs(float(entropy_from_logp(logp).data[0, 0]) - math.log(n)) < 1e-12
+        logp = log_softmax_np(np.zeros(n))
+        assert np.allclose(np.exp(logp), 1.0 / n, atol=1e-12)
+        assert abs(float(entropy_from_logp_np(logp)) - math.log(n)) < 1e-12
 
 
 def test_softmax_is_probability_vector():
     rng = np.random.default_rng(1)
     for _ in range(100):
-        logits = Tensor(rng.normal(scale=4.0, size=(1, 6)))
-        p = np.exp(log_softmax(logits).data[0])
+        p = np.exp(log_softmax_np(rng.normal(scale=4.0, size=6)))
         assert abs(p.sum() - 1.0) <= 1e-9
         assert (p >= 0).all()
 
 
 def test_extreme_logits_pick_first_index():
-    logits = Tensor(np.array([[40.0, -40.0]]))
+    logp = log_softmax_np(np.array([40.0, -40.0]))
     rng = np.random.default_rng(0)
     for _ in range(50):
-        idx, logp, _ = softmax_sample(logits, rng)
-        assert idx == 0
-    assert float(logp.data[0, 0]) > -1e-9
-
-
-def test_softmax_sample_rejects_non_finite():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        softmax_sample(Tensor(np.array([[1.0, np.inf]])), rng)
+        assert sample_index_np(logp, rng) == 0
+    assert float(logp[0]) > -1e-9
 
 
 def test_sample_frequencies_match_probabilities():
     rng = np.random.default_rng(33)
     logits = np.array([0.9, -0.3, 0.1, 1.4, -1.0])
-    logp = log_softmax(Tensor(logits)).data[0]
+    logp = log_softmax_np(logits)
     p = np.exp(logp)
     n = 100_000
     counts = np.zeros(5)
@@ -304,35 +246,40 @@ def test_sample_frequencies_match_probabilities():
     assert (np.abs(freq - p) <= 3 * sigma + 1e-12).all(), (freq, p)
 
 
-def test_log_softmax_gradcheck():
-    rng = np.random.default_rng(17)
-    logits = Tensor(rng.normal(size=(1, 5)))
-
-    def loss():
-        return log_softmax(logits * 1.0).pick(0, 2)
-
-    assert gradcheck(loss, [("logits", logits)]) < 1e-6
-
-
 def test_shape_logits_values():
     assert shape_logits_np(np.array([0.0]))[0] == 0.0
     assert abs(shape_logits_np(np.array([5.0]))[0] - 2.5 * math.tanh(1.0)) < 1e-15
     assert abs(shape_logits_np(np.array([1e9]))[0]) <= 2.5
     assert abs(shape_logits_np(np.array([-1e9]))[0]) <= 2.5
-    raw = Tensor(np.array([[5.0, 0.0, -3.0]]))
-    assert np.allclose(
-        shape_logits(raw).data[0], 2.5 * np.tanh(np.array([5.0, 0.0, -3.0]) / 5.0)
-    )
+
+
+def _check_squashed_logp_grad(raw):
+    """Max central-difference error of squashed_logp_grad_np over every idx."""
+    worst = 0.0
+    for idx in range(raw.data.shape[1]):
+        logp = squashed_logp_np(raw.data[0])
+        grad = squashed_logp_grad_np(raw.data[0], logp, idx)
+        err = check_grads(
+            lambda: float(squashed_logp_np(raw.data[0])[idx]),
+            {"raw": grad},
+            [("raw", raw)],
+        )
+        worst = max(worst, err)
+    return worst
+
+
+def test_log_softmax_gradcheck():
+    # raw scores where the squash is close to linear: the log-softmax term
+    rng = np.random.default_rng(17)
+    assert _check_squashed_logp_grad(Tensor(rng.normal(scale=0.5, size=(1, 5)))) < 1e-6
 
 
 def test_shape_logits_gradcheck():
+    # raw scores out on the tanh, where the squash's derivative matters
     rng = np.random.default_rng(19)
-    raw = Tensor(rng.normal(scale=3.0, size=(1, 4)))
-
-    def loss():
-        return entropy_from_logp(log_softmax(shape_logits(raw * 1.0)))
-
-    assert gradcheck(loss, [("raw", raw)]) < 1e-6
+    for scale in (3.0, 20.0):
+        raw = Tensor(rng.normal(scale=scale, size=(1, 5)))
+        assert _check_squashed_logp_grad(raw) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +356,8 @@ def test_gradcheck_detects_wrong_gradient():
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(5)
     named = [
-        ("w", init_param((4, 3), rng, std=1.3)),
-        ("b", init_param((1, 3), rng, std=0.7)),
+        ("w", Tensor(rng.normal(0.0, 1.3, size=(4, 3)))),
+        ("b", Tensor(rng.normal(0.0, 0.7, size=(1, 3)))),
     ]
     path = os.path.join(tmp_path, "ckpt.json")
     save_params(path, named, meta={"kind": "test", "note": "x"})
@@ -422,10 +369,3 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     with np.load(path, allow_pickle=False) as payload:
         assert json.loads(str(payload["header"]))["version"] == 2
 
-
-def test_linear_matches_affine_map():
-    rng = np.random.default_rng(2)
-    W = Tensor(rng.normal(size=(3, 2)))
-    b = Tensor(rng.normal(size=(1, 2)))
-    x = Tensor(rng.normal(size=(1, 3)))
-    assert np.allclose(linear(W, b, x).data, x.data @ W.data + b.data)

@@ -1,5 +1,6 @@
-"""numpy policy engine: hand-derived gradients against the tape reference,
-against central differences, and reuse of the sampling forward."""
+"""numpy policy engine: log-probs against an independent per-token
+reference, gradients against that reference's tape form and against central
+differences, and reuse of the sampling forward."""
 
 import numpy as np
 import pytest
@@ -9,18 +10,44 @@ from evocell.controller import (
     encode_forward,
     init_controller,
     sample_mutation,
+    sample_mutation_batch,
     trace_grads,
     trace_logprob,
 )
 from evocell.evolution import ControllerPolicy
 from evocell.harness import ConstructionPolicy
 from evocell.nn_core import check_grads
+from policy_reference import construction_logprob, controller_logprob
+import tape_reference
 
 
 def _perturb(named_params, rng, scale=0.5):
     # move the weights off the near-uniform init so every term matters
     for _, t in named_params:
         t.data += rng.normal(0.0, scale, size=t.data.shape)
+
+
+def _controller_draw(seed, bidirectional, size=8):
+    rng = np.random.default_rng(seed)
+    cfg = SpaceConfig(num_blocks=1 + seed % 4, num_ops=2 + seed % 5)
+    params = init_controller(
+        cfg, rng, embed_size=size, hidden_size=size, bidirectional=bidirectional
+    )
+    _perturb(params.named_params(), rng)
+    cell = random_cell(cfg, rng)
+    return params, cell, sample_mutation(params, cell, rng), rng
+
+
+def _construction_draw(seed, size=8):
+    rng = np.random.default_rng(seed)
+    cfg = SpaceConfig(num_blocks=1 + seed % 4, num_ops=2 + seed % 5)
+    policy = ConstructionPolicy(cfg, rng, embed_size=size, hidden_size=size)
+    _perturb(policy.named_params(), rng)
+    return policy, rng
+
+
+def _assert_close(got, want):
+    assert abs(got[0] - want[0]) <= 1e-12 and abs(got[1] - want[1]) <= 1e-12
 
 
 def _tape_grads(named_params, f):
@@ -43,17 +70,6 @@ def _assert_match(named_params, fused_lp, fused, tape_lp, tape):
         assert np.abs(fused[name] - tape[name]).max() <= 1e-12, name
 
 
-def _controller_draw(seed, bidirectional, size=8):
-    rng = np.random.default_rng(seed)
-    cfg = SpaceConfig(num_blocks=1 + seed % 4, num_ops=2 + seed % 5)
-    params = init_controller(
-        cfg, rng, embed_size=size, hidden_size=size, bidirectional=bidirectional
-    )
-    _perturb(params.named_params(), rng)
-    cell = random_cell(cfg, rng)
-    return params, cell, sample_mutation(params, cell, rng), rng
-
-
 @pytest.mark.parametrize("bidirectional", [True, False])
 def test_controller_grads_match_tape(bidirectional):
     for seed in range(20):
@@ -61,42 +77,72 @@ def test_controller_grads_match_tape(bidirectional):
         named = params.named_params()
         lp, grads = trace_grads(params, cell, trace)
         tape_lp, tape = _tape_grads(
-            named, lambda: trace_logprob(params, cell, trace)[0]
+            named, lambda: tape_reference.controller_logprob(params, cell, trace)[0]
         )
         _assert_match(named, lp, grads, tape_lp, tape)
 
 
 def test_construction_grads_match_tape():
     for seed in range(20):
-        rng = np.random.default_rng(seed)
-        cfg = SpaceConfig(num_blocks=1 + seed % 4, num_ops=2 + seed % 5)
-        policy = ConstructionPolicy(cfg, rng, embed_size=8, hidden_size=8)
+        policy, rng = _construction_draw(seed)
         named = policy.named_params()
-        _perturb(named, rng)
         cell, _, _ = policy.sample(rng)
         lp, grads = policy.grads(cell)
-        tape_lp, tape = _tape_grads(named, lambda: policy.logprob(cell)[0])
+        tape_lp, tape = _tape_grads(
+            named, lambda: tape_reference.construction_logprob(policy, cell)[0]
+        )
         _assert_match(named, lp, grads, tape_lp, tape)
 
 
-def test_fused_grads_pass_central_differences():
-    cfg = SpaceConfig(num_blocks=2, num_ops=3)
-    for draw in range(4):
-        rng = np.random.default_rng(300 + draw)
-        params = init_controller(
-            cfg, rng, embed_size=4, hidden_size=4, bidirectional=(draw < 2)
+@pytest.mark.parametrize("bidirectional", [True, False])
+def test_trace_logprob_and_samplers_match_the_reference(bidirectional):
+    for seed in range(20):
+        params, cell, trace, rng = _controller_draw(seed, bidirectional)
+        want = controller_logprob(params, cell, trace)
+        _assert_close(trace_logprob(params, cell, trace), want)
+        _assert_close((trace.total_logprob, trace.total_entropy), want)
+        cfg = SpaceConfig(params.num_blocks, params.num_ops)
+        cells = [random_cell(cfg, rng) for _ in range(5)]
+        for parent, batched in zip(cells, sample_mutation_batch(params, cells, rng)):
+            _assert_close(
+                (batched.total_logprob, batched.total_entropy),
+                controller_logprob(params, parent, batched),
+            )
+
+
+def test_trace_logprob_recomputes_a_fresh_sample_bit_for_bit():
+    for seed in range(10):
+        params, cell, trace, _ = _controller_draw(seed, bidirectional=seed % 2 == 0)
+        assert trace_logprob(params, cell, trace) == (
+            trace.total_logprob,
+            trace.total_entropy,
         )
-        cell = random_cell(cfg, rng)
-        trace = sample_mutation(params, cell, rng)
+
+
+def test_construction_logprob_matches_the_reference():
+    for seed in range(20):
+        policy, rng = _construction_draw(seed)
+        cell, lp, ent = policy.sample(rng)
+        want = construction_logprob(policy, cell)
+        _assert_close((lp, ent), want)
+        _assert_close(policy.logprob(cell), want)
+        other = random_cell(policy.cfg, rng)
+        _assert_close(policy.logprob(other), construction_logprob(policy, other))
+
+
+def test_fused_grads_pass_central_differences():
+    # off the near-uniform init; criterion 3 covers the init itself
+    for seed in range(4):
+        params, cell, trace, _ = _controller_draw(seed, seed < 2, size=4)
         _, grads = trace_grads(params, cell, trace)
         err = check_grads(
-            lambda: trace_grads(params, cell, trace)[0], grads, params.named_params()
+            lambda: trace_logprob(params, cell, trace)[0], grads, params.named_params()
         )
         assert err < 1e-4
-        policy = ConstructionPolicy(cfg, rng, embed_size=4, hidden_size=4)
+        policy, rng = _construction_draw(seed, size=4)
         cell, _, _ = policy.sample(rng)
         _, grads = policy.grads(cell)
-        err = check_grads(lambda: policy.grads(cell)[0], grads, policy.named_params())
+        err = check_grads(lambda: policy.logprob(cell)[0], grads, policy.named_params())
         assert err < 1e-4
 
 

@@ -18,12 +18,13 @@ from evocell.arch_space import (
 )
 from evocell.controller import (
     MutTarget,
+    encode_forward,
     init_controller,
     sample_mutation,
     trace_grads,
     trace_logprob,
 )
-from evocell.nn_core import gradcheck
+from evocell.nn_core import check_grads, log_softmax_np, shape_logits_np
 from evocell.reinforce import (
     FITNESS_CLIP,
     ReinforceTrainer,
@@ -115,10 +116,10 @@ def test_zero_advantage_no_baseline_zero_entropy_keeps_params():
 def test_positive_advantage_raises_trace_logprob():
     cfg, params, cell, trainer, rng = _bandit(seed=3, baseline=None, entropy_weight=0.0)
     trace = sample_mutation(params, cell, rng)
-    lp_before = float(trace_logprob(params, cell, trace)[0].data[0, 0])
+    lp_before, _ = trace_logprob(params, cell, trace)
     for _ in range(2):
         update_on_trace(trainer, params, cell, trace, fitness=0.8)
-    lp_after = float(trace_logprob(params, cell, trace)[0].data[0, 0])
+    lp_after, _ = trace_logprob(params, cell, trace)
     assert lp_after > lp_before
 
 
@@ -162,12 +163,14 @@ def test_surrogate_gradient_matches_finite_differences():
     cfg, params, cell, trainer, rng = _bandit(seed=7)
     trace = sample_mutation(params, cell, rng)
     advantage = 1.7
-
-    def loss():
-        lp, _ = trace_logprob(params, cell, trace)
-        return lp * (-advantage)
-
-    assert gradcheck(loss, params.named_params()) < 1e-4
+    _, grads = trace_grads(params, cell, trace)
+    surrogate = {name: -advantage * g for name, g in grads.items()}
+    err = check_grads(
+        lambda: trace_logprob(params, cell, trace)[0] * (-advantage),
+        surrogate,
+        params.named_params(),
+    )
+    assert err < 1e-4
 
 
 def test_high_entropy_weight_keeps_decisions_near_uniform():
@@ -184,10 +187,7 @@ def test_high_entropy_weight_keeps_decisions_near_uniform():
         trace = sample_mutation(params, cell, rng)
         update_on_trace(trainer, params, cell, trace, fitness=0.5)
 
-    from evocell.controller import _encode_np
-    from evocell.nn_core import log_softmax_np, shape_logits_np
-
-    states = _encode_np(params, cell)
+    states = encode_forward(params, cell).states
     w_r = params.w_router.data[:, 0]
     b_r = params.b_router.data[0, 0]
     router_logp = log_softmax_np(
