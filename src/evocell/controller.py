@@ -512,6 +512,15 @@ def trace_grads(
 ENCODE_ROWS = 16
 
 
+def _draw_rows(logp: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sample_index_np for each row n of logp (N, K), at uniform u[n]:
+    the same index, and the same ValueError on a non-finite sum."""
+    cum = np.cumsum(np.exp(logp), axis=1)
+    if not np.isfinite(cum[:, -1]).all():
+        raise ValueError("cannot sample: probabilities sum to a non-finite value")
+    return np.minimum((cum <= u[:, None]).sum(axis=1), logp.shape[1] - 1)
+
+
 def sample_mutation_batch(
     params: ControllerParams, cells: Sequence[CellSpec], rng: np.random.Generator
 ) -> List[MutationTrace]:
@@ -531,9 +540,7 @@ def sample_mutation_batch(
     for b in range(1, B + 1):
         base = 5 * (b - 1)
         router_logp = squashed_logp_np(_router_raw(params, states, b))  # (N, 4)
-        u = rng.random(N)
-        cum = np.cumsum(np.exp(router_logp), axis=1)
-        t_idx = np.minimum((cum <= u[:, None]).sum(axis=1), 3)
+        t_idx = _draw_rows(router_logp, rng.random(N))
         router_lp = router_logp[np.arange(N), t_idx]
         router_h = entropy_from_logp_np(router_logp)
         state_id = states[np.arange(N), base + t_idx, :]  # (N, W)
@@ -543,10 +550,8 @@ def sample_mutation_batch(
         op_logp = squashed_logp_np(_op_raw(params, state_id))
 
         u2 = rng.random(N)
-        cum_in = np.cumsum(np.exp(in_logp), axis=1)
-        in_idx = np.minimum((cum_in <= u2[:, None]).sum(axis=1), in_logp.shape[1] - 1)
-        cum_op = np.cumsum(np.exp(op_logp), axis=1)
-        op_idx = np.minimum((cum_op <= u2[:, None]).sum(axis=1), op_logp.shape[1] - 1)
+        in_idx = _draw_rows(in_logp, u2)
+        op_idx = _draw_rows(op_logp, u2)
 
         is_input = t_idx < 2
         repl_idx = np.where(is_input, in_idx, op_idx)

@@ -5,7 +5,8 @@ the subset's best member, evaluates the child at inherited maturity, and
 removes the subset's worst member. The mutation proposer is injected: a
 learned controller, a uniform-random baseline, or a replay of logged
 traces all drive the identical loop. When a trainer is attached, every
-child evaluation triggers one policy-gradient update.
+child evaluation triggers one policy-gradient update on the gradient that
+the policy's grads() returns.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .controller import (
     trace_grads,
 )
 from .evaluators import FitnessOracle, inherit_maturity
+from .nn_core import ParamViews
 from .reinforce import ReinforceTrainer
 
 
@@ -47,9 +49,7 @@ class Individual:
     fitness: float  # observed fitness at birth (or after final re-evaluation)
     true_fitness: float
     maturity: float
-    id: int
-    parent_id: Optional[int]
-    birth_step: int
+    id: int  # its index in Population.history
 
 
 @dataclass
@@ -59,12 +59,6 @@ class Population:
     capacity: int
     members: List[Individual] = field(default_factory=list)
     history: List[Individual] = field(default_factory=list)
-    next_id: int = 0
-
-    def allocate_id(self) -> int:
-        out = self.next_id
-        self.next_id += 1
-        return out
 
 
 class MutationPolicy(Protocol):
@@ -88,18 +82,14 @@ class ControllerPolicy:
         self._forward = encode_forward(self.params, cell)
         return sample_mutation(self.params, cell, self.rng, self._forward)
 
-    def grad_fn(self, cell: CellSpec, trace: MutationTrace):
-        """Gradient closure for ReinforceTrainer.update.
+    def grads(self, cell: CellSpec, trace: MutationTrace) -> Tuple[float, ParamViews]:
+        """(log-prob, gradient) of trace on cell, for ReinforceTrainer.update.
 
         The kept encoder pass is handed over once; the trainer's Adam step
         then makes it stale, so a later call encodes the cell anew.
         """
-
-        def grads():
-            forward, self._forward = self._forward, None
-            return trace_grads(self.params, cell, trace, forward)
-
-        return grads
+        forward, self._forward = self._forward, None
+        return trace_grads(self.params, cell, trace, forward)
 
 
 @functools.cache
@@ -186,12 +176,11 @@ def initialize(
     oracle: FitnessOracle,
     pop_size: int,
     rng: np.random.Generator,
-    eval_rng: Optional[np.random.Generator] = None,
+    eval_rng: np.random.Generator,
 ) -> Population:
     """Evaluate pop_size random cells at the initial training budget."""
     if pop_size < 1:
         raise ValueError(f"pop_size must be >= 1, got {pop_size}")
-    eval_rng = eval_rng if eval_rng is not None else rng
     pop = Population(capacity=pop_size)
     m0 = oracle.maturity.initial_maturity()
     for _ in range(pop_size):
@@ -202,9 +191,7 @@ def initialize(
             fitness=fit,
             true_fitness=true,
             maturity=m0,
-            id=pop.allocate_id(),
-            parent_id=None,
-            birth_step=0,
+            id=len(pop.history),
         )
         pop.members.append(ind)
         pop.history.append(ind)
@@ -228,7 +215,7 @@ def evolution_step(
     oracle: FitnessOracle,
     sample_size: int,
     rng: np.random.Generator,
-    eval_rng: Optional[np.random.Generator] = None,
+    eval_rng: np.random.Generator,
     step: int = 0,
 ) -> StepRecord:
     """One select-mutate-evaluate-replace round, plus an optional update."""
@@ -236,7 +223,6 @@ def evolution_step(
         raise ValueError(
             f"sample_size must be in [2, {len(pop.members)}], got {sample_size}"
         )
-    eval_rng = eval_rng if eval_rng is not None else rng
     picks = rng.choice(len(pop.members), size=sample_size, replace=False)
     sample = [pop.members[i] for i in picks]
     parent = tournament_best(sample)
@@ -253,9 +239,7 @@ def evolution_step(
         fitness=child_fitness,
         true_fitness=child_true,
         maturity=child_maturity,
-        id=pop.allocate_id(),
-        parent_id=parent.id,
-        birth_step=step,
+        id=len(pop.history),
     )
     del pop.members[next(i for i, ind in zip(picks, sample) if ind is doomed)]
     pop.members.append(child)
@@ -263,11 +247,10 @@ def evolution_step(
 
     diagnostics = None
     if trainer is not None:
-        grad_fn = getattr(policy, "grad_fn", None)
-        if grad_fn is None:
+        if not hasattr(policy, "grads"):
             raise ValueError("trainer attached to a policy without gradients")
         diagnostics = trainer.update(
-            grad_fn(parent.cell, trace), trace.total_entropy, child_fitness
+            *policy.grads(parent.cell, trace), trace.total_entropy, child_fitness
         )
     return StepRecord(
         step=step,
@@ -296,23 +279,21 @@ def run(
     policy: MutationPolicy,
     trainer: Optional[ReinforceTrainer],
     budget: int,
-    pop_size: int = 20,
-    sample_size: int = 5,
-    rng: Optional[np.random.Generator] = None,
-    tournament_rng: Optional[np.random.Generator] = None,
-    eval_rng: Optional[np.random.Generator] = None,
+    pop_size: int,
+    sample_size: int,
+    streams: Dict[str, np.random.Generator],
 ) -> RunResult:
     """Initialize, run `budget` evolution steps, then re-evaluate finalists.
 
-    The final re-evaluation grants every surviving member the full training
-    budget (maturity 1.0), mirroring a from-scratch retrain of the
-    candidates that made it to the end. History keeps birth-time records,
-    so len(history) == pop_size + budget regardless.
+    Cells, tournaments and observation noise draw from the init, tournament
+    and eval entries of streams, an rng_streams() dict. The final
+    re-evaluation grants every surviving member the full training budget
+    (maturity 1.0), mirroring a from-scratch retrain of the candidates that
+    made it to the end. History keeps birth-time records, so len(history)
+    == pop_size + budget regardless.
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
-    tournament_rng = tournament_rng if tournament_rng is not None else rng
-    eval_rng = eval_rng if eval_rng is not None else rng
-    pop = initialize(cfg, oracle, pop_size, rng, eval_rng)
+    tournament_rng, eval_rng = streams["tournament"], streams["eval"]
+    pop = initialize(cfg, oracle, pop_size, streams["init"], eval_rng)
     records: List[StepRecord] = []
     for step in range(1, budget + 1):
         records.append(

@@ -62,6 +62,7 @@ from .evaluators import (
 )
 from .evolution import (
     ControllerPolicy,
+    MutationPolicy,
     RandomMutationPolicy,
     ReplayMutationPolicy,
     RunResult,
@@ -69,7 +70,7 @@ from .evolution import (
     rng_streams,
     run as run_evolution,
 )
-from .reinforce import ReinforceTrainer, RewardConfig
+from .reinforce import BASELINE_DECAY, FITNESS_CLIP, ReinforceTrainer, RewardConfig
 
 STRATEGIES = (
     "reinforced",
@@ -469,10 +470,13 @@ def _reward_config(cfg: StrategyConfig) -> RewardConfig:
 def config_sections(cfg: StrategyConfig) -> Dict[str, dict]:
     """cfg's record, by section, in the log header and summary.json.
 
-    The policy section also carries the reward settings that are fixed at
-    RewardConfig's defaults (fitness_clip, baseline_decay).
+    The policy section also carries the fixed reward constants
+    (fitness_clip, baseline_decay).
     """
-    sections = {"space": asdict(cfg.space), "policy": asdict(_reward_config(cfg))}
+    sections = {
+        "space": asdict(cfg.space),
+        "policy": {"fitness_clip": FITNESS_CLIP, "baseline_decay": BASELINE_DECAY},
+    }
     for f in fields(cfg):
         if f.metadata.get("header"):
             section, key = f.metadata["header"]
@@ -584,6 +588,20 @@ def run_strategy(
     return summary, log
 
 
+def _evolve(
+    cfg: StrategyConfig,
+    streams: Dict[str, np.random.Generator],
+    oracle: FitnessOracle,
+    policy: MutationPolicy,
+    trainer: Optional[ReinforceTrainer],
+) -> RunResult:
+    """cfg's evolution run on streams; cfg.budget counts the initial cells."""
+    steps = cfg.budget - cfg.pop_size
+    return run_evolution(
+        cfg.space, oracle, policy, trainer, steps, cfg.pop_size, cfg.sample_size, streams
+    )
+
+
 def _run_population_strategy(
     cfg: StrategyConfig, seed: int, oracle: FitnessOracle, target: float
 ) -> Tuple[RunSummary, List[dict]]:
@@ -603,19 +621,7 @@ def _run_population_strategy(
         trainer = ReinforceTrainer(
             params.named_params(), _reward_config(cfg), lr=cfg.learning_rate
         )
-    steps = cfg.budget - cfg.pop_size
-    result = run_evolution(
-        cfg.space,
-        oracle,
-        policy,
-        trainer,
-        budget=steps,
-        pop_size=cfg.pop_size,
-        sample_size=cfg.sample_size,
-        rng=streams["init"],
-        tournament_rng=streams["tournament"],
-        eval_rng=streams["eval"],
-    )
+    result = _evolve(cfg, streams, oracle, policy, trainer)
     true_vals, pop_mean, pop_var = _population_trajectories(result)
     best_true = result.best.true_fitness
     log = [header_record(cfg, seed, oracle)]
@@ -671,7 +677,7 @@ def _run_sampling(
             "fitness": observed,
         }
         if construct:
-            diag = trainer.update(lambda: policy.grads(cell), ent, observed)
+            diag = trainer.update(*policy.grads(cell), ent, observed)
             record["grad_norm"] = diag["grad_norm"]
         true_vals.append(true)
         log.append(record)
@@ -956,17 +962,8 @@ def replay(log_path: str) -> dict:
     if cfg.strategy in POPULATION_STRATEGIES:
         steps = found["step"]
         try:
-            result = run_evolution(
-                cfg.space,
-                oracle,
-                ReplayMutationPolicy([trace for _, trace in steps]),
-                None,
-                budget=len(steps),
-                pop_size=cfg.pop_size,
-                sample_size=cfg.sample_size,
-                rng=streams["init"],
-                tournament_rng=streams["tournament"],
-                eval_rng=streams["eval"],
+            result = _evolve(
+                cfg, streams, oracle, ReplayMutationPolicy([t for _, t in steps]), None
             )
         except ValueError as exc:  # a logged trace that its parent cannot take
             raise ReplayDiverged(f"{log_path}: a logged mutation does not apply: {exc}")

@@ -191,16 +191,6 @@ class Tensor:
         out._backward_fn = lambda g: self.grad[:, start:stop].__iadd__(g)
         return out
 
-    def pick(self, i: int, j: int) -> "Tensor":
-        """Select one element as a (1, 1) tensor."""
-        out = Tensor(np.array([[self.data[i, j]]]), (self,))
-
-        def backward(g: np.ndarray) -> None:
-            self.grad[i, j] += g[0, 0]
-
-        out._backward_fn = backward
-        return out
-
     # -- autodiff ------------------------------------------------------------
 
     def backward(self) -> None:
@@ -289,9 +279,12 @@ def entropy_from_logp_np(logp: np.ndarray) -> np.ndarray:
 
 
 def sample_index_np(logp: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw from log-probabilities; one uniform consumed."""
+    """Inverse-CDF draw from log-probabilities; one uniform consumed.
+    Probabilities with a non-finite sum raise ValueError before the draw."""
     p = np.exp(logp).reshape(-1)
     cum = np.cumsum(p)
+    if not math.isfinite(cum[-1]):
+        raise ValueError(f"cannot sample: probabilities sum to {cum[-1]}")
     u = rng.random()
     idx = int(np.searchsorted(cum, u, side="right"))
     return min(idx, p.size - 1)

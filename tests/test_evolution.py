@@ -39,8 +39,6 @@ def _ind(fitness, id, cell=None, maturity=0.1, true_fitness=0.5):
         true_fitness=true_fitness,
         maturity=maturity,
         id=id,
-        parent_id=None,
-        birth_step=0,
     )
 
 
@@ -58,10 +56,7 @@ def test_initialize_contracts():
     assert len(pop.members) == 8
     assert pop.history == pop.members
     assert [ind.id for ind in pop.members] == list(range(8))
-    assert all(ind.parent_id is None for ind in pop.members)
-    assert all(ind.birth_step == 0 for ind in pop.members)
     assert all(ind.maturity == 0.1 for ind in pop.members)
-    assert pop.next_id == 8
 
 
 def test_initialize_reproduces_fitness_from_streams():
@@ -101,7 +96,9 @@ def test_selection_never_reads_the_carried_true_fitness():
 
 def test_initialize_rejects_empty_population():
     with pytest.raises(ValueError):
-        initialize(CFG, _oracle(), 0, np.random.default_rng(0))
+        initialize(
+            CFG, _oracle(), 0, np.random.default_rng(0), np.random.default_rng(1)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +143,6 @@ def test_step_invariants_and_record():
     assert rec.removed_id not in {ind.id for ind in pop.members}
     child = pop.members[-1]
     assert child.id == rec.child_id
-    assert child.parent_id == rec.parent_id
-    assert child.birth_step == 1
     assert rec.diagnostics is None
     assert len(rec.sampled_ids) == 3
     sampled = [ind for ind in pop.history if ind.id in rec.sampled_ids]
@@ -234,9 +229,7 @@ def test_run_zero_budget_returns_initial_population():
     streams = rng_streams(9)
     result = run(
         CFG, oracle, RandomMutationPolicy(CFG, streams["policy"]), None,
-        budget=0, pop_size=6, sample_size=3,
-        rng=streams["init"], tournament_rng=streams["tournament"],
-        eval_rng=streams["eval"],
+        budget=0, pop_size=6, sample_size=3, streams=streams,
     )
     assert result.records == []
     assert len(result.population.history) == 6
@@ -249,11 +242,10 @@ def test_run_history_and_final_retrain():
     streams = rng_streams(10)
     result = run(
         CFG, oracle, RandomMutationPolicy(CFG, streams["policy"]), None,
-        budget=40, pop_size=8, sample_size=3,
-        rng=streams["init"], tournament_rng=streams["tournament"],
-        eval_rng=streams["eval"],
+        budget=40, pop_size=8, sample_size=3, streams=streams,
     )
     assert len(result.population.history) == 48
+    assert [ind.id for ind in result.population.history] == list(range(48))
     assert len(result.population.members) == 8
     assert all(ind.maturity == 1.0 for ind in result.population.members)
     # history keeps birth-time fitness: the retrain does not rewrite it
@@ -270,9 +262,7 @@ def test_run_deterministic_given_seeds():
         streams = rng_streams(11)
         return run(
             CFG, oracle, RandomMutationPolicy(CFG, streams["policy"]), None,
-            budget=30, pop_size=6, sample_size=3,
-            rng=streams["init"], tournament_rng=streams["tournament"],
-            eval_rng=streams["eval"],
+            budget=30, pop_size=6, sample_size=3, streams=streams,
         )
 
     a, b = one(), one()
@@ -290,17 +280,13 @@ def test_replay_policy_reproduces_run():
     streams = rng_streams(12)
     first = run(
         CFG, oracle, RandomMutationPolicy(CFG, streams["policy"]), None,
-        budget=25, pop_size=5, sample_size=3,
-        rng=streams["init"], tournament_rng=streams["tournament"],
-        eval_rng=streams["eval"],
+        budget=25, pop_size=5, sample_size=3, streams=streams,
     )
     traces = [rec.trace for rec in first.records]
     replay_streams = rng_streams(12)
     second = run(
         CFG, _oracle(), ReplayMutationPolicy(traces), None,
-        budget=25, pop_size=5, sample_size=3,
-        rng=replay_streams["init"], tournament_rng=replay_streams["tournament"],
-        eval_rng=replay_streams["eval"],
+        budget=25, pop_size=5, sample_size=3, streams=replay_streams,
     )
     assert [ind.fitness for ind in first.population.members] == [
         ind.fitness for ind in second.population.members
@@ -324,9 +310,7 @@ def test_controller_policy_run_trains_and_logs_diagnostics():
     trainer = ReinforceTrainer(params.named_params())
     result = run(
         CFG, oracle, policy, trainer,
-        budget=15, pop_size=5, sample_size=3,
-        rng=streams["init"], tournament_rng=streams["tournament"],
-        eval_rng=streams["eval"],
+        budget=15, pop_size=5, sample_size=3, streams=streams,
     )
     assert len(result.records) == 15
     for i, rec in enumerate(result.records, start=1):
@@ -347,9 +331,7 @@ def test_random_policy_reaches_near_optimum_on_small_space():
         pop_size, budget = 20, 1480
         result = run(
             CFG, oracle, RandomMutationPolicy(CFG, streams["policy"]), None,
-            budget=budget, pop_size=pop_size, sample_size=5,
-            rng=streams["init"], tournament_rng=streams["tournament"],
-            eval_rng=streams["eval"],
+            budget=budget, pop_size=pop_size, sample_size=5, streams=streams,
         )
         hit = None
         for i, ind in enumerate(result.population.history, start=1):

@@ -146,16 +146,10 @@ def test_grad_norm_matches_the_per_array_sum():
     cell = random_cell(CFG, rng)
     trace = sample_mutation(params, cell, rng)
     trainer = ReinforceTrainer(params.named_params(), RewardConfig(baseline=None))
-    seen = []
-
-    def grad_fn():
-        lp, grads = trace_grads(params, cell, trace)
-        seen.append(grads)
-        return lp, grads
-
-    diag = trainer.update(grad_fn, trace.total_entropy, 0.7)
+    lp, grads = trace_grads(params, cell, trace)
+    diag = trainer.update(lp, grads, trace.total_entropy, 0.7)
     # the trainer scaled the gradient in place into the loss gradient
-    per_array = math.sqrt(sum(float(np.vdot(g, g)) for g in seen[0].values()))
+    per_array = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
     assert per_array > 0.0
     assert abs(diag["grad_norm"] - per_array) <= 1e-12 * per_array
 
@@ -168,14 +162,10 @@ def test_non_finite_gradient_raises_naming_its_parameter(name):
     trace = sample_mutation(params, cell, rng)
     before = params.flat.copy()
     trainer = ReinforceTrainer(params.named_params(), RewardConfig(baseline=None))
-
-    def grad_fn():
-        lp, grads = trace_grads(params, cell, trace)
-        grads[name].reshape(-1)[-1] = np.nan
-        return lp, grads
-
+    lp, grads = trace_grads(params, cell, trace)
+    grads[name].reshape(-1)[-1] = np.nan
     with pytest.raises(RuntimeError, match=f"non-finite gradient in {name!r}"):
-        trainer.update(grad_fn, trace.total_entropy, 0.7)
+        trainer.update(lp, grads, trace.total_entropy, 0.7)
     assert np.array_equal(params.flat, before)
 
 
@@ -186,7 +176,7 @@ def test_trainer_rejects_a_gradient_of_another_layout():
     trace = sample_mutation(other, cell, rng)
     trainer = ReinforceTrainer(params.named_params())
     with pytest.raises(ValueError):
-        trainer.update(lambda: trace_grads(other, cell, trace), 0.0, 0.5)
+        trainer.update(*trace_grads(other, cell, trace), 0.0, 0.5)
 
 
 # ---------------------------------------------------------------------------

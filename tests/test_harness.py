@@ -330,9 +330,7 @@ def test_population_trajectories_equal_per_step_reference(
         budget=budget - pop,
         pop_size=pop,
         sample_size=sample,
-        rng=streams["init"],
-        tournament_rng=streams["tournament"],
-        eval_rng=streams["eval"],
+        streams=streams,
     )
     trajectories = _population_trajectories(result)
     assert trajectories == _reference_trajectories(result, oracle)  # bit for bit
@@ -613,6 +611,36 @@ def test_header_round_trips_through_config(strategy):
     read, seed = config_from_header(header)
     assert (read, seed) == (cfg, 4)
     assert header_record(read, seed, make_oracle(read)) == header
+
+
+def test_default_header_is_pinned():
+    # the reward constants stay in the header although they are not settings
+    cfg = StrategyConfig()
+    assert header_record(cfg, 0, make_oracle(cfg)) == {
+        "kind": "header",
+        "version": 1,
+        "strategy": "reinforced",
+        "seed": 0,
+        "maturity": {
+            "tau": 3.0,
+            "sigma": 0.01,
+            "full_budget": 10.0,
+            "finetune_epochs": 1.0,
+            "init_epochs": 1.0,
+        },
+        "space": {"num_blocks": 3, "num_ops": 4},
+        "policy": {
+            "fitness_clip": 0.999,
+            "baseline_decay": 0.95,
+            "embed_size": 100,
+            "hidden_size": 100,
+            "learning_rate": 0.001,
+            "entropy_weight": 0.1,
+            "baseline": "ema",
+        },
+        "oracle": {"kind": "tabular", "seed": 7, "path": None},
+        "run": {"pop_size": 20, "sample_size": 5, "budget": 500},
+    }
 
 
 # ---------------------------------------------------------------------------

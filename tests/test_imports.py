@@ -1,4 +1,6 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and every
+function, class and method the package defines is referenced from src,
+tests or perfbench."""
 
 import ast
 from pathlib import Path
@@ -34,4 +36,85 @@ def test_scan_finds_an_unused_import():
     assert _unused_imports("import os\nfrom math import pi, tau\nprint(pi)\n") == [
         (1, "os"),
         (2, "tau"),
+    ]
+
+
+ROOT = PACKAGE.parents[1]
+
+
+def _definitions(tree):
+    """(qualified name, first line, last line) of each module-level function
+    and class, and of each method; dunder methods run implicitly and are
+    left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield f"{node.name}.{item.name}", item.lineno, item.end_lineno
+
+
+def _references(tree):
+    """(name, line) of each Name, Attribute, import alias and str constant."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.name, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
+
+
+def _dead_definitions(modules, others):
+    """The definitions in modules (name -> source) that no source of modules
+    or others refers to outside the definition itself."""
+    trees = {name: ast.parse(text) for name, text in {**others, **modules}.items()}
+    refs = {}
+    for source, tree in trees.items():
+        for name, line in _references(tree):
+            refs.setdefault(name, []).append((source, line))
+    dead = []
+    for module in modules:
+        for qualname, first, last in _definitions(trees[module]):
+            name = qualname.rsplit(".", 1)[-1]
+            if all(
+                source == module and first <= line <= last
+                for source, line in refs.get(name, ())
+            ):
+                dead.append(f"{module}.{qualname}")
+    return sorted(dead)
+
+
+def test_every_definition_is_referenced():
+    modules = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    others = {
+        str(path.relative_to(ROOT)): path.read_text()
+        for directory in ("tests", "perfbench")
+        for path in (ROOT / directory).rglob("*.py")
+    }
+    assert _dead_definitions(modules, others) == []
+
+
+def test_scan_finds_a_dead_definition():
+    module = (
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self.used()\n"
+        "    def used(self):\n"
+        "        pass\n"
+        "    def recursive(self):\n"
+        "        return self.recursive()\n"
+        "def bound_by_string():\n"
+        "    pass\n"
+        "def unused():\n"
+        "    pass\n"
+    )
+    user = "from m import A\nA()\ngetattr(A, 'bound_by_string')\n"
+    assert _dead_definitions({"m": module}, {"user": user}) == [
+        "m.A.recursive",
+        "m.unused",
     ]

@@ -163,7 +163,7 @@ def test_sampling_forward_gives_the_fresh_gradient_bit_for_bit():
         )
         policy = ControllerPolicy(params, rng)
         trace = policy.propose(cell)
-        _assert_same(policy.grad_fn(cell, trace)(), trace_grads(params, cell, trace))
+        _assert_same(policy.grads(cell, trace), trace_grads(params, cell, trace))
 
 
 def test_construction_sampling_walk_gives_the_fresh_gradient_bit_for_bit():
@@ -208,7 +208,22 @@ def test_kept_forward_is_not_reused_after_the_parameters_move():
     params, cell, _, rng = _controller_draw(5, bidirectional=True)
     policy = ControllerPolicy(params, rng)
     trace = policy.propose(cell)
-    grads = policy.grad_fn(cell, trace)
-    grads()  # hands the kept forward over, as the trainer's update does
+    policy.grads(cell, trace)  # hands the kept forward over, as an update does
     params.fwd.Wh.data *= 1.5
-    _assert_same(grads(), trace_grads(params, cell, trace))
+    _assert_same(policy.grads(cell, trace), trace_grads(params, cell, trace))
+
+
+def test_samplers_raise_on_nan_weights():
+    # NaN log-probabilities would otherwise fall through the inverse-CDF
+    # draw to index 0 and be logged as a legal choice
+    params, cell, _, _ = _controller_draw(0, bidirectional=True)
+    policy, rng = _construction_draw(0)
+    params.flat[:] = np.nan
+    policy.flat[:] = np.nan
+    for sample in (
+        lambda: sample_mutation(params, cell, rng),
+        lambda: sample_mutation_batch(params, [cell, cell], rng),
+        lambda: policy.sample(rng),
+    ):
+        with pytest.raises(ValueError, match="cannot sample"):
+            sample()

@@ -89,9 +89,7 @@ def test_first_update_with_ema_baseline_is_a_no_op():
     trace = sample_mutation(params, cell, rng)
     before = {name: t.data.copy() for name, t in params.named_params()}
     diag = trainer.update(
-        lambda: trace_grads(params, cell, trace),
-        trace.total_entropy,
-        0.6,
+        *trace_grads(params, cell, trace), trace.total_entropy, 0.6
     )
     assert diag["advantage"] == 0.0
     for name, t in params.named_params():
@@ -105,7 +103,7 @@ def test_zero_advantage_no_baseline_zero_entropy_keeps_params():
     trace = sample_mutation(params, cell, rng)
     before = {name: t.data.copy() for name, t in params.named_params()}
     diag = trainer.update(
-        lambda: trace_grads(params, cell, trace), trace.total_entropy, 0.0
+        *trace_grads(params, cell, trace), trace.total_entropy, 0.0
     )
     # fitness 0 -> shaped reward 0; no baseline -> advantage 0 -> no movement
     assert diag["advantage"] == 0.0
