@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -176,6 +177,10 @@ def validate_config(cfg: StrategyConfig) -> None:
         raise ConfigError("oracle kind 'file' requires a path")
     if cfg.oracle_seed is not None and cfg.oracle_seed < 0:
         raise ConfigError(f"oracle seed must be >= 0, got {cfg.oracle_seed}")
+    for name in ("noise", "learning_rate", "entropy_weight"):
+        value = getattr(cfg, name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
     if cfg.noise is not None and cfg.noise < 0:
         raise ConfigError(f"noise must be >= 0, got {cfg.noise}")
     if min(cfg.embed_size, cfg.hidden_size) < 1:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -22,6 +23,7 @@ from evocell.arch_space import (
     random_digits,
     space_size,
 )
+from evocell import evaluators
 from evocell.evaluators import (
     TABULAR_HIGH,
     TABULAR_LOW,
@@ -38,6 +40,7 @@ from evocell.evaluators import (
     overlap_fraction,
     save_oracle,
 )
+from tabular_reference import reference_table
 
 CFG23 = SpaceConfig(num_blocks=2, num_ops=3)
 
@@ -299,6 +302,38 @@ def test_build_tabular_equals_scalar_path_bit_for_bit():
     assert np.array_equal(tab.table, np.array(expected))
 
 
+def _assert_matches_reference(cfg, seed):
+    oracle = build_tabular(cfg, seed)
+    expected = reference_table(cfg, seed)
+    assert np.array_equal(oracle.table, expected)
+    assert oracle.optimum_rank == int(np.argmax(expected))
+
+
+@pytest.mark.parametrize("seed", [5, 7])
+def test_build_tabular_matches_whole_array_build(seed):
+    _assert_matches_reference(SpaceConfig(num_blocks=3, num_ops=4), seed)
+
+
+def test_build_tabular_matches_whole_array_build_on_partial_slices(monkeypatch):
+    # a space smaller than one slice, then one whose size (46,656 cells) is
+    # not a multiple of the slice length
+    assert space_size(CFG23) < evaluators.TABLE_SLICE
+    _assert_matches_reference(CFG23, 7)
+    monkeypatch.setattr(evaluators, "TABLE_SLICE", 1000)
+    _assert_matches_reference(SpaceConfig(num_blocks=2, num_ops=6), 3)
+
+
+def test_build_tabular_allocates_no_second_table():
+    cfg = SpaceConfig(num_blocks=3, num_ops=4)
+    tracemalloc.start()
+    try:
+        oracle = build_tabular(cfg, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.10 * oracle.table.nbytes
+
+
 def test_raw_scores_equal_scalar_path_bit_for_bit():
     cfg = SpaceConfig(num_blocks=5, num_ops=6)
     weights = _LandscapeWeights.draw(cfg, 7)
@@ -424,6 +459,37 @@ def test_oracle_load_rejects_missing_entries(tmp_path):
     del payload["entries"][first_key]
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError):
+        load_oracle(str(path))
+
+
+def _set_first(value):
+    def edit(entries):
+        entries[next(iter(entries))] = value
+
+    return edit
+
+
+def _repeat_first_cell(entries):
+    # cell_from_text strips whitespace, so two keys can name one cell; with
+    # the entry count right, the cell left out would otherwise stay unset
+    first, second = list(entries)[:2]
+    del entries[second]
+    entries[" " + first] = 0.5
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_set_first(math.nan), _set_first(7.5), _repeat_first_cell],
+    ids=["nan", "above-one", "repeated-cell"],
+)
+def test_oracle_load_rejects_bad_entry(tmp_path, edit):
+    oracle = build_tabular(SpaceConfig(num_blocks=1, num_ops=2), seed=0)
+    path = tmp_path / "oracle.json"
+    save_oracle(str(path), oracle)
+    payload = json.loads(path.read_text())
+    edit(payload["entries"])
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="^entry "):
         load_oracle(str(path))
 
 

@@ -104,7 +104,24 @@ def test_validate_config_rejects_bad_inputs():
         validate_config(_cfg("reinforced", learning_rate=-1.0))
     with pytest.raises(ConfigError):
         validate_config(_cfg("rl_construct", learning_rate=0.0))
+    for name in ("noise", "learning_rate", "entropy_weight"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match=name):
+                validate_config(_cfg("reinforced", **{name: value}))
     validate_config(_cfg("reinforced"))  # the good case passes
+
+
+@pytest.mark.parametrize(
+    "section, key", [("maturity", "sigma"), ("policy", "learning_rate"),
+                     ("policy", "entropy_weight")]
+)
+def test_config_from_header_rejects_non_finite_settings(section, key):
+    cfg = _cfg("random", budget=5)
+    _, log = run_strategy(cfg, seed=0, oracle=make_oracle(cfg))
+    header = json.loads(json.dumps(log[0]))
+    header[section][key] = math.nan
+    with pytest.raises(ConfigError):
+        config_from_header(header)
 
 
 def test_make_oracle_noise_handling(tmp_path):
