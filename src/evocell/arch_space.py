@@ -238,38 +238,6 @@ def encode_tokens(cell: CellSpec) -> List[int]:
     return tokens
 
 
-def decode_tokens(tokens: Sequence[int], cfg: SpaceConfig) -> CellSpec:
-    """Inverse of encode_tokens. Raises ValueError on malformed input."""
-    B = cfg.num_blocks
-    if len(tokens) != 5 * B:
-        raise ValueError(f"expected {5 * B} tokens, got {len(tokens)}")
-    vsize = vocab_size(B)
-    op_base = 2 + B
-    add_token = op_base + NUM_OPS_TOTAL
-    blocks = []
-    for b in range(B):
-        t_i1, t_i2, t_o1, t_o2, t_add = tokens[5 * b : 5 * b + 5]
-        for t in (t_i1, t_i2, t_o1, t_o2, t_add):
-            if not 0 <= t < vsize:
-                raise ValueError(f"token id {t} outside vocabulary of {vsize}")
-        if t_i1 >= op_base or t_i2 >= op_base:
-            raise ValueError(f"block {b + 1}: expected input tokens, got op tokens")
-        if not op_base <= t_o1 < add_token or not op_base <= t_o2 < add_token:
-            raise ValueError(f"block {b + 1}: expected op tokens")
-        if t_add != add_token:
-            raise ValueError(f"block {b + 1}: expected combiner token {add_token}")
-        blocks.append(
-            BlockSpec(
-                input_ref(t_i1), input_ref(t_i2), Op(t_o1 - op_base), Op(t_o2 - op_base)
-            )
-        )
-    cell = CellSpec(tuple(blocks), num_ops=cfg.num_ops)
-    violation = validate(cell, cfg)
-    if violation is not None:
-        raise ValueError(f"decoded cell invalid: {violation}")
-    return cell
-
-
 # ---------------------------------------------------------------------------
 # Counting, ranking, enumeration
 # ---------------------------------------------------------------------------

@@ -11,15 +11,18 @@ chosen, a third head produces logits over the active op subset. Every
 softmax is squashed (shape_logits_np), so no decision can become
 deterministic.
 
-Everything runs on the numpy engine: encode_forward caches one encoder
-pass, sample_mutation (or sample_mutation_batch, for many parents) samples
-from it, trace_logprob re-scores a recorded trace forward only, and
-trace_grads backpropagates through the same cache by hand-derived BPTT.
-Central differences of trace_logprob check trace_grads.
+Everything runs on the numpy engine. encode_forward caches one encoder
+pass. One walk scores and chooses every block of one or many parents:
+sample_mutation runs it on one parent, sample_mutation_batch on many (the
+same draws, parent by parent), and trace_logprob re-scores a recorded trace
+through it with the choices forced. trace_grads backpropagates through the
+same cache by hand-derived BPTT; central differences of trace_logprob check
+it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import List, Optional, Sequence, Tuple, Union
@@ -49,7 +52,6 @@ from .nn_core import (
     lstm_entries,
     lstm_forward_np,
     lstm_spec,
-    sample_index_np,
     squashed_logp_grad_np,
     squashed_logp_np,
 )
@@ -298,22 +300,27 @@ def encode_forward(params: ControllerParams, cell: CellSpec) -> EncoderForward:
     return EncoderForward(cell, ids, fwd, bwd, states[0])
 
 
-# Head scores. Each takes one parent's states (T, W) or a batch's (N, T, W).
+# Head scores. Each takes one parent's values or a stack of them: encoder
+# states (..., T, W), a routed field's state (..., W), or the blocks'
+# combiner states (..., B, W). A stacked product hands each parent's slice
+# to the BLAS kernel a single parent's product uses, so stacking leaves the
+# scores' bits unchanged.
 
 
-def _router_raw(params: ControllerParams, states: np.ndarray, b: int) -> np.ndarray:
-    base = 5 * (b - 1)
-    w_r, b_r = params.w_router.data[:, 0], params.b_router.data[0, 0]
-    return states[..., base : base + 4, :] @ w_r + b_r
+def _router_raw(params: ControllerParams, fields: np.ndarray) -> np.ndarray:
+    """(..., 4) from the states of a block's four fields (..., 4, W)."""
+    return fields @ params.w_router.data[:, 0] + params.b_router.data[0, 0]
 
 
 def _input_candidates(
-    params: ControllerParams, states: np.ndarray, b: int
+    params: ControllerParams, combiners: np.ndarray, b: int
 ) -> np.ndarray:
     """(..., b+1, W): the combiner states of blocks 1..b-1, then the begin vectors."""
-    begins = np.concatenate([params.begin_prev1.data, params.begin_prev2.data])
-    begins = np.broadcast_to(begins, states.shape[:-2] + begins.shape)
-    return np.concatenate([states[..., 4 : 5 * (b - 1) : 5, :], begins], axis=-2)
+    cands = np.empty(combiners.shape[:-2] + (b + 1, combiners.shape[-1]))
+    cands[..., : b - 1, :] = combiners[..., : b - 1, :]
+    cands[..., b - 1, :] = params.begin_prev1.data[0]
+    cands[..., b, :] = params.begin_prev2.data[0]
+    return cands
 
 
 def _input_raw(
@@ -321,59 +328,101 @@ def _input_raw(
 ) -> np.ndarray:
     W = params.state_width
     w = params.w_input.data[:, 0]
-    return (state_id @ w[:W])[..., None] + cands @ w[W:] + params.b_input.data[0, 0]
+    own = state_id[..., None, :] @ w[:W]  # (..., 1): a dot product per parent
+    return own + cands @ w[W:] + params.b_input.data[0, 0]
 
 
 def _op_raw(params: ControllerParams, state_id: np.ndarray) -> np.ndarray:
-    return state_id @ params.w_op.data + params.b_op.data[0]
+    return (state_id[..., None, :] @ params.w_op.data)[..., 0, :] + params.b_op.data[0]
+
+
+def _draw(logp: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sample_index_np along logp's last axis at the uniforms u, one per
+    row: the same indices, and the same ValueError on a non-finite sum."""
+    cum = np.exp(logp).cumsum(axis=-1)
+    if not math.isfinite(cum[..., -1].sum()):
+        raise ValueError("cannot sample: probabilities sum to a non-finite value")
+    # cum is nondecreasing, so counting over all but its last entry caps
+    # the index at the last candidate, as sample_index_np's min() does
+    return (cum[..., :-1] <= u[..., None]).sum(axis=-1)
 
 
 def _walk(
     params: ControllerParams,
     states: np.ndarray,
-    num_blocks: int,
-    rng: Optional[np.random.Generator],
-    forced: Sequence[Tuple[int, int]] = (),
-) -> MutationTrace:
-    """Score one parent's blocks in order: each block's router, then the
-    head of the field it picks. Each choice is sampled from rng, or, without
-    one, read from forced as a (target, replacement index) pair per block;
-    the totals are summed in this order either way."""
-    actions: List[MutationAction] = []
-    total_lp = 0.0
-    total_h = 0.0
-    for b in range(1, num_blocks + 1):
-        router_logp = squashed_logp_np(_router_raw(params, states, b))
-        t_idx = forced[b - 1][0] if rng is None else sample_index_np(router_logp, rng)
-        router_lp = float(router_logp[t_idx])
-        router_h = float(entropy_from_logp_np(router_logp))
-        state_id = states[5 * (b - 1) + t_idx]
-        is_input = t_idx < 2  # MutTarget.I1 or I2
-        if is_input:
-            cands = _input_candidates(params, states, b)
-            repl_logp = squashed_logp_np(_input_raw(params, state_id, cands))
-        else:
-            repl_logp = squashed_logp_np(_op_raw(params, state_id))
-        r_idx = forced[b - 1][1] if rng is None else sample_index_np(repl_logp, rng)
-        replacement: Replacement = (
-            input_candidate_refs(b)[r_idx] if is_input else Op(r_idx)
-        )
-        repl_lp = float(repl_logp[r_idx])
-        repl_h = float(entropy_from_logp_np(repl_logp))
-        actions.append(
-            MutationAction(
-                block=b,
-                target=MutTarget(t_idx),
-                replacement=replacement,
-                router_logprob=router_lp,
-                replace_logprob=repl_lp,
-                router_entropy=router_h,
-                replace_entropy=repl_h,
+    u: Optional[np.ndarray] = None,
+    forced: Optional[np.ndarray] = None,
+) -> List[MutationTrace]:
+    """One trace per parent, from N parents' encoder states (N, T, W).
+
+    In each block the router picks a field, then that field's head picks
+    its new value. Block b's two choices are drawn at the uniforms
+    u[n, 2b-2] and u[n, 2b-1], or, without u, read from forced[n, b-1] as a
+    (target, replacement index) pair. All routers are scored in one stacked
+    product, and so are the op heads of all blocks routed to an op; an
+    input head has b+1 candidates, so each block's is scored for the
+    parents that routed to an input there.
+    Totals are summed in block order, router then replacement.
+    """
+    N, T, W = states.shape
+    B = T // 5
+    blocks = states.reshape(N, B, 5, W)
+    router_logp = squashed_logp_np(_router_raw(params, blocks[:, :, :4]))  # (N, B, 4)
+    t_idx = forced[..., 0] if u is None else _draw(router_logp, u[:, 0::2])
+    state_id = blocks[np.arange(N)[:, None], np.arange(B), t_idx]  # (N, B, W)
+    is_input = t_idx < 2  # MutTarget.I1 or I2
+
+    chosen = [[None] * B for _ in range(N)]  # (index, log-prob, entropy)
+
+    def replace(where: tuple, logp: np.ndarray):
+        """(index, log-prob, entropy) of the replacement chosen for each
+        (parent, block) pair in where, whose head log-probs are logp's rows."""
+        idx = forced[where][:, 1] if u is None else _draw(logp, u[:, 1::2][where])
+        idx = idx.tolist()
+        lp = [row[i] for row, i in zip(logp.tolist(), idx)]
+        return zip(idx, lp, entropy_from_logp_np(logp).tolist())
+
+    is_op = ~is_input
+    rows, cols = np.nonzero(is_op)
+    op_logp = squashed_logp_np(_op_raw(params, state_id[is_op]))
+    choices = replace((rows, cols), op_logp)
+    for n, b, choice in zip(rows.tolist(), cols.tolist(), choices):
+        chosen[n][b] = choice
+    combiners = blocks[:, :, 4]
+    for b in range(1, B + 1):
+        rows = np.flatnonzero(is_input[:, b - 1])
+        if rows.size:
+            cands = _input_candidates(params, combiners[rows, : b - 1], b)
+            raw = _input_raw(params, state_id[rows, b - 1], cands)
+            in_logp = squashed_logp_np(raw)
+            for n, choice in zip(rows.tolist(), replace((rows, b - 1), in_logp)):
+                chosen[n][b - 1] = choice
+
+    router_h = entropy_from_logp_np(router_logp)
+    refs = [input_candidate_refs(b) for b in range(1, B + 1)]
+    traces: List[MutationTrace] = []
+    for row in zip(t_idx.tolist(), chosen, router_logp.tolist(), router_h.tolist()):
+        actions = []
+        total_lp = 0.0
+        total_h = 0.0
+        for b, (t, (r, r_lp, r_h), t_logp, t_h) in enumerate(zip(*row), start=1):
+            t_lp = t_logp[t]
+            replacement: Replacement = refs[b - 1][r] if t < 2 else Op(r)
+            actions.append(
+                MutationAction(
+                    block=b,
+                    target=MutTarget(t),
+                    replacement=replacement,
+                    router_logprob=t_lp,
+                    replace_logprob=r_lp,
+                    router_entropy=t_h,
+                    replace_entropy=r_h,
+                )
             )
-        )
-        total_lp += router_lp + repl_lp
-        total_h += router_h + repl_h
-    return MutationTrace(tuple(actions), total_lp, total_h)
+            total_lp += t_lp + r_lp
+            total_h += t_h + r_h
+        traces.append(MutationTrace(tuple(actions), total_lp, total_h))
+    return traces
 
 
 def sample_mutation(
@@ -385,13 +434,43 @@ def sample_mutation(
     """Sample one mutation per block from the current policy.
 
     Consumes exactly two uniforms per block (router, replacement), in block
-    order. trace_logprob recomputes the recorded totals bit for bit. A
-    caller that will train on the sample passes the encoder pass it keeps
-    (encode_forward under the current parameters); otherwise one is run.
+    order, drawn in one call. trace_logprob recomputes the recorded totals
+    bit for bit. A caller that will train on the sample passes the encoder
+    pass it keeps (encode_forward under the current parameters); otherwise
+    one is run.
     """
     if forward is None or forward.cell != cell:
         forward = encode_forward(params, cell)
-    return _walk(params, forward.states, cell.num_blocks, rng)
+    u = rng.random((1, 2 * cell.num_blocks))
+    return _walk(params, forward.states[None], u)[0]
+
+
+# Parents encoded per forward pass. A pass caches every step's activations;
+# at 16 rows of 25 tokens and H = 100 that cache stays within a core's L2,
+# where a 64-row pass measured slower than 16-row passes and held 4x the
+# memory.
+ENCODE_ROWS = 16
+
+
+def sample_mutation_batch(
+    params: ControllerParams, cells: Sequence[CellSpec], rng: np.random.Generator
+) -> List[MutationTrace]:
+    """sample_mutation for many parents of one block count at once.
+
+    The uniforms are drawn parent by parent, 2B each, in one call, so a
+    single parent is sampled exactly as sample_mutation samples it. Nothing
+    trains on these samples, so the encoder caches are not kept.
+    """
+    if not cells:
+        return []
+    ids = np.array([encode_tokens(c) for c in cells], dtype=np.intp)
+    states = np.concatenate(  # (N, T, W)
+        [
+            _encode_ids(params, ids[r : r + ENCODE_ROWS])[2]
+            for r in range(0, len(cells), ENCODE_ROWS)
+        ]
+    )
+    return _walk(params, states, rng.random((len(cells), 2 * cells[0].num_blocks)))
 
 
 def trace_logprob(
@@ -410,7 +489,7 @@ def trace_logprob(
         for b, action in enumerate(trace.actions, start=1)
     ]
     states = encode_forward(params, cell).states
-    walk = _walk(params, states, cell.num_blocks, None, forced)
+    walk = _walk(params, states[None], forced=np.array([forced]))[0]
     return walk.total_logprob, walk.total_entropy
 
 
@@ -452,7 +531,7 @@ def trace_grads(
         idx = _replacement_index(params, b, action)
         base = 5 * (b - 1)
         t_idx = int(action.target)
-        raw = _router_raw(params, S, b)
+        raw = _router_raw(params, S[base : base + 4])
         logp = squashed_logp_np(raw)
         g = squashed_logp_grad_np(raw, logp, t_idx)
         total_lp += float(logp[t_idx])
@@ -461,7 +540,7 @@ def trace_grads(
         d_b_r += g.sum()
         state_id = S[base + t_idx]
         if t_idx < 2:
-            cands = _input_candidates(params, S, b)
+            cands = _input_candidates(params, S[4::5], b)
             raw = _input_raw(params, state_id, cands)
             logp = squashed_logp_np(raw)
             g = squashed_logp_grad_np(raw, logp, idx)
@@ -496,102 +575,6 @@ def trace_grads(
         dX += dX_b[0, ::-1]
     np.add.at(grads["embedding"], forward.ids, dX)
     return total_lp, grads
-
-
-# ---------------------------------------------------------------------------
-# Batched sampler: same policy, many parents at once. Draw order differs
-# from the scalar path (one uniform vector per decision column), so the two
-# samplers are distributionally identical but not stream-compatible. Nothing
-# trains on batched samples, so the encoder caches are not kept.
-# ---------------------------------------------------------------------------
-
-# Parents encoded per forward pass. A pass caches every step's activations;
-# at 16 rows of 25 tokens and H = 100 that cache stays within a core's L2,
-# where a 64-row pass measured slower than 16-row passes and held 4x the
-# memory.
-ENCODE_ROWS = 16
-
-
-def _draw_rows(logp: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sample_index_np for each row n of logp (N, K), at uniform u[n]:
-    the same index, and the same ValueError on a non-finite sum."""
-    cum = np.cumsum(np.exp(logp), axis=1)
-    if not np.isfinite(cum[:, -1]).all():
-        raise ValueError("cannot sample: probabilities sum to a non-finite value")
-    return np.minimum((cum <= u[:, None]).sum(axis=1), logp.shape[1] - 1)
-
-
-def sample_mutation_batch(
-    params: ControllerParams, cells: Sequence[CellSpec], rng: np.random.Generator
-) -> List[MutationTrace]:
-    if not cells:
-        return []
-    B = cells[0].num_blocks
-    ids = np.array([encode_tokens(c) for c in cells], dtype=np.intp)
-    states = np.concatenate(  # (N, T, W)
-        [
-            _encode_ids(params, ids[r : r + ENCODE_ROWS])[2]
-            for r in range(0, len(cells), ENCODE_ROWS)
-        ]
-    )
-    N = states.shape[0]
-
-    per_block: List[Tuple[np.ndarray, ...]] = []
-    for b in range(1, B + 1):
-        base = 5 * (b - 1)
-        router_logp = squashed_logp_np(_router_raw(params, states, b))  # (N, 4)
-        t_idx = _draw_rows(router_logp, rng.random(N))
-        router_lp = router_logp[np.arange(N), t_idx]
-        router_h = entropy_from_logp_np(router_logp)
-        state_id = states[np.arange(N), base + t_idx, :]  # (N, W)
-
-        cands = _input_candidates(params, states, b)  # (N, b+1, W)
-        in_logp = squashed_logp_np(_input_raw(params, state_id, cands))
-        op_logp = squashed_logp_np(_op_raw(params, state_id))
-
-        u2 = rng.random(N)
-        in_idx = _draw_rows(in_logp, u2)
-        op_idx = _draw_rows(op_logp, u2)
-
-        is_input = t_idx < 2
-        repl_idx = np.where(is_input, in_idx, op_idx)
-        repl_lp = np.where(
-            is_input,
-            in_logp[np.arange(N), in_idx],
-            op_logp[np.arange(N), op_idx],
-        )
-        repl_h = np.where(
-            is_input, entropy_from_logp_np(in_logp), entropy_from_logp_np(op_logp)
-        )
-        per_block.append((t_idx, repl_idx, router_lp, repl_lp, router_h, repl_h))
-
-    traces: List[MutationTrace] = []
-    for n in range(N):
-        actions = []
-        total_lp = 0.0
-        total_h = 0.0
-        for b in range(1, B + 1):
-            t_idx, repl_idx, router_lp, repl_lp, router_h, repl_h = per_block[b - 1]
-            target = MutTarget(int(t_idx[n]))
-            if target in (MutTarget.I1, MutTarget.I2):
-                replacement: Replacement = input_candidate_refs(b)[int(repl_idx[n])]
-            else:
-                replacement = Op(int(repl_idx[n]))
-            actions.append(
-                MutationAction(
-                    block=b,
-                    target=target,
-                    replacement=replacement,
-                    router_logprob=float(router_lp[n]),
-                    replace_logprob=float(repl_lp[n]),
-                    router_entropy=float(router_h[n]),
-                    replace_entropy=float(repl_h[n]),
-                )
-            )
-            total_lp += float(router_lp[n]) + float(repl_lp[n])
-            total_h += float(router_h[n]) + float(repl_h[n])
-        traces.append(MutationTrace(tuple(actions), total_lp, total_h))
-    return traces
 
 
 # ---------------------------------------------------------------------------

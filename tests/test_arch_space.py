@@ -6,8 +6,6 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import stats
 
 from evocell.arch_space import (
@@ -24,7 +22,6 @@ from evocell.arch_space import (
     cell_from_text,
     cell_rank,
     cell_to_text,
-    decode_tokens,
     digit_radices,
     encode_tokens,
     enumerate_space,
@@ -80,37 +77,6 @@ def test_vocab_size_counts_inputs_ops_and_combiner():
     # two prev-cell inputs + (B-1) block outputs + 6 ops + combiner
     assert vocab_size(1) == 10
     assert vocab_size(5) == 14
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**31 - 1),
-    blocks=st.integers(min_value=1, max_value=5),
-    ops=st.integers(min_value=2, max_value=6),
-)
-def test_encode_decode_round_trip(seed, blocks, ops):
-    cfg = SpaceConfig(num_blocks=blocks, num_ops=ops)
-    cell = random_cell(cfg, np.random.default_rng(seed))
-    assert decode_tokens(encode_tokens(cell), cfg) == cell
-
-
-def test_decode_rejects_malformed_streams():
-    cfg = SpaceConfig(num_blocks=1, num_ops=6)
-    good = [0, 1, 3, 8, 9]
-    assert decode_tokens(good, cfg) == CellSpec(
-        (BlockSpec(CELL_PREV2, CELL_PREV1, Op.SEP3, Op.IDENT),), num_ops=6
-    )
-    with pytest.raises(ValueError):
-        decode_tokens(good[:-1], cfg)  # wrong length
-    with pytest.raises(ValueError):
-        decode_tokens([0, 1, 3, 8, 37], cfg)  # id out of vocabulary
-    with pytest.raises(ValueError):
-        decode_tokens([3, 1, 3, 8, 9], cfg)  # op token in an input slot
-    with pytest.raises(ValueError):
-        decode_tokens([0, 1, 3, 8, 8], cfg)  # op token in the combiner slot
-    with pytest.raises(ValueError):
-        # IDENT (token 8) is outside the active 2-op subset
-        decode_tokens(good, SpaceConfig(num_blocks=1, num_ops=2))
 
 
 def test_validate_reports_field_and_block():

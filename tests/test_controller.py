@@ -36,6 +36,7 @@ from evocell.controller import (
     trace_to_dict,
 )
 from evocell.nn_core import check_grads
+from walk_reference import reference_logprob, reference_sample
 
 TINY = dict(embed_size=4, hidden_size=4)
 
@@ -180,6 +181,58 @@ def test_batched_sampler_matches_differentiable_walk():
         assert abs(lp - trace.total_logprob) < 1e-12
         assert abs(ent - trace.total_entropy) < 1e-12
         assert validate(apply_mutation(cell, trace), cfg) is None
+
+
+def _twin(rng):
+    """A generator at rng's current state, advancing separately."""
+    twin = np.random.default_rng()
+    twin.bit_generator.state = rng.bit_generator.state
+    return twin
+
+
+@pytest.mark.parametrize("size", [8, 100])
+@pytest.mark.parametrize("bidirectional", [True, False])
+def test_walk_matches_the_block_by_block_reference(bidirectional, size):
+    # Bit for bit, decisions and floats alike. From 7 blocks an input head
+    # has 8 or more candidates, where a padded softmax sum would regroup.
+    for blocks in range(1, 10):
+        for perturbed in (False, True):
+            ops = 2 + (2 * blocks + perturbed) % 5
+            cfg = SpaceConfig(num_blocks=blocks, num_ops=ops)
+            rng = np.random.default_rng(100 * blocks + 10 * size + 2 * perturbed)
+            params = init_controller(
+                cfg, rng, embed_size=size, hidden_size=size, bidirectional=bidirectional
+            )
+            if perturbed:
+                params.flat += rng.normal(0.0, 0.3, params.flat.size)
+            previous = None
+            for _ in range(4):
+                cell = random_cell(cfg, rng)
+                twin = _twin(rng)
+                trace = sample_mutation(params, cell, rng)
+                assert trace == reference_sample(params, cell, twin)
+                assert rng.bit_generator.state == twin.bit_generator.state
+                for t in (trace, previous or trace):
+                    assert trace_logprob(params, cell, t) == reference_logprob(
+                        params, cell, t
+                    )
+                previous = trace
+
+
+def test_batch_sampler_draws_the_scalar_stream():
+    cfg, params, rng = _tiny_controller(blocks=3, ops=4, seed=12)
+    for _ in range(20):
+        cell = random_cell(cfg, rng)
+        twin = _twin(rng)
+        [batched] = sample_mutation_batch(params, [cell], rng)
+        assert batched == sample_mutation(params, cell, twin)
+    cells = [random_cell(cfg, rng) for _ in range(37)]
+    twin = _twin(rng)
+    sample_mutation_batch(params, cells, rng)
+    twin.random(2 * cfg.num_blocks * len(cells))
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert sample_mutation_batch(params, [], rng) == []
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_trace_logprob_gradcheck_tiny():
