@@ -29,7 +29,6 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from .arch_space import (
     CellSpec,
@@ -790,6 +789,8 @@ def build_report(
 
     comparisons = {}
     if "reinforced" in strategies:
+        from scipy import stats  # here, not at start-up: only compare runs it
+
         base = _censored(
             [s.evals_to_target for s in summaries["reinforced"]], cfg.budget
         )
@@ -837,11 +838,13 @@ def build_report(
 # ---------------------------------------------------------------------------
 
 
+_JSON = json.JSONEncoder(sort_keys=True)
+
+
 def write_jsonl(path: str, records: Sequence[dict]) -> None:
     with open(path, "w") as fh:
         for record in records:
-            fh.write(json.dumps(record, sort_keys=True))
-            fh.write("\n")
+            fh.write(_JSON.encode(record) + "\n")
 
 
 def read_jsonl(path: str) -> List[dict]:

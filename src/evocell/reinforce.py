@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import tandg
 
 from . import controller as ctrl
 from .arch_space import CellSpec
@@ -24,15 +23,22 @@ from .nn_core import AdamState, ParamViews, Tensor, adam_step, flat_buffer
 
 FITNESS_CLIP = 0.999
 BASELINE_DECAY = 0.95
+_PI180 = math.pi / 180.0  # cephes' PI180
 
 
 def shaped_reward(fitness: float) -> float:
     """tan(min(fitness, FITNESS_CLIP) * pi/2); rejects negative fitness."""
     if fitness < 0.0:
         raise ValueError(f"fitness must be non-negative, got {fitness}")
-    # tandg reduces the angle exactly, so f=0.5 maps to exactly 1.0 (tan of
-    # a rounded pi/4 would land one ulp short).
-    return float(tandg(min(fitness, FITNESS_CLIP) * 90.0))
+    degrees = min(fitness, FITNESS_CLIP) * 90.0
+    # The angle is reduced as cephes' tandg reduces it, so f=0.5 maps to
+    # exactly 1.0 (tan of a rounded pi/4 would land one ulp short) and both
+    # zeros to +0.0; every other angle is tan(degrees * PI180), bit for bit.
+    if degrees == 0.0:
+        return 0.0
+    if degrees == 45.0:
+        return 1.0
+    return math.tan(degrees * _PI180)
 
 
 @dataclass

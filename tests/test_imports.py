@@ -1,8 +1,12 @@
-"""Every name a package module imports is used in that module, and every
+"""Every name a package module imports is used in that module, every
 function, class and method the package defines is referenced from src,
-tests or perfbench."""
+tests or perfbench, and search and replay start on numpy alone."""
 
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -118,3 +122,44 @@ def test_scan_finds_a_dead_definition():
         "m.A.recursive",
         "m.unused",
     ]
+
+
+SEARCH_AND_REPLAY = textwrap.dedent(
+    """
+    import os, sys
+    import evocell
+    from evocell.arch_space import SpaceConfig
+    from evocell.harness import (
+        StrategyConfig, make_oracle, replay, run_strategy, write_jsonl,
+    )
+
+    out = sys.argv[1]
+    for strategy in ("reinforced", "ea_random", "rl_construct"):
+        cfg = StrategyConfig(
+            strategy=strategy, space=SpaceConfig(num_blocks=2, num_ops=3),
+            oracle_kind="tabular", oracle_seed=7, pop_size=8, sample_size=3,
+            budget=30, embed_size=8, hidden_size=8,
+        )
+        _, log = run_strategy(cfg, seed=0, oracle=make_oracle(cfg))
+        path = os.path.join(out, strategy + ".jsonl")
+        write_jsonl(path, log)
+        replayed = replay(path)
+        for key in ("best_cell", "best_true"):
+            assert replayed[key] == log[-1][key], (strategy, key)
+    print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+    """
+)
+
+
+def test_search_and_replay_load_no_scipy(tmp_path):
+    # A fresh interpreter: other test modules load scipy into this one.
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", SEARCH_AND_REPLAY, str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

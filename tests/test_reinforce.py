@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import tandg
 
 from evocell.arch_space import (
     CELL_PREV1,
@@ -47,6 +48,13 @@ def test_shaped_reward_clips_near_one():
     assert shaped_reward(1.0) == pytest.approx(at_clip)
     assert shaped_reward(0.9999) == pytest.approx(at_clip)
     assert math.isfinite(shaped_reward(1.0))
+
+
+def test_shaped_reward_is_bit_identical_to_scipy_tandg():
+    grid = np.linspace(0.0, FITNESS_CLIP, 100_001).tolist()
+    for f in grid + [0.0, -0.0, 0.5, FITNESS_CLIP, 1.0, 5.0]:
+        expected = float(tandg(min(f, FITNESS_CLIP) * 90.0))
+        assert shaped_reward(f).hex() == expected.hex(), f
 
 
 def test_shaped_reward_rejects_negative():
