@@ -5,7 +5,7 @@ Subcommands:
   search    run one strategy at one seed, write its trace log
   compare   run several strategies across seeds, write runs.csv + summary.json
   oracle    build a fitness table file, or export one to CSV
-  replay    recompute a logged run from its trace file
+  replay    recompute and verify a logged run
 
 The run settings are harness.StrategyConfig's fields: their flags, types
 and defaults come from its field metadata, and --blocks / --ops set its
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_export.add_argument("oracle_file", help="path to a saved oracle file")
 
-    p_replay = sub.add_parser("replay", help="recompute a logged run")
+    p_replay = sub.add_parser("replay", help="recompute and verify a logged run")
     p_replay.add_argument("log", help="trace_<strategy>_<seed>.jsonl path")
     p_replay.add_argument("--out", dest="out_file", default=None)
     p_replay.set_defaults(func=cmd_replay, options=())

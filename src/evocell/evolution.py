@@ -159,8 +159,10 @@ class ReplayMutationPolicy:
 
 @dataclass
 class StepRecord:
+    """One step; its fields are the logged step record's (harness.step_record)."""
+
     step: int
-    sampled_ids: Tuple[int, ...]
+    sampled_ids: List[int]
     parent_id: int
     parent_fitness: float
     child_id: int
@@ -254,7 +256,7 @@ def evolution_step(
         )
     return StepRecord(
         step=step,
-        sampled_ids=tuple([ind.id for ind in sample]),
+        sampled_ids=[ind.id for ind in sample],
         parent_id=parent.id,
         parent_fitness=parent.fitness,
         child_id=child.id,

@@ -62,6 +62,7 @@ from .evaluators import (
 )
 from .evolution import (
     ControllerPolicy,
+    Individual,
     MutationPolicy,
     RandomMutationPolicy,
     ReplayMutationPolicy,
@@ -521,23 +522,41 @@ def config_from_header(header: dict) -> Tuple[StrategyConfig, int]:
         raise ConfigError(f"malformed log header: {exc!r}")
 
 
-def _step_to_dict(rec: StepRecord) -> dict:
+# Log records: one writer per kind, which the runners log and replay
+# rebuilds and compares. The fields replay does not rebuild: a step's trace,
+# which it feeds back in (an eval's cell goes back into eval_record), and
+# the learner's outputs.
+_NOT_REBUILT = frozenset(("trace", "diagnostics", "grad_norm"))
+
+
+def init_record(ind: Individual) -> dict:
     return {
-        "kind": "step",
-        "step": rec.step,
-        "sampled_ids": list(rec.sampled_ids),
-        "parent_id": rec.parent_id,
-        "parent_fitness": rec.parent_fitness,
-        "child_id": rec.child_id,
-        "child_fitness": rec.child_fitness,
-        "child_maturity": rec.child_maturity,
-        "removed_id": rec.removed_id,
-        "trace": trace_to_dict(rec.trace),
-        "diagnostics": rec.diagnostics,
+        "kind": "init",
+        "id": ind.id,
+        "cell": cell_to_text(ind.cell),
+        "fitness": ind.fitness,
+        "maturity": ind.maturity,
     }
 
 
-def _final_record(members, best_cell: str, best_true: float) -> dict:
+def step_record(rec: StepRecord) -> dict:
+    """StepRecord's fields, with the trace encoded."""
+    return {"kind": "step", **vars(rec), "trace": trace_to_dict(rec.trace)}
+
+
+def step_fields(rec: StepRecord) -> dict:
+    """A step record as replay rebuilds it: less the _NOT_REBUILT fields, so
+    that replay never encodes a trace."""
+    kept = {k: v for k, v in vars(rec).items() if k not in _NOT_REBUILT}
+    return {"kind": "step", **kept}
+
+
+def eval_record(index: int, cell: str, fitness: float, **learner: float) -> dict:
+    """One sampled evaluation; rl_construct adds its update's grad_norm."""
+    return {"kind": "eval", "index": index, "cell": cell, "fitness": fitness, **learner}
+
+
+def final_record(members, best_cell: str, best_true: float) -> dict:
     return {
         "kind": "final",
         "members": [
@@ -549,12 +568,27 @@ def _final_record(members, best_cell: str, best_true: float) -> dict:
     }
 
 
+def _population_log(header: dict, result: RunResult, write_step) -> Iterator[dict]:
+    """An evolution run's records, in order; write_step is step_record, or
+    step_fields for replay, which compares them one at a time."""
+    pop, best = result.population, result.best
+    yield header
+    yield from map(init_record, pop.history[: pop.capacity])
+    yield from map(write_step, result.records)
+    yield final_record(pop.members, cell_to_text(best.cell), best.true_fitness)
+
+
+def _sampling_log(header: dict, evals: List[dict], true_vals: List[float]) -> list:
+    best = int(np.argmax(true_vals))  # the first evaluation of the best cell
+    return [header, *evals, final_record([], evals[best]["cell"], true_vals[best])]
+
+
 def _summary(
     cfg: StrategyConfig,
     seed: int,
     target: float,
     true_vals: List[float],
-    best_true: float,
+    final: dict,
     pop_mean: Optional[List[float]] = None,
     pop_var: Optional[List[float]] = None,
 ) -> RunSummary:
@@ -568,7 +602,7 @@ def _summary(
         pop_mean=pop_mean,
         pop_var=pop_var,
         evals_to_target=_evals_to_target(best_so_far, target),
-        final_best_true=best_true,
+        final_best_true=final["best_true"],
         wall_time=0.0,
     )
 
@@ -627,23 +661,8 @@ def _run_population_strategy(
         )
     result = _evolve(cfg, streams, oracle, policy, trainer)
     true_vals, pop_mean, pop_var = _population_trajectories(result)
-    best_true = result.best.true_fitness
-    log = [header_record(cfg, seed, oracle)]
-    for ind in result.population.history[: cfg.pop_size]:
-        log.append(
-            {
-                "kind": "init",
-                "id": ind.id,
-                "cell": cell_to_text(ind.cell),
-                "fitness": ind.fitness,
-                "maturity": ind.maturity,
-            }
-        )
-    log.extend(_step_to_dict(rec) for rec in result.records)
-    log.append(
-        _final_record(result.population.members, cell_to_text(result.best.cell), best_true)
-    )
-    return _summary(cfg, seed, target, true_vals, best_true, pop_mean, pop_var), log
+    log = list(_population_log(header_record(cfg, seed, oracle), result, step_record))
+    return _summary(cfg, seed, target, true_vals, log[-1], pop_mean, pop_var), log
 
 
 def _run_sampling(
@@ -666,7 +685,7 @@ def _run_sampling(
         trainer = ReinforceTrainer(
             policy.named_params(), _reward_config(cfg), lr=cfg.learning_rate
         )
-    log = [header_record(cfg, seed, oracle)]
+    evals: List[dict] = []
     true_vals: List[float] = []
     for index in range(1, cfg.budget + 1):
         if construct:
@@ -674,20 +693,14 @@ def _run_sampling(
         else:
             cell = random_cell(cfg.space, streams["init"])
         observed, true = oracle.evaluate(cell, 1.0, streams["eval"])
-        record = {
-            "kind": "eval",
-            "index": index,
-            "cell": cell_to_text(cell),
-            "fitness": observed,
-        }
+        learner = {}
         if construct:
             diag = trainer.update(*policy.grads(cell), ent, observed)
-            record["grad_norm"] = diag["grad_norm"]
+            learner["grad_norm"] = diag["grad_norm"]
+        evals.append(eval_record(index, cell_to_text(cell), observed, **learner))
         true_vals.append(true)
-        log.append(record)
-    best = int(np.argmax(true_vals))  # the first evaluation of the best cell
-    log.append(_final_record([], log[1 + best]["cell"], true_vals[best]))
-    return _summary(cfg, seed, target, true_vals, true_vals[best]), log
+    log = _sampling_log(header_record(cfg, seed, oracle), evals, true_vals)
+    return _summary(cfg, seed, target, true_vals, log[-1]), log
 
 
 # ---------------------------------------------------------------------------
@@ -894,64 +907,52 @@ class ReplayDiverged(ConfigError, RuntimeError):
     reproduce: an edited record, or a change in the code."""
 
 
-_INIT_KEYS = ("id", "cell", "fitness", "maturity")
-_STEP_KEYS = (
-    "step", "parent_id", "removed_id", "child_id", "child_fitness", "child_maturity"
-)
-
-
-def _log_records(log_path: str, records: Sequence[dict], cfg: StrategyConfig):
-    """The records after the header by kind, with the fields replay reads:
-    init (its _INIT_KEYS), step (its _STEP_KEYS, which are also StepRecord
-    fields, and parsed trace) and eval
-    (index, cell text, parsed cell, fitness). A record that lacks them, or
-    whose cell or trace does not parse, is a ConfigError that names it; so
-    is a count of records that does not match the header's pop_size and
-    budget."""
-    found = {"init": [], "step": [], "eval": []}
+def _log_inputs(log_path: str, records: Sequence[dict], cfg: StrategyConfig) -> list:
+    """What replay feeds back from the records after the header, in order:
+    each step's parsed trace, or each eval's parsed cell. A record of
+    unknown kind, or whose trace or cell does not parse, is a ConfigError
+    that names it; so is a count of records that does not match the
+    header's pop_size and budget."""
+    found = {"init": 0, "step": 0, "eval": 0, "final": 0}
+    inputs = []
     for number, record in enumerate(records[1:], start=2):
         try:
             kind = record["kind"]
-            if kind == "init":
-                entry = tuple(record[k] for k in _INIT_KEYS)
-            elif kind == "step":
-                trace = trace_from_dict(record["trace"])
-                entry = ({k: record[k] for k in _STEP_KEYS}, trace)
+            if kind == "step":
+                inputs.append(trace_from_dict(record["trace"]))
             elif kind == "eval":
-                text = record["cell"]
-                cell = cell_from_text(text, cfg.space)
-                entry = (record["index"], text, cell, record["fitness"])
-            elif kind == "final":
-                continue
-            else:
+                inputs.append(cell_from_text(record["cell"], cfg.space))
+            elif kind not in found:
                 raise ValueError(f"unknown record kind {kind!r}")
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{log_path}: record {number} is malformed: {exc!r}")
-        found[kind].append(entry)
+        found[kind] += 1
     if cfg.strategy in POPULATION_STRATEGIES:
-        expected = {"init": cfg.pop_size, "step": cfg.budget - cfg.pop_size, "eval": 0}
+        steps = cfg.budget - cfg.pop_size
+        expected = {"init": cfg.pop_size, "step": steps, "eval": 0, "final": 1}
     else:
-        expected = {"init": 0, "step": 0, "eval": cfg.budget}
+        expected = {"init": 0, "step": 0, "eval": cfg.budget, "final": 1}
     for kind, count in expected.items():
-        if len(found[kind]) != count:
+        if found[kind] != count:
             raise ConfigError(
-                f"{log_path}: {len(found[kind])} {kind} records, but the header's "
+                f"{log_path}: {found[kind]} {kind} records, but the header's "
                 f"pop_size {cfg.pop_size} and budget {cfg.budget} give {count}"
             )
-    return found
+    return inputs
 
 
 def replay(log_path: str) -> dict:
-    """Recompute a logged run's evaluations; returns the new final record.
+    """Re-run a logged run and verify it record by record; returns its final
+    record, with the recomputed evaluations as "evals" for random and
+    rl_construct.
 
     Mutation traces (or logged cells, for non-population strategies) are
     taken from the log, so the policy networks are never rebuilt; random
     streams for initialization, tournaments, and observation noise are
-    re-derived from the logged seed. Every logged evaluation (its ids,
-    observed fitness and maturity) must come out bit for bit, or
-    ReplayDiverged names the first that does not; the caller compares
-    the result with the logged final record. A malformed log is a
-    ConfigError.
+    re-derived from the logged seed. Every record is rebuilt by the writer
+    that logged it and must equal the logged one bit for bit, except for
+    the _NOT_REBUILT fields; ReplayDiverged names the first that does not.
+    A malformed log is a ConfigError.
     """
     try:
         records = read_jsonl(log_path)
@@ -964,40 +965,31 @@ def replay(log_path: str) -> dict:
         raise ConfigError(f"unsupported log version {header.get('version')!r}")
     cfg, seed = config_from_header(header)
     oracle = make_oracle(cfg)
-    found = _log_records(log_path, records, cfg)
+    inputs = _log_inputs(log_path, records, cfg)
     streams = rng_streams(seed)
 
     if cfg.strategy in POPULATION_STRATEGIES:
-        steps = found["step"]
         try:
-            result = _evolve(
-                cfg, streams, oracle, ReplayMutationPolicy([t for _, t in steps]), None
-            )
+            result = _evolve(cfg, streams, oracle, ReplayMutationPolicy(inputs), None)
         except ValueError as exc:  # a logged trace that its parent cannot take
             raise ReplayDiverged(f"{log_path}: a logged mutation does not apply: {exc}")
-        for logged, ind in zip(found["init"], result.population.history):
-            if logged != (ind.id, cell_to_text(ind.cell), ind.fitness, ind.maturity):
-                raise ReplayDiverged(
-                    f"replay diverged from log during initialization, at id {ind.id}"
-                )
-        for (logged, _), rec in zip(steps, result.records):
-            if logged != {k: getattr(rec, k) for k in _STEP_KEYS}:
-                raise ReplayDiverged(
-                    f"replay diverged from log at step {logged['step']}"
-                )
-        best = result.best
-        return _final_record(
-            result.population.members, cell_to_text(best.cell), best.true_fitness
-        )
-
-    evals, true_vals = [], []
-    for index, _, cell, logged_fitness in found["eval"]:
-        observed, true = oracle.evaluate(cell, 1.0, streams["eval"])
-        if observed != logged_fitness:
-            raise ReplayDiverged(f"replay diverged from log at eval {index}")
-        evals.append({"index": index, "fitness": observed})
-        true_vals.append(true)
-    best = int(np.argmax(true_vals))  # the first evaluation of the best cell
-    final = _final_record([], found["eval"][best][1], true_vals[best])
-    final["evals"] = evals
-    return final
+        rebuilt = _population_log(header_record(cfg, seed, oracle), result, step_fields)
+    else:
+        evals, true_vals = [], []
+        # .get: a misplaced record has no cell, and diverges below
+        for index, (cell, logged) in enumerate(zip(inputs, records[1:]), start=1):
+            observed, true = oracle.evaluate(cell, 1.0, streams["eval"])
+            evals.append(eval_record(index, logged.get("cell"), observed))
+            true_vals.append(true)
+        rebuilt = _sampling_log(header_record(cfg, seed, oracle), evals, true_vals)
+    for n, (logged, record) in enumerate(zip(records, rebuilt), start=1):
+        if not _NOT_REBUILT.isdisjoint(logged):  # a step, or an rl_construct eval
+            logged = {k: v for k, v in logged.items() if k not in _NOT_REBUILT}
+        if logged != record:
+            ids = [str(record[k]) for k in ("step", "index", "id") if k in record]
+            name = " ".join([record["kind"], *ids])
+            raise ReplayDiverged(f"replay diverged from log at record {n} ({name})")
+    if cfg.strategy in POPULATION_STRATEGIES:
+        return record  # the final record, compared last
+    recomputed = [{"index": e["index"], "fitness": e["fitness"]} for e in evals]
+    return {**record, "evals": recomputed}

@@ -15,7 +15,14 @@ from dataclasses import replace
 import pytest
 
 from evocell.arch_space import SpaceConfig
-from evocell.harness import StrategyConfig, make_oracle, resolve_target, run_strategy, write_jsonl
+from evocell.harness import (
+    StrategyConfig,
+    make_oracle,
+    replay,
+    resolve_target,
+    run_strategy,
+    write_jsonl,
+)
 
 GOLDEN_SHA256 = {
     ("ea_random", 0): "7a322e098cdbfe886121ff39114465967739453ab91a0d37d8700f9c0600c531",
@@ -48,3 +55,10 @@ def test_log_bytes_match_golden_digest(landscape, strategy, seed, tmp_path):
     write_jsonl(str(path), log)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == GOLDEN_SHA256[(strategy, seed)]
+    replayed = replay(str(path))  # compares every record with the log
+    evals = replayed.pop("evals", None)
+    assert replayed == log[-1]
+    if strategy == "random":
+        assert evals == [
+            {"index": r["index"], "fitness": r["fitness"]} for r in log if r["kind"] == "eval"
+        ]

@@ -14,6 +14,7 @@ from evocell.arch_space import (
     SpaceConfig,
     cell_from_digits,
     cell_from_text,
+    cell_to_text,
     random_cell,
     random_digits,
     validate,
@@ -584,12 +585,60 @@ def test_replay_rejects_an_edited_child(key, tmp_path):
         replay(path)
 
 
-def test_cli_replay_of_an_edited_log_exits_2(tmp_path, capsys):
-    log, path = _logged("ea_random", tmp_path)
-    next(r for r in log if r["kind"] == "step")["parent_id"] += 1
+def _bit_up(value):
+    return math.nextafter(value, math.inf)
+
+
+def _another_cell(text):
+    """A legal cell's text other than text."""
+    first, second = (cell_to_text(cell_from_digits(d, CFG23)) for d in ([0] * 8, [1] * 8))
+    return first if text != first else second
+
+
+@pytest.mark.parametrize(
+    "strategy, kind, keys, change",
+    [
+        pytest.param("ea_random", "step", ("sampled_ids",), lambda ids: ids[::-1],
+                     id="step-sampled_ids"),
+        pytest.param("ea_random", "step", ("parent_fitness",), _bit_up,
+                     id="step-parent_fitness"),
+        pytest.param("random", "eval", ("index",), lambda index: index + 1,
+                     id="eval-index"),
+        pytest.param("ea_random", "header", ("maturity", "tau"), _bit_up,
+                     id="header-maturity.tau"),
+        pytest.param("ea_random", "header", ("policy", "fitness_clip"), _bit_up,
+                     id="header-policy.fitness_clip"),
+        pytest.param("ea_random", "final", ("best_cell",), _another_cell,
+                     id="ea_random-final-best_cell"),
+        pytest.param("ea_random", "final", ("best_true",), _bit_up,
+                     id="ea_random-final-best_true"),
+        pytest.param("random", "final", ("best_cell",), _another_cell,
+                     id="random-final-best_cell"),
+        pytest.param("random", "final", ("best_true",), _bit_up,
+                     id="random-final-best_true"),
+    ],
+)
+def test_replay_rejects_an_edited_record(strategy, kind, keys, change, tmp_path):
+    log, path = _logged(strategy, tmp_path)
+    of_kind = [r for r in log if r["kind"] == kind]
+    record = of_kind[5 % len(of_kind)]  # the sixth of its kind, or the only one
+    edited = record
+    for key in keys[:-1]:
+        edited = edited[key]
+    edited[keys[-1]] = change(edited[keys[-1]])
     write_jsonl(path, log)
-    assert main(["replay", path]) == 2
-    assert capsys.readouterr().err.startswith("error: replay diverged")
+    number = log.index(record) + 1
+    with pytest.raises(ReplayDiverged, match=rf"record {number} \({kind}"):
+        replay(path)
+
+
+def test_cli_replay_of_an_edited_log_exits_2(tmp_path, capsys):
+    for kind, key in (("step", "parent_id"), ("final", "best_true")):
+        log, path = _logged("ea_random", tmp_path)
+        next(r for r in log if r["kind"] == kind)[key] += 1
+        write_jsonl(path, log)
+        assert main(["replay", path]) == 2, kind
+        assert capsys.readouterr().err.startswith("error: replay diverged"), kind
 
 
 def test_replay_rejects_bad_header(tmp_path):
