@@ -27,7 +27,7 @@ import sys
 from dataclasses import fields
 from typing import Dict, List, Optional, Sequence
 
-from .arch_space import SpaceConfig, cell_from_rank, cell_to_text
+from .arch_space import SpaceConfig, cell_from_rank, cell_to_text, space_size
 from .evaluators import save_oracle
 from .harness import (
     ConfigError,
@@ -233,7 +233,7 @@ def cmd_oracle_build(opts: Dict[str, object]) -> int:
     except ValueError as exc:  # the table is above the export cap
         raise ConfigError(str(exc))
     print(
-        f"built table of {oracle.table.size} cells, "
+        f"built table of {space_size(cfg.space)} cells, "
         f"optimum {oracle.optimum_fitness:.4f} at rank {oracle.optimum_rank} "
         f"-> {out}"
     )

@@ -11,8 +11,10 @@ inheritance plus a single training pass, at desk scale.
 Two oracle families:
   * LandscapeOracle: additive per-block scores plus adjacent-block pairwise
     interactions through a logistic squash; computable on any space.
-  * TabularOracle: the same landscape exhaustively tabulated on a reduced
-    space, affinely rescaled to [0.05, 0.95], with the argmax recorded.
+  * TabularOracle: a fitness for every cell of a reduced space, with the
+    argmax recorded. build_tabular's is the same landscape affinely
+    rescaled to [0.05, 0.95], each cell's value computed when read from
+    stored partial score sums; load_oracle's holds a file's explicit table.
 """
 
 from __future__ import annotations
@@ -93,10 +95,10 @@ class FitnessOracle(ABC):
     """Interface every fitness source implements.
 
     An evaluation reads a cell's true fitness once (true_fitness, which
-    validates the cell) and observes it (observe). A search carries that
-    true value with the cell for analysis (trajectories, the best cell,
-    re-evaluation at full maturity) and never calls the oracle again for
-    it; selection looks only at observed fitness.
+    validates the cell, then looks it up) and observes it (observe). A
+    search carries that true value with the cell for analysis
+    (trajectories, the best cell, re-evaluation at full maturity) and never
+    calls the oracle again for it; selection looks only at observed fitness.
     """
 
     cfg: SpaceConfig
@@ -104,7 +106,12 @@ class FitnessOracle(ABC):
 
     @abstractmethod
     def true_fitness(self, cell: CellSpec) -> float:
-        ...
+        """lookup(cell) of a cell that validate accepts in cfg; any other
+        cell is a ValueError."""
+
+    @abstractmethod
+    def lookup(self, cell: CellSpec) -> float:
+        """The true fitness of a cell already validated against cfg."""
 
     def observe(self, true: float, maturity: float, rng: np.random.Generator) -> float:
         """Observed fitness of a cell of this true fitness at the given
@@ -182,6 +189,13 @@ def _squash(raw: float) -> float:
     return 1.0 / (1.0 + math.exp(-raw))
 
 
+def _checked(cell: CellSpec, cfg: SpaceConfig) -> CellSpec:
+    violation = validate(cell, cfg)
+    if violation is not None:
+        raise ValueError(f"cell invalid: {violation}")
+    return cell
+
+
 class LandscapeOracle(FitnessOracle):
     """Structured synthetic landscape usable on spaces of any size."""
 
@@ -197,9 +211,9 @@ class LandscapeOracle(FitnessOracle):
         self.weights = _LandscapeWeights.draw(cfg, seed)
 
     def true_fitness(self, cell: CellSpec) -> float:
-        violation = validate(cell, self.cfg)
-        if violation is not None:
-            raise ValueError(f"cell invalid: {violation}")
+        return self.lookup(_checked(cell, self.cfg))
+
+    def lookup(self, cell: CellSpec) -> float:
         return _squash(_raw_score(self.weights, cell.digits, self.cfg.num_blocks))
 
     def max_true_fitness(self, digits: np.ndarray) -> float:
@@ -215,30 +229,128 @@ class LandscapeOracle(FitnessOracle):
 
 
 class TabularOracle(FitnessOracle):
-    """Exhaustive fitness table over a reduced space, rescaled to
-    [0.05, 0.95], argmax recorded at build time."""
+    """A true fitness in [0, 1] for every cell of a reduced space, with the
+    first rank of the highest one recorded as the optimum.
+
+    This class holds the fitnesses as a table in rank order, as load_oracle
+    reads them from a file's explicit entries. build_tabular's oracle
+    computes each one from the seeded landscape when it is read.
+    """
 
     def __init__(
         self,
         cfg: SpaceConfig,
-        table: np.ndarray,
+        table: Optional[np.ndarray],
         seed: Optional[int],
         maturity: Optional[MaturityModel] = None,
     ):
         self.cfg = cfg
-        self.table = table
+        self._table = table
         self.seed = seed
         self.maturity = maturity if maturity is not None else MaturityModel()
-        best = int(np.argmax(table))
-        self.optimum_rank = best
-        self.optimum_fitness = float(table[best])
-        self.optimum_cell = cell_from_rank(best, cfg)
+        self.optimum_rank = self._argmax()
+        self.optimum_cell = cell_from_rank(self.optimum_rank, cfg)
+        self.optimum_fitness = self.lookup(self.optimum_cell)
+
+    @property
+    def table(self) -> np.ndarray:
+        """Every cell's true fitness, in rank order."""
+        return self._table
+
+    def _argmax(self) -> int:
+        return int(np.argmax(self._table))
 
     def true_fitness(self, cell: CellSpec) -> float:
-        violation = validate(cell, self.cfg)
-        if violation is not None:
-            raise ValueError(f"cell invalid: {violation}")
-        return float(self.table[cell_rank(cell, self.cfg)])
+        return self.lookup(_checked(cell, self.cfg))
+
+    def lookup(self, cell: CellSpec) -> float:
+        return float(self._table[cell_rank(cell, self.cfg)])
+
+
+def _np_squash(raw):
+    """1 / (1 + exp(-raw)) as the tabular oracle computes it, on an array or
+    on one float64. It uses np.exp, not _squash's math.exp, which differs
+    from it in the last bit on some inputs; np.exp gives a float64 alone
+    the value it gives it in an array, which the tests check cell by cell."""
+    return 1.0 / (np.exp(-raw) + 1.0)
+
+
+class _SeededTable(TabularOracle):
+    """build_tabular's oracle: the seeded landscape's fitness of a cell,
+    computed when it is read from two stored score sums.
+
+    A cell's rank is (a * L + l) * k^2 + c, where l is the last block's
+    input pair (L = (B+1)^2 of them), c its op pair (k^2 of them), and a
+    the digits of the blocks before it. Its raw score is
+    prefix[a, c] + last[l]: last is the final term _raw_score adds, and
+    prefix the sum of all the terms before it, each added in _raw_score's
+    order from 0.0. The fitness is the squash of the raw score, then the
+    affine map of [lo, hi] onto [TABULAR_LOW, TABULAR_HIGH], where lo and
+    hi are the lowest and highest squashed scores.
+    """
+
+    def __init__(
+        self,
+        cfg: SpaceConfig,
+        seed: int,
+        maturity: Optional[MaturityModel],
+        prefix: np.ndarray,
+        last: np.ndarray,
+    ):
+        self._prefix, self._last = prefix, last
+        # Rounded addition does not decrease in either operand, so the
+        # extreme raw scores are the sums of the extreme terms; the squash
+        # does not decrease either, so lo and hi are their squashes.
+        self._lo = float(_np_squash(float(prefix.min()) + float(last.min())))
+        self._hi = float(_np_squash(float(prefix.max()) + float(last.max())))
+        super().__init__(cfg, None, seed, maturity)
+
+    def _fitness(self, raw):
+        """The fitness of a raw score, or of an array of them."""
+        if not self._hi > self._lo:  # a flat landscape
+            return np.full_like(raw, 0.5 * (TABULAR_LOW + TABULAR_HIGH))
+        above = _np_squash(raw) - self._lo
+        span = TABULAR_HIGH - TABULAR_LOW
+        return above * span / (self._hi - self._lo) + TABULAR_LOW
+
+    @property
+    def table(self) -> np.ndarray:
+        raw = self._prefix[:, None, :] + self._last[None, :, None]
+        return self._fitness(raw.reshape(-1))
+
+    def lookup(self, cell: CellSpec) -> float:
+        head, c = divmod(cell_rank(cell, self.cfg), self._prefix.shape[1])
+        a, l = divmod(head, self._last.size)
+        return float(self._fitness(self._prefix[a, c] + self._last[l]))
+
+    def _argmax(self) -> int:
+        """The first rank of the highest fitness, found among the few cells
+        whose raw score is above a threshold t of lower fitness."""
+        if not self._hi > self._lo:
+            return 0  # every cell has the midpoint
+        prefix, last = self._prefix, self._last
+        p_max, l_max = float(prefix.max()), float(last.max())
+        raw_max = p_max + l_max
+        # The fitness does not decrease with the raw score, so every cell of
+        # the top fitness scores above t. Rounding can give an earlier cell
+        # one ulp or more below raw_max the same fitness.
+        top = self._fitness(raw_max)
+        step = math.ulp(raw_max)
+        while self._fitness(raw_max - step) >= top:
+            step *= 2.0
+        t = raw_max - step
+        # A cell reaches t only if its prefix does with the largest last
+        # term, and its last term with the largest prefix. The slack covers
+        # the rounding of p + l_max and of the threshold; the exact sums of
+        # the candidates are taken below.
+        size = abs(t) + abs(l_max) + max(abs(p_max), abs(float(prefix.min())))
+        slack = 16.0 * math.ulp(size)
+        ps = np.flatnonzero(prefix >= t - l_max - slack)
+        ls = np.flatnonzero(p_max + last >= t)
+        fitness = self._fitness(prefix.reshape(-1)[ps][:, None] + last[ls])
+        hit_p, hit_l = np.nonzero(fitness == fitness.max())
+        a, c = np.divmod(ps[hit_p], prefix.shape[1])
+        return int(((a * last.size + ls[hit_l]) * prefix.shape[1] + c).min())
 
 
 def _table_terms(weights: _LandscapeWeights, num_blocks: int):
@@ -251,36 +363,23 @@ def _table_terms(weights: _LandscapeWeights, num_blocks: int):
             yield weights.w_pair[b], 4 * b + 2, 4 * (b + 1) + 2
 
 
-# Entries per slice of the squash and rescale passes: 64 Ki float64s are
-# 512 KiB, well inside a current x86 core's 1-2 MiB L2 cache, so a slice
-# stays cached across the passes' in-place ops instead of the whole table
-# streaming through memory once per op. On a Xeon with 2 MiB of L2, 32-64 Ki
-# built the 3-block, 4-op table fastest; 8 Ki (per-call overhead) and 512 Ki
-# (L2 spills) were each about 2.5 ms slower per 16 ms build.
-TABLE_SLICE = 1 << 16
-
-
-def _table_slices(flat: np.ndarray):
-    for start in range(0, flat.size, TABLE_SLICE):
-        yield flat[start : start + TABLE_SLICE]
-
-
 def build_tabular(
     cfg: SpaceConfig,
     seed: int,
     maturity: Optional[MaturityModel] = None,
     cap: int = 10**7,
 ) -> TabularOracle:
-    """Tabulate the seeded landscape over every cell of a reduced space.
+    """The seeded landscape over every cell of a reduced space, affinely
+    rescaled to [0.05, 0.95], with its argmax; spaces above cap cells are a
+    ValueError.
 
-    The table has one axis per digit (C order is rank order). Invariant:
-    each entry's adds and squash run in _raw_score's term order, from 0.0,
-    so every entry equals the scalar path bit for bit. Each term reads two
-    digit axes, so the running sum of all terms but the last spans only
-    the axes those terms read (1.2 MB of the 18 MB table on 3 blocks and
-    4 ops); the last term's add is the one write of the whole table. The
-    squash, the min and max, and then the affine rescale run per slice of
-    TABLE_SLICE entries, each op on a slice that is still in cache.
+    No table is filled. Each score term reads two digit axes, so the running
+    sum of all terms but the last spans only the axes those terms read
+    (1.2 MB, where the full table would take 18 MB, on 3 blocks and 4 ops);
+    the oracle keeps that sum and the last term, and computes a cell's
+    fitness from them when it is read (_SeededTable). Every fitness, the
+    optimum and the materialised .table equal those of a full table built
+    by the same operations, bit for bit.
     """
     total = space_size(cfg)
     if total > cap:
@@ -297,25 +396,10 @@ def build_tabular(
     prefix = np.zeros(np.broadcast_shapes(*(term.shape for term in head)))
     for term in head:
         prefix += term
-    fitness = np.empty(total, dtype=np.float64)
-    np.add(prefix, last, out=fitness.reshape(radices))
-    # 1 / (1 + exp(-raw)) and the affine rescale, in place
-    lo, hi = math.inf, -math.inf
-    for part in _table_slices(fitness):
-        np.negative(part, out=part)
-        np.exp(part, out=part)
-        part += 1.0
-        np.divide(1.0, part, out=part)
-        lo, hi = min(lo, float(part.min())), max(hi, float(part.max()))
-    if hi > lo:
-        for part in _table_slices(fitness):
-            part -= lo
-            part *= TABULAR_HIGH - TABULAR_LOW
-            part /= hi - lo
-            part += TABULAR_LOW
-    else:  # degenerate flat landscape
-        fitness[:] = 0.5 * (TABULAR_LOW + TABULAR_HIGH)
-    return TabularOracle(cfg, fitness, seed, maturity)
+    op_pairs = cfg.num_ops**2
+    return _SeededTable(
+        cfg, seed, maturity, prefix.reshape(-1, op_pairs), last.reshape(-1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +409,14 @@ def build_tabular(
 
 
 def save_oracle(path: str, oracle: TabularOracle, entry_cap: int = 10**6) -> None:
-    n = oracle.table.size
+    """Write every cell's fitness as an explicit entry; a space above
+    entry_cap cells is a ValueError, raised before any value is computed."""
+    n = space_size(oracle.cfg)
     if n > entry_cap:
         raise ValueError(f"{n} entries exceed the export cap of {entry_cap}")
+    table = oracle.table
     entries = {
-        cell_to_text(cell_from_rank(r, oracle.cfg)): float(oracle.table[r])
-        for r in range(n)
+        cell_to_text(cell_from_rank(r, oracle.cfg)): float(table[r]) for r in range(n)
     }
     payload = {
         "version": ORACLE_FILE_VERSION,

@@ -143,17 +143,18 @@ class RandomMutationPolicy:
 
 
 class ReplayMutationPolicy:
-    """Feed back previously logged traces, in order."""
+    """Feed back previously logged traces, in order; proposed counts those
+    handed out, so it is the step of the last one."""
 
     def __init__(self, traces: Sequence[MutationTrace]):
         self._traces = list(traces)
-        self._cursor = 0
+        self.proposed = 0
 
     def propose(self, cell: CellSpec) -> MutationTrace:
-        if self._cursor >= len(self._traces):
+        if self.proposed >= len(self._traces):
             raise RuntimeError("replay log exhausted")
-        trace = self._traces[self._cursor]
-        self._cursor += 1
+        trace = self._traces[self.proposed]
+        self.proposed += 1
         return trace
 
 

@@ -969,16 +969,22 @@ def replay(log_path: str) -> dict:
     streams = rng_streams(seed)
 
     if cfg.strategy in POPULATION_STRATEGIES:
+        policy = ReplayMutationPolicy(inputs)
         try:
-            result = _evolve(cfg, streams, oracle, ReplayMutationPolicy(inputs), None)
+            result = _evolve(cfg, streams, oracle, policy, None)
         except ValueError as exc:  # a logged trace that its parent cannot take
-            raise ReplayDiverged(f"{log_path}: a logged mutation does not apply: {exc}")
+            step = policy.proposed
+            raise ReplayDiverged(
+                f"replay diverged from log at record {1 + cfg.pop_size + step} "
+                f"(step {step}): {exc}"
+            )
         rebuilt = _population_log(header_record(cfg, seed, oracle), result, step_fields)
     else:
         evals, true_vals = [], []
         # .get: a misplaced record has no cell, and diverges below
         for index, (cell, logged) in enumerate(zip(inputs, records[1:]), start=1):
-            observed, true = oracle.evaluate(cell, 1.0, streams["eval"])
+            true = oracle.lookup(cell)  # cell_from_text validated it
+            observed = oracle.observe(true, 1.0, streams["eval"])
             evals.append(eval_record(index, logged.get("cell"), observed))
             true_vals.append(true)
         rebuilt = _sampling_log(header_record(cfg, seed, oracle), evals, true_vals)

@@ -23,7 +23,6 @@ from evocell.arch_space import (
     random_digits,
     space_size,
 )
-from evocell import evaluators
 from evocell.evaluators import (
     TABULAR_HIGH,
     TABULAR_LOW,
@@ -139,6 +138,9 @@ class _FixedOracle(FitnessOracle):
         self.maturity = maturity if maturity is not None else MaturityModel()
 
     def true_fitness(self, cell):
+        return self.value
+
+    def lookup(self, cell):
         return self.value
 
 
@@ -314,24 +316,76 @@ def test_build_tabular_matches_whole_array_build(seed):
     _assert_matches_reference(SpaceConfig(num_blocks=3, num_ops=4), seed)
 
 
-def test_build_tabular_matches_whole_array_build_on_partial_slices(monkeypatch):
-    # a space smaller than one slice, then one whose size (46,656 cells) is
-    # not a multiple of the slice length
-    assert space_size(CFG23) < evaluators.TABLE_SLICE
+def test_build_tabular_matches_whole_array_build_on_small_spaces():
     _assert_matches_reference(CFG23, 7)
-    monkeypatch.setattr(evaluators, "TABLE_SLICE", 1000)
     _assert_matches_reference(SpaceConfig(num_blocks=2, num_ops=6), 3)
 
 
-def test_build_tabular_allocates_no_second_table():
+@pytest.mark.parametrize("seed", [5, 7])
+def test_true_fitness_of_each_cell_matches_whole_array_build(seed):
+    # each value is computed when read, from one raw score; the whole-array
+    # build squashes and rescales the full table at once
+    cfg34 = SpaceConfig(num_blocks=3, num_ops=4)
+    ranks = np.random.default_rng(seed).integers(0, space_size(cfg34), 20_000)
+    for cfg, some in ((CFG23, np.arange(space_size(CFG23))), (cfg34, ranks)):
+        oracle = build_tabular(cfg, seed)
+        expected = reference_table(cfg, seed)
+        got = [oracle.true_fitness(cell_from_rank(int(r), cfg)) for r in some]
+        assert np.array_equal(got, expected[some])
+
+
+def _draw_then(edit):
+    """A _LandscapeWeights.draw that edits the seeded weights in place."""
+    draw = _LandscapeWeights.draw
+
+    def edited(cls, cfg, seed):
+        weights = draw(cfg, seed)
+        edit(weights)
+        return weights
+
+    return classmethod(edited)
+
+
+def test_optimum_is_the_first_of_two_tied_cells(monkeypatch):
+    def tie(weights):
+        # two input pairs of the last block share the top score term
+        weights.w_in[-1, 0, 1] = weights.w_in[-1, 1, 0] = 5.0
+
+    monkeypatch.setattr(_LandscapeWeights, "draw", _draw_then(tie))
+    expected = reference_table(CFG23, 7)
+    assert np.count_nonzero(expected == expected.max()) == 2
+    _assert_matches_reference(CFG23, 7)
+
+
+def test_optimum_is_the_first_cell_that_rounds_to_the_top(monkeypatch):
+    def near_tie(weights):
+        # the earlier input pair's term is one ulp below the later one's,
+        # so its raw score is one ulp below the top and, once squashed,
+        # rounds to the same fitness
+        weights.w_in[-1, 1, 0] = 20.0
+        weights.w_in[-1, 0, 1] = math.nextafter(20.0, 0.0)
+
+    monkeypatch.setattr(_LandscapeWeights, "draw", _draw_then(near_tie))
+    weights = _LandscapeWeights.draw(CFG23, 7)
+    raw = np.array(
+        [_raw_score(weights, cell_from_rank(r, CFG23).digits, 2) for r in range(2916)]
+    )
+    expected = reference_table(CFG23, 7)
+    best = int(np.argmax(expected))
+    assert raw[best] == math.nextafter(raw.max(), -math.inf)
+    assert best < int(np.argmax(raw))
+    _assert_matches_reference(CFG23, 7)
+
+
+def test_build_tabular_allocates_no_table():
     cfg = SpaceConfig(num_blocks=3, num_ops=4)
     tracemalloc.start()
     try:
-        oracle = build_tabular(cfg, 5)
+        build_tabular(cfg, 5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.10 * oracle.table.nbytes
+    assert peak <= 2 * 2**20  # the table would take 18 MB
 
 
 def test_raw_scores_equal_scalar_path_bit_for_bit():
@@ -497,3 +551,17 @@ def test_save_oracle_respects_entry_cap():
     oracle = build_tabular(CFG23, seed=7)
     with pytest.raises(ValueError):
         save_oracle("/tmp/should-not-exist.json", oracle, entry_cap=100)
+
+
+def test_save_oracle_checks_the_cap_before_computing_a_value(tmp_path):
+    oracle = build_tabular(SpaceConfig(num_blocks=3, num_ops=4), seed=5)
+    path = tmp_path / "oracle.json"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="export cap"):
+            save_oracle(str(path), oracle)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the 2,359,296 values would take 18 MB
+    assert not path.exists()

@@ -3,12 +3,13 @@
 import json
 import math
 import os
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from evocell import cli
+from evocell import arch_space, cli, evaluators
 
 from evocell.arch_space import (
     SpaceConfig,
@@ -583,6 +584,50 @@ def test_replay_rejects_an_edited_child(key, tmp_path):
     write_jsonl(path, log)
     with pytest.raises(ReplayDiverged, match=f"step {step['step']}"):
         replay(path)
+
+
+def test_replay_names_the_step_whose_trace_does_not_apply(tmp_path):
+    log, path = _logged("ea_random", tmp_path)
+    step = [r for r in log if r["kind"] == "step"][5]
+    action = step["trace"]["actions"][0]
+    action["target"], action["replacement"] = "o1", "MAX3"  # outside 3 ops
+    write_jsonl(path, log)
+    number = log.index(step) + 1
+    with pytest.raises(
+        ReplayDiverged,
+        match=rf"^replay diverged from log at record {number} \(step 6\): .*MAX3",
+    ):
+        replay(path)
+
+
+@pytest.mark.parametrize("strategy", ["random", "rl_construct"])
+def test_replay_validates_each_logged_cell_once(strategy, tmp_path, monkeypatch):
+    log, path = _logged(strategy, tmp_path, budget=12)
+    write_jsonl(path, log)
+    checked = []
+
+    def counted(cell, cfg):
+        checked.append(cell)
+        return validate(cell, cfg)
+
+    for module in (arch_space, evaluators):
+        monkeypatch.setattr(module, "validate", counted)
+    replay(path)
+    assert len(checked) == 12
+
+
+def test_replay_of_a_tabular_log_allocates_no_table(tmp_path):
+    cfg = _cfg("reinforced", space=SpaceConfig(num_blocks=3, num_ops=4), oracle_seed=5)
+    _, log = run_strategy(cfg, seed=0, oracle=make_oracle(cfg))
+    path = str(tmp_path / "trace_reinforced_0.jsonl")
+    write_jsonl(path, log)
+    tracemalloc.start()
+    try:
+        replay(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20  # the oracle's table would take 18 MB
 
 
 def _bit_up(value):
