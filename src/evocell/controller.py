@@ -12,17 +12,18 @@ softmax is squashed (shape_logits_np), so no decision can become
 deterministic.
 
 Everything runs on the numpy engine. encode_forward caches one encoder
-pass. One walk scores and chooses every block of one or many parents:
-sample_mutation runs it on one parent, sample_mutation_batch on many (the
-same draws, parent by parent), and trace_logprob re-scores a recorded trace
-through it with the choices forced. trace_grads backpropagates through the
-same cache by hand-derived BPTT; central differences of trace_logprob check
-it.
+pass. One walk scores and chooses every block of one or many parents, and
+is the only code that scores a head: sample_mutation runs it on one parent
+(and keeps it on the pass), sample_mutation_batch on many (the same draws,
+parent by parent), and trace_logprob re-scores a recorded trace through it
+with the choices forced. trace_grads backpropagates by hand-derived BPTT
+through a walk's own head scores and the encoder cache: the walk that
+sampled the trace when the caller kept it, otherwise the forced walk.
+Central differences of trace_logprob check it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import List, Optional, Sequence, Tuple, Union
@@ -47,6 +48,7 @@ from .nn_core import (
     ParamLayout,
     ParamViews,
     Tensor,
+    draw_index_np,
     entropy_from_logp_np,
     lstm_backward_np,
     lstm_entries,
@@ -251,16 +253,23 @@ def _check_action(b: int, action: MutationAction, num_ops: int) -> bool:
     return False
 
 
-def _replacement_index(params: ControllerParams, b: int, action: MutationAction) -> int:
-    """Validate block b's action; return its index in the replacement head."""
-    if _check_action(b, action, params.num_ops):
-        return _candidate_index(b, int(action.replacement))
-    return int(action.replacement)
+def _forced(
+    params: ControllerParams, cell: CellSpec, trace: MutationTrace
+) -> np.ndarray:
+    """A trace validated against cell, as its (B, 2) array of (target,
+    replacement index) pairs, which forces a walk."""
+    _check_trace(cell, trace)
+    pairs = []
+    for b, action in enumerate(trace.actions, start=1):
+        new = int(action.replacement)
+        is_input = _check_action(b, action, params.num_ops)
+        pairs.append((action.target, _candidate_index(b, new) if is_input else new))
+    return np.array(pairs)
 
 
 # ---------------------------------------------------------------------------
-# numpy engine: one cached encoder forward, the samplers that read it, and
-# the hand-derived backward that reuses it
+# numpy engine: one cached encoder forward, the walk that scores and chooses
+# on it, and the hand-derived backward through the walk's own scores
 # ---------------------------------------------------------------------------
 
 
@@ -269,7 +278,8 @@ class EncoderForward:
     """One cell's cached encoder pass.
 
     Sampling reads its states; trace_grads backpropagates through its LSTM
-    caches. It is valid only while the parameters are unchanged.
+    caches and through the walk sample_mutation last ran on it (its trace
+    and head scores). It is valid only while the parameters are unchanged.
     """
 
     cell: CellSpec
@@ -277,6 +287,7 @@ class EncoderForward:
     fwd: LSTMCache
     bwd: Optional[LSTMCache]  # run over the reversed sequence
     states: np.ndarray  # (T, W): forward states, then backward states in token order
+    walk: Optional[Tuple[MutationTrace, tuple]] = None  # trace, head scores
 
 
 def _encode_ids(
@@ -304,7 +315,7 @@ def encode_forward(params: ControllerParams, cell: CellSpec) -> EncoderForward:
 # states (..., T, W), a routed field's state (..., W), or the blocks'
 # combiner states (..., B, W). A stacked product hands each parent's slice
 # to the BLAS kernel a single parent's product uses, so stacking leaves the
-# scores' bits unchanged.
+# scores' bits unchanged. Only _walk calls them.
 
 
 def _router_raw(params: ControllerParams, fields: np.ndarray) -> np.ndarray:
@@ -336,24 +347,18 @@ def _op_raw(params: ControllerParams, state_id: np.ndarray) -> np.ndarray:
     return (state_id[..., None, :] @ params.w_op.data)[..., 0, :] + params.b_op.data[0]
 
 
-def _draw(logp: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sample_index_np along logp's last axis at the uniforms u, one per
-    row: the same indices, and the same ValueError on a non-finite sum."""
-    cum = np.exp(logp).cumsum(axis=-1)
-    if not math.isfinite(cum[..., -1].sum()):
-        raise ValueError("cannot sample: probabilities sum to a non-finite value")
-    # cum is nondecreasing, so counting over all but its last entry caps
-    # the index at the last candidate, as sample_index_np's min() does
-    return (cum[..., :-1] <= u[..., None]).sum(axis=-1)
-
-
 def _walk(
     params: ControllerParams,
     states: np.ndarray,
     u: Optional[np.ndarray] = None,
     forced: Optional[np.ndarray] = None,
-) -> List[MutationTrace]:
-    """One trace per parent, from N parents' encoder states (N, T, W).
+) -> Tuple[List[MutationTrace], tuple]:
+    """One trace per parent, from N parents' encoder states (N, T, W), and
+    the head scores behind them, kept for the backward: (raw scores,
+    log-probs) of the routers (N, B, 4) and of the op heads (K, num_ops),
+    one row per (parent, block) routed to an op, in that order; and for
+    each block b, the candidates (n, b+1, W), raw scores and log-probs
+    (n, b+1) of the n parents routed to an input there.
 
     In each block the router picks a field, then that field's head picks
     its new value. Block b's two choices are drawn at the uniforms
@@ -361,14 +366,15 @@ def _walk(
     (target, replacement index) pair. All routers are scored in one stacked
     product, and so are the op heads of all blocks routed to an op; an
     input head has b+1 candidates, so each block's is scored for the
-    parents that routed to an input there.
-    Totals are summed in block order, router then replacement.
+    parents that routed to an input there. Totals add each block's router
+    and replacement terms as a pair, in block order.
     """
     N, T, W = states.shape
     B = T // 5
     blocks = states.reshape(N, B, 5, W)
-    router_logp = squashed_logp_np(_router_raw(params, blocks[:, :, :4]))  # (N, B, 4)
-    t_idx = forced[..., 0] if u is None else _draw(router_logp, u[:, 0::2])
+    router_raw = _router_raw(params, blocks[:, :, :4])
+    router_logp = squashed_logp_np(router_raw)  # (N, B, 4)
+    t_idx = forced[..., 0] if u is None else draw_index_np(router_logp, u[:, 0::2])
     state_id = blocks[np.arange(N)[:, None], np.arange(B), t_idx]  # (N, B, W)
     is_input = t_idx < 2  # MutTarget.I1 or I2
 
@@ -377,24 +383,29 @@ def _walk(
     def replace(where: tuple, logp: np.ndarray):
         """(index, log-prob, entropy) of the replacement chosen for each
         (parent, block) pair in where, whose head log-probs are logp's rows."""
-        idx = forced[where][:, 1] if u is None else _draw(logp, u[:, 1::2][where])
-        idx = idx.tolist()
+        if u is None:
+            idx = forced[where][:, 1].tolist()
+        else:
+            idx = draw_index_np(logp, u[:, 1::2][where]).tolist()
         lp = [row[i] for row, i in zip(logp.tolist(), idx)]
         return zip(idx, lp, entropy_from_logp_np(logp).tolist())
 
     is_op = ~is_input
     rows, cols = np.nonzero(is_op)
-    op_logp = squashed_logp_np(_op_raw(params, state_id[is_op]))
+    op_raw = _op_raw(params, state_id[is_op])
+    op_logp = squashed_logp_np(op_raw)
     choices = replace((rows, cols), op_logp)
     for n, b, choice in zip(rows.tolist(), cols.tolist(), choices):
         chosen[n][b] = choice
     combiners = blocks[:, :, 4]
+    inputs = {}
     for b in range(1, B + 1):
         rows = np.flatnonzero(is_input[:, b - 1])
         if rows.size:
             cands = _input_candidates(params, combiners[rows, : b - 1], b)
             raw = _input_raw(params, state_id[rows, b - 1], cands)
             in_logp = squashed_logp_np(raw)
+            inputs[b] = cands, raw, in_logp
             for n, choice in zip(rows.tolist(), replace((rows, b - 1), in_logp)):
                 chosen[n][b - 1] = choice
 
@@ -403,26 +414,15 @@ def _walk(
     traces: List[MutationTrace] = []
     for row in zip(t_idx.tolist(), chosen, router_logp.tolist(), router_h.tolist()):
         actions = []
-        total_lp = 0.0
-        total_h = 0.0
+        total_lp = total_h = 0.0
         for b, (t, (r, r_lp, r_h), t_logp, t_h) in enumerate(zip(*row), start=1):
             t_lp = t_logp[t]
-            replacement: Replacement = refs[b - 1][r] if t < 2 else Op(r)
-            actions.append(
-                MutationAction(
-                    block=b,
-                    target=MutTarget(t),
-                    replacement=replacement,
-                    router_logprob=t_lp,
-                    replace_logprob=r_lp,
-                    router_entropy=t_h,
-                    replace_entropy=r_h,
-                )
-            )
+            repl: Replacement = refs[b - 1][r] if t < 2 else Op(r)
+            actions.append(MutationAction(b, MutTarget(t), repl, t_lp, r_lp, t_h, r_h))
             total_lp += t_lp + r_lp
             total_h += t_h + r_h
         traces.append(MutationTrace(tuple(actions), total_lp, total_h))
-    return traces
+    return traces, ((router_raw, router_logp), (op_raw, op_logp), inputs)
 
 
 def sample_mutation(
@@ -436,13 +436,15 @@ def sample_mutation(
     Consumes exactly two uniforms per block (router, replacement), in block
     order, drawn in one call. trace_logprob recomputes the recorded totals
     bit for bit. A caller that will train on the sample passes the encoder
-    pass it keeps (encode_forward under the current parameters); otherwise
-    one is run.
+    pass it keeps (encode_forward under the current parameters); the walk
+    is kept on it for trace_grads. Otherwise one is run.
     """
     if forward is None or forward.cell != cell:
         forward = encode_forward(params, cell)
     u = rng.random((1, 2 * cell.num_blocks))
-    return _walk(params, forward.states[None], u)[0]
+    (trace,), heads = _walk(params, forward.states[None], u)
+    forward.walk = trace, heads
+    return trace
 
 
 # Parents encoded per forward pass. A pass caches every step's activations;
@@ -470,7 +472,7 @@ def sample_mutation_batch(
             for r in range(0, len(cells), ENCODE_ROWS)
         ]
     )
-    return _walk(params, states, rng.random((len(cells), 2 * cells[0].num_blocks)))
+    return _walk(params, states, rng.random((len(cells), 2 * cells[0].num_blocks)))[0]
 
 
 def trace_logprob(
@@ -483,13 +485,8 @@ def trace_logprob(
     a replacement outside the legal candidate set, or an op outside the
     active subset).
     """
-    _check_trace(cell, trace)
-    forced = [
-        (int(action.target), _replacement_index(params, b, action))
-        for b, action in enumerate(trace.actions, start=1)
-    ]
-    states = encode_forward(params, cell).states
-    walk = _walk(params, states[None], forced=np.array([forced]))[0]
+    forced = _forced(params, cell, trace)[None]
+    (walk,), _ = _walk(params, encode_forward(params, cell).states[None], forced=forced)
     return walk.total_logprob, walk.total_entropy
 
 
@@ -502,19 +499,32 @@ def trace_grads(
     """A trace's total log-prob and its gradient: one flat vector in the
     parameters' layout, returned as its per-name views.
 
-    Hand-derived BPTT through the heads (squash and log-softmax), both
-    encoder directions, the begin vectors and the embedding rows; criterion
-    3 checks it against central differences of trace_logprob. `forward` is
-    reused when it
-    encodes `cell` (it must come from the current parameters); otherwise
-    the encoder runs again. Validates the trace as trace_logprob does.
+    Hand-derived BPTT through a walk's head scores (squash and
+    log-softmax), both encoder directions, the begin vectors and the
+    embedding rows; criterion 3 checks it against central differences of
+    trace_logprob. `forward` is reused when it encodes `cell` (it must come
+    from the current parameters), and so is the walk sample_mutation ran
+    on it when that walk sampled `trace`; otherwise the encoder runs again
+    and the trace is forced through the walk trace_logprob runs. Validates
+    the trace as trace_logprob does.
     """
-    _check_trace(cell, trace)
+    forced = _forced(params, cell, trace)
     if forward is None or forward.cell != cell:
         forward = encode_forward(params, cell)
+    if forward.walk is not None and forward.walk[0] == trace:
+        walk, heads = forward.walk
+    else:
+        (walk,), heads = _walk(params, forward.states[None], forced=forced[None])
+    # The log-prob and every gradient sum take their terms in block order,
+    # router before replacement, as when each block is scored and
+    # differentiated on its own; the walk's total adds each block's pair
+    # first, which can round otherwise.
+    total_lp = 0.0
+    for action in walk.actions:
+        total_lp += action.router_logprob
+        total_lp += action.replace_logprob
     S = forward.states
-    W = params.state_width
-    H = params.hidden_size
+    B, W, H = len(forced), params.state_width, params.hidden_size
     w_r = params.w_router.data[:, 0]
     w_in = params.w_input.data[:, 0]
     grads = params.layout.zeros()
@@ -526,26 +536,22 @@ def trace_grads(
     d_begin1 = grads["begin_prev1"][0]
     d_begin2 = grads["begin_prev2"][0]
     d_b_r = d_b_in = 0.0
-    total_lp = 0.0
-    for b, action in enumerate(trace.actions, start=1):
-        idx = _replacement_index(params, b, action)
-        base = 5 * (b - 1)
-        t_idx = int(action.target)
-        raw = _router_raw(params, S[base : base + 4])
-        logp = squashed_logp_np(raw)
-        g = squashed_logp_grad_np(raw, logp, t_idx)
-        total_lp += float(logp[t_idx])
-        dS[base : base + 4] += np.outer(g, w_r)
-        d_w_r += g @ S[base : base + 4]
+    (router_raw, router_logp), ops, inputs = heads
+    targets, repl = forced.T
+    g_router = squashed_logp_grad_np(router_raw[0], router_logp[0], targets)
+    dS.reshape(B, 5, W)[:, :4] += g_router[..., None] * w_r
+    for g, fields in zip(g_router, S.reshape(B, 5, W)[:, :4]):
+        d_w_r += g @ fields
         d_b_r += g.sum()
-        state_id = S[base + t_idx]
-        if t_idx < 2:
-            cands = _input_candidates(params, S[4::5], b)
-            raw = _input_raw(params, state_id, cands)
-            logp = squashed_logp_np(raw)
+    g_ops = iter(squashed_logp_grad_np(*ops, repl[targets >= 2]))
+    for b, (t, idx) in enumerate(forced.tolist(), start=1):
+        base = 5 * (b - 1)
+        state_id = S[base + t]
+        if t < 2:
+            cands, raw, logp = (a[0] for a in inputs[b])
             g = squashed_logp_grad_np(raw, logp, idx)
             g_sum = g.sum()
-            dS[base + t_idx] += g_sum * w_in[:W]
+            dS[base + t] += g_sum * w_in[:W]
             d_w_in[:W] += g_sum * state_id
             d_cands = np.outer(g, w_in[W:])
             dS[4 : 5 * (b - 1) : 5] += d_cands[: b - 1]
@@ -554,13 +560,10 @@ def trace_grads(
             d_w_in[W:] += g @ cands
             d_b_in += g_sum
         else:
-            raw = _op_raw(params, state_id)
-            logp = squashed_logp_np(raw)
-            g = squashed_logp_grad_np(raw, logp, idx)
-            dS[base + t_idx] += params.w_op.data @ g
+            g = next(g_ops)
+            dS[base + t] += params.w_op.data @ g
             d_w_op += np.outer(state_id, g)
             d_b_op += g
-        total_lp += float(logp[idx])
 
     grads["b_router"][0, 0] = d_b_r
     grads["b_input"][0, 0] = d_b_in

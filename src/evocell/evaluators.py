@@ -159,29 +159,23 @@ class _LandscapeWeights:
         )
 
 
-def _raw_score(weights: _LandscapeWeights, digits, num_blocks: int) -> float:
+def _table_terms(weights: _LandscapeWeights, num_blocks: int):
+    """Each score term with the two digit axes it reads, in the order a raw
+    score adds them."""
+    for b in range(num_blocks):
+        yield weights.w_op[b], 4 * b + 2, 4 * b + 3
+        yield weights.w_in[b, : b + 2, : b + 2], 4 * b, 4 * b + 1
+        if b + 1 < num_blocks:
+            yield weights.w_pair[b], 4 * b + 2, 4 * (b + 1) + 2
+
+
+def _raw_score(terms, digits):
+    """The raw landscape score of one cell's 4B digits, or of N cells' at
+    once from digits.T of their (N, 4B) matrix: the terms are added in
+    order, so each cell's sum is the same either way, bit for bit."""
     total = 0.0
-    for b in range(num_blocks):
-        d_i1, d_i2, d_o1, d_o2 = digits[4 * b : 4 * b + 4]
-        total += weights.w_op[b, d_o1, d_o2]
-        total += weights.w_in[b, d_i1, d_i2]
-        if b + 1 < num_blocks:
-            total += weights.w_pair[b, d_o1, digits[4 * (b + 1) + 2]]
-    return total
-
-
-def _raw_scores(
-    weights: _LandscapeWeights, digits: np.ndarray, num_blocks: int
-) -> np.ndarray:
-    """_raw_score of each row of an (N, 4B) digit matrix: the same terms,
-    added in the same order, so every entry equals the scalar path bit for bit."""
-    total = np.zeros(len(digits))
-    for b in range(num_blocks):
-        d_i1, d_i2, d_o1, d_o2 = digits[:, 4 * b : 4 * b + 4].T
-        total += weights.w_op[b, d_o1, d_o2]
-        total += weights.w_in[b, d_i1, d_i2]
-        if b + 1 < num_blocks:
-            total += weights.w_pair[b, d_o1, digits[:, 4 * (b + 1) + 2]]
+    for term, axis_a, axis_b in terms:
+        total += term[digits[axis_a], digits[axis_b]]
     return total
 
 
@@ -209,12 +203,13 @@ class LandscapeOracle(FitnessOracle):
         self.seed = seed
         self.maturity = maturity if maturity is not None else MaturityModel()
         self.weights = _LandscapeWeights.draw(cfg, seed)
+        self.terms = tuple(_table_terms(self.weights, cfg.num_blocks))
 
     def true_fitness(self, cell: CellSpec) -> float:
         return self.lookup(_checked(cell, self.cfg))
 
     def lookup(self, cell: CellSpec) -> float:
-        return _squash(_raw_score(self.weights, cell.digits, self.cfg.num_blocks))
+        return _squash(_raw_score(self.terms, cell.digits))
 
     def max_true_fitness(self, digits: np.ndarray) -> float:
         """Highest true fitness over the cells of an (N, 4B) digit matrix.
@@ -224,8 +219,7 @@ class LandscapeOracle(FitnessOracle):
         bit, because the squash is non-decreasing and is applied to the
         best raw score only.
         """
-        raw = _raw_scores(self.weights, digits, self.cfg.num_blocks)
-        return _squash(float(raw.max()))
+        return _squash(float(_raw_score(self.terms, digits.T).max()))
 
 
 class TabularOracle(FitnessOracle):
@@ -351,16 +345,6 @@ class _SeededTable(TabularOracle):
         hit_p, hit_l = np.nonzero(fitness == fitness.max())
         a, c = np.divmod(ps[hit_p], prefix.shape[1])
         return int(((a * last.size + ls[hit_l]) * prefix.shape[1] + c).min())
-
-
-def _table_terms(weights: _LandscapeWeights, num_blocks: int):
-    """Each score term with the two digit axes it reads, in _raw_score's
-    term order."""
-    for b in range(num_blocks):
-        yield weights.w_op[b], 4 * b + 2, 4 * b + 3
-        yield weights.w_in[b, : b + 2, : b + 2], 4 * b, 4 * b + 1
-        if b + 1 < num_blocks:
-            yield weights.w_pair[b], 4 * b + 2, 4 * (b + 1) + 2
 
 
 def build_tabular(

@@ -69,8 +69,9 @@ class MutationPolicy(Protocol):
 class ControllerPolicy:
     """Adapter putting ControllerParams behind the policy protocol.
 
-    It keeps the encoder pass of its last proposal, so the update that
-    follows reuses it instead of encoding the parent again.
+    It keeps the encoder pass of its last proposal, with the walk that
+    sampled it, so the update that follows backpropagates through them
+    instead of encoding the parent and scoring its heads again.
     """
 
     def __init__(self, params: ControllerParams, rng: np.random.Generator):
@@ -85,8 +86,8 @@ class ControllerPolicy:
     def grads(self, cell: CellSpec, trace: MutationTrace) -> Tuple[float, ParamViews]:
         """(log-prob, gradient) of trace on cell, for ReinforceTrainer.update.
 
-        The kept encoder pass is handed over once; the trainer's Adam step
-        then makes it stale, so a later call encodes the cell anew.
+        The kept pass and walk are handed over once; the trainer's Adam
+        step then makes them stale, so a later call encodes the cell anew.
         """
         forward, self._forward = self._forward, None
         return trace_grads(self.params, cell, trace, forward)

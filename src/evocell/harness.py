@@ -48,8 +48,8 @@ from .nn_core import (
     ParamLayout,
     ParamViews,
     Tensor,
+    draw_index_np,
     entropy_from_logp_np,
-    sample_index_np,
 )
 from .controller import init_controller, trace_from_dict, trace_to_dict
 from .evaluators import (
@@ -258,6 +258,7 @@ class _ConstructionWalk:
     digits: List[int]  # the choice made at each step
     tokens: List[int]  # the token each choice feeds to the next step
     cache: nn_core.LSTMCache
+    heads: List[Tuple[np.ndarray, np.ndarray]]  # each step's raw scores, log-probs
     total_logprob: float
     total_entropy: float
 
@@ -311,10 +312,8 @@ class ConstructionPolicy:
         return self.layout.named(self)
 
     def _decision_plan(self) -> List[Tuple[str, int]]:
-        plan = []
-        for b in range(1, self.cfg.num_blocks + 1):
-            plan.extend((("input", b), ("input", b), ("op", b), ("op", b)))
-        return plan
+        kinds = ("input", "input", "op", "op")
+        return [(kind, b) for b in range(1, self.cfg.num_blocks + 1) for kind in kinds]
 
     def _raw(self, kind: str, b: int, h: np.ndarray) -> np.ndarray:
         if kind == "input":
@@ -333,21 +332,25 @@ class ConstructionPolicy:
         x = self.start.data[0]
         chosen: List[int] = []
         tokens: List[int] = []
-        total_lp = 0.0
-        total_h = 0.0
+        heads: List[Tuple[np.ndarray, np.ndarray]] = []
+        total_lp = total_h = 0.0
         for t, (kind, b) in enumerate(self._decision_plan()):
             cache.X[t, 0] = x
             np.matmul(x, self.lstm.Wx.data, out=cache.gates[t, 0])
             nn_core.lstm_step_np(self.lstm, cache, t)
-            logp = nn_core.squashed_logp_np(self._raw(kind, b, cache.h[t, 0]))
-            idx = sample_index_np(logp, rng) if digits is None else int(digits[t])
+            raw = self._raw(kind, b, cache.h[t, 0])
+            logp = nn_core.squashed_logp_np(raw)
+            idx = int(
+                draw_index_np(logp, rng.random()) if digits is None else digits[t]
+            )
             total_lp += float(logp[idx])
             total_h += float(entropy_from_logp_np(logp))
             chosen.append(idx)
             tokens.append(idx if kind == "input" else op_base + idx)
+            heads.append((raw, logp))
             x = self.embedding.data[tokens[-1]]
         cell = cell_from_digits(chosen, self.cfg)
-        return _ConstructionWalk(cell, chosen, tokens, cache, total_lp, total_h)
+        return _ConstructionWalk(cell, chosen, tokens, cache, heads, total_lp, total_h)
 
     def sample(self, rng: np.random.Generator) -> Tuple[CellSpec, float, float]:
         """Draw one cell; returns (cell, total log-prob, total entropy).
@@ -363,9 +366,10 @@ class ConstructionPolicy:
         vector in self.layout, as per-name views), by hand-derived BPTT;
         criterion 3 checks it against central differences of logprob().
 
-        The walk of the last sample() is reused once if it emitted this
-        cell (the parameters must be unchanged since); otherwise the cell's
-        choices are replayed through a fresh walk.
+        It backpropagates through a walk's own head scores: the walk of
+        the last sample(), reused once if it emitted this cell (the
+        parameters must be unchanged since), or else a fresh walk that
+        replays the cell's choices.
         """
         walk, self._last = self._last, None
         if walk is None or walk.cell != cell:
@@ -378,9 +382,7 @@ class ConstructionPolicy:
         d_w_op, d_b_op = grads["w_op"], grads["b_op"]
         for t, (kind, b) in enumerate(self._decision_plan()):
             h = cache.h[t, 0]
-            raw = self._raw(kind, b, h)
-            logp = nn_core.squashed_logp_np(raw)
-            g = nn_core.squashed_logp_grad_np(raw, logp, walk.digits[t])
+            g = nn_core.squashed_logp_grad_np(*walk.heads[t], walk.digits[t])
             if kind == "input":
                 dh[0, t] = self.w_input.data[:, : b + 1] @ g
                 d_w_input[:, : b + 1] += np.outer(h, g)

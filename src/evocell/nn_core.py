@@ -3,8 +3,10 @@
 Sampling and training run on a numpy engine without a tape: a cached,
 time-major LSTM forward (lstm_forward_np; lstm_step_np for autoregressive
 feeds), a hand-derived BPTT backward over the same cache
-(lstm_backward_np), the squashed log-softmax heads and their gradient, and
-Adam. A policy keeps all its parameters in one flat float64 buffer
+(lstm_backward_np), the squashed log-softmax heads and their gradient (one
+chosen index per row, so many heads are differentiated at once), the one
+inverse-CDF draw both policies sample with (draw_index_np, one uniform per
+row), and Adam. A policy keeps all its parameters in one flat float64 buffer
 (ParamLayout names the views into it), so Adam, the gradient norm and
 checkpoints each run over one vector; a checkpoint is that buffer plus JSON
 metadata in one binary file. check_grads holds every analytic gradient to
@@ -22,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -278,16 +280,17 @@ def entropy_from_logp_np(logp: np.ndarray) -> np.ndarray:
     return -(np.exp(logp) * logp).sum(axis=-1)
 
 
-def sample_index_np(logp: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw from log-probabilities; one uniform consumed.
-    Probabilities with a non-finite sum raise ValueError before the draw."""
-    p = np.exp(logp).reshape(-1)
-    cum = np.cumsum(p)
-    if not math.isfinite(cum[-1]):
-        raise ValueError(f"cannot sample: probabilities sum to {cum[-1]}")
-    u = rng.random()
-    idx = int(np.searchsorted(cum, u, side="right"))
-    return min(idx, p.size - 1)
+def draw_index_np(logp: np.ndarray, u: Union[np.ndarray, float]) -> np.ndarray:
+    """Inverse-CDF draw along logp's last axis at the uniforms u, one per
+    row (a float for a single row): the first index whose cumulative
+    probability exceeds u, capped at the last candidate. Probabilities
+    with a non-finite sum raise ValueError."""
+    cum = np.exp(logp).cumsum(axis=-1)
+    if not math.isfinite(cum[..., -1].sum()):
+        raise ValueError("cannot sample: probabilities sum to a non-finite value")
+    # cum is nondecreasing, so counting over all but its last entry caps
+    # the index at the last candidate
+    return (cum[..., :-1] <= np.asarray(u)[..., None]).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -716,9 +719,13 @@ def squashed_logp_np(raw: np.ndarray) -> np.ndarray:
     return log_softmax_np(shape_logits_np(raw))
 
 
-def squashed_logp_grad_np(raw: np.ndarray, logp: np.ndarray, idx: int) -> np.ndarray:
-    """d logp[idx] / d raw through the log-softmax and the 2.5 tanh(raw/5) squash."""
+def squashed_logp_grad_np(
+    raw: np.ndarray, logp: np.ndarray, idx: Union[np.ndarray, Sequence[int], int]
+) -> np.ndarray:
+    """d logp[..., idx] / d raw through the log-softmax and the 2.5 tanh(raw/5)
+    squash, for one index per row along the last axis (an int for one row)."""
     u = np.tanh(raw / 5.0)
     grad = -np.exp(logp)
-    grad[idx] += 1.0
+    rows = grad.reshape(-1, grad.shape[-1])
+    rows[np.arange(len(rows)), np.asarray(idx, dtype=np.intp).ravel()] += 1.0
     return grad * (0.5 * (1.0 - u * u))

@@ -32,14 +32,14 @@ from evocell.evaluators import (
     TabularOracle,
     _LandscapeWeights,
     _raw_score,
-    _raw_scores,
+    _table_terms,
     build_tabular,
     inherit_maturity,
     load_oracle,
     overlap_fraction,
     save_oracle,
 )
-from tabular_reference import reference_table
+from tabular_reference import reference_raw_score, reference_table
 
 CFG23 = SpaceConfig(num_blocks=2, num_ops=3)
 
@@ -288,11 +288,11 @@ def test_build_tabular_deterministic_and_seed_sensitive():
 
 
 def test_build_tabular_equals_scalar_path_bit_for_bit():
-    # per cell: _raw_score, then numpy's sigmoid, then the affine rescale
+    # per cell: the raw score, then numpy's sigmoid, then the affine rescale
     tab = build_tabular(CFG23, seed=7)
     weights = _LandscapeWeights.draw(CFG23, 7)
     raw = [
-        _raw_score(weights, cell_digits(cell_from_rank(r, CFG23)), 2)
+        reference_raw_score(weights, cell_digits(cell_from_rank(r, CFG23)), 2)
         for r in range(space_size(CFG23))
     ]
     fitness = [1.0 / (1.0 + np.exp(-x)) for x in raw]
@@ -368,7 +368,10 @@ def test_optimum_is_the_first_cell_that_rounds_to_the_top(monkeypatch):
     monkeypatch.setattr(_LandscapeWeights, "draw", _draw_then(near_tie))
     weights = _LandscapeWeights.draw(CFG23, 7)
     raw = np.array(
-        [_raw_score(weights, cell_from_rank(r, CFG23).digits, 2) for r in range(2916)]
+        [
+            reference_raw_score(weights, cell_from_rank(r, CFG23).digits, 2)
+            for r in range(2916)
+        ]
     )
     expected = reference_table(CFG23, 7)
     best = int(np.argmax(expected))
@@ -388,12 +391,16 @@ def test_build_tabular_allocates_no_table():
     assert peak <= 2 * 2**20  # the table would take 18 MB
 
 
-def test_raw_scores_equal_scalar_path_bit_for_bit():
+def test_raw_score_equals_block_by_block_reference_bit_for_bit():
+    # one cell's digit tuple, and all rows of a digit matrix at once
     cfg = SpaceConfig(num_blocks=5, num_ops=6)
     weights = _LandscapeWeights.draw(cfg, 7)
+    terms = tuple(_table_terms(weights, 5))
     digits = random_digits(cfg, np.random.default_rng(0), 2000)
-    expected = [_raw_score(weights, row.tolist(), 5) for row in digits]
-    assert np.array_equal(_raw_scores(weights, digits, 5), np.array(expected))
+    expected = np.array([reference_raw_score(weights, r.tolist(), 5) for r in digits])
+    scalar = [_raw_score(terms, tuple(row.tolist())) for row in digits]
+    assert np.array(scalar).tobytes() == expected.tobytes()
+    assert _raw_score(terms, digits.T).tobytes() == expected.tobytes()
     land = LandscapeOracle(cfg, 7)
     assert land.max_true_fitness(digits) == max(
         land.true_fitness(cell_from_digits(row, cfg)) for row in digits

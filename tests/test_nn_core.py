@@ -14,19 +14,20 @@ from evocell.nn_core import (
     Tensor,
     adam_step,
     check_grads,
+    draw_index_np,
     entropy_from_logp_np,
     gradcheck,
     load_params,
     log_softmax_np,
     lstm_backward_np,
     lstm_forward_np,
-    sample_index_np,
     save_params,
     shape_logits_np,
     squashed_logp_grad_np,
     squashed_logp_np,
 )
 import tape_reference
+from walk_reference import sample_index_np
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +229,7 @@ def test_extreme_logits_pick_first_index():
     logp = log_softmax_np(np.array([40.0, -40.0]))
     rng = np.random.default_rng(0)
     for _ in range(50):
-        assert sample_index_np(logp, rng) == 0
+        assert draw_index_np(logp, rng.random()) == 0
     assert float(logp[0]) > -1e-9
 
 
@@ -240,10 +241,30 @@ def test_sample_frequencies_match_probabilities():
     n = 100_000
     counts = np.zeros(5)
     for _ in range(n):
-        counts[sample_index_np(logp, rng)] += 1
+        counts[draw_index_np(logp, rng.random())] += 1
     freq = counts / n
     sigma = np.sqrt(p * (1 - p) / n)
     assert (np.abs(freq - p) <= 3 * sigma + 1e-12).all(), (freq, p)
+
+
+def test_draw_equals_the_searchsorted_reference():
+    # one row at a time and all rows at once, on every candidate count
+    rng = np.random.default_rng(41)
+    for k in range(2, 7):
+        logp = log_softmax_np(rng.normal(scale=2.0, size=(4000, k)))
+        seed = int(rng.integers(2**32))
+        twin = np.random.default_rng(seed)
+        want = [sample_index_np(row, twin) for row in logp]
+        u = np.random.default_rng(seed).random(len(logp))
+        assert draw_index_np(logp, u).tolist() == want
+        assert [int(draw_index_np(row, x)) for row, x in zip(logp, u)] == want
+
+
+def test_draw_rejects_non_finite_probabilities():
+    with pytest.raises(ValueError, match="cannot sample"):
+        draw_index_np(np.array([np.nan, 0.0]), 0.5)
+    with pytest.raises(ValueError, match="cannot sample"):
+        draw_index_np(np.array([[0.0, -1.0], [np.inf, 0.0]]), np.array([0.1, 0.2]))
 
 
 def test_shape_logits_values():
@@ -266,6 +287,15 @@ def _check_squashed_logp_grad(raw):
         )
         worst = max(worst, err)
     return worst
+
+
+def test_squashed_logp_grad_takes_one_index_per_row():
+    rng = np.random.default_rng(23)
+    raw = rng.normal(scale=4.0, size=(6, 5))
+    logp = squashed_logp_np(raw)
+    idx = rng.integers(5, size=6)
+    rows = [squashed_logp_grad_np(r, lp, int(i)) for r, lp, i in zip(raw, logp, idx)]
+    assert squashed_logp_grad_np(raw, logp, idx).tobytes() == np.array(rows).tobytes()
 
 
 def test_log_softmax_gradcheck():

@@ -1,10 +1,12 @@
 """numpy policy engine: log-probs against an independent per-token
-reference, gradients against that reference's tape form and against central
-differences, and reuse of the sampling forward."""
+reference, gradients against that reference's tape form, against central
+differences and byte for byte against per-decision re-scoring, and reuse
+of the sampling walk."""
 
 import numpy as np
 import pytest
 
+from evocell import controller
 from evocell.arch_space import SpaceConfig, random_cell
 from evocell.controller import (
     encode_forward,
@@ -17,6 +19,7 @@ from evocell.controller import (
 from evocell.evolution import ControllerPolicy
 from evocell.harness import ConstructionPolicy
 from evocell.nn_core import check_grads
+import grad_reference
 from policy_reference import construction_logprob, controller_logprob
 import tape_reference
 
@@ -27,9 +30,13 @@ def _perturb(named_params, rng, scale=0.5):
         t.data += rng.normal(0.0, scale, size=t.data.shape)
 
 
-def _controller_draw(seed, bidirectional, size=8):
+def _space(seed):
+    return SpaceConfig(num_blocks=1 + seed % 4, num_ops=2 + seed % 5)
+
+
+def _controller_draw(seed, bidirectional, size=8, space=_space):
     rng = np.random.default_rng(seed)
-    cfg = SpaceConfig(num_blocks=1 + seed % 4, num_ops=2 + seed % 5)
+    cfg = space(seed)
     params = init_controller(
         cfg, rng, embed_size=size, hidden_size=size, bidirectional=bidirectional
     )
@@ -38,9 +45,9 @@ def _controller_draw(seed, bidirectional, size=8):
     return params, cell, sample_mutation(params, cell, rng), rng
 
 
-def _construction_draw(seed, size=8):
+def _construction_draw(seed, size=8, space=_space):
     rng = np.random.default_rng(seed)
-    cfg = SpaceConfig(num_blocks=1 + seed % 4, num_ops=2 + seed % 5)
+    cfg = space(seed)
     policy = ConstructionPolicy(cfg, rng, embed_size=size, hidden_size=size)
     _perturb(policy.named_params(), rng)
     return policy, rng
@@ -227,3 +234,51 @@ def test_samplers_raise_on_nan_weights():
     ):
         with pytest.raises(ValueError, match="cannot sample"):
             sample()
+
+
+def _assert_bytes(got, want):
+    assert got[0] == want[0]
+    assert got[1].flat.tobytes() == want[1].flat.tobytes()
+
+
+def _every_space(seed):
+    """Seeds 0-24 give every pair of 1-5 blocks and 2-6 ops."""
+    return SpaceConfig(num_blocks=1 + seed % 5, num_ops=2 + seed // 5)
+
+
+@pytest.mark.parametrize("size", [8, 100])
+@pytest.mark.parametrize("bidirectional", [True, False])
+def test_controller_grads_equal_per_block_rescoring_byte_for_byte(bidirectional, size):
+    for seed in range(25):
+        params, cell, _, rng = _controller_draw(seed, bidirectional, size, _every_space)
+        policy = ControllerPolicy(params, rng)
+        kept = policy.propose(cell)
+        want = grad_reference.controller_grads(params, cell, kept)
+        _assert_bytes(policy.grads(cell, kept), want)  # the sampled walk
+        _assert_bytes(trace_grads(params, cell, kept), want)  # a forced walk
+
+
+@pytest.mark.parametrize("size", [8, 100])
+def test_construction_grads_equal_per_token_rescoring_byte_for_byte(size):
+    for seed in range(25):
+        policy, rng = _construction_draw(seed, size, _every_space)
+        cell, _, _ = policy.sample(rng)
+        want = grad_reference.construction_grads(policy, cell)
+        _assert_bytes(policy.grads(cell), want)  # the sampled walk
+        _assert_bytes(policy.grads(cell), want)  # a forced walk
+
+
+def test_gradients_rescore_nothing_after_sampling(monkeypatch):
+    params, cell, _, rng = _controller_draw(4, bidirectional=True)
+    forward = encode_forward(params, cell)
+    trace = sample_mutation(params, cell, rng, forward)
+    policy, rng = _construction_draw(4)
+    built, _, _ = policy.sample(rng)
+
+    def walk_again(*args, **kwargs):
+        raise AssertionError("a head was scored again")
+
+    monkeypatch.setattr(controller, "_walk", walk_again)
+    monkeypatch.setattr(policy, "_walk", walk_again)
+    trace_grads(params, cell, trace, forward)
+    policy.grads(built)

@@ -2,7 +2,8 @@
 
 The straightforward walk over one parent: for each block in order, score
 its router, draw the field, score the head of that field, draw the
-replacement, each draw a separate rng.random() call. The package scores
+replacement, each draw a separate rng.random() call through
+sample_index_np, a searchsorted inverse-CDF draw. The package scores
 all blocks' routers and op heads in stacked products and draws a parent's
 uniforms in one call; agreement bit for bit checks that this regrouping
 leaves every decision and every log-prob unchanged.
@@ -13,6 +14,7 @@ of a stacked product to the same BLAS kernel (dot or gemv) as the 1-D and
 candidates, never over padding.
 """
 
+import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,12 +24,23 @@ from evocell.controller import (
     MutationAction,
     MutationTrace,
     MutTarget,
-    _check_trace,
-    _replacement_index,
+    _forced,
     encode_forward,
     input_candidate_refs,
 )
-from evocell.nn_core import entropy_from_logp_np, sample_index_np, squashed_logp_np
+from evocell.nn_core import entropy_from_logp_np, squashed_logp_np
+
+
+def sample_index_np(logp: np.ndarray, rng: np.random.Generator) -> int:
+    """Inverse-CDF draw from log-probabilities; one uniform consumed.
+    Probabilities with a non-finite sum raise ValueError before the draw."""
+    p = np.exp(logp).reshape(-1)
+    cum = np.cumsum(p)
+    if not math.isfinite(cum[-1]):
+        raise ValueError(f"cannot sample: probabilities sum to {cum[-1]}")
+    u = rng.random()
+    idx = int(np.searchsorted(cum, u, side="right"))
+    return min(idx, p.size - 1)
 
 
 def _router_raw(params, states, b):
@@ -102,11 +115,7 @@ def reference_sample(params, cell, rng) -> MutationTrace:
 
 def reference_logprob(params, cell, trace) -> Tuple[float, float]:
     """trace_logprob as the block-by-block walk sums it."""
-    _check_trace(cell, trace)
-    forced = [
-        (int(action.target), _replacement_index(params, b, action))
-        for b, action in enumerate(trace.actions, start=1)
-    ]
+    forced = _forced(params, cell, trace).tolist()
     states = encode_forward(params, cell).states
     walk = _walk(params, states, cell.num_blocks, None, forced)
     return walk.total_logprob, walk.total_entropy
