@@ -495,9 +495,10 @@ def trace_grads(
     cell: CellSpec,
     trace: MutationTrace,
     forward: Optional[EncoderForward] = None,
-) -> Tuple[float, ParamViews]:
-    """A trace's total log-prob and its gradient: one flat vector in the
-    parameters' layout, returned as its per-name views.
+) -> ParamViews:
+    """The gradient of a trace's total log-prob: one flat vector in the
+    parameters' layout, returned as its per-name views. The log-prob
+    itself is the walk's (trace.total_logprob, or trace_logprob).
 
     Hand-derived BPTT through a walk's head scores (squash and
     log-softmax), both encoder directions, the begin vectors and the
@@ -512,17 +513,9 @@ def trace_grads(
     if forward is None or forward.cell != cell:
         forward = encode_forward(params, cell)
     if forward.walk is not None and forward.walk[0] == trace:
-        walk, heads = forward.walk
+        heads = forward.walk[1]
     else:
-        (walk,), heads = _walk(params, forward.states[None], forced=forced[None])
-    # The log-prob and every gradient sum take their terms in block order,
-    # router before replacement, as when each block is scored and
-    # differentiated on its own; the walk's total adds each block's pair
-    # first, which can round otherwise.
-    total_lp = 0.0
-    for action in walk.actions:
-        total_lp += action.router_logprob
-        total_lp += action.replace_logprob
+        _, heads = _walk(params, forward.states[None], forced=forced[None])
     S = forward.states
     B, W, H = len(forced), params.state_width, params.hidden_size
     w_r = params.w_router.data[:, 0]
@@ -577,7 +570,7 @@ def trace_grads(
         )[3]
         dX += dX_b[0, ::-1]
     np.add.at(grads["embedding"], forward.ids, dX)
-    return total_lp, grads
+    return grads
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -83,8 +83,9 @@ class ControllerPolicy:
         self._forward = encode_forward(self.params, cell)
         return sample_mutation(self.params, cell, self.rng, self._forward)
 
-    def grads(self, cell: CellSpec, trace: MutationTrace) -> Tuple[float, ParamViews]:
-        """(log-prob, gradient) of trace on cell, for ReinforceTrainer.update.
+    def grads(self, cell: CellSpec, trace: MutationTrace) -> ParamViews:
+        """The gradient of trace's log-prob on cell, for
+        ReinforceTrainer.update.
 
         The kept pass and walk are handed over once; the trainer's Adam
         step then makes them stale, so a later call encodes the cell anew.
@@ -254,7 +255,7 @@ def evolution_step(
         if not hasattr(policy, "grads"):
             raise ValueError("trainer attached to a policy without gradients")
         diagnostics = trainer.update(
-            *policy.grads(parent.cell, trace), trace.total_entropy, child_fitness
+            policy.grads(parent.cell, trace), trace.total_entropy, child_fitness
         )
     return StepRecord(
         step=step,

@@ -361,10 +361,11 @@ class ConstructionPolicy:
         self._last = walk
         return walk.cell, walk.total_logprob, walk.total_entropy
 
-    def grads(self, cell: CellSpec) -> Tuple[float, ParamViews]:
-        """Log-prob of emitting exactly this cell and its gradient (one flat
-        vector in self.layout, as per-name views), by hand-derived BPTT;
-        criterion 3 checks it against central differences of logprob().
+    def grads(self, cell: CellSpec) -> ParamViews:
+        """The gradient of the log-prob of emitting exactly this cell (one
+        flat vector in self.layout, as per-name views), by hand-derived
+        BPTT; criterion 3 checks it against central differences of
+        logprob().
 
         It backpropagates through a walk's own head scores: the walk of
         the last sample(), reused once if it emitted this cell (the
@@ -397,7 +398,7 @@ class ConstructionPolicy:
         # step t > 0 reads the token chosen at step t - 1
         np.add.at(grads["embedding"], walk.tokens[:-1], dX[0, 1:])
         grads["start"][...] = dX[0, :1]
-        return walk.total_logprob, grads
+        return grads
 
     def logprob(self, cell: CellSpec) -> Tuple[float, float]:
         """(log-prob, entropy) of emitting exactly this cell: the totals of
@@ -658,9 +659,7 @@ def _run_population_strategy(
             bidirectional=(cfg.strategy == "reinforced"),
         )
         policy = ControllerPolicy(params, streams["policy"])
-        trainer = ReinforceTrainer(
-            params.named_params(), _reward_config(cfg), lr=cfg.learning_rate
-        )
+        trainer = ReinforceTrainer(params, _reward_config(cfg), lr=cfg.learning_rate)
     result = _evolve(cfg, streams, oracle, policy, trainer)
     true_vals, pop_mean, pop_var = _population_trajectories(result)
     log = list(_population_log(header_record(cfg, seed, oracle), result, step_record))
@@ -684,9 +683,7 @@ def _run_sampling(
             embed_size=cfg.embed_size,
             hidden_size=cfg.hidden_size,
         )
-        trainer = ReinforceTrainer(
-            policy.named_params(), _reward_config(cfg), lr=cfg.learning_rate
-        )
+        trainer = ReinforceTrainer(policy, _reward_config(cfg), lr=cfg.learning_rate)
     evals: List[dict] = []
     true_vals: List[float] = []
     for index in range(1, cfg.budget + 1):
@@ -697,7 +694,7 @@ def _run_sampling(
         observed, true = oracle.evaluate(cell, 1.0, streams["eval"])
         learner = {}
         if construct:
-            diag = trainer.update(*policy.grads(cell), ent, observed)
+            diag = trainer.update(policy.grads(cell), ent, observed)
             learner["grad_norm"] = diag["grad_norm"]
         evals.append(eval_record(index, cell_to_text(cell), observed, **learner))
         true_vals.append(true)
@@ -743,6 +740,8 @@ def compare(
     """
     for name in strategies:
         validate_config(replace(cfg, strategy=name))
+    if len(set(strategies)) != len(strategies):
+        raise ConfigError("duplicate strategies in comparison")
     if len(set(seeds)) != len(seeds):
         raise ConfigError("duplicate seeds in comparison")
     os.makedirs(out_dir, exist_ok=True)

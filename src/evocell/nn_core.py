@@ -502,27 +502,6 @@ class ParamViews(dict):
         self.flat = flat
 
 
-def _address(a: np.ndarray) -> int:
-    return a.__array_interface__["data"][0]
-
-
-def flat_buffer(named_params: Sequence[Tuple[str, Tensor]]) -> ParamViews:
-    """The flat buffer that named_params' tensors tile, in order and without
-    gaps, as views; ValueError if they do not."""
-    layout = ParamLayout([(name, t.data.shape) for name, t in named_params])
-    flat = named_params[0][1].data.base if named_params else None
-    if isinstance(flat, np.ndarray) and flat.shape == (layout.size,):
-        views = layout.views(flat)
-        if all(
-            t.data.base is flat
-            and t.data.strides == views[name].strides
-            and _address(t.data) == _address(views[name])
-            for name, t in named_params
-        ):
-            return views
-    raise ValueError("parameters are not views tiling one flat float64 buffer")
-
-
 # ---------------------------------------------------------------------------
 # Checkpointing: one binary .npz file (whatever the path's suffix) holding
 # the flat float64 buffer and a JSON header with the version, the caller's

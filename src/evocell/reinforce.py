@@ -5,21 +5,22 @@ which stretches the top of the range so that small gains near the ceiling
 dominate the signal. The total reward adds a small entropy bonus, an
 exponential-moving-average baseline (decay BASELINE_DECAY; on by default,
 switchable off) centers it, and a single Adam step follows every child
-evaluation: on-policy, batch size one. The caller computes the
-log-probability and its gradient; the trainer shapes, scales and applies it.
+evaluation: on-policy, batch size one. The caller computes the gradient
+of the sampled action's log-probability; the trainer shapes the reward,
+scales the gradient by the advantage and applies it. REINFORCE needs the
+log-probability's gradient, never its value, so the trainer takes no
+log-probability.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Protocol
 
 import numpy as np
 
-from . import controller as ctrl
-from .arch_space import CellSpec
-from .nn_core import AdamState, ParamViews, Tensor, adam_step, flat_buffer
+from .nn_core import AdamState, ParamLayout, ParamViews, adam_step
 
 FITNESS_CLIP = 0.999
 BASELINE_DECAY = 0.95
@@ -51,41 +52,45 @@ class RewardConfig:
             raise ValueError(f"unknown baseline kind {self.baseline!r}")
 
 
-class ReinforceTrainer:
-    """One optimizer + baseline around a set of policy parameters.
+class PolicyParams(Protocol):
+    """A policy's parameters: views tiling one flat buffer."""
 
-    The trainer is policy-agnostic: update() takes the log-probability of
-    whatever was sampled and its gradient, a flat vector in the parameters'
-    layout, as each policy's grads() returns them. The parameters must be
-    views tiling one flat buffer, as every policy's named_params() are. The EMA baseline
-    initializes to the first observed reward and is always updated after
-    the advantage that used it.
+    flat: np.ndarray
+    layout: ParamLayout
+
+
+class ReinforceTrainer:
+    """One optimizer + baseline around a policy's flat parameter buffer.
+
+    The trainer is policy-agnostic: it reads params.flat and params.layout,
+    which every policy holds, and update() takes the gradient of the
+    sampled action's log-probability, a flat vector in that layout, as each
+    policy's grads() returns it. The EMA baseline initializes to the first
+    observed reward and is always updated after the advantage that used it.
     """
 
     def __init__(
         self,
-        named_params: Sequence[Tuple[str, Tensor]],
+        params: PolicyParams,
         cfg: Optional[RewardConfig] = None,
         lr: float = AdamState.lr,
     ):
-        self.params = flat_buffer(list(named_params))
+        self.params = params.layout.views(params.flat)
         self.cfg = cfg or RewardConfig()
         self.adam = AdamState(lr=lr)
         self.baseline: Optional[float] = None
         self.steps = 0
 
     def update(
-        self,
-        logprob: float,
-        grads: ParamViews,
-        entropy: float,
-        fitness: float,
+        self, grads: ParamViews, entropy: float, fitness: float
     ) -> Dict[str, float]:
-        """Single REINFORCE step; returns step diagnostics.
+        """Single REINFORCE step; returns its reward, advantage and the
+        norm of the loss gradient.
 
-        grads is d logprob / d params in the parameters' layout; the trainer
-        scales it in place into the loss gradient. Raises RuntimeError,
-        naming the parameter, if any gradient entry turns non-finite.
+        grads is d log-prob / d params in the parameters' layout; the
+        trainer scales it in place into the loss gradient. Raises
+        RuntimeError, naming the parameter, if any gradient entry turns
+        non-finite; the parameters are then unchanged.
         """
         reward = shaped_reward(fitness) + self.cfg.entropy_weight * entropy
         if self.cfg.baseline == "ema":
@@ -98,9 +103,11 @@ class ReinforceTrainer:
             raise ValueError("gradient layout differs from the parameters'")
         g = grads.flat
         g *= -advantage  # loss = -advantage * log-prob
-        sq_sum = float(np.vdot(g, g))
-        # the norm doubles as the finiteness check: a NaN or inf entry makes
-        # it non-finite, and only then (or on overflow) is the vector scanned
+        # einsum sums without BLAS, whose threads would split the sum and
+        # round it differently at each thread count. The norm doubles as the
+        # finiteness check: a NaN or inf entry makes it non-finite, and only
+        # then (or on overflow) is the vector scanned.
+        sq_sum = float(np.einsum("i,i->", g, g))
         if not math.isfinite(sq_sum):
             bad = np.flatnonzero(~np.isfinite(g))
             if bad.size:
@@ -114,24 +121,4 @@ class ReinforceTrainer:
         if self.cfg.baseline == "ema":
             self.baseline = BASELINE_DECAY * base + (1.0 - BASELINE_DECAY) * reward
         self.steps += 1
-        return {
-            "step": float(self.steps),
-            "reward": reward,
-            "advantage": advantage,
-            "logprob": float(logprob),
-            "entropy": entropy,
-            "grad_norm": grad_norm,
-        }
-
-
-def update_on_trace(
-    trainer: ReinforceTrainer,
-    params: "ctrl.ControllerParams",
-    parent: CellSpec,
-    trace: "ctrl.MutationTrace",
-    fitness: float,
-) -> Dict[str, float]:
-    """Convenience glue for the mutation controller (encodes the parent anew)."""
-    return trainer.update(
-        *ctrl.trace_grads(params, parent, trace), trace.total_entropy, fitness
-    )
+        return {"reward": reward, "advantage": advantage, "grad_norm": grad_norm}

@@ -31,7 +31,7 @@ def _squashed_logp_grad(raw, logp, idx):
 
 
 def controller_grads(params, cell, trace):
-    """trace_grads as a loop over blocks: (total log-prob, ParamViews)."""
+    """trace_grads as a loop over blocks."""
     replacements = _forced(params, cell, trace)[:, 1].tolist()  # validated
     forward = encode_forward(params, cell)
     S = forward.states
@@ -48,7 +48,6 @@ def controller_grads(params, cell, trace):
     d_begin1 = grads["begin_prev1"][0]
     d_begin2 = grads["begin_prev2"][0]
     d_b_r = d_b_in = 0.0
-    total_lp = 0.0
     for b, action in enumerate(trace.actions, start=1):
         idx = replacements[b - 1]
         base = 5 * (b - 1)
@@ -56,7 +55,6 @@ def controller_grads(params, cell, trace):
         raw = _router_raw(params, S[base : base + 4])
         logp = squashed_logp_np(raw)
         g = _squashed_logp_grad(raw, logp, t_idx)
-        total_lp += float(logp[t_idx])
         dS[base : base + 4] += np.outer(g, w_r)
         d_w_r += g @ S[base : base + 4]
         d_b_r += g.sum()
@@ -82,7 +80,6 @@ def controller_grads(params, cell, trace):
             dS[base + t_idx] += params.w_op.data @ g
             d_w_op += np.outer(state_id, g)
             d_b_op += g
-        total_lp += float(logp[idx])
 
     grads["b_router"][0, 0] = d_b_r
     grads["b_input"][0, 0] = d_b_in
@@ -96,7 +93,7 @@ def controller_grads(params, cell, trace):
         )[3]
         dX += dX_b[0, ::-1]
     np.add.at(grads["embedding"], forward.ids, dX)
-    return total_lp, grads
+    return grads
 
 
 def construction_grads(policy, cell):
@@ -125,4 +122,4 @@ def construction_grads(policy, cell):
     dX = lstm_backward_np(policy.lstm, cache, dh, out=lstm_entries(grads, "lstm"))[3]
     np.add.at(grads["embedding"], walk.tokens[:-1], dX[0, 1:])
     grads["start"][...] = dX[0, :1]
-    return walk.total_logprob, grads
+    return grads

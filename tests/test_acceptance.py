@@ -52,12 +52,7 @@ from evocell.harness import (
     write_jsonl,
 )
 from evocell.nn_core import check_grads, log_softmax_np, shape_logits_np
-from evocell.reinforce import (
-    ReinforceTrainer,
-    RewardConfig,
-    shaped_reward,
-    update_on_trace,
-)
+from evocell.reinforce import ReinforceTrainer, RewardConfig, shaped_reward
 
 
 def _report(capsys, number: int, ok: bool, detail: str) -> None:
@@ -156,7 +151,7 @@ def test_criterion_3_gradient_correctness(capsys):
         )
         cell = random_cell(cfg, rng)
         trace = sample_mutation(params, cell, rng)
-        _, grads = trace_grads(params, cell, trace)
+        grads = trace_grads(params, cell, trace)
         err = check_grads(
             lambda: trace_logprob(params, cell, trace)[0], grads, params.named_params()
         )
@@ -166,7 +161,7 @@ def test_criterion_3_gradient_correctness(capsys):
         rng = np.random.default_rng(400 + draw)
         policy = ConstructionPolicy(cfg, rng, embed_size=4, hidden_size=4)
         cell, _, _ = policy.sample(rng)
-        _, grads = policy.grads(cell)
+        grads = policy.grads(cell)
         err = check_grads(lambda: policy.logprob(cell)[0], grads, policy.named_params())
         worst_construct = max(worst_construct, err)
     elapsed = time.perf_counter() - t0
@@ -309,13 +304,14 @@ def test_criterion_6_controller_learns_bandit(capsys):
     for seed in range(10):
         rng = np.random.default_rng(seed)
         params = init_controller(cfg, rng, embed_size=32, hidden_size=32)
-        trainer = ReinforceTrainer(params.named_params(), RewardConfig(), lr=0.01)
+        trainer = ReinforceTrainer(params, RewardConfig(), lr=0.01)
         solved_at = None
         for step in range(1, 2001):
             trace = sample_mutation(params, parent, rng)
             child = apply_mutation(parent, trace)
             fitness = 0.9 if child.blocks[0].o1 == Op.SEP5 else 0.1
-            update_on_trace(trainer, params, parent, trace, fitness)
+            grads = trace_grads(params, parent, trace)
+            trainer.update(grads, trace.total_entropy, fitness)
             if step % 50 == 0 and _rewarded_action_prob(params, parent) > 0.6:
                 solved_at = step
                 break

@@ -165,8 +165,8 @@ def test_scalar_sampled_logprob_matches_differentiable_walk():
         params = init_controller(cfg, np.random.default_rng(seed), **TINY)
         cell = random_cell(cfg, rng)
         trace = sample_mutation(params, cell, rng)
-        lp, _ = trace_grads(params, cell, trace)
-        assert abs(lp - trace.total_logprob) < 1e-12
+        totals = (trace.total_logprob, trace.total_entropy)
+        assert trace_logprob(params, cell, trace) == totals
 
 
 def test_batched_sampler_matches_differentiable_walk():
@@ -175,11 +175,8 @@ def test_batched_sampler_matches_differentiable_walk():
     traces = sample_mutation_batch(params, cells, rng)
     assert len(traces) == 64
     for cell, trace in zip(cells, traces):
-        lp, _ = trace_grads(params, cell, trace)
-        assert abs(lp - trace.total_logprob) < 1e-12
-        lp, ent = trace_logprob(params, cell, trace)
-        assert abs(lp - trace.total_logprob) < 1e-12
-        assert abs(ent - trace.total_entropy) < 1e-12
+        totals = (trace.total_logprob, trace.total_entropy)
+        assert trace_logprob(params, cell, trace) == totals
         assert validate(apply_mutation(cell, trace), cfg) is None
 
 
@@ -239,7 +236,7 @@ def test_trace_logprob_gradcheck_tiny():
     cfg, params, rng = _tiny_controller(blocks=2, ops=3, seed=2)
     cell = random_cell(cfg, rng)
     trace = sample_mutation(params, cell, rng)
-    _, grads = trace_grads(params, cell, trace)
+    grads = trace_grads(params, cell, trace)
     err = check_grads(
         lambda: trace_logprob(params, cell, trace)[0], grads, params.named_params()
     )
@@ -433,15 +430,15 @@ class TestUnidirectional:
         for _ in range(20):
             cell = random_cell(cfg, rng)
             trace = sample_mutation(uni, cell, rng)
-            lp, _ = trace_grads(uni, cell, trace)
-            assert abs(lp - trace.total_logprob) < 1e-12
+            totals = (trace.total_logprob, trace.total_entropy)
+            assert trace_logprob(uni, cell, trace) == totals
             assert validate(apply_mutation(cell, trace), cfg) is None
 
     def test_gradcheck(self):
         cfg, uni, rng = self._uni()
         cell = random_cell(cfg, rng)
         trace = sample_mutation(uni, cell, rng)
-        _, grads = trace_grads(uni, cell, trace)
+        grads = trace_grads(uni, cell, trace)
         err = check_grads(
             lambda: trace_logprob(uni, cell, trace)[0], grads, uni.named_params()
         )

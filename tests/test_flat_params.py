@@ -22,7 +22,6 @@ from evocell.nn_core import (
     ParamLayout,
     Tensor,
     adam_step,
-    flat_buffer,
     save_params,
 )
 from evocell.reinforce import ReinforceTrainer, RewardConfig
@@ -43,21 +42,26 @@ def _policy(kind, seed=0):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", ["bi", "nonbi", "construction"])
-def test_named_params_tile_the_one_buffer_in_order(kind):
-    policy = _policy(kind)
+def _assert_named_params_tile(policy):
+    """policy.named_params() are views tiling policy.flat in layout order."""
     flat = policy.flat
-    assert flat.ndim == 1 and flat.dtype == np.float64 and flat.flags.owndata
     start = flat.__array_interface__["data"][0]
     offset = 0
-    for name, t in policy.named_params():
-        assert np.shares_memory(t.data, flat), name
+    for (name, t), shape in zip(policy.named_params(), policy.layout.shapes):
+        assert t.data.base is flat and t.data.shape == shape, name
         assert t.data.flags.c_contiguous, name
         assert t.data.__array_interface__["data"][0] == start + 8 * offset, name
         offset += t.data.size
     assert offset == flat.size
     assert [n for n, _ in policy.named_params()] == list(policy.layout.names)
-    assert flat_buffer(policy.named_params()).flat is flat
+
+
+@pytest.mark.parametrize("kind", ["bi", "nonbi", "construction"])
+def test_named_params_tile_the_one_buffer_in_order(kind):
+    policy = _policy(kind)
+    flat = policy.flat
+    assert flat.ndim == 1 and flat.dtype == np.float64 and flat.flags.owndata
+    _assert_named_params_tile(policy)
 
 
 def test_one_draw_equals_the_per_parameter_draws():
@@ -76,25 +80,16 @@ def test_layout_names_the_parameter_at_each_index():
     assert [layout.name_at(i) for i in range(11)] == ["a"] * 6 + ["b"] + ["c"] * 4
 
 
-def test_flat_buffer_rejects_tensors_that_do_not_tile_one_buffer():
-    with pytest.raises(ValueError):
-        flat_buffer([("a", Tensor(np.zeros((2, 2)))), ("b", Tensor(np.zeros((1, 2))))])
-    params = _policy("bi")
-    named = params.named_params()
-    with pytest.raises(ValueError):  # out of layout order
-        flat_buffer([named[1], named[0]] + named[2:])
-
-
 @pytest.mark.parametrize("kind", ["bi", "construction"])
 def test_gradients_are_one_flat_vector_in_the_layout(kind):
     policy = _policy(kind, seed=4)
     rng = np.random.default_rng(4)
     if kind == "construction":
         cell, _, _ = policy.sample(rng)
-        _, grads = policy.grads(cell)
+        grads = policy.grads(cell)
     else:
         cell = random_cell(CFG, rng)
-        _, grads = trace_grads(policy, cell, sample_mutation(policy, cell, rng))
+        grads = trace_grads(policy, cell, sample_mutation(policy, cell, rng))
     assert grads.layout == policy.layout
     assert list(grads) == list(policy.layout.names)
     for name, g in grads.items():
@@ -145,9 +140,9 @@ def test_grad_norm_matches_the_per_array_sum():
     rng = np.random.default_rng(9)
     cell = random_cell(CFG, rng)
     trace = sample_mutation(params, cell, rng)
-    trainer = ReinforceTrainer(params.named_params(), RewardConfig(baseline=None))
-    lp, grads = trace_grads(params, cell, trace)
-    diag = trainer.update(lp, grads, trace.total_entropy, 0.7)
+    trainer = ReinforceTrainer(params, RewardConfig(baseline=None))
+    grads = trace_grads(params, cell, trace)
+    diag = trainer.update(grads, trace.total_entropy, 0.7)
     # the trainer scaled the gradient in place into the loss gradient
     per_array = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
     assert per_array > 0.0
@@ -161,11 +156,11 @@ def test_non_finite_gradient_raises_naming_its_parameter(name):
     cell = random_cell(CFG, rng)
     trace = sample_mutation(params, cell, rng)
     before = params.flat.copy()
-    trainer = ReinforceTrainer(params.named_params(), RewardConfig(baseline=None))
-    lp, grads = trace_grads(params, cell, trace)
+    trainer = ReinforceTrainer(params, RewardConfig(baseline=None))
+    grads = trace_grads(params, cell, trace)
     grads[name].reshape(-1)[-1] = np.nan
     with pytest.raises(RuntimeError, match=f"non-finite gradient in {name!r}"):
-        trainer.update(lp, grads, trace.total_entropy, 0.7)
+        trainer.update(grads, trace.total_entropy, 0.7)
     assert np.array_equal(params.flat, before)
 
 
@@ -174,9 +169,9 @@ def test_trainer_rejects_a_gradient_of_another_layout():
     rng = np.random.default_rng(11)
     cell = random_cell(CFG, rng)
     trace = sample_mutation(other, cell, rng)
-    trainer = ReinforceTrainer(params.named_params())
+    trainer = ReinforceTrainer(params)
     with pytest.raises(ValueError):
-        trainer.update(*trace_grads(other, cell, trace), 0.0, 0.5)
+        trainer.update(trace_grads(other, cell, trace), 0.0, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +189,7 @@ def test_full_size_checkpoint_round_trip_through_a_json_name(tmp_path):
     loaded = load_controller(path)
     assert loaded.flat.tobytes() == params.flat.tobytes()
     assert loaded.layout == params.layout
-    assert flat_buffer(loaded.named_params()).flat is loaded.flat
+    _assert_named_params_tile(loaded)
     loaded.flat[0] += 1.0  # the loaded buffer is writable and its own
     assert loaded.embedding.data[0, 0] == loaded.flat[0]
 

@@ -3,8 +3,11 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,7 +237,7 @@ def test_construction_logprob_gradcheck():
         CFG23, np.random.default_rng(7), embed_size=4, hidden_size=4
     )
     cell, _, _ = policy.sample(np.random.default_rng(8))
-    _, grads = policy.grads(cell)
+    grads = policy.grads(cell)
     err = check_grads(lambda: policy.logprob(cell)[0], grads, policy.named_params())
     assert err < 1e-4
 
@@ -801,6 +804,47 @@ def test_cli_search_smoke(tmp_path, capsys):
     assert "best_true" in capsys.readouterr().out
 
 
+def _search_log(strategy, blas_threads, out):
+    """The log `evocell search` writes from a fresh interpreter, whose
+    OpenBLAS runs blas_threads threads (it reads the count once, at load)."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads), PYTHONPATH=str(src))
+    argv = [
+        "search", "--strategy", strategy, "--blocks", "3", "--ops", "4",
+        "--budget", "200", "--seed", "1", "--out", str(out),
+    ]
+    done = subprocess.run(
+        [sys.executable, "-m", "evocell.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return (out / f"trace_{strategy}_1.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [
+        pytest.param(
+            "reinforced",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="the encoder's input gradient (15 x 400 @ 400 x 100) "
+                "rounds differently when OpenBLAS splits it over two threads",
+            ),
+        ),
+        "rl_construct",
+    ],
+)
+def test_search_log_does_not_depend_on_the_blas_thread_count(strategy, tmp_path):
+    # E = H = 100, the defaults: the products are large enough to be threaded
+    one = _search_log(strategy, 1, tmp_path / "one")
+    two = _search_log(strategy, 2, tmp_path / "two")
+    assert one == two
+
+
 def test_cli_compare_smoke(tmp_path, capsys):
     code = main(
         [
@@ -915,6 +959,7 @@ def test_cli_config_error_exits_2(tmp_path, capsys):
         "negative_seed",
         "tabular_above_cap",
         "table_above_export_cap",
+        "repeated_strategy",
     ],
 )
 def test_cli_bad_input_exits_2(case, tmp_path, capsys):
@@ -929,6 +974,11 @@ def test_cli_bad_input_exits_2(case, tmp_path, capsys):
         "negative_seed": _search_args(tmp_path, ["--seed", "-1"]),
         "tabular_above_cap": _search_args(tmp_path, ["--blocks", "5", "--ops", "6"]),
         "table_above_export_cap": ["oracle", "build", "--out", str(tmp_path)],
+        "repeated_strategy": [
+            "compare", "--strategies", "ea_random,ea_random", "--seeds", "0:3",
+            "--blocks", "2", "--ops", "3", "--pop", "5", "--sample", "2",
+            "--budget", "20", "--out", str(tmp_path),
+        ],
     }[case]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")

@@ -69,9 +69,9 @@ def _tape_grads(named_params, f):
     return out.item(), grads
 
 
-def _assert_match(named_params, fused_lp, fused, tape_lp, tape):
+def _assert_match(named_params, walk_lp, fused, tape_lp, tape):
     assert set(fused) == {name for name, _ in named_params}
-    assert abs(fused_lp - tape_lp) <= 1e-12
+    assert abs(walk_lp - tape_lp) <= 1e-12
     for name, t in named_params:
         assert fused[name].shape == t.data.shape, name
         assert np.abs(fused[name] - tape[name]).max() <= 1e-12, name
@@ -82,7 +82,8 @@ def test_controller_grads_match_tape(bidirectional):
     for seed in range(20):
         params, cell, trace, _ = _controller_draw(seed, bidirectional)
         named = params.named_params()
-        lp, grads = trace_grads(params, cell, trace)
+        grads = trace_grads(params, cell, trace)
+        lp, _ = trace_logprob(params, cell, trace)
         tape_lp, tape = _tape_grads(
             named, lambda: tape_reference.controller_logprob(params, cell, trace)[0]
         )
@@ -94,7 +95,8 @@ def test_construction_grads_match_tape():
         policy, rng = _construction_draw(seed)
         named = policy.named_params()
         cell, _, _ = policy.sample(rng)
-        lp, grads = policy.grads(cell)
+        grads = policy.grads(cell)
+        lp, _ = policy.logprob(cell)
         tape_lp, tape = _tape_grads(
             named, lambda: tape_reference.construction_logprob(policy, cell)[0]
         )
@@ -141,23 +143,22 @@ def test_fused_grads_pass_central_differences():
     # off the near-uniform init; criterion 3 covers the init itself
     for seed in range(4):
         params, cell, trace, _ = _controller_draw(seed, seed < 2, size=4)
-        _, grads = trace_grads(params, cell, trace)
+        grads = trace_grads(params, cell, trace)
         err = check_grads(
             lambda: trace_logprob(params, cell, trace)[0], grads, params.named_params()
         )
         assert err < 1e-4
         policy, rng = _construction_draw(seed, size=4)
         cell, _, _ = policy.sample(rng)
-        _, grads = policy.grads(cell)
+        grads = policy.grads(cell)
         err = check_grads(lambda: policy.logprob(cell)[0], grads, policy.named_params())
         assert err < 1e-4
 
 
 def _assert_same(a, b):
-    assert a[0] == b[0]
-    assert set(a[1]) == set(b[1])
-    for name in a[1]:
-        assert np.array_equal(a[1][name], b[1][name]), name
+    assert set(a) == set(b)
+    for name in a:
+        assert np.array_equal(a[name], b[name]), name
 
 
 def test_sampling_forward_gives_the_fresh_gradient_bit_for_bit():
@@ -179,10 +180,9 @@ def test_construction_sampling_walk_gives_the_fresh_gradient_bit_for_bit():
         rng = np.random.default_rng(seed)
         policy = ConstructionPolicy(cfg, rng, embed_size=8, hidden_size=8)
         _perturb(policy.named_params(), rng)
-        cell, lp, _ = policy.sample(rng)
-        cached = policy.grads(cell)
-        assert cached[0] == lp
-        _assert_same(cached, policy.grads(cell))  # the walk is used once
+        cell, lp, ent = policy.sample(rng)
+        assert policy.logprob(cell) == (lp, ent)
+        _assert_same(policy.grads(cell), policy.grads(cell))  # the walk is used once
 
 
 def test_grad_for_another_cell_recomputes():
@@ -237,8 +237,7 @@ def test_samplers_raise_on_nan_weights():
 
 
 def _assert_bytes(got, want):
-    assert got[0] == want[0]
-    assert got[1].flat.tobytes() == want[1].flat.tobytes()
+    assert got.flat.tobytes() == want.flat.tobytes()
 
 
 def _every_space(seed):

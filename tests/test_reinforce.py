@@ -31,7 +31,6 @@ from evocell.reinforce import (
     ReinforceTrainer,
     RewardConfig,
     shaped_reward,
-    update_on_trace,
 )
 
 TINY = dict(embed_size=4, hidden_size=4)
@@ -86,7 +85,7 @@ def _bandit(seed=0, ops=2, **cfg_kwargs):
     rng = np.random.default_rng(seed)
     params = init_controller(cfg, rng, **TINY)
     cell = CellSpec((BlockSpec(CELL_PREV2, CELL_PREV1, Op.SEP3, Op.SEP3),), num_ops=ops)
-    trainer = ReinforceTrainer(params.named_params(), RewardConfig(**cfg_kwargs))
+    trainer = ReinforceTrainer(params, RewardConfig(**cfg_kwargs))
     return cfg, params, cell, trainer, rng
 
 
@@ -97,7 +96,7 @@ def test_first_update_with_ema_baseline_is_a_no_op():
     trace = sample_mutation(params, cell, rng)
     before = {name: t.data.copy() for name, t in params.named_params()}
     diag = trainer.update(
-        *trace_grads(params, cell, trace), trace.total_entropy, 0.6
+        trace_grads(params, cell, trace), trace.total_entropy, 0.6
     )
     assert diag["advantage"] == 0.0
     for name, t in params.named_params():
@@ -111,7 +110,7 @@ def test_zero_advantage_no_baseline_zero_entropy_keeps_params():
     trace = sample_mutation(params, cell, rng)
     before = {name: t.data.copy() for name, t in params.named_params()}
     diag = trainer.update(
-        *trace_grads(params, cell, trace), trace.total_entropy, 0.0
+        trace_grads(params, cell, trace), trace.total_entropy, 0.0
     )
     # fitness 0 -> shaped reward 0; no baseline -> advantage 0 -> no movement
     assert diag["advantage"] == 0.0
@@ -124,7 +123,7 @@ def test_positive_advantage_raises_trace_logprob():
     trace = sample_mutation(params, cell, rng)
     lp_before, _ = trace_logprob(params, cell, trace)
     for _ in range(2):
-        update_on_trace(trainer, params, cell, trace, fitness=0.8)
+        trainer.update(trace_grads(params, cell, trace), trace.total_entropy, 0.8)
     lp_after, _ = trace_logprob(params, cell, trace)
     assert lp_after > lp_before
 
@@ -132,10 +131,8 @@ def test_positive_advantage_raises_trace_logprob():
 def test_diagnostics_keys_and_values():
     cfg, params, cell, trainer, rng = _bandit(seed=4)
     trace = sample_mutation(params, cell, rng)
-    diag = update_on_trace(trainer, params, cell, trace, fitness=0.3)
-    for key in ("step", "reward", "advantage", "logprob", "entropy", "grad_norm"):
-        assert key in diag
-    assert diag["step"] == 1
+    diag = trainer.update(trace_grads(params, cell, trace), trace.total_entropy, 0.3)
+    assert set(diag) == {"reward", "advantage", "grad_norm"}
     assert diag["reward"] == pytest.approx(
         shaped_reward(0.3) + 0.1 * trace.total_entropy
     )
@@ -148,7 +145,7 @@ def test_update_aborts_on_non_finite_gradients():
     params.embedding.data[:] = np.nan
     with pytest.raises(RuntimeError):
         with np.errstate(invalid="ignore", over="ignore"):
-            update_on_trace(trainer, params, cell, trace, fitness=0.5)
+            trainer.update(trace_grads(params, cell, trace), trace.total_entropy, 0.5)
 
 
 def test_ema_baseline_tracks_reward():
@@ -156,7 +153,7 @@ def test_ema_baseline_tracks_reward():
     rewards = []
     for fitness in (0.2, 0.4, 0.6):
         trace = sample_mutation(params, cell, rng)
-        update_on_trace(trainer, params, cell, trace, fitness=fitness)
+        trainer.update(trace_grads(params, cell, trace), trace.total_entropy, fitness)
         rewards.append(shaped_reward(fitness))
     # baseline: r0, then decayed mixes, always strictly between min and max
     expected = rewards[0]
@@ -169,7 +166,7 @@ def test_surrogate_gradient_matches_finite_differences():
     cfg, params, cell, trainer, rng = _bandit(seed=7)
     trace = sample_mutation(params, cell, rng)
     advantage = 1.7
-    _, grads = trace_grads(params, cell, trace)
+    grads = trace_grads(params, cell, trace)
     surrogate = {name: -advantage * g for name, g in grads.items()}
     err = check_grads(
         lambda: trace_logprob(params, cell, trace)[0] * (-advantage),
@@ -186,12 +183,10 @@ def test_high_entropy_weight_keeps_decisions_near_uniform():
     rng = np.random.default_rng(11)
     params = init_controller(cfg, rng, **TINY)
     cell = CellSpec((BlockSpec(CELL_PREV2, CELL_PREV1, Op.SEP3, Op.SEP3),), num_ops=2)
-    trainer = ReinforceTrainer(
-        params.named_params(), RewardConfig(entropy_weight=10.0)
-    )
+    trainer = ReinforceTrainer(params, RewardConfig(entropy_weight=10.0))
     for _ in range(5000):
         trace = sample_mutation(params, cell, rng)
-        update_on_trace(trainer, params, cell, trace, fitness=0.5)
+        trainer.update(trace_grads(params, cell, trace), trace.total_entropy, 0.5)
 
     states = encode_forward(params, cell).states
     w_r = params.w_router.data[:, 0]
@@ -230,7 +225,7 @@ def test_baseline_does_not_flip_expected_gradient_direction():
     grads = []
     for _ in range(n):
         trace = sample_mutation(params, cell, rng)
-        grads.append(trace_grads(params, cell, trace)[1])
+        grads.append(trace_grads(params, cell, trace))
         rewards.append(reward_of(trace))
     b = float(np.mean(rewards))
     flat_plain = {}
