@@ -43,7 +43,12 @@ class Op(IntEnum):
 
 
 NUM_OPS_TOTAL = len(Op)
-_OP_OF_DIGIT = {int(op): op for op in Op}  # without an enum call per field
+# Lookups without an enum call per field: the members in digit order, each
+# member's text name, and the member of each digit and of each exact name.
+OPS: Tuple[Op, ...] = tuple(Op)
+OP_NAMES: Tuple[str, ...] = tuple(op.name for op in OPS)
+_OP_OF_DIGIT = {int(op): op for op in OPS}
+OP_OF_NAME = {op.name: op for op in OPS}
 
 
 @dataclass(frozen=True)
@@ -63,7 +68,7 @@ class SpaceConfig:
 
     @property
     def ops(self) -> Tuple[Op, ...]:
-        return tuple(Op(m) for m in range(self.num_ops))
+        return OPS[: self.num_ops]
 
 
 @dataclass(frozen=True)
@@ -132,12 +137,32 @@ def _legal_input_refs(block_index: int) -> Tuple[int, ...]:
     return tuple(legal_inputs(block_index))
 
 
+def _block_violation(
+    b: int, block: BlockSpec, num_ops: int
+) -> Optional[Violation]:
+    """The first field of block b outside its legal set, if any."""
+    allowed = _legal_input_refs(b)
+    for field_name, ref in (("i1", block.i1), ("i2", block.i2)):
+        if ref not in allowed:
+            return Violation(
+                b, field_name, f"input {ref} not in legal set {list(allowed)}"
+            )
+    for field_name, op in (("o1", block.o1), ("o2", block.o2)):
+        if not 0 <= int(op) < num_ops:
+            return Violation(
+                b, field_name, f"op {op!r} outside active subset of {num_ops}"
+            )
+    return None
+
+
 def validate(cell: CellSpec, cfg: SpaceConfig) -> Optional[Violation]:
     """Check a cell against a space config. Returns None if valid.
 
     Violations are reported as values, not exceptions; the first offending
     (block, field) wins. Duplicate branches (i1 == i2 with o1 == o2) are
-    permitted: they read as a width-style doubling, not an error.
+    permitted: they read as a width-style doubling, not an error. A block
+    whose fields are all members of their legal sets passes on membership
+    alone; any other block is checked field by field, to name the violation.
     """
     if cell.num_blocks != cfg.num_blocks:
         return Violation(
@@ -147,18 +172,19 @@ def validate(cell: CellSpec, cfg: SpaceConfig) -> Optional[Violation]:
         return Violation(
             0, "num_ops", f"expected num_ops {cfg.num_ops}, got {cell.num_ops}"
         )
+    ops = OPS[: cfg.num_ops]
     for b, block in enumerate(cell.blocks, start=1):
         allowed = _legal_input_refs(b)
-        for field_name, ref in (("i1", block.i1), ("i2", block.i2)):
-            if ref not in allowed:
-                return Violation(
-                    b, field_name, f"input {ref} not in legal set {list(allowed)}"
-                )
-        for field_name, op in (("o1", block.o1), ("o2", block.o2)):
-            if not 0 <= int(op) < cfg.num_ops:
-                return Violation(
-                    b, field_name, f"op {op!r} outside active subset of {cfg.num_ops}"
-                )
+        if (
+            block.i1 in allowed
+            and block.i2 in allowed
+            and block.o1 in ops
+            and block.o2 in ops
+        ):
+            continue
+        violation = _block_violation(b, block, cfg.num_ops)
+        if violation is not None:
+            return violation
     return None
 
 
@@ -256,8 +282,10 @@ def space_size(cfg: SpaceConfig) -> int:
     return per_branch * per_branch
 
 
+@cache
 def digit_radices(cfg: SpaceConfig) -> Tuple[int, ...]:
-    """Mixed-radix shape of the variable fields, in token order."""
+    """Mixed-radix shape of the variable fields, in token order; built once
+    per space."""
     radices: List[int] = []
     for b in range(1, cfg.num_blocks + 1):
         radices.extend((b + 1, b + 1, cfg.num_ops, cfg.num_ops))
@@ -334,7 +362,8 @@ def enumerate_space(
 
 def cell_to_text(cell: CellSpec) -> str:
     return "|".join(
-        f"{blk.i1},{blk.i2},{blk.o1.name},{blk.o2.name}" for blk in cell.blocks
+        f"{blk.i1},{blk.i2},{OP_NAMES[blk.o1]},{OP_NAMES[blk.o2]}"
+        for blk in cell.blocks
     )
 
 
@@ -348,7 +377,7 @@ def cell_from_text(text: str, cfg: SpaceConfig) -> CellSpec:
             raise ValueError(f"expected 4 comma-separated fields, got {part!r}")
         try:
             i1, i2 = int(fields[0]), int(fields[1])
-            o1, o2 = Op[fields[2]], Op[fields[3]]
+            o1, o2 = OP_OF_NAME[fields[2]], OP_OF_NAME[fields[3]]
         except (ValueError, KeyError) as exc:
             raise ValueError(f"unparseable block {part!r}: {exc}") from exc
         blocks.append(BlockSpec(i1, i2, o1, o2))

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cache
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -33,11 +34,14 @@ import numpy as np
 from .arch_space import (
     CELL_PREV1,
     CELL_PREV2,
+    OP_NAMES,
+    OP_OF_NAME,
     BlockSpec,
     CellSpec,
     Op,
     SpaceConfig,
     encode_tokens,
+    input_token,
     legal_inputs,
     vocab_size,
 )
@@ -67,6 +71,12 @@ class MutTarget(IntEnum):
     O1 = 2
     O2 = 3
 
+
+# The members in router order, each member's logged name, and the member of
+# each exact logged name.
+TARGETS: Tuple[MutTarget, ...] = tuple(MutTarget)
+_TARGET_NAMES: Tuple[str, ...] = tuple(t.name.lower() for t in TARGETS)
+_TARGET_OF_NAME = dict(zip(_TARGET_NAMES, TARGETS))
 
 Replacement = Union[int, Op]
 
@@ -212,8 +222,10 @@ def init_controller(
 # ---------------------------------------------------------------------------
 
 
-def input_candidate_refs(block: int) -> List[int]:
-    return list(range(1, block)) + [CELL_PREV1, CELL_PREV2]
+@cache
+def input_candidate_refs(block: int) -> Tuple[int, ...]:
+    """Block's input candidates in head order, built once per block."""
+    return (*range(1, block), CELL_PREV1, CELL_PREV2)
 
 
 def _candidate_index(block: int, ref: int) -> int:
@@ -587,23 +599,31 @@ def apply_mutation(cell: CellSpec, trace: MutationTrace) -> CellSpec:
     field's kind from that field's legal set (ValueError otherwise). Every
     other field is copied from the parent, so the child of a valid parent
     is valid; the child is not validated again here (an oracle validates
-    each cell it evaluates).
+    each cell it evaluates). So are the parent's digits, with the one digit
+    each action writes rewritten: the child carries them as its
+    CellSpec.digits.
     """
     _check_trace(cell, trace)
     blocks = []
+    digits = list(cell.digits)
     for b, (blk, action) in enumerate(zip(cell.blocks, trace.actions), start=1):
-        _check_action(b, action, cell.num_ops)
+        is_input = _check_action(b, action, cell.num_ops)
         target, new = action.target, action.replacement
+        if is_input:
+            new = int(new)
         if target == MutTarget.I1:
-            blk = BlockSpec(int(new), blk.i2, blk.o1, blk.o2)
+            blk = BlockSpec(new, blk.i2, blk.o1, blk.o2)
         elif target == MutTarget.I2:
-            blk = BlockSpec(blk.i1, int(new), blk.o1, blk.o2)
+            blk = BlockSpec(blk.i1, new, blk.o1, blk.o2)
         elif target == MutTarget.O1:
             blk = BlockSpec(blk.i1, blk.i2, new, blk.o2)
         else:
             blk = BlockSpec(blk.i1, blk.i2, blk.o1, new)
         blocks.append(blk)
-    return CellSpec(tuple(blocks), num_ops=cell.num_ops)
+        digits[4 * (b - 1) + target] = input_token(new) if is_input else int(new)
+    child = CellSpec(tuple(blocks), num_ops=cell.num_ops)
+    vars(child)["digits"] = tuple(digits)  # fills the cached_property
+    return child
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +636,8 @@ def trace_to_dict(trace: MutationTrace) -> dict:
         "actions": [
             {
                 "block": a.block,
-                "target": a.target.name.lower(),
-                "replacement": a.replacement.name
+                "target": _TARGET_NAMES[a.target],
+                "replacement": OP_NAMES[a.replacement]
                 if isinstance(a.replacement, Op)
                 else int(a.replacement),
                 "router_logprob": a.router_logprob,
@@ -632,29 +652,41 @@ def trace_to_dict(trace: MutationTrace) -> dict:
     }
 
 
+def _typed(value, kind: type, name: str):
+    """value, if it is exactly of kind (so neither a bool for an int nor an
+    int or a string for a float); TypeError otherwise."""
+    if type(value) is not kind:
+        raise TypeError(f"{name} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def trace_from_dict(payload: dict) -> MutationTrace:
+    """Inverse of trace_to_dict, coercing nothing: each name must be one
+    that trace_to_dict writes (KeyError otherwise) and each number of the
+    JSON type it writes (TypeError otherwise)."""
     actions = []
     for entry in payload["actions"]:
-        target = MutTarget[entry["target"].upper()]
         raw_repl = entry["replacement"]
         replacement: Replacement = (
-            Op[raw_repl] if isinstance(raw_repl, str) else int(raw_repl)
+            OP_OF_NAME[raw_repl]
+            if isinstance(raw_repl, str)
+            else _typed(raw_repl, int, "replacement")
         )
         actions.append(
             MutationAction(
-                block=int(entry["block"]),
-                target=target,
-                replacement=replacement,
-                router_logprob=float(entry["router_logprob"]),
-                replace_logprob=float(entry["replace_logprob"]),
-                router_entropy=float(entry["router_entropy"]),
-                replace_entropy=float(entry["replace_entropy"]),
+                _typed(entry["block"], int, "block"),
+                _TARGET_OF_NAME[entry["target"]],
+                replacement,
+                _typed(entry["router_logprob"], float, "router_logprob"),
+                _typed(entry["replace_logprob"], float, "replace_logprob"),
+                _typed(entry["router_entropy"], float, "router_entropy"),
+                _typed(entry["replace_entropy"], float, "replace_entropy"),
             )
         )
     return MutationTrace(
         tuple(actions),
-        float(payload["total_logprob"]),
-        float(payload["total_entropy"]),
+        _typed(payload["total_logprob"], float, "total_logprob"),
+        _typed(payload["total_entropy"], float, "total_entropy"),
     )
 
 

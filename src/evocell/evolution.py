@@ -13,17 +13,17 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Protocol, Sequence
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from .arch_space import CellSpec, SpaceConfig, Op, random_cell
+from .arch_space import OPS, CellSpec, SpaceConfig, random_cell
 from .controller import (
+    TARGETS,
     ControllerParams,
     EncoderForward,
     MutationAction,
     MutationTrace,
-    MutTarget,
     apply_mutation,
     encode_forward,
     input_candidate_refs,
@@ -94,11 +94,21 @@ class ControllerPolicy:
         return trace_grads(self.params, cell, trace, forward)
 
 
-@functools.cache
 def _log_count(n: int) -> float:
-    """float(np.log(n)), computed once per candidate count: the logged
-    log-probabilities keep numpy's bits without a numpy call per draw."""
+    """float(np.log(n)): the logged log-probabilities keep numpy's bits."""
     return float(np.log(float(n)))
+
+
+@functools.cache
+def _uniform_tables(num_blocks: int, num_ops: int):
+    """RandomMutationPolicy's tables for one space, built once: the log of
+    the target count and of the op count, then per block its number, its
+    input candidates and the log of their count."""
+    blocks = []
+    for b in range(1, num_blocks + 1):
+        refs = input_candidate_refs(b)
+        blocks.append((b, refs, _log_count(len(refs))))
+    return _log_count(len(TARGETS)), _log_count(num_ops), tuple(blocks)
 
 
 class RandomMutationPolicy:
@@ -113,31 +123,25 @@ class RandomMutationPolicy:
         self.rng = rng
 
     def propose(self, cell: CellSpec) -> MutationTrace:
+        """Per block, one draw of the target, then one of the replacement
+        among that field's candidates; the candidates and the logs of
+        their counts come from the space's tables."""
         actions = []
         total_lp = 0.0
         total_h = 0.0
-        log4 = _log_count(4)
-        for b in range(1, cell.num_blocks + 1):
-            target = MutTarget(int(self.rng.integers(4)))
-            if target in (MutTarget.I1, MutTarget.I2):
-                refs = input_candidate_refs(b)
-                replacement = refs[int(self.rng.integers(len(refs)))]
-                n = len(refs)
+        num_ops = cell.num_ops
+        log4, log_ops, blocks = _uniform_tables(cell.num_blocks, num_ops)
+        for b, refs, log_refs in blocks:
+            target = TARGETS[self.rng.integers(4)]
+            if target < 2:  # I1 or I2
+                replacement = refs[self.rng.integers(len(refs))]
+                log_n = log_refs
             else:
-                replacement = Op(int(self.rng.integers(cell.num_ops)))
-                n = cell.num_ops
-            log_n = _log_count(n)
+                replacement = OPS[self.rng.integers(num_ops)]
+                log_n = log_ops
             router_lp, repl_lp = -log4, -log_n
             actions.append(
-                MutationAction(
-                    block=b,
-                    target=target,
-                    replacement=replacement,
-                    router_logprob=router_lp,
-                    replace_logprob=repl_lp,
-                    router_entropy=log4,
-                    replace_entropy=log_n,
-                )
+                MutationAction(b, target, replacement, router_lp, repl_lp, log4, log_n)
             )
             total_lp += router_lp + repl_lp
             total_h += log4 + log_n
@@ -203,14 +207,19 @@ def initialize(
     return pop
 
 
-def tournament_best(sample: Sequence[Individual]) -> Individual:
-    # highest fitness; ties go to the lower id
-    return max(sample, key=lambda ind: (ind.fitness, -ind.id))
-
-
-def tournament_worst(sample: Sequence[Individual]) -> Individual:
-    # lowest fitness; ties go against the higher id
-    return min(sample, key=lambda ind: (ind.fitness, -ind.id))
+def tournament(sample: Sequence[Individual]) -> Tuple[Individual, Individual]:
+    """The sample's best and worst member, found in one pass: the best has
+    the highest fitness, ties going to the lower id; the worst the lowest,
+    ties going to the higher id."""
+    best = worst = sample[0]
+    high = low = best.fitness
+    for ind in sample:
+        fitness = ind.fitness
+        if fitness >= high and (fitness > high or ind.id < best.id):
+            best, high = ind, fitness
+        if fitness <= low and (fitness < low or ind.id > worst.id):
+            worst, low = ind, fitness
+    return best, worst
 
 
 def evolution_step(
@@ -228,10 +237,9 @@ def evolution_step(
         raise ValueError(
             f"sample_size must be in [2, {len(pop.members)}], got {sample_size}"
         )
-    picks = rng.choice(len(pop.members), size=sample_size, replace=False)
+    picks = rng.choice(len(pop.members), size=sample_size, replace=False).tolist()
     sample = [pop.members[i] for i in picks]
-    parent = tournament_best(sample)
-    doomed = tournament_worst(sample)
+    parent, doomed = tournament(sample)
 
     trace = policy.propose(parent.cell)
     child_cell = apply_mutation(parent.cell, trace)

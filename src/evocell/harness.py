@@ -527,8 +527,9 @@ def config_from_header(header: dict) -> Tuple[StrategyConfig, int]:
 
 # Log records: one writer per kind, which the runners log and replay
 # rebuilds and compares. The fields replay does not rebuild: a step's trace,
-# which it feeds back in (an eval's cell goes back into eval_record), and
-# the learner's outputs.
+# which it parses strictly and feeds back in, and the learner's outputs. An
+# eval's cell is fed back too, but its text is rebuilt by cell_to_text, so
+# a text that cell_to_text would not write diverges.
 _NOT_REBUILT = frozenset(("trace", "diagnostics", "grad_norm"))
 
 
@@ -982,11 +983,13 @@ def replay(log_path: str) -> dict:
         rebuilt = _population_log(header_record(cfg, seed, oracle), result, step_fields)
     else:
         evals, true_vals = [], []
-        # .get: a misplaced record has no cell, and diverges below
         for index, (cell, logged) in enumerate(zip(inputs, records[1:]), start=1):
             true = oracle.lookup(cell)  # cell_from_text validated it
             observed = oracle.observe(true, 1.0, streams["eval"])
-            evals.append(eval_record(index, logged.get("cell"), observed))
+            text = cell_to_text(cell)
+            if text == logged.get("cell"):  # hold one copy of the text, not two
+                text = logged["cell"]
+            evals.append(eval_record(index, text, observed))
             true_vals.append(true)
         rebuilt = _sampling_log(header_record(cfg, seed, oracle), evals, true_vals)
     for n, (logged, record) in enumerate(zip(records, rebuilt), start=1):

@@ -2,7 +2,7 @@
 
 import itertools
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from evocell.arch_space import (
     CellSpec,
     Op,
     SpaceConfig,
+    Violation,
     cell_digits,
     cell_from_digits,
     cell_from_rank,
@@ -104,6 +105,65 @@ def test_validate_reports_field_and_block():
     wrong_count = CellSpec((BlockSpec(CELL_PREV2, CELL_PREV1, Op.SEP3, Op.SEP3),), num_ops=3)
     v = validate(wrong_count, cfg)
     assert v is not None and v.block == 0
+
+
+def _field_by_field(cell, cfg):
+    """validate as it checks every field of every block, with no fast path."""
+    if cell.num_blocks != cfg.num_blocks:
+        return Violation(
+            0, "blocks", f"expected {cfg.num_blocks} blocks, got {cell.num_blocks}"
+        )
+    if cell.num_ops != cfg.num_ops:
+        return Violation(
+            0, "num_ops", f"expected num_ops {cfg.num_ops}, got {cell.num_ops}"
+        )
+    for b, block in enumerate(cell.blocks, start=1):
+        allowed = legal_inputs(b)
+        for field_name, ref in (("i1", block.i1), ("i2", block.i2)):
+            if ref not in allowed:
+                return Violation(b, field_name, f"input {ref} not in legal set {allowed}")
+        for field_name, op in (("o1", block.o1), ("o2", block.o2)):
+            if not 0 <= int(op) < cfg.num_ops:
+                return Violation(
+                    b, field_name, f"op {op!r} outside active subset of {cfg.num_ops}"
+                )
+    return None
+
+
+# Illegal values per field kind, for a block b in a space of num_ops ops.
+_ILLEGAL = {
+    "i1": lambda b, num_ops: (b, 0, -3, b + 7),
+    "i2": lambda b, num_ops: (b, 0, -3, b + 7),
+    "o1": lambda b, num_ops: (*Op, -1, 7)[num_ops:],
+    "o2": lambda b, num_ops: (*Op, -1, 7)[num_ops:],
+}
+
+
+@pytest.mark.parametrize("blocks, ops", [(1, 2), (2, 3), (3, 4), (5, 6)])
+def test_validate_gives_the_field_by_field_violation(blocks, ops):
+    cfg = SpaceConfig(num_blocks=blocks, num_ops=ops)
+    rng = np.random.default_rng(blocks * 10 + ops)
+    checked = 0
+    for _ in range(20):
+        cell = random_cell(cfg, rng)
+        assert validate(cell, cfg) is None
+        assert validate(replace(cell, num_ops=ops - 1), cfg) == _field_by_field(
+            replace(cell, num_ops=ops - 1), cfg
+        )
+        assert validate(replace(cell, blocks=cell.blocks[1:]), cfg) == _field_by_field(
+            replace(cell, blocks=cell.blocks[1:]), cfg
+        )
+        for b in range(1, blocks + 1):
+            for name, illegal in _ILLEGAL.items():
+                for value in illegal(b, ops):
+                    blocks_ = list(cell.blocks)
+                    blocks_[b - 1] = replace(blocks_[b - 1], **{name: value})
+                    bad = replace(cell, blocks=tuple(blocks_))
+                    violation = validate(bad, cfg)
+                    assert violation == _field_by_field(bad, cfg)
+                    assert (violation.block, violation.field) == (b, name)
+                    checked += 1
+    assert checked >= 20 * blocks * 4 * 2
 
 
 def test_space_size_formula_against_exhaustive_product():

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evocell.arch_space import (
     CELL_PREV1,
@@ -15,6 +17,7 @@ from evocell.arch_space import (
     SpaceConfig,
     cell_digits,
     encode_tokens,
+    legal_inputs,
     random_cell,
     validate,
 )
@@ -90,8 +93,8 @@ def test_one_token_difference_perturbs_every_position():
 
 
 def test_block_one_input_candidates_are_the_two_previous_cells():
-    assert input_candidate_refs(1) == [CELL_PREV1, CELL_PREV2]
-    assert input_candidate_refs(3) == [1, 2, CELL_PREV1, CELL_PREV2]
+    assert input_candidate_refs(1) == (CELL_PREV1, CELL_PREV2)
+    assert input_candidate_refs(3) == (1, 2, CELL_PREV1, CELL_PREV2)
     cfg, params, rng = _tiny_controller(blocks=1, ops=2)
     cell = random_cell(cfg, rng)
     seen = set()
@@ -315,6 +318,28 @@ def test_no_op_replacement_keeps_parent():
         2.0,
     )
     assert apply_mutation(cell, trace) == cell
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.integers(2, 6), st.integers(0, 2**32 - 1), st.data())
+def test_carried_digits_equal_the_childs_own(blocks, ops, seed, data):
+    cfg = SpaceConfig(num_blocks=blocks, num_ops=ops)
+    parent = random_cell(cfg, np.random.default_rng(seed))
+    actions = []
+    for b, blk in enumerate(parent.blocks, start=1):
+        target = data.draw(st.sampled_from(MutTarget))
+        current = (blk.i1, blk.i2, blk.o1, blk.o2)[target]
+        if data.draw(st.booleans()):  # a no-op: the field's own value
+            replacement = current
+        elif target < 2:
+            replacement = data.draw(st.sampled_from(legal_inputs(b)))
+        else:
+            replacement = data.draw(st.sampled_from(cfg.ops))
+        actions.append(MutationAction(b, target, replacement, -1.0, -1.0, 1.0, 1.0))
+    child = apply_mutation(parent, MutationTrace(tuple(actions), 0.0, 0.0))
+    carried = vars(child)["digits"]  # filled by apply_mutation, not computed
+    assert carried == CellSpec(child.blocks, ops).digits
+    assert all(type(d) is int for d in carried)
 
 
 def test_apply_mutation_rejects_type_confusion():

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evocell.arch_space import SpaceConfig, random_cell
 from evocell.controller import init_controller
@@ -18,10 +20,10 @@ from evocell.evolution import (
     initialize,
     rng_streams,
     run,
-    tournament_best,
-    tournament_worst,
+    tournament,
 )
 from evocell.reinforce import ReinforceTrainer
+from propose_reference import reference_propose
 
 CFG = SpaceConfig(num_blocks=2, num_ops=3)
 
@@ -108,18 +110,52 @@ def test_initialize_rejects_empty_population():
 
 def test_tournament_picks_extremes():
     sample = [_ind(0.3, 0), _ind(0.9, 1), _ind(0.5, 2)]
-    assert tournament_best(sample).id == 1
-    assert tournament_worst(sample).id == 0
+    best, worst = tournament(sample)
+    assert (best.id, worst.id) == (1, 0)
 
 
 def test_tournament_ties_favor_lower_id_as_best():
     sample = [_ind(0.5, 3), _ind(0.5, 1), _ind(0.2, 2)]
-    assert tournament_best(sample).id == 1
+    assert tournament(sample)[0].id == 1
 
 
 def test_tournament_ties_remove_higher_id_as_worst():
     sample = [_ind(0.2, 3), _ind(0.2, 1), _ind(0.5, 2)]
-    assert tournament_worst(sample).id == 3
+    assert tournament(sample)[1].id == 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.999]), min_size=1, max_size=30),
+    st.randoms(use_true_random=False),
+)
+def test_one_pass_tournament_equals_keyed_max_and_min(fitnesses, random):
+    """Few distinct fitness values, so most samples hold ties, in any id order."""
+    ids = random.sample(range(1000), len(fitnesses))
+    cell = random_cell(CFG, np.random.default_rng(0))
+    sample = [_ind(f, i, cell=cell) for f, i in zip(fitnesses, ids)]
+    best, worst = tournament(sample)
+    assert best is max(sample, key=lambda ind: (ind.fitness, -ind.id))
+    assert worst is min(sample, key=lambda ind: (ind.fitness, -ind.id))
+
+
+# ---------------------------------------------------------------------------
+# Uniform proposals
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("blocks, ops", [(1, 2), (2, 3), (3, 4), (5, 6)])
+def test_random_policy_draws_as_the_field_by_field_reference(blocks, ops):
+    cfg = SpaceConfig(num_blocks=blocks, num_ops=ops)
+    cells = np.random.default_rng(blocks)
+    policy = RandomMutationPolicy(cfg, np.random.default_rng(ops))
+    reference = np.random.default_rng(ops)
+    for _ in range(200):
+        cell = random_cell(cfg, cells)
+        trace = policy.propose(cell)
+        # repr shows each replacement's type (Op or int) and every float's bits
+        assert repr(trace) == repr(reference_propose(cell, reference))
+        assert policy.rng.bit_generator.state == reference.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +182,8 @@ def test_step_invariants_and_record():
     assert rec.diagnostics is None
     assert len(rec.sampled_ids) == 3
     sampled = [ind for ind in pop.history if ind.id in rec.sampled_ids]
-    assert tournament_best(sampled).id == rec.parent_id
-    assert tournament_worst(sampled).id == rec.removed_id
+    best, worst = tournament(sampled)
+    assert (best.id, worst.id) == (rec.parent_id, rec.removed_id)
 
 
 def test_step_child_fitness_noiseless():
@@ -171,7 +207,7 @@ def test_full_sample_selects_global_best():
     pop = initialize(CFG, oracle, 5, streams["init"], streams["eval"])
     policy = RandomMutationPolicy(CFG, streams["policy"])
     for step in range(1, 21):
-        best = tournament_best(pop.members)
+        best, _ = tournament(pop.members)
         rec = evolution_step(
             pop, policy, None, oracle, len(pop.members), streams["tournament"],
             streams["eval"], step=step,

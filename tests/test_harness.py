@@ -579,6 +579,58 @@ def test_replay_rejects_a_log_without_its_init_records(tmp_path):
         replay(path)
 
 
+@pytest.mark.parametrize(
+    "chosen, edit",
+    [
+        pytest.param(lambda a: a["replacement"] == 1, {"replacement": 1.5},
+                     id="replacement-float"),
+        pytest.param(lambda a: a["replacement"] == 1, {"replacement": True},
+                     id="replacement-bool"),
+        pytest.param(lambda a: a["block"] == 1, {"block": 1.9}, id="block-float"),
+        pytest.param(lambda a: a["target"] == "i1", {"target": "I1"},
+                     id="target-upper-case"),
+        pytest.param(lambda a: True, {"router_logprob": "nan"},
+                     id="router_logprob-string"),
+    ],
+)
+def test_replay_parses_a_fed_back_trace_strictly(chosen, edit, tmp_path):
+    """Each edit reads back as the logged value under int(), float() or
+    .upper(), so only a strict parse can tell it from the log."""
+    log, path = _logged("ea_random", tmp_path)
+    step = next(
+        r for r in log if r["kind"] == "step" and any(map(chosen, r["trace"]["actions"]))
+    )
+    next(filter(chosen, step["trace"]["actions"])).update(edit)
+    write_jsonl(path, log)
+    with pytest.raises(ConfigError, match=f"record {log.index(step) + 1} is malformed"):
+        replay(path)
+
+
+def _padded(text):
+    return f" {text} "
+
+
+def _signed(text):
+    """Block 2's first input, a ref to block 1, written with a plus sign."""
+    first, second = text.split("|")
+    i1, rest = second.split(",", 1)
+    return f"{first}|+{i1},{rest}"
+
+
+@pytest.mark.parametrize("edit", [_padded, _signed])
+def test_replay_rebuilds_the_text_of_each_eval_cell(edit, tmp_path):
+    """cell_from_text reads the edited text as the logged cell; the
+    rebuilt text is what cell_to_text writes, so the record diverges."""
+    log, path = _logged("random", tmp_path)
+    evals = [r for r in log if r["kind"] == "eval"]
+    record = next(r for r in evals if r["cell"].split("|")[1].startswith("1,"))
+    record["cell"] = edit(record["cell"])
+    write_jsonl(path, log)
+    named = rf"record {log.index(record) + 1} \(eval {record['index']}\)"
+    with pytest.raises(ReplayDiverged, match=named):
+        replay(path)
+
+
 @pytest.mark.parametrize("key", ["child_fitness", "child_maturity"])
 def test_replay_rejects_an_edited_child(key, tmp_path):
     log, path = _logged("ea_random", tmp_path)
