@@ -594,8 +594,9 @@ def test_replay_rejects_a_log_without_its_init_records(tmp_path):
     ],
 )
 def test_replay_parses_a_fed_back_trace_strictly(chosen, edit, tmp_path):
-    """Each edit reads back as the logged value under int(), float() or
-    .upper(), so only a strict parse can tell it from the log."""
+    """Under int(), float() or .upper() each edit parses to a trace that
+    replays as the logged one, so only a strict parse can tell it from the
+    log."""
     log, path = _logged("ea_random", tmp_path)
     step = next(
         r for r in log if r["kind"] == "step" and any(map(chosen, r["trace"]["actions"]))
