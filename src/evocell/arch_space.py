@@ -137,32 +137,14 @@ def _legal_input_refs(block_index: int) -> Tuple[int, ...]:
     return tuple(legal_inputs(block_index))
 
 
-def _block_violation(
-    b: int, block: BlockSpec, num_ops: int
-) -> Optional[Violation]:
-    """The first field of block b outside its legal set, if any."""
-    allowed = _legal_input_refs(b)
-    for field_name, ref in (("i1", block.i1), ("i2", block.i2)):
-        if ref not in allowed:
-            return Violation(
-                b, field_name, f"input {ref} not in legal set {list(allowed)}"
-            )
-    for field_name, op in (("o1", block.o1), ("o2", block.o2)):
-        if not 0 <= int(op) < num_ops:
-            return Violation(
-                b, field_name, f"op {op!r} outside active subset of {num_ops}"
-            )
-    return None
-
-
 def validate(cell: CellSpec, cfg: SpaceConfig) -> Optional[Violation]:
     """Check a cell against a space config. Returns None if valid.
 
     Violations are reported as values, not exceptions; the first offending
     (block, field) wins. Duplicate branches (i1 == i2 with o1 == o2) are
-    permitted: they read as a width-style doubling, not an error. A block
-    whose fields are all members of their legal sets passes on membership
-    alone; any other block is checked field by field, to name the violation.
+    permitted: they read as a width-style doubling, not an error. Each field
+    must be a member of its legal set, so an op value that names no active
+    Op (2.5, "SEP3") is a violation, not truncated.
     """
     if cell.num_blocks != cfg.num_blocks:
         return Violation(
@@ -172,19 +154,25 @@ def validate(cell: CellSpec, cfg: SpaceConfig) -> Optional[Violation]:
         return Violation(
             0, "num_ops", f"expected num_ops {cfg.num_ops}, got {cell.num_ops}"
         )
-    ops = OPS[: cfg.num_ops]
+    ops = cfg.ops
     for b, block in enumerate(cell.blocks, start=1):
         allowed = _legal_input_refs(b)
-        if (
-            block.i1 in allowed
-            and block.i2 in allowed
-            and block.o1 in ops
-            and block.o2 in ops
-        ):
-            continue
-        violation = _block_violation(b, block, cfg.num_ops)
-        if violation is not None:
-            return violation
+        if block.i1 not in allowed:
+            return Violation(
+                b, "i1", f"input {block.i1} not in legal set {list(allowed)}"
+            )
+        if block.i2 not in allowed:
+            return Violation(
+                b, "i2", f"input {block.i2} not in legal set {list(allowed)}"
+            )
+        if block.o1 not in ops:
+            return Violation(
+                b, "o1", f"op {block.o1!r} outside active subset of {cfg.num_ops}"
+            )
+        if block.o2 not in ops:
+            return Violation(
+                b, "o2", f"op {block.o2!r} outside active subset of {cfg.num_ops}"
+            )
     return None
 
 
@@ -316,9 +304,38 @@ def cell_from_digits(digits: Sequence[int], cfg: SpaceConfig) -> CellSpec:
         )
         for k in range(0, 4 * cfg.num_blocks, 4)
     )
-    cell = CellSpec(blocks, num_ops=cfg.num_ops)
-    vars(cell)["digits"] = d  # fills the cached_property
+    return _carrying(CellSpec(blocks, num_ops=cfg.num_ops), d)
+
+
+def _carrying(cell: CellSpec, digits: Tuple[int, ...]) -> CellSpec:
+    """cell with its cached CellSpec.digits set to digits, its own."""
+    vars(cell)["digits"] = digits  # fills the cached_property
     return cell
+
+
+def with_fields(cell: CellSpec, edits: Sequence[Tuple[int, object]]) -> CellSpec:
+    """A copy of cell with one field per block rewritten.
+
+    edits[k] = (field, value) sets field 0..3 (i1, i2, o1, o2, the digit
+    order within a block) of block k + 1 to value, an input ref or an Op;
+    blocks past the last edit are copied. Values are not checked. The copy
+    carries cell's digits with each rewritten digit replaced, so they are
+    never recomputed.
+    """
+    blocks = list(cell.blocks)
+    digits = list(cell.digits)
+    for k, (field, value) in enumerate(edits):
+        blk = blocks[k]
+        if field == 0:
+            blocks[k] = BlockSpec(value, blk.i2, blk.o1, blk.o2)
+        elif field == 1:
+            blocks[k] = BlockSpec(blk.i1, value, blk.o1, blk.o2)
+        elif field == 2:
+            blocks[k] = BlockSpec(blk.i1, blk.i2, value, blk.o2)
+        else:
+            blocks[k] = BlockSpec(blk.i1, blk.i2, blk.o1, value)
+        digits[4 * k + field] = input_token(value) if field < 2 else int(value)
+    return _carrying(CellSpec(tuple(blocks), num_ops=cell.num_ops), tuple(digits))
 
 
 def cell_rank(cell: CellSpec, cfg: SpaceConfig) -> int:

@@ -36,14 +36,13 @@ from .arch_space import (
     CELL_PREV2,
     OP_NAMES,
     OP_OF_NAME,
-    BlockSpec,
     CellSpec,
     Op,
     SpaceConfig,
     encode_tokens,
-    input_token,
     legal_inputs,
     vocab_size,
+    with_fields,
 )
 from . import nn_core
 from .nn_core import (
@@ -599,31 +598,17 @@ def apply_mutation(cell: CellSpec, trace: MutationTrace) -> CellSpec:
     field's kind from that field's legal set (ValueError otherwise). Every
     other field is copied from the parent, so the child of a valid parent
     is valid; the child is not validated again here (an oracle validates
-    each cell it evaluates). So are the parent's digits, with the one digit
-    each action writes rewritten: the child carries them as its
-    CellSpec.digits.
+    each cell it evaluates). The child carries the parent's digits with the
+    one digit each action writes rewritten (arch_space.with_fields).
     """
     _check_trace(cell, trace)
-    blocks = []
-    digits = list(cell.digits)
-    for b, (blk, action) in enumerate(zip(cell.blocks, trace.actions), start=1):
-        is_input = _check_action(b, action, cell.num_ops)
-        target, new = action.target, action.replacement
-        if is_input:
+    edits = []
+    for b, action in enumerate(trace.actions, start=1):
+        new = action.replacement
+        if _check_action(b, action, cell.num_ops):  # an input ref
             new = int(new)
-        if target == MutTarget.I1:
-            blk = BlockSpec(new, blk.i2, blk.o1, blk.o2)
-        elif target == MutTarget.I2:
-            blk = BlockSpec(blk.i1, new, blk.o1, blk.o2)
-        elif target == MutTarget.O1:
-            blk = BlockSpec(blk.i1, blk.i2, new, blk.o2)
-        else:
-            blk = BlockSpec(blk.i1, blk.i2, blk.o1, new)
-        blocks.append(blk)
-        digits[4 * (b - 1) + target] = input_token(new) if is_input else int(new)
-    child = CellSpec(tuple(blocks), num_ops=cell.num_ops)
-    vars(child)["digits"] = tuple(digits)  # fills the cached_property
-    return child
+        edits.append((action.target, new))
+    return with_fields(cell, edits)
 
 
 # ---------------------------------------------------------------------------

@@ -983,13 +983,10 @@ def replay(log_path: str) -> dict:
         rebuilt = _population_log(header_record(cfg, seed, oracle), result, step_fields)
     else:
         evals, true_vals = [], []
-        for index, (cell, logged) in enumerate(zip(inputs, records[1:]), start=1):
+        for index, cell in enumerate(inputs, start=1):
             true = oracle.lookup(cell)  # cell_from_text validated it
             observed = oracle.observe(true, 1.0, streams["eval"])
-            text = cell_to_text(cell)
-            if text == logged.get("cell"):  # hold one copy of the text, not two
-                text = logged["cell"]
-            evals.append(eval_record(index, text, observed))
+            evals.append(eval_record(index, cell_to_text(cell), observed))
             true_vals.append(true)
         rebuilt = _sampling_log(header_record(cfg, seed, oracle), evals, true_vals)
     for n, (logged, record) in enumerate(zip(records, rebuilt), start=1):

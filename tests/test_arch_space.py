@@ -108,7 +108,8 @@ def test_validate_reports_field_and_block():
 
 
 def _field_by_field(cell, cfg):
-    """validate as it checks every field of every block, with no fast path."""
+    """A reference validate: every field of every block in turn, an op by
+    its integer value."""
     if cell.num_blocks != cfg.num_blocks:
         return Violation(
             0, "blocks", f"expected {cfg.num_blocks} blocks, got {cell.num_blocks}"
@@ -164,6 +165,20 @@ def test_validate_gives_the_field_by_field_violation(blocks, ops):
                     assert (violation.block, violation.field) == (b, name)
                     checked += 1
     assert checked >= 20 * blocks * 4 * 2
+
+
+def test_validate_rejects_an_op_value_that_names_no_op():
+    # int() would truncate 2.5 to SEP7 and fail on "SEP3"; membership in the
+    # active ops rejects both as violations of the field they sit in
+    cfg = SpaceConfig(num_blocks=2, num_ops=3)
+    cell = random_cell(cfg, np.random.default_rng(0))
+    for b, name, value in ((1, "o1", 2.5), (2, "o2", "SEP3")):
+        blocks = list(cell.blocks)
+        blocks[b - 1] = replace(blocks[b - 1], **{name: value})
+        violation = validate(replace(cell, blocks=tuple(blocks)), cfg)
+        assert violation == Violation(
+            b, name, f"op {value!r} outside active subset of 3"
+        )
 
 
 def test_space_size_formula_against_exhaustive_product():
