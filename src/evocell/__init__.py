@@ -2,142 +2,4 @@
 mutations proposed by a recurrent policy trained on the search's own
 fitness signal, judged against fast synthetic fitness oracles."""
 
-from .arch_space import (
-    CELL_PREV1,
-    CELL_PREV2,
-    BlockSpec,
-    CellSpec,
-    Op,
-    SpaceConfig,
-    Violation,
-    cell_from_rank,
-    cell_from_text,
-    cell_rank,
-    cell_to_text,
-    encode_tokens,
-    enumerate_space,
-    legal_inputs,
-    random_cell,
-    space_size,
-    validate,
-    vocab_size,
-)
-from .controller import (
-    ControllerParams,
-    MutationAction,
-    MutationTrace,
-    MutTarget,
-    apply_mutation,
-    init_controller,
-    load_controller,
-    sample_mutation,
-    sample_mutation_batch,
-    save_controller,
-    trace_logprob,
-)
-from .evaluators import (
-    FitnessOracle,
-    LandscapeOracle,
-    MaturityModel,
-    TabularOracle,
-    build_tabular,
-    inherit_maturity,
-    load_oracle,
-    overlap_fraction,
-    save_oracle,
-)
-from .evolution import (
-    ControllerPolicy,
-    Individual,
-    Population,
-    RandomMutationPolicy,
-    ReplayMutationPolicy,
-    RunResult,
-    StepRecord,
-    evolution_step,
-    initialize,
-    rng_streams,
-    run,
-    tournament,
-)
-from .harness import (
-    STRATEGIES,
-    ConfigError,
-    ConstructionPolicy,
-    RunSummary,
-    StrategyConfig,
-    compare,
-    make_oracle,
-    replay,
-    resolve_target,
-    run_strategy,
-)
-from .reinforce import ReinforceTrainer, RewardConfig, shaped_reward
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CELL_PREV1",
-    "CELL_PREV2",
-    "BlockSpec",
-    "CellSpec",
-    "Op",
-    "SpaceConfig",
-    "Violation",
-    "cell_from_rank",
-    "cell_from_text",
-    "cell_rank",
-    "cell_to_text",
-    "encode_tokens",
-    "enumerate_space",
-    "legal_inputs",
-    "random_cell",
-    "space_size",
-    "validate",
-    "vocab_size",
-    "ControllerParams",
-    "MutationAction",
-    "MutationTrace",
-    "MutTarget",
-    "apply_mutation",
-    "init_controller",
-    "load_controller",
-    "sample_mutation",
-    "sample_mutation_batch",
-    "save_controller",
-    "trace_logprob",
-    "FitnessOracle",
-    "LandscapeOracle",
-    "MaturityModel",
-    "TabularOracle",
-    "build_tabular",
-    "inherit_maturity",
-    "load_oracle",
-    "overlap_fraction",
-    "save_oracle",
-    "ControllerPolicy",
-    "Individual",
-    "Population",
-    "RandomMutationPolicy",
-    "ReplayMutationPolicy",
-    "RunResult",
-    "StepRecord",
-    "evolution_step",
-    "initialize",
-    "rng_streams",
-    "run",
-    "tournament",
-    "STRATEGIES",
-    "ConfigError",
-    "ConstructionPolicy",
-    "RunSummary",
-    "StrategyConfig",
-    "compare",
-    "make_oracle",
-    "replay",
-    "resolve_target",
-    "run_strategy",
-    "ReinforceTrainer",
-    "RewardConfig",
-    "shaped_reward",
-]

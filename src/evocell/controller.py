@@ -39,8 +39,8 @@ from .arch_space import (
     CellSpec,
     Op,
     SpaceConfig,
+    _legal_input_refs,
     encode_tokens,
-    legal_inputs,
     vocab_size,
     with_fields,
 )
@@ -50,7 +50,6 @@ from .nn_core import (
     LSTMParams,
     ParamLayout,
     ParamViews,
-    Tensor,
     draw_index_np,
     entropy_from_logp_np,
     lstm_backward_np,
@@ -102,34 +101,36 @@ class MutationTrace:
     total_entropy: float
 
 
-@dataclass
+@dataclass(eq=False)
 class ControllerParams:
-    """All learnable state of the mutation policy.
+    """All learnable state of the mutation policy: p, the views of one flat
+    buffer laid out by controller_layout, each weight read by its name.
 
     begin_prev1 / begin_prev2 are free vectors of encoder-output width that
     stand in for the two previous-cell inputs when scoring replacement
-    candidates. With bwd=None the encoder is forward-only and every head is
-    dimensioned to width H instead of 2H. Every tensor is a view into one
-    flat buffer, laid out by controller_layout.
+    candidates. A layout without "bwd.*" weights makes the encoder
+    forward-only (bwd is None), and every head is dimensioned to width H
+    instead of 2H.
     """
 
-    embedding: Tensor  # (vocab, E)
-    fwd: LSTMParams
-    bwd: Optional[LSTMParams]
-    begin_prev1: Tensor  # (1, W)
-    begin_prev2: Tensor  # (1, W)
-    w_router: Tensor  # (W, 1)
-    b_router: Tensor  # (1, 1)
-    w_input: Tensor  # (2W, 1), applied to [state; candidate]
-    b_input: Tensor  # (1, 1)
-    w_op: Tensor  # (W, num_ops)
-    b_op: Tensor  # (1, num_ops)
+    p: ParamViews
     num_blocks: int
     num_ops: int
-    embed_size: int
-    hidden_size: int
-    flat: np.ndarray = field(repr=False, compare=False)
-    layout: ParamLayout = field(repr=False, compare=False)
+    fwd: LSTMParams = field(init=False)
+    bwd: Optional[LSTMParams] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.fwd = LSTMParams(*lstm_entries(self.p, "fwd"))
+        bidirectional = "bwd.Wx" in self.p
+        self.bwd = LSTMParams(*lstm_entries(self.p, "bwd")) if bidirectional else None
+
+    @property
+    def embed_size(self) -> int:
+        return self.p["embedding"].shape[1]
+
+    @property
+    def hidden_size(self) -> int:
+        return self.fwd.hidden_size
 
     @property
     def bidirectional(self) -> bool:
@@ -139,8 +140,8 @@ class ControllerParams:
     def state_width(self) -> int:
         return 2 * self.hidden_size if self.bidirectional else self.hidden_size
 
-    def named_params(self) -> List[Tuple[str, Tensor]]:
-        return self.layout.named(self)
+    def named_params(self) -> List[Tuple[str, np.ndarray]]:
+        return list(self.p.items())
 
 
 def controller_layout(
@@ -163,37 +164,11 @@ def controller_layout(
             ("begin_prev2", (1, W)),
             ("w_router", (W, 1)),
             ("b_router", (1, 1)),
-            ("w_input", (2 * W, 1)),
+            ("w_input", (2 * W, 1)),  # applied to [state; candidate]
             ("b_input", (1, 1)),
             ("w_op", (W, num_ops)),
             ("b_op", (1, num_ops)),
         ]
-    )
-
-
-def _controller_over(
-    flat: np.ndarray, layout: ParamLayout, num_blocks: int, num_ops: int
-) -> ControllerParams:
-    """Controller parameters whose tensors are views of flat."""
-    t = layout.tensors(flat)
-    return ControllerParams(
-        embedding=t["embedding"],
-        fwd=LSTMParams(*lstm_entries(t, "fwd")),
-        bwd=LSTMParams(*lstm_entries(t, "bwd")) if "bwd.Wx" in t else None,
-        begin_prev1=t["begin_prev1"],
-        begin_prev2=t["begin_prev2"],
-        w_router=t["w_router"],
-        b_router=t["b_router"],
-        w_input=t["w_input"],
-        b_input=t["b_input"],
-        w_op=t["w_op"],
-        b_op=t["b_op"],
-        num_blocks=num_blocks,
-        num_ops=num_ops,
-        embed_size=t["embedding"].shape[1],
-        hidden_size=t["fwd.Wh"].shape[0],
-        flat=flat,
-        layout=layout,
     )
 
 
@@ -208,7 +183,7 @@ def init_controller(
     layout = controller_layout(
         cfg.num_blocks, cfg.num_ops, embed_size, hidden_size, bidirectional
     )
-    return _controller_over(layout.draw(rng), layout, cfg.num_blocks, cfg.num_ops)
+    return ControllerParams(layout.views(layout.draw(rng)), cfg.num_blocks, cfg.num_ops)
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +227,9 @@ def _check_action(b: int, action: MutationAction, num_ops: int) -> bool:
     if action.target in (MutTarget.I1, MutTarget.I2):
         if isinstance(new, Op):
             raise ValueError(f"block {b}: input mutation carries an op replacement")
-        if not CELL_PREV2 <= new < b or new == 0:
-            raise ValueError(
-                f"block {b}: input {new} not in legal set {legal_inputs(b)}"
-            )
+        allowed = _legal_input_refs(b)
+        if new not in allowed:
+            raise ValueError(f"block {b}: input {new} not in legal set {list(allowed)}")
         return True
     if not isinstance(new, Op):
         raise ValueError(f"block {b}: op mutation carries an input replacement")
@@ -305,7 +279,7 @@ def _encode_ids(
     params: ControllerParams, ids: np.ndarray
 ) -> Tuple[LSTMCache, Optional[LSTMCache], np.ndarray]:
     """ids: (N, T) -> (forward cache, backward cache, states (N, T, W))."""
-    X = params.embedding.data[ids]
+    X = params.p["embedding"][ids]
     fwd = lstm_forward_np(params.fwd, X)
     if params.bwd is None:
         return fwd, None, fwd.states
@@ -331,7 +305,7 @@ def encode_forward(params: ControllerParams, cell: CellSpec) -> EncoderForward:
 
 def _router_raw(params: ControllerParams, fields: np.ndarray) -> np.ndarray:
     """(..., 4) from the states of a block's four fields (..., 4, W)."""
-    return fields @ params.w_router.data[:, 0] + params.b_router.data[0, 0]
+    return fields @ params.p["w_router"][:, 0] + params.p["b_router"][0, 0]
 
 
 def _input_candidates(
@@ -340,8 +314,8 @@ def _input_candidates(
     """(..., b+1, W): the combiner states of blocks 1..b-1, then the begin vectors."""
     cands = np.empty(combiners.shape[:-2] + (b + 1, combiners.shape[-1]))
     cands[..., : b - 1, :] = combiners[..., : b - 1, :]
-    cands[..., b - 1, :] = params.begin_prev1.data[0]
-    cands[..., b, :] = params.begin_prev2.data[0]
+    cands[..., b - 1, :] = params.p["begin_prev1"][0]
+    cands[..., b, :] = params.p["begin_prev2"][0]
     return cands
 
 
@@ -349,13 +323,14 @@ def _input_raw(
     params: ControllerParams, state_id: np.ndarray, cands: np.ndarray
 ) -> np.ndarray:
     W = params.state_width
-    w = params.w_input.data[:, 0]
+    w = params.p["w_input"][:, 0]
     own = state_id[..., None, :] @ w[:W]  # (..., 1): a dot product per parent
-    return own + cands @ w[W:] + params.b_input.data[0, 0]
+    return own + cands @ w[W:] + params.p["b_input"][0, 0]
 
 
 def _op_raw(params: ControllerParams, state_id: np.ndarray) -> np.ndarray:
-    return (state_id[..., None, :] @ params.w_op.data)[..., 0, :] + params.b_op.data[0]
+    w_op, b_op = params.p["w_op"], params.p["b_op"]
+    return (state_id[..., None, :] @ w_op)[..., 0, :] + b_op[0]
 
 
 def _walk(
@@ -529,9 +504,9 @@ def trace_grads(
         _, heads = _walk(params, forward.states[None], forced=forced[None])
     S = forward.states
     B, W, H = len(forced), params.state_width, params.hidden_size
-    w_r = params.w_router.data[:, 0]
-    w_in = params.w_input.data[:, 0]
-    grads = params.layout.zeros()
+    w_r = params.p["w_router"][:, 0]
+    w_in = params.p["w_input"][:, 0]
+    grads = params.p.layout.zeros()
     dS = np.zeros_like(S)
     d_w_r = grads["w_router"][:, 0]
     d_w_in = grads["w_input"][:, 0]
@@ -565,7 +540,7 @@ def trace_grads(
             d_b_in += g_sum
         else:
             g = next(g_ops)
-            dS[base + t] += params.w_op.data @ g
+            dS[base + t] += params.p["w_op"] @ g
             d_w_op += np.outer(state_id, g)
             d_b_op += g
 
@@ -684,7 +659,7 @@ def save_controller(path: str, params: ControllerParams) -> None:
         "hidden_size": params.hidden_size,
         "bidirectional": params.bidirectional,
     }
-    nn_core.save_params(path, params.named_params(), meta)
+    nn_core.save_params(path, params.p, meta)
 
 
 def load_controller(path: str) -> ControllerParams:
@@ -700,4 +675,4 @@ def load_controller(path: str) -> ControllerParams:
         bool(meta["bidirectional"]),
     )
     expected.check(layout)
-    return _controller_over(flat, expected, num_blocks, num_ops)
+    return ControllerParams(expected.views(flat), num_blocks, num_ops)

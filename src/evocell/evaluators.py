@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from abc import ABC, abstractmethod
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -59,6 +60,21 @@ class MaturityModel:
     full_budget: float = 10.0  # epoch units at maturity 1
     finetune_epochs: float = 1.0
     init_epochs: float = 1.0
+
+    def __post_init__(self) -> None:
+        """ValueError, naming the field, unless every field is a finite
+        real number (not a bool or a string), tau and full_budget are > 0
+        and the rest >= 0."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"maturity {f.name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"maturity {f.name} must be finite, got {value!r}")
+            if f.name in ("tau", "full_budget") and not value > 0:
+                raise ValueError(f"maturity {f.name} must be > 0, got {value!r}")
+            if value < 0:
+                raise ValueError(f"maturity {f.name} must be >= 0, got {value!r}")
 
     def factor(self, maturity: float) -> float:
         if not 0.0 <= maturity <= 1.0:

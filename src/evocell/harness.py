@@ -47,7 +47,6 @@ from .nn_core import (
     LSTMParams,
     ParamLayout,
     ParamViews,
-    Tensor,
     draw_index_np,
     entropy_from_logp_np,
 )
@@ -270,9 +269,9 @@ class ConstructionPolicy:
     shared head over the first b+1 slots (the legal references at block b);
     ops by a separate head over the active subset. Chosen tokens feed back
     as the next LSTM input, starting from a learned start vector. All
-    logits pass through the same squash as the mutation controller. Every
-    tensor is a view into one flat buffer (self.flat, laid out by
-    self.layout).
+    logits pass through the same squash as the mutation controller. Its
+    weights are self.p, the views of one flat buffer, each read by its
+    layout name.
     """
 
     def __init__(
@@ -286,7 +285,7 @@ class ConstructionPolicy:
         self.embed_size = embed_size
         self.hidden_size = hidden_size
         B = cfg.num_blocks
-        self.layout = ParamLayout(
+        layout = ParamLayout(
             [
                 ("embedding", (vocab_size(B), embed_size)),
                 ("start", (1, embed_size)),
@@ -297,19 +296,12 @@ class ConstructionPolicy:
                 ("b_op", (1, cfg.num_ops)),
             ]
         )
-        self.flat = self.layout.draw(rng)
-        t = self.layout.tensors(self.flat)
-        self.embedding = t["embedding"]
-        self.start = t["start"]
-        self.lstm = LSTMParams(*nn_core.lstm_entries(t, "lstm"))
-        self.w_input = t["w_input"]
-        self.b_input = t["b_input"]
-        self.w_op = t["w_op"]
-        self.b_op = t["b_op"]
+        self.p = layout.views(layout.draw(rng))
+        self.lstm = LSTMParams(*nn_core.lstm_entries(self.p, "lstm"))
         self._last: Optional[_ConstructionWalk] = None
 
-    def named_params(self) -> List[Tuple[str, Tensor]]:
-        return self.layout.named(self)
+    def named_params(self) -> List[Tuple[str, np.ndarray]]:
+        return list(self.p.items())
 
     def _decision_plan(self) -> List[Tuple[str, int]]:
         kinds = ("input", "input", "op", "op")
@@ -317,8 +309,8 @@ class ConstructionPolicy:
 
     def _raw(self, kind: str, b: int, h: np.ndarray) -> np.ndarray:
         if kind == "input":
-            return (h @ self.w_input.data + self.b_input.data[0])[: b + 1]
-        return h @ self.w_op.data + self.b_op.data[0]
+            return (h @ self.p["w_input"] + self.p["b_input"][0])[: b + 1]
+        return h @ self.p["w_op"] + self.p["b_op"][0]
 
     def _walk(
         self, rng: Optional[np.random.Generator], digits: Optional[Sequence[int]] = None
@@ -329,14 +321,14 @@ class ConstructionPolicy:
         X = np.empty((T, 1, self.embed_size))
         cache = nn_core.LSTMCache.empty(X, self.hidden_size)
         op_base = 2 + self.cfg.num_blocks
-        x = self.start.data[0]
+        x = self.p["start"][0]
         chosen: List[int] = []
         tokens: List[int] = []
         heads: List[Tuple[np.ndarray, np.ndarray]] = []
         total_lp = total_h = 0.0
         for t, (kind, b) in enumerate(self._decision_plan()):
             cache.X[t, 0] = x
-            np.matmul(x, self.lstm.Wx.data, out=cache.gates[t, 0])
+            np.matmul(x, self.lstm.Wx, out=cache.gates[t, 0])
             nn_core.lstm_step_np(self.lstm, cache, t)
             raw = self._raw(kind, b, cache.h[t, 0])
             logp = nn_core.squashed_logp_np(raw)
@@ -348,7 +340,7 @@ class ConstructionPolicy:
             chosen.append(idx)
             tokens.append(idx if kind == "input" else op_base + idx)
             heads.append((raw, logp))
-            x = self.embedding.data[tokens[-1]]
+            x = self.p["embedding"][tokens[-1]]
         cell = cell_from_digits(chosen, self.cfg)
         return _ConstructionWalk(cell, chosen, tokens, cache, heads, total_lp, total_h)
 
@@ -363,7 +355,7 @@ class ConstructionPolicy:
 
     def grads(self, cell: CellSpec) -> ParamViews:
         """The gradient of the log-prob of emitting exactly this cell (one
-        flat vector in self.layout, as per-name views), by hand-derived
+        flat vector in self.p's layout, as per-name views), by hand-derived
         BPTT; criterion 3 checks it against central differences of
         logprob().
 
@@ -378,18 +370,18 @@ class ConstructionPolicy:
         cache = walk.cache
         T, H = len(walk.digits), self.hidden_size
         dh = np.zeros((1, T, H))
-        grads = self.layout.zeros()
+        grads = self.p.layout.zeros()
         d_w_input, d_b_input = grads["w_input"], grads["b_input"]
         d_w_op, d_b_op = grads["w_op"], grads["b_op"]
         for t, (kind, b) in enumerate(self._decision_plan()):
             h = cache.h[t, 0]
             g = nn_core.squashed_logp_grad_np(*walk.heads[t], walk.digits[t])
             if kind == "input":
-                dh[0, t] = self.w_input.data[:, : b + 1] @ g
+                dh[0, t] = self.p["w_input"][:, : b + 1] @ g
                 d_w_input[:, : b + 1] += np.outer(h, g)
                 d_b_input[0, : b + 1] += g
             else:
-                dh[0, t] = self.w_op.data @ g
+                dh[0, t] = self.p["w_op"] @ g
                 d_w_op += np.outer(h, g)
                 d_b_op[0] += g
         dX = nn_core.lstm_backward_np(
@@ -660,7 +652,7 @@ def _run_population_strategy(
             bidirectional=(cfg.strategy == "reinforced"),
         )
         policy = ControllerPolicy(params, streams["policy"])
-        trainer = ReinforceTrainer(params, _reward_config(cfg), lr=cfg.learning_rate)
+        trainer = ReinforceTrainer(params.p, _reward_config(cfg), lr=cfg.learning_rate)
     result = _evolve(cfg, streams, oracle, policy, trainer)
     true_vals, pop_mean, pop_var = _population_trajectories(result)
     log = list(_population_log(header_record(cfg, seed, oracle), result, step_record))
@@ -684,7 +676,7 @@ def _run_sampling(
             embed_size=cfg.embed_size,
             hidden_size=cfg.hidden_size,
         )
-        trainer = ReinforceTrainer(policy, _reward_config(cfg), lr=cfg.learning_rate)
+        trainer = ReinforceTrainer(policy.p, _reward_config(cfg), lr=cfg.learning_rate)
     evals: List[dict] = []
     true_vals: List[float] = []
     for index in range(1, cfg.budget + 1):

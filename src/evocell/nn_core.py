@@ -12,8 +12,9 @@ checkpoints each run over one vector; a checkpoint is that buffer plus JSON
 metadata in one binary file. check_grads holds every analytic gradient to
 central differences of a forward-only loss.
 
-Parameters are held as Tensors: 2-D arrays that still carry a small tape
-autodiff (backward, gradcheck); no policy path runs it.
+A parameter is a plain ndarray view, read by its layout name. Tensor is a
+small tape autodiff over 2-D arrays (backward, gradcheck) that the tests
+build reference gradients on; no policy path runs it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -232,13 +232,13 @@ def _topo_order(root: Tensor) -> List[Tensor]:
 
 @dataclass
 class LSTMParams:
-    Wx: Tensor  # (input_size, 4H)
-    Wh: Tensor  # (H, 4H)
-    b: Tensor  # (1, 4H)
+    Wx: np.ndarray  # (input_size, 4H)
+    Wh: np.ndarray  # (H, 4H)
+    b: np.ndarray  # (1, 4H)
 
     @property
     def hidden_size(self) -> int:
-        return self.Wh.data.shape[0]
+        return self.Wh.shape[0]
 
 
 LSTM_FIELDS = ("Wx", "Wh", "b")
@@ -376,20 +376,22 @@ def gradcheck(
         name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
         for name, t in named_params
     }
-    return check_grads(lambda: f().item(), analytic, named_params, h)
+    arrays = [(name, t.data) for name, t in named_params]
+    return check_grads(lambda: f().item(), analytic, arrays, h)
 
 
 def check_grads(
     f: Callable[[], float],
     analytic: Dict[str, np.ndarray],
-    named_params: Sequence[Tuple[str, Tensor]],
+    named_params: Sequence[Tuple[str, np.ndarray]],
     h: float = 1e-5,
 ) -> float:
     """Max error of given analytic gradients of f() against central
-    differences, measured as gradcheck measures it."""
+    differences, measured as gradcheck measures it. Each parameter array
+    is perturbed in place, so f must read those arrays."""
     worst = 0.0
-    for name, t in named_params:
-        flat = t.data.reshape(-1)
+    for name, param in named_params:
+        flat = param.reshape(-1)
         a_flat = analytic[name].reshape(-1)
         for k in range(flat.size):
             saved = flat[k]
@@ -448,15 +450,6 @@ class ParamLayout:
         layout order."""
         return rng.normal(0.0, INIT_STD, size=self.size)
 
-    def tensors(self, flat: np.ndarray) -> Dict[str, Tensor]:
-        """A Tensor over each parameter's view of flat."""
-        return {name: Tensor(view) for name, view in self.views(flat).items()}
-
-    def named(self, owner: object) -> List[Tuple[str, Tensor]]:
-        """(name, owner's tensor) in layout order; a dotted name is an
-        attribute path, as in "fwd.Wx"."""
-        return [(name, attrgetter(name)(owner)) for name in self.names]
-
     def name_at(self, index: int) -> str:
         """The parameter holding flat element index."""
         return self.names[bisect.bisect_right(self.offsets, index) - 1]
@@ -512,21 +505,16 @@ CHECKPOINT_VERSION = 2
 _ZIP_MAGIC = b"PK\x03\x04"
 
 
-def save_params(
-    path: str,
-    named_params: Sequence[Tuple[str, Tensor]],
-    meta: Optional[dict] = None,
-) -> None:
-    """Write the parameters to exactly path (no suffix is added)."""
-    layout = ParamLayout([(name, t.data.shape) for name, t in named_params])
+def save_params(path: str, views: ParamViews, meta: Optional[dict] = None) -> None:
+    """Write the parameters' layout and flat buffer to exactly path (no
+    suffix is added)."""
     header = {
         "version": CHECKPOINT_VERSION,
         "meta": meta or {},
-        "layout": layout.spec(),
+        "layout": views.layout.spec(),
     }
-    flat = np.concatenate([t.data.reshape(-1) for _, t in named_params])
     with open(path, "wb") as fh:
-        np.savez(fh, header=np.array(json.dumps(header)), params=flat)
+        np.savez(fh, header=np.array(json.dumps(header)), params=views.flat)
 
 
 def load_params(path: str) -> Tuple[dict, ParamLayout, np.ndarray]:
@@ -611,8 +599,8 @@ def lstm_step_np(params: LSTMParams, cache: LSTMCache, t: int) -> None:
     H = params.hidden_size
     z = cache.gates[t]
     if t > 0:
-        z += cache.h[t - 1] @ params.Wh.data
-    z += params.b.data  # per step, while the rows are in cache
+        z += cache.h[t - 1] @ params.Wh
+    z += params.b  # per step, while the rows are in cache
     g = np.tanh(z[:, 2 * H : 3 * H])
     _sigmoid_inplace(z)  # one contiguous pass beats three strided ones
     z[:, 2 * H : 3 * H] = g
@@ -633,7 +621,7 @@ def lstm_forward_np(params: LSTMParams, X: np.ndarray) -> LSTMCache:
     H = params.hidden_size
     cache = LSTMCache.empty(np.ascontiguousarray(X.transpose(1, 0, 2)), H)
     gates = cache.gates.reshape(T * N, 4 * H)
-    np.matmul(cache.X.reshape(T * N, E), params.Wx.data, out=gates)
+    np.matmul(cache.X.reshape(T * N, E), params.Wx, out=gates)
     for t in range(T):
         lstm_step_np(params, cache, t)
     return cache
@@ -672,7 +660,7 @@ def lstm_backward_np(
     k[..., 3 * H :] = tc * o * (1.0 - o)
     dz = np.empty((T, N, 4 * H))
     k4, dz4 = k.reshape(T, N, 4, H), dz.reshape(T, N, 4, H)
-    WhT = params.Wh.data.T
+    WhT = params.Wh.T
     dc = np.zeros((N, H))
     for t in range(T - 1, -1, -1):
         dh_t = dh[t] if t == T - 1 else dh[t] + dz[t + 1] @ WhT
@@ -689,7 +677,7 @@ def lstm_backward_np(
     np.matmul(cache.X.reshape(T * N, E).T, dz_flat, out=dWx)
     np.matmul(cache.h[:-1].reshape(-1, H).T, dz[1:].reshape(-1, 4 * H), out=dWh)
     dz_flat.sum(axis=0, keepdims=True, out=db)
-    dX = (dz_flat @ params.Wx.data.T).reshape(T, N, E).transpose(1, 0, 2)
+    dX = (dz_flat @ params.Wx.T).reshape(T, N, E).transpose(1, 0, 2)
     return dWx, dWh, db, dX
 
 

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Protocol
+from typing import Dict, Optional
 
 import numpy as np
 
-from .nn_core import AdamState, ParamLayout, ParamViews, adam_step
+from .nn_core import AdamState, ParamViews, adam_step
 
 FITNESS_CLIP = 0.999
 BASELINE_DECAY = 0.95
@@ -52,30 +52,23 @@ class RewardConfig:
             raise ValueError(f"unknown baseline kind {self.baseline!r}")
 
 
-class PolicyParams(Protocol):
-    """A policy's parameters: views tiling one flat buffer."""
-
-    flat: np.ndarray
-    layout: ParamLayout
-
-
 class ReinforceTrainer:
     """One optimizer + baseline around a policy's flat parameter buffer.
 
-    The trainer is policy-agnostic: it reads params.flat and params.layout,
-    which every policy holds, and update() takes the gradient of the
-    sampled action's log-probability, a flat vector in that layout, as each
+    The trainer is policy-agnostic: it takes the policy's ParamViews and
+    steps their .flat buffer in place, and update() takes the gradient of
+    the sampled action's log-probability in the same .layout, as each
     policy's grads() returns it. The EMA baseline initializes to the first
     observed reward and is always updated after the advantage that used it.
     """
 
     def __init__(
         self,
-        params: PolicyParams,
+        params: ParamViews,
         cfg: Optional[RewardConfig] = None,
         lr: float = AdamState.lr,
     ):
-        self.params = params.layout.views(params.flat)
+        self.params = params
         self.cfg = cfg or RewardConfig()
         self.adam = AdamState(lr=lr)
         self.baseline: Optional[float] = None

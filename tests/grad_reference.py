@@ -37,9 +37,9 @@ def controller_grads(params, cell, trace):
     S = forward.states
     W = params.state_width
     H = params.hidden_size
-    w_r = params.w_router.data[:, 0]
-    w_in = params.w_input.data[:, 0]
-    grads = params.layout.zeros()
+    w_r = params.p["w_router"][:, 0]
+    w_in = params.p["w_input"][:, 0]
+    grads = params.p.layout.zeros()
     dS = np.zeros_like(S)
     d_w_r = grads["w_router"][:, 0]
     d_w_in = grads["w_input"][:, 0]
@@ -77,7 +77,7 @@ def controller_grads(params, cell, trace):
             raw = _op_raw(params, state_id)
             logp = squashed_logp_np(raw)
             g = _squashed_logp_grad(raw, logp, idx)
-            dS[base + t_idx] += params.w_op.data @ g
+            dS[base + t_idx] += params.p["w_op"] @ g
             d_w_op += np.outer(state_id, g)
             d_b_op += g
 
@@ -103,7 +103,7 @@ def construction_grads(policy, cell):
     cache = walk.cache
     T, H = len(walk.digits), policy.hidden_size
     dh = np.zeros((1, T, H))
-    grads = policy.layout.zeros()
+    grads = policy.p.layout.zeros()
     d_w_input, d_b_input = grads["w_input"], grads["b_input"]
     d_w_op, d_b_op = grads["w_op"], grads["b_op"]
     for t, (kind, b) in enumerate(policy._decision_plan()):
@@ -112,11 +112,11 @@ def construction_grads(policy, cell):
         logp = squashed_logp_np(raw)
         g = _squashed_logp_grad(raw, logp, walk.digits[t])
         if kind == "input":
-            dh[0, t] = policy.w_input.data[:, : b + 1] @ g
+            dh[0, t] = policy.p["w_input"][:, : b + 1] @ g
             d_w_input[:, : b + 1] += np.outer(h, g)
             d_b_input[0, : b + 1] += g
         else:
-            dh[0, t] = policy.w_op.data @ g
+            dh[0, t] = policy.p["w_op"] @ g
             d_w_op += np.outer(h, g)
             d_b_op[0] += g
     dX = lstm_backward_np(policy.lstm, cache, dh, out=lstm_entries(grads, "lstm"))[3]

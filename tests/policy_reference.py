@@ -2,7 +2,7 @@
 
 Written from the models' definitions as plain loops: one LSTM step per
 token from zero states, then each head scored and squashed on its own.
-Weights are read from each parameter's .data. Nothing here calls the
+Weights are read by their layout names. Nothing here calls the
 package's engine (no cached forward, no fused or batched heads), so
 agreement with it checks the engine's arithmetic instead of restating it.
 """
@@ -21,7 +21,7 @@ def _sigmoid(z):
 def lstm_step(lstm, x, h, c):
     """One step; gates ordered [input, forget, candidate, output]."""
     H = h.size
-    z = x @ lstm.Wx.data + h @ lstm.Wh.data + lstm.b.data[0]
+    z = x @ lstm.Wx + h @ lstm.Wh + lstm.b[0]
     i = _sigmoid(z[:H])
     f = _sigmoid(z[H : 2 * H])
     g = np.tanh(z[2 * H : 3 * H])
@@ -31,7 +31,7 @@ def lstm_step(lstm, x, h, c):
 
 
 def lstm_states(lstm, xs):
-    H = lstm.Wh.data.shape[0]
+    H = lstm.Wh.shape[0]
     h, c = np.zeros(H), np.zeros(H)
     states = []
     for x in xs:
@@ -50,14 +50,15 @@ def _scored(raw, idx):
 
 def controller_logprob(params, cell, trace):
     """The mutation policy's (total log-prob, total entropy) of trace."""
-    xs = [params.embedding.data[t] for t in encode_tokens(cell)]
+    p = params.p
+    xs = [p["embedding"][t] for t in encode_tokens(cell)]
     states = lstm_states(params.fwd, xs)
     if params.bwd is not None:
         backward = lstm_states(params.bwd, xs[::-1])[::-1]
         states = [np.concatenate([f, b]) for f, b in zip(states, backward)]
-    begins = [params.begin_prev1.data[0], params.begin_prev2.data[0]]
-    w_router, b_router = params.w_router.data[:, 0], params.b_router.data[0, 0]
-    w_input, b_input = params.w_input.data[:, 0], params.b_input.data[0, 0]
+    begins = [p["begin_prev1"][0], p["begin_prev2"][0]]
+    w_router, b_router = p["w_router"][:, 0], p["b_router"][0, 0]
+    w_input, b_input = p["w_input"][:, 0], p["b_input"][0, 0]
     total_lp = total_h = 0.0
     for b, action in enumerate(trace.actions, start=1):
         fields = states[5 * (b - 1) : 5 * (b - 1) + 4]
@@ -71,7 +72,7 @@ def controller_logprob(params, cell, trace):
             raw = [np.concatenate([state, cand]) @ w_input + b_input for cand in cands]
             lp, h = _scored(raw, refs.index(int(action.replacement)))
         else:
-            raw = state @ params.w_op.data + params.b_op.data[0]
+            raw = state @ p["w_op"] + p["b_op"][0]
             lp, h = _scored(raw, int(action.replacement))
         total_lp += lp
         total_h += h
@@ -84,18 +85,19 @@ def construction_logprob(policy, cell):
     B = policy.cfg.num_blocks
     H = policy.hidden_size
     h, c = np.zeros(H), np.zeros(H)
-    x = policy.start.data[0]
+    p = policy.p
+    x = p["start"][0]
     total_lp = total_h = 0.0
     for t, digit in enumerate(cell_digits(cell)):
         b, is_input = t // 4 + 1, t % 4 < 2
         h, c = lstm_step(policy.lstm, x, h, c)
         if is_input:  # the b + 1 legal references at block b
-            raw = (h @ policy.w_input.data + policy.b_input.data[0])[: b + 1]
+            raw = (h @ p["w_input"] + p["b_input"][0])[: b + 1]
         else:
-            raw = h @ policy.w_op.data + policy.b_op.data[0]
+            raw = h @ p["w_op"] + p["b_op"][0]
         lp, ent = _scored(raw, digit)
         total_lp += lp
         total_h += ent
         # token ids: input references first, then 2 + B offsets the ops
-        x = policy.embedding.data[digit if is_input else 2 + B + digit]
+        x = p["embedding"][digit if is_input else 2 + B + digit]
     return total_lp, total_h

@@ -2,21 +2,30 @@
 
 The same models as policy_reference.py, written on nn_core's Tensor ops so
 that backward() on the returned log-prob gives every parameter's gradient.
-A state is kept as a tuple of (1, width) parts; an affine map over a
-concatenation is the sum of each part times its slice of rows, so no concat
-op is needed. Softmaxes run over lists of (1, 1) scores.
+The models read their weights by layout name from leaves(views): a Tensor
+leaf over each of a policy's parameter views, sharing its memory. An LSTM
+is its (Wx, Wh, b) leaves. A state is kept as a tuple of (1, width) parts;
+an affine map over a concatenation is the sum of each part times its slice
+of rows, so no concat op is needed. Softmaxes run over lists of (1, 1)
+scores.
 """
 
 import numpy as np
 
 from evocell.arch_space import CELL_PREV1, CELL_PREV2, cell_digits, encode_tokens
-from evocell.nn_core import Tensor
+from evocell.nn_core import Tensor, lstm_entries
+
+
+def leaves(views):
+    """name -> a Tensor leaf over that parameter's view, in layout order."""
+    return {name: Tensor(view) for name, view in views.items()}
 
 
 def lstm_step(lstm, x, h, c):
     """One step on (1, width) Tensors; gates [input, forget, candidate, output]."""
-    H = lstm.Wh.data.shape[0]
-    z = x @ lstm.Wx + h @ lstm.Wh + lstm.b
+    Wx, Wh, b = lstm
+    H = Wh.shape[0]
+    z = x @ Wx + h @ Wh + b
     i = z.cols(0, H).sigmoid()
     f = z.cols(H, 2 * H).sigmoid()
     g = z.cols(2 * H, 3 * H).tanh()
@@ -26,7 +35,7 @@ def lstm_step(lstm, x, h, c):
 
 
 def lstm_states(lstm, xs):
-    H = lstm.Wh.data.shape[0]
+    H = lstm[1].shape[0]
     h, c = Tensor(np.zeros((1, H))), Tensor(np.zeros((1, H)))
     states = []
     for x in xs:
@@ -39,15 +48,15 @@ def _affine(parts, W, b):
     """[parts...] @ W + b, one slice of W's rows per part."""
     out, start = b, 0
     for part in parts:
-        width = part.data.shape[1]
+        width = part.shape[1]
         out = out + part @ W.rows(range(start, start + width))
         start += width
-    assert start == W.data.shape[0]
+    assert start == W.shape[0]
     return out
 
 
 def _columns(row):
-    return [row.cols(k, k + 1) for k in range(row.data.shape[1])]
+    return [row.cols(k, k + 1) for k in range(row.shape[1])]
 
 
 def _scored(raws, idx):
@@ -59,18 +68,19 @@ def _scored(raws, idx):
     return logp[idx], -sum(lp.exp() * lp for lp in logp)
 
 
-def controller_logprob(params, cell, trace):
-    """The mutation policy's (total log-prob, total entropy) of trace."""
-    xs = [params.embedding.row(t) for t in encode_tokens(cell)]
-    states = [(s,) for s in lstm_states(params.fwd, xs)]
-    if params.bwd is not None:
-        backward = lstm_states(params.bwd, xs[::-1])[::-1]
+def controller_logprob(p, cell, trace):
+    """The mutation policy's (total log-prob, total entropy) of trace, on
+    its leaves p; an encoder without "bwd.*" weights is forward-only."""
+    xs = [p["embedding"].row(t) for t in encode_tokens(cell)]
+    states = [(s,) for s in lstm_states(lstm_entries(p, "fwd"), xs)]
+    if "bwd.Wx" in p:
+        backward = lstm_states(lstm_entries(p, "bwd"), xs[::-1])[::-1]
         states = [f + (b,) for f, b in zip(states, backward)]
-    begins = [(params.begin_prev1,), (params.begin_prev2,)]
+    begins = [(p["begin_prev1"],), (p["begin_prev2"],)]
     total_lp = total_h = 0.0
     for b, action in enumerate(trace.actions, start=1):
         fields = states[5 * (b - 1) : 5 * (b - 1) + 4]
-        raws = [_affine(s, params.w_router, params.b_router) for s in fields]
+        raws = [_affine(s, p["w_router"], p["b_router"]) for s in fields]
         lp, h = _scored(raws, int(action.target))
         total_lp = lp + total_lp
         total_h = h + total_h
@@ -78,34 +88,36 @@ def controller_logprob(params, cell, trace):
         if int(action.target) < 2:  # an input: score [state; candidate] pairs
             refs = list(range(1, b)) + [CELL_PREV1, CELL_PREV2]
             cands = [states[5 * (k - 1) + 4] for k in range(1, b)] + begins
-            raws = [_affine(state + cand, params.w_input, params.b_input) for cand in cands]
+            raws = [_affine(state + cand, p["w_input"], p["b_input"]) for cand in cands]
             lp, h = _scored(raws, refs.index(int(action.replacement)))
         else:
-            raws = _columns(_affine(state, params.w_op, params.b_op))
+            raws = _columns(_affine(state, p["w_op"], p["b_op"]))
             lp, h = _scored(raws, int(action.replacement))
         total_lp = lp + total_lp
         total_h = h + total_h
     return total_lp, total_h
 
 
-def construction_logprob(policy, cell):
-    """The construction policy's (total log-prob, total entropy) of cell:
-    per block the choices i1, i2, o1, o2, each fed back as the next input."""
-    B = policy.cfg.num_blocks
-    H = policy.hidden_size
+def construction_logprob(p, cell):
+    """The construction policy's (total log-prob, total entropy) of cell,
+    on its leaves p: per block the choices i1, i2, o1, o2, each fed back as
+    the next input."""
+    B = cell.num_blocks
+    lstm = lstm_entries(p, "lstm")
+    H = lstm[1].shape[0]
     h, c = Tensor(np.zeros((1, H))), Tensor(np.zeros((1, H)))
-    x = policy.start
+    x = p["start"]
     total_lp = total_h = 0.0
     for t, digit in enumerate(cell_digits(cell)):
         b, is_input = t // 4 + 1, t % 4 < 2
-        h, c = lstm_step(policy.lstm, x, h, c)
+        h, c = lstm_step(lstm, x, h, c)
         if is_input:  # the b + 1 legal references at block b
-            raws = _columns(h @ policy.w_input + policy.b_input)[: b + 1]
+            raws = _columns(h @ p["w_input"] + p["b_input"])[: b + 1]
         else:
-            raws = _columns(h @ policy.w_op + policy.b_op)
+            raws = _columns(h @ p["w_op"] + p["b_op"])
         lp, ent = _scored(raws, digit)
         total_lp = lp + total_lp
         total_h = ent + total_h
         # token ids: input references first, then 2 + B offsets the ops
-        x = policy.embedding.row(digit if is_input else 2 + B + digit)
+        x = p["embedding"].row(digit if is_input else 2 + B + digit)
     return total_lp, total_h

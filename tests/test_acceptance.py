@@ -284,12 +284,12 @@ def test_criterion_5_evolution_contracts(capsys):
 def _rewarded_action_prob(params, cell) -> float:
     """P(router picks the first-block o1 slot) * P(op head picks SEP5)."""
     states = encode_forward(params, cell).states
-    w_r = params.w_router.data[:, 0]
-    b_r = params.b_router.data[0, 0]
+    w_r = params.p["w_router"][:, 0]
+    b_r = params.p["b_router"][0, 0]
     router_logp = log_softmax_np(
         shape_logits_np(np.array([states[j] @ w_r + b_r for j in range(4)]))
     )
-    op_raw = states[int(MutTarget.O1)] @ params.w_op.data + params.b_op.data[0]
+    op_raw = states[int(MutTarget.O1)] @ params.p["w_op"] + params.p["b_op"][0]
     op_logp = log_softmax_np(shape_logits_np(op_raw))
     return float(np.exp(router_logp[int(MutTarget.O1)] + op_logp[int(Op.SEP5)]))
 
@@ -304,7 +304,7 @@ def test_criterion_6_controller_learns_bandit(capsys):
     for seed in range(10):
         rng = np.random.default_rng(seed)
         params = init_controller(cfg, rng, embed_size=32, hidden_size=32)
-        trainer = ReinforceTrainer(params, RewardConfig(), lr=0.01)
+        trainer = ReinforceTrainer(params.p, RewardConfig(), lr=0.01)
         solved_at = None
         for step in range(1, 2001):
             trace = sample_mutation(params, parent, rng)

@@ -55,15 +55,15 @@ def test_encoding_counts_per_block():
     cell = random_cell(cfg, rng)
     states = encode_forward(params, cell).states
     assert states.shape == (5, 8)  # width 2H
-    assert params.begin_prev1.data.shape == params.begin_prev2.data.shape == (1, 8)
+    assert params.p["begin_prev1"].shape == params.p["begin_prev2"].shape == (1, 8)
     cfg3, params3, rng3 = _tiny_controller(blocks=3)
     assert encode_forward(params3, random_cell(cfg3, rng3)).states.shape == (15, 8)
 
 
 def test_zero_parameters_give_zero_states():
     cfg, params, rng = _tiny_controller()
-    for _, tensor in params.named_params():
-        tensor.data[:] = 0.0
+    for _, a in params.named_params():
+        a[:] = 0.0
     cell = random_cell(cfg, rng)
     states = encode_forward(params, cell).states
     assert np.array_equal(states, np.zeros_like(states))
@@ -145,8 +145,8 @@ def test_trace_carries_two_decisions_per_block():
 
 def test_router_frequencies_uniform_when_logits_equal():
     cfg, params, rng = _tiny_controller(blocks=2, ops=3, seed=4)
-    params.w_router.data[:] = 0.0
-    params.b_router.data[:] = 0.0
+    params.p["w_router"][:] = 0.0
+    params.p["b_router"][:] = 0.0
     cells = [random_cell(cfg, rng) for _ in range(100)]
     counts = np.zeros(4)
     n_rounds = 250  # 100 cells x 250 rounds x 2 blocks = 50_000 decisions
@@ -204,7 +204,7 @@ def test_walk_matches_the_block_by_block_reference(bidirectional, size):
                 cfg, rng, embed_size=size, hidden_size=size, bidirectional=bidirectional
             )
             if perturbed:
-                params.flat += rng.normal(0.0, 0.3, params.flat.size)
+                params.p.flat += rng.normal(0.0, 0.3, params.p.flat.size)
             previous = None
             for _ in range(4):
                 cell = random_cell(cfg, rng)
@@ -264,8 +264,8 @@ def test_entropy_bounded_by_uniform():
 def test_probability_ratio_bounded_by_squashed_logits():
     # shaped logits live in [-2.5, 2.5], so max/min probability ratio <= e^5
     cfg, params, rng = _tiny_controller(blocks=2, ops=6, seed=3)
-    for name, t in params.named_params():
-        t.data *= 100.0  # push raw logits far out to stress the bound
+    for name, a in params.named_params():
+        a *= 100.0  # push raw logits far out to stress the bound
     cell = random_cell(cfg, rng)
     for _ in range(200):
         trace = sample_mutation(params, cell, rng)
@@ -447,8 +447,8 @@ class TestUnidirectional:
         assert uni.bwd is None
         cell = random_cell(cfg, rng)
         assert encode_forward(uni, cell).states.shape == (10, 4)  # width H, not 2H
-        assert uni.begin_prev1.data.shape == (1, 4)
-        assert uni.w_input.data.shape == (8, 1)
+        assert uni.p["begin_prev1"].shape == (1, 4)
+        assert uni.p["w_input"].shape == (8, 1)
 
     def test_sampling_and_walk_agree(self):
         cfg, uni, rng = self._uni()
@@ -475,11 +475,9 @@ def test_controller_checkpoint_round_trip(tmp_path):
     path = os.path.join(tmp_path, "controller.json")
     save_controller(path, params)
     loaded = load_controller(path)
-    for (name_a, t_a), (name_b, t_b) in zip(
-        params.named_params(), loaded.named_params()
-    ):
+    for (name_a, a), (name_b, b) in zip(params.named_params(), loaded.named_params()):
         assert name_a == name_b
-        assert np.array_equal(t_a.data, t_b.data)
+        assert np.array_equal(a, b)
     cell = random_cell(cfg, rng)
     r1, r2 = np.random.default_rng(1), np.random.default_rng(1)
     assert sample_mutation(params, cell, r1) == sample_mutation(loaded, cell, r2)

@@ -20,7 +20,6 @@ from evocell.harness import ConstructionPolicy
 from evocell.nn_core import (
     AdamState,
     ParamLayout,
-    Tensor,
     adam_step,
     save_params,
 )
@@ -43,23 +42,23 @@ def _policy(kind, seed=0):
 
 
 def _assert_named_params_tile(policy):
-    """policy.named_params() are views tiling policy.flat in layout order."""
-    flat = policy.flat
+    """policy.named_params() are views tiling policy.p.flat in layout order."""
+    flat = policy.p.flat
     start = flat.__array_interface__["data"][0]
     offset = 0
-    for (name, t), shape in zip(policy.named_params(), policy.layout.shapes):
-        assert t.data.base is flat and t.data.shape == shape, name
-        assert t.data.flags.c_contiguous, name
-        assert t.data.__array_interface__["data"][0] == start + 8 * offset, name
-        offset += t.data.size
+    for (name, a), shape in zip(policy.named_params(), policy.p.layout.shapes):
+        assert a.base is flat and a.shape == shape, name
+        assert a.flags.c_contiguous, name
+        assert a.__array_interface__["data"][0] == start + 8 * offset, name
+        offset += a.size
     assert offset == flat.size
-    assert [n for n, _ in policy.named_params()] == list(policy.layout.names)
+    assert [n for n, _ in policy.named_params()] == list(policy.p.layout.names)
 
 
 @pytest.mark.parametrize("kind", ["bi", "nonbi", "construction"])
 def test_named_params_tile_the_one_buffer_in_order(kind):
     policy = _policy(kind)
-    flat = policy.flat
+    flat = policy.p.flat
     assert flat.ndim == 1 and flat.dtype == np.float64 and flat.flags.owndata
     _assert_named_params_tile(policy)
 
@@ -69,8 +68,8 @@ def test_one_draw_equals_the_per_parameter_draws():
     # gives the same values and leaves the generator in the same state
     rng, ref = np.random.default_rng(3), np.random.default_rng(3)
     params = init_controller(CFG, rng, **TINY)
-    for name, t in params.named_params():
-        assert np.array_equal(t.data, ref.normal(0.0, 0.01, size=t.data.shape)), name
+    for name, a in params.named_params():
+        assert np.array_equal(a, ref.normal(0.0, 0.01, size=a.shape)), name
     assert rng.random() == ref.random()
 
 
@@ -90,8 +89,8 @@ def test_gradients_are_one_flat_vector_in_the_layout(kind):
     else:
         cell = random_cell(CFG, rng)
         grads = trace_grads(policy, cell, sample_mutation(policy, cell, rng))
-    assert grads.layout == policy.layout
-    assert list(grads) == list(policy.layout.names)
+    assert grads.layout == policy.p.layout
+    assert list(grads) == list(policy.p.layout.names)
     for name, g in grads.items():
         assert np.shares_memory(g, grads.flat), name
 
@@ -122,17 +121,17 @@ def _per_array_adam(state, named, grads):
 
 def test_flat_adam_is_bit_identical_to_per_array_adam():
     params = _policy("bi", seed=8)
-    ref = {name: t.data.copy() for name, t in params.named_params()}
+    ref = {name: a.copy() for name, a in params.named_params()}
     ref_state = {"t": 0, "m": {}, "v": {}}
     state = AdamState(lr=0.001)
     rng = np.random.default_rng(8)
     for _ in range(200):
-        grads = params.layout.views(rng.normal(size=params.layout.size))
+        grads = params.p.layout.views(rng.normal(size=params.p.layout.size))
         grads["w_op"][...] = 0.0  # one parameter never gets a gradient
         _per_array_adam(ref_state, list(ref.items()), grads)
-        adam_step(state, params.flat, grads.flat)
-        for name, t in params.named_params():
-            assert np.array_equal(t.data, ref[name]), name
+        adam_step(state, params.p.flat, grads.flat)
+        for name, a in params.named_params():
+            assert np.array_equal(a, ref[name]), name
 
 
 def test_grad_norm_matches_the_per_array_sum():
@@ -140,7 +139,7 @@ def test_grad_norm_matches_the_per_array_sum():
     rng = np.random.default_rng(9)
     cell = random_cell(CFG, rng)
     trace = sample_mutation(params, cell, rng)
-    trainer = ReinforceTrainer(params, RewardConfig(baseline=None))
+    trainer = ReinforceTrainer(params.p, RewardConfig(baseline=None))
     grads = trace_grads(params, cell, trace)
     diag = trainer.update(grads, trace.total_entropy, 0.7)
     # the trainer scaled the gradient in place into the loss gradient
@@ -155,13 +154,13 @@ def test_non_finite_gradient_raises_naming_its_parameter(name):
     rng = np.random.default_rng(10)
     cell = random_cell(CFG, rng)
     trace = sample_mutation(params, cell, rng)
-    before = params.flat.copy()
-    trainer = ReinforceTrainer(params, RewardConfig(baseline=None))
+    before = params.p.flat.copy()
+    trainer = ReinforceTrainer(params.p, RewardConfig(baseline=None))
     grads = trace_grads(params, cell, trace)
     grads[name].reshape(-1)[-1] = np.nan
     with pytest.raises(RuntimeError, match=f"non-finite gradient in {name!r}"):
         trainer.update(grads, trace.total_entropy, 0.7)
-    assert np.array_equal(params.flat, before)
+    assert np.array_equal(params.p.flat, before)
 
 
 def test_trainer_rejects_a_gradient_of_another_layout():
@@ -169,7 +168,7 @@ def test_trainer_rejects_a_gradient_of_another_layout():
     rng = np.random.default_rng(11)
     cell = random_cell(CFG, rng)
     trace = sample_mutation(other, cell, rng)
-    trainer = ReinforceTrainer(params)
+    trainer = ReinforceTrainer(params.p)
     with pytest.raises(ValueError):
         trainer.update(trace_grads(other, cell, trace), 0.0, 0.5)
 
@@ -187,11 +186,11 @@ def test_full_size_checkpoint_round_trip_through_a_json_name(tmp_path):
     assert os.listdir(tmp_path) == ["controller.json"]  # written to exactly path
     assert os.path.getsize(path) < 1.5e6
     loaded = load_controller(path)
-    assert loaded.flat.tobytes() == params.flat.tobytes()
-    assert loaded.layout == params.layout
+    assert loaded.p.flat.tobytes() == params.p.flat.tobytes()
+    assert loaded.p.layout == params.p.layout
     _assert_named_params_tile(loaded)
-    loaded.flat[0] += 1.0  # the loaded buffer is writable and its own
-    assert loaded.embedding.data[0, 0] == loaded.flat[0]
+    loaded.p.flat[0] += 1.0  # the loaded buffer is writable and its own
+    assert loaded.p["embedding"][0, 0] == loaded.p.flat[0]
 
 
 def test_version_1_json_checkpoint_is_rejected(tmp_path):
@@ -219,7 +218,10 @@ def _save_controller_as(path, params, named, **meta_changes):
         "bidirectional": params.bidirectional,
     }
     meta.update(meta_changes)
-    save_params(path, named, meta)
+    # the (name, array) pairs packed into one buffer, in their order
+    layout = ParamLayout([(name, a.shape) for name, a in named])
+    flat = np.concatenate([a.reshape(-1) for _, a in named])
+    save_params(path, layout.views(flat), meta)
 
 
 def test_checkpoint_of_another_kind_is_rejected(tmp_path):
@@ -233,8 +235,8 @@ def test_checkpoint_of_another_kind_is_rejected(tmp_path):
 def test_checkpoint_with_a_wrong_shape_is_rejected(tmp_path):
     params = _policy("bi")
     named = [
-        (name, Tensor(np.zeros((t.data.shape[0], 3))) if name == "w_op" else t)
-        for name, t in params.named_params()
+        (name, np.zeros((a.shape[0], 3)) if name == "w_op" else a)
+        for name, a in params.named_params()
     ]
     path = os.path.join(tmp_path, "c.json")
     _save_controller_as(path, params, named)
@@ -249,7 +251,7 @@ def test_checkpoint_with_a_missing_or_extra_name_is_rejected(tmp_path):
     _save_controller_as(path, params, [p for p in named if p[0] != "b_input"])
     with pytest.raises(ValueError, match="missing parameter 'b_input'"):
         load_controller(path)
-    _save_controller_as(path, params, named + [("extra", Tensor(np.zeros((1, 1))))])
+    _save_controller_as(path, params, named + [("extra", np.zeros((1, 1)))])
     with pytest.raises(ValueError, match="unexpected parameter 'extra'"):
         load_controller(path)
     _save_controller_as(path, params, [named[1], named[0]] + named[2:])

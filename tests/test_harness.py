@@ -1038,6 +1038,28 @@ def test_cli_bad_input_exits_2(case, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tau", "3"),
+        ("tau", 0),
+        ("full_budget", -10),
+        ("sigma", -1),
+        ("sigma", math.nan),
+        ("init_epochs", True),
+    ],
+)
+def test_cli_oracle_file_with_a_bad_maturity_exits_2(field, value, tmp_path, capsys):
+    path = tmp_path / "oracle.json"
+    save_oracle(str(path), build_tabular(CFG23, seed=7))
+    payload = json.loads(path.read_text())
+    payload["maturity"][field] = value
+    path.write_text(json.dumps(payload))
+    assert main(_search_args(tmp_path, ["--oracle", f"file:{path}"])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"maturity {field}" in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["oracle", "build", "--oracle", "tabular:5"],

@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, every
 function, class and method the package defines is referenced from src,
-tests or perfbench, and search and replay start on numpy alone."""
+tests or perfbench, only nn_core names the tape's Tensor, and search and
+replay start on numpy alone."""
 
 import ast
 import os
@@ -122,6 +123,17 @@ def test_scan_finds_a_dead_definition():
         "m.A.recursive",
         "m.unused",
     ]
+
+
+def test_only_nn_core_names_the_tape_tensor():
+    # a policy's parameters are ndarray views read by layout name; Tensor is
+    # the tape the tests build reference gradients on
+    naming = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "Tensor" in {name for name, _ in _references(ast.parse(path.read_text()))}
+    ]
+    assert naming == ["nn_core.py"]
 
 
 SEARCH_AND_REPLAY = textwrap.dedent(

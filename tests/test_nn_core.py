@@ -11,6 +11,7 @@ import pytest
 from evocell.nn_core import (
     AdamState,
     LSTMParams,
+    ParamLayout,
     Tensor,
     adam_step,
     check_grads,
@@ -116,7 +117,12 @@ def _hand_lstm_step(x, h, c, Wx, Wh, b):
 def _lstm(input_size, hidden_size, rng, std):
     H4 = 4 * hidden_size
     shapes = ((input_size, H4), (hidden_size, H4), (1, H4))
-    return LSTMParams(*(Tensor(rng.normal(0.0, std, size=s)) for s in shapes))
+    return LSTMParams(*(rng.normal(0.0, std, size=s) for s in shapes))
+
+
+def _tape_lstm(params):
+    """(Wx, Wh, b) as Tensor leaves over params' arrays, for tape_reference."""
+    return tuple(Tensor(w) for w in (params.Wx, params.Wh, params.b))
 
 
 def test_lstm_step_matches_hand_computation():
@@ -124,7 +130,7 @@ def test_lstm_step_matches_hand_computation():
     params = _lstm(2, 2, rng, std=1.0)
     xs = [[0.3, -0.7], [-1.1, 0.4]]
     cache = lstm_forward_np(params, np.array([xs]))
-    Wx, Wh, b = (p.data.tolist() for p in (params.Wx, params.Wh, params.b))
+    Wx, Wh, b = (p.tolist() for p in (params.Wx, params.Wh, params.b))
     h, c = [0.0, 0.0], [0.0, 0.0]
     for t, x in enumerate(xs):  # the second step starts from nonzero states
         h, c = _hand_lstm_step(x, h, c, Wx, Wh, b[0])
@@ -133,9 +139,7 @@ def test_lstm_step_matches_hand_computation():
 
 
 def test_zero_weight_lstm_gives_zero_states():
-    params = LSTMParams(
-        Wx=Tensor(np.zeros((3, 8))), Wh=Tensor(np.zeros((2, 8))), b=Tensor(np.zeros((1, 8)))
-    )
+    params = LSTMParams(Wx=np.zeros((3, 8)), Wh=np.zeros((2, 8)), b=np.zeros((1, 8)))
     states = lstm_forward_np(params, np.ones((1, 4, 3))).states
     assert np.array_equal(states, np.zeros((1, 4, 2)))
 
@@ -144,14 +148,14 @@ def test_lstm_gradcheck():
     # loss = sum(weights * states): dWx, dWh, db and dX of lstm_backward_np
     rng = np.random.default_rng(7)
     params = _lstm(3, 4, rng, std=0.5)
-    X = Tensor(rng.normal(size=(2 * 5, 3)))  # 2 sequences of 5 steps
+    X = rng.normal(size=(2 * 5, 3))  # 2 sequences of 5 steps
     weights = rng.normal(size=(2, 5, 4))
 
     def loss():
-        states = lstm_forward_np(params, X.data.reshape(2, 5, 3)).states
+        states = lstm_forward_np(params, X.reshape(2, 5, 3)).states
         return float((states * weights).sum())
 
-    cache = lstm_forward_np(params, X.data.reshape(2, 5, 3))
+    cache = lstm_forward_np(params, X.reshape(2, 5, 3))
     dWx, dWh, db, dX = lstm_backward_np(params, cache, weights)
     named = [("Wx", params.Wx), ("Wh", params.Wh), ("b", params.b), ("X", X)]
     analytic = {"Wx": dWx, "Wh": dWh, "b": db, "X": dX}
@@ -172,7 +176,8 @@ def test_numpy_fast_paths_match_tape():
     rng = np.random.default_rng(21)
     params = _lstm(3, 4, rng, std=0.3)
     X = rng.normal(size=(6, 3))
-    tape_states = tape_reference.lstm_states(params, [Tensor(X[t : t + 1]) for t in range(6)])
+    xs = [Tensor(X[t : t + 1]) for t in range(6)]
+    tape_states = tape_reference.lstm_states(_tape_lstm(params), xs)
     cache = lstm_forward_np(params, np.stack([X, X * 0.5]))
     assert cache.states.shape == (2, 6, 4)
     for t in range(6):
@@ -191,15 +196,16 @@ def test_numpy_backward_matches_tape():
     weights = rng.normal(size=(2, 5, 4))  # loss = sum(weights * states)
     dWx, dWh, db, dX = lstm_backward_np(params, lstm_forward_np(params, X), weights)
     xs = [[Tensor(X[n, t : t + 1]) for t in range(5)] for n in range(2)]
+    tape = _tape_lstm(params)
     loss = None
     for n in range(2):
-        for t, h in enumerate(tape_reference.lstm_states(params, xs[n])):
+        for t, h in enumerate(tape_reference.lstm_states(tape, xs[n])):
             term = (h * Tensor(weights[n, t : t + 1])).sum()
             loss = term if loss is None else loss + term
     loss.backward()
-    assert np.allclose(dWx, params.Wx.grad, atol=1e-12)
-    assert np.allclose(dWh, params.Wh.grad, atol=1e-12)
-    assert np.allclose(db, params.b.grad, atol=1e-12)
+    assert np.allclose(dWx, tape[0].grad, atol=1e-12)
+    assert np.allclose(dWh, tape[1].grad, atol=1e-12)
+    assert np.allclose(db, tape[2].grad, atol=1e-12)
     for n in range(2):
         for t in range(5):
             assert np.allclose(dX[n, t], xs[n][t].grad[0], atol=1e-12)
@@ -277,11 +283,11 @@ def test_shape_logits_values():
 def _check_squashed_logp_grad(raw):
     """Max central-difference error of squashed_logp_grad_np over every idx."""
     worst = 0.0
-    for idx in range(raw.data.shape[1]):
-        logp = squashed_logp_np(raw.data[0])
-        grad = squashed_logp_grad_np(raw.data[0], logp, idx)
+    for idx in range(raw.shape[1]):
+        logp = squashed_logp_np(raw[0])
+        grad = squashed_logp_grad_np(raw[0], logp, idx)
         err = check_grads(
-            lambda: float(squashed_logp_np(raw.data[0])[idx]),
+            lambda: float(squashed_logp_np(raw[0])[idx]),
             {"raw": grad},
             [("raw", raw)],
         )
@@ -301,14 +307,14 @@ def test_squashed_logp_grad_takes_one_index_per_row():
 def test_log_softmax_gradcheck():
     # raw scores where the squash is close to linear: the log-softmax term
     rng = np.random.default_rng(17)
-    assert _check_squashed_logp_grad(Tensor(rng.normal(scale=0.5, size=(1, 5)))) < 1e-6
+    assert _check_squashed_logp_grad(rng.normal(scale=0.5, size=(1, 5))) < 1e-6
 
 
 def test_shape_logits_gradcheck():
     # raw scores out on the tanh, where the squash's derivative matters
     rng = np.random.default_rng(19)
     for scale in (3.0, 20.0):
-        raw = Tensor(rng.normal(scale=scale, size=(1, 5)))
+        raw = rng.normal(scale=scale, size=(1, 5))
         assert _check_squashed_logp_grad(raw) < 1e-6
 
 
@@ -385,17 +391,17 @@ def test_gradcheck_detects_wrong_gradient():
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(5)
-    named = [
-        ("w", Tensor(rng.normal(0.0, 1.3, size=(4, 3)))),
-        ("b", Tensor(rng.normal(0.0, 0.7, size=(1, 3)))),
-    ]
+    views = ParamLayout([("w", (4, 3)), ("b", (1, 3))]).zeros()
+    views["w"][...] = rng.normal(0.0, 1.3, size=(4, 3))
+    views["b"][...] = rng.normal(0.0, 0.7, size=(1, 3))
     path = os.path.join(tmp_path, "ckpt.json")
-    save_params(path, named, meta={"kind": "test", "note": "x"})
+    save_params(path, views, meta={"kind": "test", "note": "x"})
     meta, layout, flat = load_params(path)
     assert meta["kind"] == "test"
+    assert layout == views.layout
     arrays = layout.views(flat)
-    for name, tensor in named:
-        assert np.array_equal(arrays[name], tensor.data)
+    for name, view in views.items():
+        assert np.array_equal(arrays[name], view)
     with np.load(path, allow_pickle=False) as payload:
         assert json.loads(str(payload["header"]))["version"] == 2
 

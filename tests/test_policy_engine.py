@@ -26,8 +26,8 @@ import tape_reference
 
 def _perturb(named_params, rng, scale=0.5):
     # move the weights off the near-uniform init so every term matters
-    for _, t in named_params:
-        t.data += rng.normal(0.0, scale, size=t.data.shape)
+    for _, a in named_params:
+        a += rng.normal(0.0, scale, size=a.shape)
 
 
 def _space(seed):
@@ -57,14 +57,14 @@ def _assert_close(got, want):
     assert abs(got[0] - want[0]) <= 1e-12 and abs(got[1] - want[1]) <= 1e-12
 
 
-def _tape_grads(named_params, f):
-    for _, t in named_params:
-        t.grad = None
-    out = f()
+def _tape_grads(views, f):
+    """f's value and the gradient of each leaf over views, by the tape."""
+    leaves = tape_reference.leaves(views)
+    out = f(leaves)
     out.backward()
     grads = {
         name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-        for name, t in named_params
+        for name, t in leaves.items()
     }
     return out.item(), grads
 
@@ -72,8 +72,8 @@ def _tape_grads(named_params, f):
 def _assert_match(named_params, walk_lp, fused, tape_lp, tape):
     assert set(fused) == {name for name, _ in named_params}
     assert abs(walk_lp - tape_lp) <= 1e-12
-    for name, t in named_params:
-        assert fused[name].shape == t.data.shape, name
+    for name, a in named_params:
+        assert fused[name].shape == a.shape, name
         assert np.abs(fused[name] - tape[name]).max() <= 1e-12, name
 
 
@@ -85,7 +85,7 @@ def test_controller_grads_match_tape(bidirectional):
         grads = trace_grads(params, cell, trace)
         lp, _ = trace_logprob(params, cell, trace)
         tape_lp, tape = _tape_grads(
-            named, lambda: tape_reference.controller_logprob(params, cell, trace)[0]
+            params.p, lambda p: tape_reference.controller_logprob(p, cell, trace)[0]
         )
         _assert_match(named, lp, grads, tape_lp, tape)
 
@@ -98,7 +98,7 @@ def test_construction_grads_match_tape():
         grads = policy.grads(cell)
         lp, _ = policy.logprob(cell)
         tape_lp, tape = _tape_grads(
-            named, lambda: tape_reference.construction_logprob(policy, cell)[0]
+            policy.p, lambda p: tape_reference.construction_logprob(p, cell)[0]
         )
         _assert_match(named, lp, grads, tape_lp, tape)
 
@@ -207,7 +207,7 @@ def test_grad_for_another_cell_recomputes():
         cfg, np.random.default_rng(0), embed_size=8, hidden_size=8
     )
     for (_, a), (_, b) in zip(fresh.named_params(), policy.named_params()):
-        a.data[...] = b.data
+        a[...] = b
     _assert_same(policy.grads(second), fresh.grads(second))
 
 
@@ -216,7 +216,7 @@ def test_kept_forward_is_not_reused_after_the_parameters_move():
     policy = ControllerPolicy(params, rng)
     trace = policy.propose(cell)
     policy.grads(cell, trace)  # hands the kept forward over, as an update does
-    params.fwd.Wh.data *= 1.5
+    params.fwd.Wh *= 1.5
     _assert_same(policy.grads(cell, trace), trace_grads(params, cell, trace))
 
 
@@ -225,8 +225,8 @@ def test_samplers_raise_on_nan_weights():
     # draw to index 0 and be logged as a legal choice
     params, cell, _, _ = _controller_draw(0, bidirectional=True)
     policy, rng = _construction_draw(0)
-    params.flat[:] = np.nan
-    policy.flat[:] = np.nan
+    params.p.flat[:] = np.nan
+    policy.p.flat[:] = np.nan
     for sample in (
         lambda: sample_mutation(params, cell, rng),
         lambda: sample_mutation_batch(params, [cell, cell], rng),

@@ -85,7 +85,7 @@ def _bandit(seed=0, ops=2, **cfg_kwargs):
     rng = np.random.default_rng(seed)
     params = init_controller(cfg, rng, **TINY)
     cell = CellSpec((BlockSpec(CELL_PREV2, CELL_PREV1, Op.SEP3, Op.SEP3),), num_ops=ops)
-    trainer = ReinforceTrainer(params, RewardConfig(**cfg_kwargs))
+    trainer = ReinforceTrainer(params.p, RewardConfig(**cfg_kwargs))
     return cfg, params, cell, trainer, rng
 
 
@@ -94,13 +94,13 @@ def test_first_update_with_ema_baseline_is_a_no_op():
     # advantage is exactly zero and parameters must not move
     cfg, params, cell, trainer, rng = _bandit(seed=1)
     trace = sample_mutation(params, cell, rng)
-    before = {name: t.data.copy() for name, t in params.named_params()}
+    before = {name: a.copy() for name, a in params.named_params()}
     diag = trainer.update(
         trace_grads(params, cell, trace), trace.total_entropy, 0.6
     )
     assert diag["advantage"] == 0.0
-    for name, t in params.named_params():
-        assert np.array_equal(t.data, before[name]), name
+    for name, a in params.named_params():
+        assert np.array_equal(a, before[name]), name
 
 
 def test_zero_advantage_no_baseline_zero_entropy_keeps_params():
@@ -108,14 +108,14 @@ def test_zero_advantage_no_baseline_zero_entropy_keeps_params():
         seed=2, entropy_weight=0.0, baseline=None
     )
     trace = sample_mutation(params, cell, rng)
-    before = {name: t.data.copy() for name, t in params.named_params()}
+    before = {name: a.copy() for name, a in params.named_params()}
     diag = trainer.update(
         trace_grads(params, cell, trace), trace.total_entropy, 0.0
     )
     # fitness 0 -> shaped reward 0; no baseline -> advantage 0 -> no movement
     assert diag["advantage"] == 0.0
-    for name, t in params.named_params():
-        assert np.array_equal(t.data, before[name]), name
+    for name, a in params.named_params():
+        assert np.array_equal(a, before[name]), name
 
 
 def test_positive_advantage_raises_trace_logprob():
@@ -142,7 +142,7 @@ def test_diagnostics_keys_and_values():
 def test_update_aborts_on_non_finite_gradients():
     cfg, params, cell, trainer, rng = _bandit(seed=5)
     trace = sample_mutation(params, cell, rng)
-    params.embedding.data[:] = np.nan
+    params.p["embedding"][:] = np.nan
     with pytest.raises(RuntimeError):
         with np.errstate(invalid="ignore", over="ignore"):
             trainer.update(trace_grads(params, cell, trace), trace.total_entropy, 0.5)
@@ -183,19 +183,19 @@ def test_high_entropy_weight_keeps_decisions_near_uniform():
     rng = np.random.default_rng(11)
     params = init_controller(cfg, rng, **TINY)
     cell = CellSpec((BlockSpec(CELL_PREV2, CELL_PREV1, Op.SEP3, Op.SEP3),), num_ops=2)
-    trainer = ReinforceTrainer(params, RewardConfig(entropy_weight=10.0))
+    trainer = ReinforceTrainer(params.p, RewardConfig(entropy_weight=10.0))
     for _ in range(5000):
         trace = sample_mutation(params, cell, rng)
         trainer.update(trace_grads(params, cell, trace), trace.total_entropy, 0.5)
 
     states = encode_forward(params, cell).states
-    w_r = params.w_router.data[:, 0]
-    b_r = params.b_router.data[0, 0]
+    w_r = params.p["w_router"][:, 0]
+    b_r = params.p["b_router"][0, 0]
     router_logp = log_softmax_np(
         shape_logits_np(np.array([states[j] @ w_r + b_r for j in range(4)]))
     )
     kl_router = float(np.sum(np.exp(router_logp) * (router_logp - math.log(0.25))))
-    op_raw = states[2] @ params.w_op.data + params.b_op.data[0]
+    op_raw = states[2] @ params.p["w_op"] + params.p["b_op"][0]
     op_logp = log_softmax_np(shape_logits_np(op_raw))
     kl_op = float(np.sum(np.exp(op_logp) * (op_logp - math.log(0.5))))
     assert kl_router < 0.05, kl_router

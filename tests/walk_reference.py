@@ -45,25 +45,25 @@ def sample_index_np(logp: np.ndarray, rng: np.random.Generator) -> int:
 
 def _router_raw(params, states, b):
     base = 5 * (b - 1)
-    w_r, b_r = params.w_router.data[:, 0], params.b_router.data[0, 0]
+    w_r, b_r = params.p["w_router"][:, 0], params.p["b_router"][0, 0]
     return states[..., base : base + 4, :] @ w_r + b_r
 
 
 def _input_candidates(params, states, b):
     """(..., b+1, W): the combiner states of blocks 1..b-1, then the begin vectors."""
-    begins = np.concatenate([params.begin_prev1.data, params.begin_prev2.data])
+    begins = np.concatenate([params.p["begin_prev1"], params.p["begin_prev2"]])
     begins = np.broadcast_to(begins, states.shape[:-2] + begins.shape)
     return np.concatenate([states[..., 4 : 5 * (b - 1) : 5, :], begins], axis=-2)
 
 
 def _input_raw(params, state_id, cands):
     W = params.state_width
-    w = params.w_input.data[:, 0]
-    return (state_id @ w[:W])[..., None] + cands @ w[W:] + params.b_input.data[0, 0]
+    w = params.p["w_input"][:, 0]
+    return (state_id @ w[:W])[..., None] + cands @ w[W:] + params.p["b_input"][0, 0]
 
 
 def _op_raw(params, state_id):
-    return state_id @ params.w_op.data + params.b_op.data[0]
+    return state_id @ params.p["w_op"] + params.p["b_op"][0]
 
 
 def _walk(
