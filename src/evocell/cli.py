@@ -32,6 +32,7 @@ from .evaluators import save_oracle
 from .harness import (
     ConfigError,
     StrategyConfig,
+    check_seed,
     compare,
     make_oracle,
     read_oracle_file,
@@ -113,12 +114,6 @@ def parse_oracle_spec(spec: str):
         except ValueError:
             raise ConfigError(f"oracle seed must be an integer, got {rest!r}")
     raise ConfigError(f"unknown oracle spec {spec!r}")
-
-
-def check_seed(seed: int) -> int:
-    if seed < 0:
-        raise ConfigError(f"seeds must be >= 0, got {seed}")
-    return seed
 
 
 def parse_seeds(spec: str) -> List[int]:

@@ -186,9 +186,10 @@ def _table_terms(weights: _LandscapeWeights, num_blocks: int):
 
 
 def _raw_score(terms, digits):
-    """The raw landscape score of one cell's 4B digits, or of N cells' at
-    once from digits.T of their (N, 4B) matrix: the terms are added in
-    order, so each cell's sum is the same either way, bit for bit."""
+    """The raw landscape scores of N cells at once, from digits.T of their
+    (N, 4B) digit matrix. The terms are added in order, as
+    LandscapeOracle.lookup adds them for one cell, so each row's score
+    equals its cell's, bit for bit."""
     total = 0.0
     for term, axis_a, axis_b in terms:
         total += term[digits[axis_a], digits[axis_b]]
@@ -220,12 +221,21 @@ class LandscapeOracle(FitnessOracle):
         self.maturity = maturity if maturity is not None else MaturityModel()
         self.weights = _LandscapeWeights.draw(cfg, seed)
         self.terms = tuple(_table_terms(self.weights, cfg.num_blocks))
+        # the same terms as nested lists: one cell indexes them without a
+        # numpy scalar per read
+        self._lists = tuple((term.tolist(), a, b) for term, a, b in self.terms)
 
     def true_fitness(self, cell: CellSpec) -> float:
         return self.lookup(_checked(cell, self.cfg))
 
     def lookup(self, cell: CellSpec) -> float:
-        return _squash(_raw_score(self.terms, cell.digits))
+        """The squash of the cell's raw score, its terms added in
+        _raw_score's order."""
+        digits = cell.digits
+        total = 0.0
+        for term, axis_a, axis_b in self._lists:
+            total += term[digits[axis_a]][digits[axis_b]]
+        return _squash(total)
 
     def max_true_fitness(self, digits: np.ndarray) -> float:
         """Highest true fitness over the cells of an (N, 4B) digit matrix.

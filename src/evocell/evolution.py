@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from .arch_space import OPS, CellSpec, SpaceConfig, random_cell
+from .arch_space import OPS, CellSpec, SpaceConfig, cell_from_digits, random_digits
 from .controller import (
     TARGETS,
     ControllerParams,
@@ -101,14 +101,33 @@ def _log_count(n: int) -> float:
 
 @functools.cache
 def _uniform_tables(num_blocks: int, num_ops: int):
-    """RandomMutationPolicy's tables for one space, built once: the log of
-    the target count and of the op count, then per block its number, its
-    input candidates and the log of their count."""
+    """RandomMutationPolicy's tables for one space, built once: per block,
+    per target, every action the uniform policy can take there, in
+    candidate order, with its log-probs and entropies set, each paired with
+    the two terms a trace's totals add for it (router + replacement
+    log-prob, router + replacement entropy)."""
+    log4, log_ops = _log_count(len(TARGETS)), _log_count(num_ops)
     blocks = []
     for b in range(1, num_blocks + 1):
         refs = input_candidate_refs(b)
-        blocks.append((b, refs, _log_count(len(refs))))
-    return _log_count(len(TARGETS)), _log_count(num_ops), tuple(blocks)
+        per_target = []
+        for target in TARGETS:
+            if target < 2:  # I1 or I2
+                choices, log_n = refs, _log_count(len(refs))
+            else:
+                choices, log_n = OPS[:num_ops], log_ops
+            per_target.append(
+                tuple(
+                    (
+                        MutationAction(b, target, choice, -log4, -log_n, log4, log_n),
+                        -log4 + -log_n,
+                        log4 + log_n,
+                    )
+                    for choice in choices
+                )
+            )
+        blocks.append(tuple(per_target))
+    return tuple(blocks)
 
 
 class RandomMutationPolicy:
@@ -124,27 +143,18 @@ class RandomMutationPolicy:
 
     def propose(self, cell: CellSpec) -> MutationTrace:
         """Per block, one draw of the target, then one of the replacement
-        among that field's candidates; the candidates and the logs of
-        their counts come from the space's tables."""
+        among that field's candidates; the action drawn comes prebuilt from
+        the space's tables."""
         actions = []
         total_lp = 0.0
         total_h = 0.0
-        num_ops = cell.num_ops
-        log4, log_ops, blocks = _uniform_tables(cell.num_blocks, num_ops)
-        for b, refs, log_refs in blocks:
-            target = TARGETS[self.rng.integers(4)]
-            if target < 2:  # I1 or I2
-                replacement = refs[self.rng.integers(len(refs))]
-                log_n = log_refs
-            else:
-                replacement = OPS[self.rng.integers(num_ops)]
-                log_n = log_ops
-            router_lp, repl_lp = -log4, -log_n
-            actions.append(
-                MutationAction(b, target, replacement, router_lp, repl_lp, log4, log_n)
-            )
-            total_lp += router_lp + repl_lp
-            total_h += log4 + log_n
+        integers = self.rng.integers
+        for per_target in _uniform_tables(cell.num_blocks, cell.num_ops):
+            options = per_target[integers(4)]
+            action, lp, h = options[integers(len(options))]
+            actions.append(action)
+            total_lp += lp
+            total_h += h
         return MutationTrace(tuple(actions), total_lp, total_h)
 
 
@@ -187,13 +197,17 @@ def initialize(
     rng: np.random.Generator,
     eval_rng: np.random.Generator,
 ) -> Population:
-    """Evaluate pop_size random cells at the initial training budget."""
+    """Evaluate pop_size random cells at the initial training budget.
+
+    Their digits come from one random_digits call, the same stream as one
+    random_cell call per cell.
+    """
     if pop_size < 1:
         raise ValueError(f"pop_size must be >= 1, got {pop_size}")
     pop = Population(capacity=pop_size)
     m0 = oracle.maturity.initial_maturity()
-    for _ in range(pop_size):
-        cell = random_cell(cfg, rng)
+    for row in random_digits(cfg, rng, pop_size).tolist():
+        cell = cell_from_digits(row, cfg)
         fit, true = oracle.evaluate(cell, m0, eval_rng)
         ind = Individual(
             cell=cell,

@@ -37,7 +37,6 @@ from .arch_space import (
     cell_from_digits,
     cell_from_text,
     cell_to_text,
-    random_cell,
     random_digits,
     vocab_size,
 )
@@ -496,24 +495,50 @@ def header_record(cfg: StrategyConfig, seed: int, oracle: FitnessOracle) -> dict
     }
 
 
+def check_seed(seed: int) -> int:
+    """seed, if it can seed a run: >= 0, as rng_streams needs."""
+    if seed < 0:
+        raise ConfigError(f"seeds must be >= 0, got {seed}")
+    return seed
+
+
+def _header_int(value, key: str):
+    """value, if it is a JSON integer: an int, not a bool or a float."""
+    if type(value) is not int:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def config_from_header(header: dict) -> Tuple[StrategyConfig, int]:
     """The validated (config, seed) that header_record wrote; noise is the
-    logged maturity sigma."""
+    logged maturity sigma.
+
+    Every integer it reads must be a JSON integer: the seed, which must
+    also pass check_seed, the space's sizes and each setting whose CLI type
+    is int (the run and policy sizes, and the oracle seed, which may be
+    null: seed 0).
+    """
     try:
-        values = {
-            f.name: header[f.metadata["header"][0]][f.metadata["header"][1]]
-            for f in fields(StrategyConfig)
-            if f.metadata.get("header")
-        }
+        values = {}
+        for f in fields(StrategyConfig):
+            if f.metadata.get("header"):
+                section, key = f.metadata["header"]
+                value = header[section][key]
+                if f.metadata["cli"].get("type") is int and not (
+                    value is None and f.name == "oracle_seed"
+                ):
+                    _header_int(value, f"{section}.{key}")
+                values[f.name] = value
+        space = {k: _header_int(v, f"space.{k}") for k, v in header["space"].items()}
         cfg = StrategyConfig(
             strategy=header["strategy"],
-            space=SpaceConfig(**header["space"]),
+            space=SpaceConfig(**space),
             noise=header["maturity"]["sigma"],
             **values,
         )
         validate_config(cfg)
-        return cfg, int(header["seed"])
-    except (KeyError, TypeError, ValueError) as exc:
+        return cfg, check_seed(_header_int(header["seed"], "seed"))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed log header: {exc!r}")
 
 
@@ -663,10 +688,11 @@ def _run_sampling(
     cfg: StrategyConfig, seed: int, oracle: FitnessOracle, target: float
 ) -> Tuple[RunSummary, List[dict]]:
     """random and rl_construct: every evaluation is a fresh cell at full
-    maturity. random draws it from the init stream (the cells a population
-    would start from); rl_construct draws it from the construction policy,
-    takes one update on its observed fitness and logs that update's
-    gradient norm."""
+    maturity. random draws the digits of all its cells from the init stream
+    in one random_digits call, the stream of one random_cell call per cell
+    (the cells a population would start from); rl_construct draws each
+    from the construction policy, takes one update on its observed fitness
+    and logs that update's gradient norm."""
     streams = rng_streams(seed)
     construct = cfg.strategy == "rl_construct"
     if construct:
@@ -677,13 +703,15 @@ def _run_sampling(
             hidden_size=cfg.hidden_size,
         )
         trainer = ReinforceTrainer(policy.p, _reward_config(cfg), lr=cfg.learning_rate)
+    else:
+        rows = random_digits(cfg.space, streams["init"], cfg.budget).tolist()
     evals: List[dict] = []
     true_vals: List[float] = []
     for index in range(1, cfg.budget + 1):
         if construct:
             cell, _lp, ent = policy.sample(streams["policy"])
         else:
-            cell = random_cell(cfg.space, streams["init"])
+            cell = cell_from_digits(rows[index - 1], cfg.space)
         observed, true = oracle.evaluate(cell, 1.0, streams["eval"])
         learner = {}
         if construct:
@@ -935,6 +963,29 @@ def _log_inputs(log_path: str, records: Sequence[dict], cfg: StrategyConfig) -> 
     return inputs
 
 
+def _typed_alike(logged: dict, record: dict) -> bool:
+    """Whether logged, a record that == record, holds every value with the
+    type that record gives it (1 == 1.0 == True), nested values included.
+    Values are looked up by record's keys, since logged keys come back
+    sorted; a list's items are dicts or scalars, never lists."""
+    for key, value in record.items():
+        other = logged[key]
+        if type(other) is not type(value):
+            return False
+        if type(value) is dict:
+            if not _typed_alike(other, value):
+                return False
+        elif type(value) is list:
+            types = list(map(type, value))
+            if list(map(type, other)) != types:
+                return False
+            if dict in types and not all(
+                _typed_alike(a, b) for a, b in zip(other, value) if type(b) is dict
+            ):
+                return False
+    return True
+
+
 def replay(log_path: str) -> dict:
     """Re-run a logged run and verify it record by record; returns its final
     record, with the recomputed evaluations as "evals" for random and
@@ -944,8 +995,9 @@ def replay(log_path: str) -> dict:
     taken from the log, so the policy networks are never rebuilt; random
     streams for initialization, tournaments, and observation noise are
     re-derived from the logged seed. Every record is rebuilt by the writer
-    that logged it and must equal the logged one bit for bit, except for
-    the _NOT_REBUILT fields; ReplayDiverged names the first that does not.
+    that logged it and must equal the logged one bit for bit, each value
+    with the type the writer gives it, except for the _NOT_REBUILT fields;
+    ReplayDiverged names the first that does not.
     A malformed log is a ConfigError.
     """
     try:
@@ -984,7 +1036,7 @@ def replay(log_path: str) -> dict:
     for n, (logged, record) in enumerate(zip(records, rebuilt), start=1):
         if not _NOT_REBUILT.isdisjoint(logged):  # a step, or an rl_construct eval
             logged = {k: v for k, v in logged.items() if k not in _NOT_REBUILT}
-        if logged != record:
+        if logged != record or not _typed_alike(logged, record):
             ids = [str(record[k]) for k in ("step", "index", "id") if k in record]
             name = " ".join([record["kind"], *ids])
             raise ReplayDiverged(f"replay diverged from log at record {n} ({name})")

@@ -32,7 +32,7 @@ from evocell.evaluators import (
     TabularOracle,
     _LandscapeWeights,
     _raw_score,
-    _table_terms,
+    _squash,
     build_tabular,
     inherit_maturity,
     load_oracle,
@@ -392,18 +392,24 @@ def test_build_tabular_allocates_no_table():
 
 
 def test_raw_score_equals_block_by_block_reference_bit_for_bit():
-    # one cell's digit tuple, and all rows of a digit matrix at once
-    cfg = SpaceConfig(num_blocks=5, num_ops=6)
-    weights = _LandscapeWeights.draw(cfg, 7)
-    terms = tuple(_table_terms(weights, 5))
-    digits = random_digits(cfg, np.random.default_rng(0), 2000)
-    expected = np.array([reference_raw_score(weights, r.tolist(), 5) for r in digits])
-    scalar = [_raw_score(terms, tuple(row.tolist())) for row in digits]
-    assert np.array(scalar).tobytes() == expected.tobytes()
-    assert _raw_score(terms, digits.T).tobytes() == expected.tobytes()
-    land = LandscapeOracle(cfg, 7)
+    # one cell through LandscapeOracle.lookup's list tables, and all rows of
+    # a digit matrix at once through _raw_score, on every space of 1-5
+    # blocks and 2-6 ops
+    for blocks in range(1, 6):
+        for ops in range(2, 7):
+            cfg = SpaceConfig(num_blocks=blocks, num_ops=ops)
+            land = LandscapeOracle(cfg, 7)
+            digits = random_digits(cfg, np.random.default_rng(10 * blocks + ops), 400)
+            expected = np.array(
+                [reference_raw_score(land.weights, r.tolist(), blocks) for r in digits]
+            )
+            looked_up = [land.lookup(cell_from_digits(row, cfg)) for row in digits]
+            assert looked_up == [_squash(raw) for raw in expected.tolist()], cfg
+            assert _raw_score(land.terms, digits.T).tobytes() == expected.tobytes(), cfg
+    land = LandscapeOracle(SpaceConfig(num_blocks=5, num_ops=6), 7)
+    digits = random_digits(land.cfg, np.random.default_rng(0), 2000)
     assert land.max_true_fitness(digits) == max(
-        land.true_fitness(cell_from_digits(row, cfg)) for row in digits
+        land.true_fitness(cell_from_digits(row, land.cfg)) for row in digits
     )
 
 

@@ -7,8 +7,9 @@ runs on the paper's 5-block/6-op space and landscape oracle (seed 7, pop
 100, sample 25, budget 300, run seeds 0 and 1), taken at commit b578729,
 and ea_random runs on criterion 7's 3-block/4-op space and tabular oracle
 (seed 5, pop 20, sample 5, budget 300, run seeds 0 and 1), whose lookups
-rank each cell by its digits, taken at commit 1e0acd5. A change that moves
-them changes what a seed means and must say so.
+rank each cell by its digits, taken at commit 1e0acd5, and random runs on
+that space and oracle, taken at commit d999268. A change that moves them
+changes what a seed means and must say so.
 """
 
 import hashlib
@@ -36,6 +37,8 @@ GOLDEN_SHA256 = {
 TABULAR_SHA256 = {
     ("ea_random", 0): "2bf234c8a4dd0e89f026bc98ebf954885ddd4f2e02ded7ad5c39aee25f5d4421",
     ("ea_random", 1): "7b897a49d541e7be9c20379fd0b8e9402e13d2c90de0d3f3fa6713962ab5b06e",
+    ("random", 0): "bb6ad37c6e019420bf06a9b6b5b2efd7593f9a4d89e8a528e18d76f4d6abb6b1",
+    ("random", 1): "dc113b67b363759eb03b2bd9120e06ee478338c002059751558e3e31995d8fcc",
 }
 
 
@@ -82,10 +85,21 @@ def _logged_digest(run, strategy, seed, tmp_path):
     return log, evals, hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _logged_evals(log):
+    return [{"index": r["index"], "fitness": r["fitness"]} for r in log if r["kind"] == "eval"]
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_tabular_log_bytes_match_golden_digest(tabular, seed, tmp_path):
     _, _, digest = _logged_digest(tabular, "ea_random", seed, tmp_path)
     assert digest == TABULAR_SHA256[("ea_random", seed)]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tabular_random_log_bytes_match_golden_digest(tabular, seed, tmp_path):
+    log, evals, digest = _logged_digest(tabular, "random", seed, tmp_path)
+    assert digest == TABULAR_SHA256[("random", seed)]
+    assert evals == _logged_evals(log)
 
 
 @pytest.mark.parametrize("strategy, seed", sorted(GOLDEN_SHA256))
@@ -93,6 +107,4 @@ def test_log_bytes_match_golden_digest(landscape, strategy, seed, tmp_path):
     log, evals, digest = _logged_digest(landscape, strategy, seed, tmp_path)
     assert digest == GOLDEN_SHA256[(strategy, seed)]
     if strategy == "random":
-        assert evals == [
-            {"index": r["index"], "fitness": r["fitness"]} for r in log if r["kind"] == "eval"
-        ]
+        assert evals == _logged_evals(log)

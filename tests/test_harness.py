@@ -697,32 +697,41 @@ def _another_cell(text):
 
 
 @pytest.mark.parametrize(
-    "strategy, kind, keys, change",
+    "strategy, kind, at, keys, change",
     [
-        pytest.param("ea_random", "step", ("sampled_ids",), lambda ids: ids[::-1],
+        pytest.param("ea_random", "step", 5, ("sampled_ids",), lambda ids: ids[::-1],
                      id="step-sampled_ids"),
-        pytest.param("ea_random", "step", ("parent_fitness",), _bit_up,
+        pytest.param("ea_random", "step", 5, ("parent_fitness",), _bit_up,
                      id="step-parent_fitness"),
-        pytest.param("random", "eval", ("index",), lambda index: index + 1,
+        pytest.param("random", "eval", 5, ("index",), lambda index: index + 1,
                      id="eval-index"),
-        pytest.param("ea_random", "header", ("maturity", "tau"), _bit_up,
+        pytest.param("ea_random", "header", 0, ("maturity", "tau"), _bit_up,
                      id="header-maturity.tau"),
-        pytest.param("ea_random", "header", ("policy", "fitness_clip"), _bit_up,
+        pytest.param("ea_random", "header", 0, ("policy", "fitness_clip"), _bit_up,
                      id="header-policy.fitness_clip"),
-        pytest.param("ea_random", "final", ("best_cell",), _another_cell,
+        pytest.param("ea_random", "final", 0, ("best_cell",), _another_cell,
                      id="ea_random-final-best_cell"),
-        pytest.param("ea_random", "final", ("best_true",), _bit_up,
+        pytest.param("ea_random", "final", 0, ("best_true",), _bit_up,
                      id="ea_random-final-best_true"),
-        pytest.param("random", "final", ("best_cell",), _another_cell,
+        pytest.param("random", "final", 0, ("best_cell",), _another_cell,
                      id="random-final-best_cell"),
-        pytest.param("random", "final", ("best_true",), _bit_up,
+        pytest.param("random", "final", 0, ("best_true",), _bit_up,
                      id="random-final-best_true"),
+        # equal values of another type: 0 == 0.0 == False, 1 == 1.0 == True
+        pytest.param("ea_random", "init", 0, ("id",), bool, id="init-id-false"),
+        pytest.param("ea_random", "init", 0, ("id",), float, id="init-id-float"),
+        pytest.param("ea_random", "step", 0, ("step",), bool, id="step-step-true"),
+        pytest.param("ea_random", "step", 0, ("step",), float, id="step-step-float"),
+        pytest.param("ea_random", "step", 5, ("sampled_ids", 0), float,
+                     id="step-sampled_ids-float"),
+        pytest.param("random", "eval", 0, ("index",), bool, id="eval-index-true"),
+        pytest.param("ea_random", "final", 0, ("members", 0, "id"), float,
+                     id="final-members-id-float"),
     ],
 )
-def test_replay_rejects_an_edited_record(strategy, kind, keys, change, tmp_path):
+def test_replay_rejects_an_edited_record(strategy, kind, at, keys, change, tmp_path):
     log, path = _logged(strategy, tmp_path)
-    of_kind = [r for r in log if r["kind"] == kind]
-    record = of_kind[5 % len(of_kind)]  # the sixth of its kind, or the only one
+    record = [r for r in log if r["kind"] == kind][at]
     edited = record
     for key in keys[:-1]:
         edited = edited[key]
@@ -731,6 +740,36 @@ def test_replay_rejects_an_edited_record(strategy, kind, keys, change, tmp_path)
     number = log.index(record) + 1
     with pytest.raises(ReplayDiverged, match=rf"record {number} \({kind}"):
         replay(path)
+
+
+@pytest.mark.parametrize(
+    "strategy, keys, change",
+    [
+        pytest.param("ea_random", ("seed",), lambda seed: -1, id="seed-negative"),
+        pytest.param("ea_random", ("seed",), float, id="seed-float"),
+        pytest.param("ea_random", ("seed",), bool, id="seed-bool"),
+        pytest.param("ea_random", ("space", "num_blocks"), bool, id="num_blocks-bool"),
+        pytest.param("ea_random", ("space", "num_ops"), float, id="num_ops-float"),
+        pytest.param("ea_random", ("run", "pop_size"), float, id="pop_size-float"),
+        pytest.param("ea_random", ("run", "sample_size"), float, id="sample_size-float"),
+        pytest.param("ea_random", ("run", "budget"), float, id="budget-float"),
+        pytest.param("ea_random", ("policy", "embed_size"), float, id="embed_size-float"),
+        pytest.param("ea_random", ("oracle", "seed"), float, id="oracle-seed-float"),
+        pytest.param("random", ("run", "budget"), float, id="random-budget-float"),
+    ],
+)
+def test_cli_replay_of_a_header_with_a_bad_integer_exits_2(
+    strategy, keys, change, tmp_path, capsys
+):
+    log, path = _logged(strategy, tmp_path)
+    section = log[0]
+    for key in keys[:-1]:
+        section = section[key]
+    section[keys[-1]] = change(section[keys[-1]])
+    write_jsonl(path, log)
+    assert main(["replay", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed log header") and keys[-1] in err
 
 
 def test_cli_replay_of_an_edited_log_exits_2(tmp_path, capsys):
