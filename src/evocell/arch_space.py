@@ -59,6 +59,10 @@ class SpaceConfig:
     num_ops: int = NUM_OPS_TOTAL
 
     def __post_init__(self) -> None:
+        for name in ("num_blocks", "num_ops"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.num_blocks < 1:
             raise ValueError(f"num_blocks must be >= 1, got {self.num_blocks}")
         if not 2 <= self.num_ops <= NUM_OPS_TOTAL:
@@ -174,6 +178,15 @@ def validate(cell: CellSpec, cfg: SpaceConfig) -> Optional[Violation]:
                 b, "o2", f"op {block.o2!r} outside active subset of {cfg.num_ops}"
             )
     return None
+
+
+def require_valid(cell: CellSpec, cfg: SpaceConfig) -> CellSpec:
+    """cell, if validate passes it; otherwise a ValueError naming the
+    violation."""
+    violation = validate(cell, cfg)
+    if violation is not None:
+        raise ValueError(f"cell invalid: {violation}")
+    return cell
 
 
 def random_digits(
@@ -398,8 +411,4 @@ def cell_from_text(text: str, cfg: SpaceConfig) -> CellSpec:
         except (ValueError, KeyError) as exc:
             raise ValueError(f"unparseable block {part!r}: {exc}") from exc
         blocks.append(BlockSpec(i1, i2, o1, o2))
-    cell = CellSpec(tuple(blocks), num_ops=cfg.num_ops)
-    violation = validate(cell, cfg)
-    if violation is not None:
-        raise ValueError(f"cell invalid: {violation}")
-    return cell
+    return require_valid(CellSpec(tuple(blocks), num_ops=cfg.num_ops), cfg)

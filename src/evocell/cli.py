@@ -32,14 +32,12 @@ from .evaluators import save_oracle
 from .harness import (
     ConfigError,
     StrategyConfig,
-    check_seed,
     compare,
     make_oracle,
     read_oracle_file,
     replay,
     resolve_target,
     run_strategy,
-    validate_config,
     write_jsonl,
 )
 
@@ -129,12 +127,12 @@ def parse_seeds(spec: str) -> List[int]:
         raise ConfigError(f"bad seeds spec {spec!r}")
     if not seeds:
         raise ConfigError(f"no seeds in {spec!r}")
-    return [check_seed(seed) for seed in seeds]
+    return seeds
 
 
 def build_strategy_config(opts: Dict[str, object], **fixed) -> StrategyConfig:
-    """The validated StrategyConfig that opts (and the fixed fields) set;
-    what they leave unset keeps StrategyConfig's default."""
+    """The StrategyConfig that opts (and the fixed fields) set, which checks
+    itself; what they leave unset keeps StrategyConfig's default."""
     values = {FIELD_OF[o]: opts[o] for o in FIELD_OF if o in opts}
     try:
         values["space"] = SpaceConfig(
@@ -146,19 +144,17 @@ def build_strategy_config(opts: Dict[str, object], **fixed) -> StrategyConfig:
     if "oracle" in opts:
         kind, seed, path = parse_oracle_spec(str(opts["oracle"]))
         values.update(oracle_kind=kind, oracle_seed=seed, oracle_path=path)
-    cfg = StrategyConfig(**{**values, **fixed})
-    validate_config(cfg)
-    return cfg
+    return StrategyConfig(**{**values, **fixed})
 
 
 def cmd_search(opts: Dict[str, object]) -> int:
     cfg = build_strategy_config(opts)
-    seed = check_seed(opts["seed"])
-    out_dir = str(opts["out"])
-    os.makedirs(out_dir, exist_ok=True)
+    seed = opts["seed"]
     oracle = make_oracle(cfg)
     target, target_source = resolve_target(oracle)
     summary, log = run_strategy(cfg, seed, oracle, target)
+    out_dir = str(opts["out"])
+    os.makedirs(out_dir, exist_ok=True)
     trace_path = os.path.join(out_dir, f"trace_{cfg.strategy}_{seed}.jsonl")
     write_jsonl(trace_path, log)
     payload = {

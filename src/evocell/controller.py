@@ -175,8 +175,8 @@ def controller_layout(
 def init_controller(
     cfg: SpaceConfig,
     rng: np.random.Generator,
-    embed_size: int = 100,
-    hidden_size: int = 100,
+    embed_size: int,
+    hidden_size: int,
     bidirectional: bool = True,
 ) -> ControllerParams:
     """Fresh policy parameters, every weight drawn N(0, 0.01^2)."""

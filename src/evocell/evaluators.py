@@ -37,8 +37,8 @@ from .arch_space import (
     cell_rank,
     cell_to_text,
     digit_radices,
+    require_valid,
     space_size,
-    validate,
 )
 
 ORACLE_FILE_VERSION = 1
@@ -200,13 +200,6 @@ def _squash(raw: float) -> float:
     return 1.0 / (1.0 + math.exp(-raw))
 
 
-def _checked(cell: CellSpec, cfg: SpaceConfig) -> CellSpec:
-    violation = validate(cell, cfg)
-    if violation is not None:
-        raise ValueError(f"cell invalid: {violation}")
-    return cell
-
-
 class LandscapeOracle(FitnessOracle):
     """Structured synthetic landscape usable on spaces of any size."""
 
@@ -226,7 +219,7 @@ class LandscapeOracle(FitnessOracle):
         self._lists = tuple((term.tolist(), a, b) for term, a, b in self.terms)
 
     def true_fitness(self, cell: CellSpec) -> float:
-        return self.lookup(_checked(cell, self.cfg))
+        return self.lookup(require_valid(cell, self.cfg))
 
     def lookup(self, cell: CellSpec) -> float:
         """The squash of the cell's raw score, its terms added in
@@ -281,7 +274,7 @@ class TabularOracle(FitnessOracle):
         return int(np.argmax(self._table))
 
     def true_fitness(self, cell: CellSpec) -> float:
-        return self.lookup(_checked(cell, self.cfg))
+        return self.lookup(require_valid(cell, self.cfg))
 
     def lookup(self, cell: CellSpec) -> float:
         return float(self._table[cell_rank(cell, self.cfg)])

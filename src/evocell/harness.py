@@ -27,6 +27,7 @@ import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -42,7 +43,6 @@ from .arch_space import (
 )
 from . import nn_core
 from .nn_core import (
-    AdamState,
     LSTMParams,
     ParamLayout,
     ParamViews,
@@ -69,7 +69,7 @@ from .evolution import (
     rng_streams,
     run as run_evolution,
 )
-from .reinforce import BASELINE_DECAY, FITNESS_CLIP, ReinforceTrainer, RewardConfig
+from .reinforce import BASELINE_DECAY, FITNESS_CLIP, ReinforceTrainer
 
 STRATEGIES = (
     "reinforced",
@@ -91,11 +91,6 @@ class ConfigError(ValueError):
     """Raised for invalid run configuration; the CLI exits nonzero on it."""
 
 
-def parse_baseline(text: str) -> Optional[str]:
-    """'ema', or 'none' / 'off' / '' for no baseline."""
-    return None if text.lower() in ("none", "off", "") else text
-
-
 def _setting(default, flag: Optional[str] = None, header=None, **cli):
     """A StrategyConfig field's default; its CLI flag, which is also its
     config-file key, with argparse keywords (type, choices, help); and its
@@ -103,16 +98,19 @@ def _setting(default, flag: Optional[str] = None, header=None, **cli):
     return field(default=default, metadata={"flag": flag, "header": header, "cli": cli})
 
 
-@dataclass
+@dataclass(frozen=True)
 class StrategyConfig:
     """Everything needed to reproduce a run except the seed.
 
-    The one schema of a run's settings: the CLI builds its flags and
-    config-file keys from the field metadata, and header_record /
-    config_from_header write and read the log header from it. space is
-    set by --blocks / --ops, and oracle_kind (tabular | landscape | file),
-    oracle_seed and oracle_path by --oracle (oracle build takes
-    --oracle-seed); noise is logged as the oracle's maturity sigma.
+    The one schema and the one check of a run's settings: the CLI builds
+    its flags and config-file keys from the field metadata, and
+    header_record / config_from_header write and read the log header from
+    it. space is set by --blocks / --ops, and oracle_kind (tabular |
+    landscape | file), oracle_seed and oracle_path by --oracle (oracle
+    build takes --oracle-seed); noise is logged as the oracle's maturity
+    sigma. Every way of building one (the CLI, a config file, a log
+    header, a library call, dataclasses.replace) runs __post_init__, which
+    raises a ConfigError naming the field; frozen, it stays as checked.
     """
 
     strategy: str = _setting("reinforced", "strategy", choices=STRATEGIES)
@@ -133,63 +131,72 @@ class StrategyConfig:
     embed_size: int = _setting(100, "embed", ("policy", "embed_size"), type=int)
     hidden_size: int = _setting(100, "hidden", ("policy", "hidden_size"), type=int)
     learning_rate: float = _setting(
-        AdamState.lr, "lr", ("policy", "learning_rate"), type=float
+        0.001, "lr", ("policy", "learning_rate"), type=float
     )
     entropy_weight: float = _setting(
-        RewardConfig.entropy_weight,
-        "entropy_weight",
-        ("policy", "entropy_weight"),
-        type=float,
-    )
-    baseline: Optional[str] = _setting(
-        RewardConfig.baseline,
-        "baseline",
-        ("policy", "baseline"),
-        type=parse_baseline,
-        help="ema | none",
+        0.1, "entropy_weight", ("policy", "entropy_weight"), type=float
     )
 
+    def __post_init__(self) -> None:
+        """Each field must have its declared type (an int an int, a float
+        any real number, neither a bool), then lie in its range."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _ACCEPTS[f.name]):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+        if self.strategy not in STRATEGIES:
+            raise ConfigError(
+                f"unknown strategy {self.strategy!r}; "
+                f"choose from {', '.join(STRATEGIES)}"
+            )
+        for name in ("noise", "learning_rate", "entropy_weight"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        for name, lowest in _LOWEST.items():
+            value = getattr(self, name)
+            if value is not None and value < lowest:
+                raise ConfigError(f"{name} must be >= {lowest}, got {value}")
+        if not self.learning_rate > 0:
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.strategy in POPULATION_STRATEGIES:
+            if self.pop_size < 2:
+                raise ConfigError(f"pop_size must be >= 2, got {self.pop_size}")
+            if not 2 <= self.sample_size <= self.pop_size:
+                raise ConfigError(
+                    f"sample_size must be in [2, pop_size], got {self.sample_size}"
+                )
+            if self.budget < self.pop_size:
+                raise ConfigError(
+                    "budget must cover initialization: "
+                    f"budget={self.budget} < pop_size={self.pop_size}"
+                )
+        if self.oracle_kind not in ("tabular", "landscape", "file"):
+            raise ConfigError(f"unknown oracle kind {self.oracle_kind!r}")
+        if self.oracle_kind == "file" and not self.oracle_path:
+            raise ConfigError("oracle kind 'file' requires a path")
 
-def validate_config(cfg: StrategyConfig) -> None:
-    if cfg.strategy not in STRATEGIES:
-        raise ConfigError(
-            f"unknown strategy {cfg.strategy!r}; choose from {', '.join(STRATEGIES)}"
-        )
-    if cfg.budget < 1:
-        raise ConfigError(f"budget must be >= 1, got {cfg.budget}")
-    if cfg.strategy in POPULATION_STRATEGIES:
-        if cfg.pop_size < 2:
-            raise ConfigError(f"pop_size must be >= 2, got {cfg.pop_size}")
-        if not 2 <= cfg.sample_size <= cfg.pop_size:
-            raise ConfigError(
-                f"sample_size must be in [2, pop_size], got {cfg.sample_size}"
-            )
-        if cfg.budget < cfg.pop_size:
-            raise ConfigError(
-                "budget must cover initialization: "
-                f"budget={cfg.budget} < pop_size={cfg.pop_size}"
-            )
-    if cfg.oracle_kind not in ("tabular", "landscape", "file"):
-        raise ConfigError(f"unknown oracle kind {cfg.oracle_kind!r}")
-    if cfg.oracle_kind == "file" and not cfg.oracle_path:
-        raise ConfigError("oracle kind 'file' requires a path")
-    if cfg.oracle_seed is not None and cfg.oracle_seed < 0:
-        raise ConfigError(f"oracle seed must be >= 0, got {cfg.oracle_seed}")
-    for name in ("noise", "learning_rate", "entropy_weight"):
-        value = getattr(cfg, name)
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
-    if cfg.noise is not None and cfg.noise < 0:
-        raise ConfigError(f"noise must be >= 0, got {cfg.noise}")
-    if min(cfg.embed_size, cfg.hidden_size) < 1:
-        raise ConfigError(
-            f"embed_size and hidden_size must be >= 1, got {cfg.embed_size}, "
-            f"{cfg.hidden_size}"
-        )
-    if not cfg.learning_rate > 0:
-        raise ConfigError(f"learning rate must be > 0, got {cfg.learning_rate}")
-    if cfg.baseline not in (None, "ema"):
-        raise ConfigError(f"unknown baseline {cfg.baseline!r}")
+
+# What each field accepts, read off its declared type (a float setting also
+# takes an int); the lowest value of each bounded number; and the (section,
+# key) in the log header of each field that has one.
+_ACCEPTS = {
+    name: tuple({float: (int, float)}.get(t, t) for t in get_args(hint) or (hint,))
+    for name, hint in get_type_hints(StrategyConfig).items()
+}
+_LOWEST = {"budget": 1, "oracle_seed": 0, "noise": 0, "embed_size": 1, "hidden_size": 1}
+_HEADER_KEYS = {
+    f.name: f.metadata["header"]
+    for f in fields(StrategyConfig)
+    if f.metadata.get("header")
+}
+
+
+def check_seed(seed: int) -> int:
+    """seed, if it can seed a run: an int >= 0, as rng_streams needs."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"a seed must be an int >= 0, got {seed!r}")
+    return seed
 
 
 def read_oracle_file(path: str) -> TabularOracle:
@@ -277,8 +284,8 @@ class ConstructionPolicy:
         self,
         cfg: SpaceConfig,
         rng: np.random.Generator,
-        embed_size: int = 100,
-        hidden_size: int = 100,
+        embed_size: int,
+        hidden_size: int,
     ):
         self.cfg = cfg
         self.embed_size = embed_size
@@ -462,24 +469,22 @@ def _population_trajectories(
 # ---------------------------------------------------------------------------
 
 
-def _reward_config(cfg: StrategyConfig) -> RewardConfig:
-    return RewardConfig(entropy_weight=cfg.entropy_weight, baseline=cfg.baseline)
-
-
 def config_sections(cfg: StrategyConfig) -> Dict[str, dict]:
     """cfg's record, by section, in the log header and summary.json.
 
-    The policy section also carries the fixed reward constants
-    (fitness_clip, baseline_decay).
+    The policy section also carries the trainer's fixed reward constants:
+    fitness_clip, baseline_decay and its one baseline kind, "ema".
     """
     sections = {
         "space": asdict(cfg.space),
-        "policy": {"fitness_clip": FITNESS_CLIP, "baseline_decay": BASELINE_DECAY},
+        "policy": {
+            "fitness_clip": FITNESS_CLIP,
+            "baseline_decay": BASELINE_DECAY,
+            "baseline": "ema",
+        },
     }
-    for f in fields(cfg):
-        if f.metadata.get("header"):
-            section, key = f.metadata["header"]
-            sections.setdefault(section, {})[key] = getattr(cfg, f.name)
+    for name, (section, key) in _HEADER_KEYS.items():
+        sections.setdefault(section, {})[key] = getattr(cfg, name)
     return sections
 
 
@@ -495,49 +500,23 @@ def header_record(cfg: StrategyConfig, seed: int, oracle: FitnessOracle) -> dict
     }
 
 
-def check_seed(seed: int) -> int:
-    """seed, if it can seed a run: >= 0, as rng_streams needs."""
-    if seed < 0:
-        raise ConfigError(f"seeds must be >= 0, got {seed}")
-    return seed
-
-
-def _header_int(value, key: str):
-    """value, if it is a JSON integer: an int, not a bool or a float."""
-    if type(value) is not int:
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
 def config_from_header(header: dict) -> Tuple[StrategyConfig, int]:
-    """The validated (config, seed) that header_record wrote; noise is the
-    logged maturity sigma.
-
-    Every integer it reads must be a JSON integer: the seed, which must
-    also pass check_seed, the space's sizes and each setting whose CLI type
-    is int (the run and policy sizes, and the oracle seed, which may be
-    null: seed 0).
+    """The (config, seed) that header_record wrote, checked as every config
+    and seed are, so a value of the wrong JSON type (a bool, a string, a
+    float for an integer) is a ConfigError naming it. noise is the logged
+    maturity sigma, read through the MaturityModel that the maturity record
+    is. The reward constants are not read: the rebuilt header writes them,
+    so a log that names others diverges at its header.
     """
     try:
-        values = {}
-        for f in fields(StrategyConfig):
-            if f.metadata.get("header"):
-                section, key = f.metadata["header"]
-                value = header[section][key]
-                if f.metadata["cli"].get("type") is int and not (
-                    value is None and f.name == "oracle_seed"
-                ):
-                    _header_int(value, f"{section}.{key}")
-                values[f.name] = value
-        space = {k: _header_int(v, f"space.{k}") for k, v in header["space"].items()}
+        values = {name: header[sec][key] for name, (sec, key) in _HEADER_KEYS.items()}
         cfg = StrategyConfig(
             strategy=header["strategy"],
-            space=SpaceConfig(**space),
-            noise=header["maturity"]["sigma"],
+            space=SpaceConfig(**header["space"]),
+            noise=MaturityModel(**header["maturity"]).sigma,
             **values,
         )
-        validate_config(cfg)
-        return cfg, check_seed(_header_int(header["seed"], "seed"))
+        return cfg, check_seed(header["seed"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed log header: {exc!r}")
 
@@ -635,7 +614,7 @@ def run_strategy(
     target: Optional[float] = None,
 ) -> Tuple[RunSummary, List[dict]]:
     """Run one strategy at one seed; returns (summary, log records)."""
-    validate_config(cfg)
+    check_seed(seed)
     if target is None:
         target, _ = resolve_target(oracle)
     started = time.perf_counter()
@@ -677,7 +656,7 @@ def _run_population_strategy(
             bidirectional=(cfg.strategy == "reinforced"),
         )
         policy = ControllerPolicy(params, streams["policy"])
-        trainer = ReinforceTrainer(params.p, _reward_config(cfg), lr=cfg.learning_rate)
+        trainer = ReinforceTrainer(params.p, cfg.learning_rate, cfg.entropy_weight)
     result = _evolve(cfg, streams, oracle, policy, trainer)
     true_vals, pop_mean, pop_var = _population_trajectories(result)
     log = list(_population_log(header_record(cfg, seed, oracle), result, step_record))
@@ -702,7 +681,7 @@ def _run_sampling(
             embed_size=cfg.embed_size,
             hidden_size=cfg.hidden_size,
         )
-        trainer = ReinforceTrainer(policy.p, _reward_config(cfg), lr=cfg.learning_rate)
+        trainer = ReinforceTrainer(policy.p, cfg.learning_rate, cfg.entropy_weight)
     else:
         rows = random_digits(cfg.space, streams["init"], cfg.budget).tolist()
     evals: List[dict] = []
@@ -757,12 +736,13 @@ def compare(
 
     Writes runs.csv (one row per evaluation per run), summary.json, and one
     trace_<strategy>_<seed>.jsonl per run into out_dir. Returns the summary
-    dict. Identical inputs produce a byte-identical runs.csv.
+    dict. Identical inputs produce a byte-identical runs.csv. Every
+    strategy's config and every seed is checked before a file is written.
     """
-    for name in strategies:
-        validate_config(replace(cfg, strategy=name))
-    if len(set(strategies)) != len(strategies):
+    run_cfgs = {name: replace(cfg, strategy=name) for name in strategies}
+    if len(run_cfgs) != len(strategies):
         raise ConfigError("duplicate strategies in comparison")
+    seeds = [check_seed(seed) for seed in seeds]
     if len(set(seeds)) != len(seeds):
         raise ConfigError("duplicate seeds in comparison")
     os.makedirs(out_dir, exist_ok=True)
@@ -770,8 +750,7 @@ def compare(
     target, target_source = resolve_target(oracle)
 
     summaries: Dict[str, List[RunSummary]] = {name: [] for name in strategies}
-    for name in strategies:
-        run_cfg = replace(cfg, strategy=name)
+    for name, run_cfg in run_cfgs.items():
         for seed in seeds:
             summary, log = run_strategy(run_cfg, seed, oracle, target)
             summaries[name].append(summary)

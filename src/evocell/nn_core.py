@@ -300,7 +300,7 @@ def draw_index_np(logp: np.ndarray, u: Union[np.ndarray, float]) -> np.ndarray:
 
 @dataclass(eq=False)
 class AdamState:
-    lr: float = 0.001
+    lr: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8

@@ -3,9 +3,9 @@
 Fitness in [0, 1) is mapped through tan(f * pi/2), clipped at FITNESS_CLIP,
 which stretches the top of the range so that small gains near the ceiling
 dominate the signal. The total reward adds a small entropy bonus, an
-exponential-moving-average baseline (decay BASELINE_DECAY; on by default,
-switchable off) centers it, and a single Adam step follows every child
-evaluation: on-policy, batch size one. The caller computes the gradient
+exponential-moving-average baseline (decay BASELINE_DECAY, always on)
+centers it, and a single Adam step follows every child evaluation:
+on-policy, batch size one. The caller computes the gradient
 of the sampled action's log-probability; the trainer shapes the reward,
 scales the gradient by the advantage and applies it. REINFORCE needs the
 log-probability's gradient, never its value, so the trainer takes no
@@ -15,7 +15,6 @@ log-probability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
@@ -42,34 +41,21 @@ def shaped_reward(fitness: float) -> float:
     return math.tan(degrees * _PI180)
 
 
-@dataclass
-class RewardConfig:
-    entropy_weight: float = 0.1
-    baseline: Optional[str] = "ema"  # "ema" or None for the raw-reward form
-
-    def __post_init__(self) -> None:
-        if self.baseline not in (None, "ema"):
-            raise ValueError(f"unknown baseline kind {self.baseline!r}")
-
-
 class ReinforceTrainer:
     """One optimizer + baseline around a policy's flat parameter buffer.
 
     The trainer is policy-agnostic: it takes the policy's ParamViews and
     steps their .flat buffer in place, and update() takes the gradient of
     the sampled action's log-probability in the same .layout, as each
-    policy's grads() returns it. The EMA baseline initializes to the first
-    observed reward and is always updated after the advantage that used it.
+    policy's grads() returns it. lr and entropy_weight are the run's
+    settings, which StrategyConfig holds and checks. The EMA baseline
+    initializes to the first observed reward and is always updated after
+    the advantage that used it.
     """
 
-    def __init__(
-        self,
-        params: ParamViews,
-        cfg: Optional[RewardConfig] = None,
-        lr: float = AdamState.lr,
-    ):
+    def __init__(self, params: ParamViews, lr: float, entropy_weight: float):
         self.params = params
-        self.cfg = cfg or RewardConfig()
+        self.entropy_weight = entropy_weight
         self.adam = AdamState(lr=lr)
         self.baseline: Optional[float] = None
         self.steps = 0
@@ -85,11 +71,8 @@ class ReinforceTrainer:
         RuntimeError, naming the parameter, if any gradient entry turns
         non-finite; the parameters are then unchanged.
         """
-        reward = shaped_reward(fitness) + self.cfg.entropy_weight * entropy
-        if self.cfg.baseline == "ema":
-            base = reward if self.baseline is None else self.baseline
-        else:
-            base = 0.0
+        reward = shaped_reward(fitness) + self.entropy_weight * entropy
+        base = reward if self.baseline is None else self.baseline
         advantage = reward - base
 
         if grads.layout != self.params.layout:
@@ -111,7 +94,6 @@ class ReinforceTrainer:
         grad_norm = math.sqrt(sq_sum)
 
         adam_step(self.adam, self.params.flat, g)
-        if self.cfg.baseline == "ema":
-            self.baseline = BASELINE_DECAY * base + (1.0 - BASELINE_DECAY) * reward
+        self.baseline = BASELINE_DECAY * base + (1.0 - BASELINE_DECAY) * reward
         self.steps += 1
         return {"reward": reward, "advantage": advantage, "grad_norm": grad_norm}

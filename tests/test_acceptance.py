@@ -52,7 +52,7 @@ from evocell.harness import (
     write_jsonl,
 )
 from evocell.nn_core import check_grads, log_softmax_np, shape_logits_np
-from evocell.reinforce import ReinforceTrainer, RewardConfig, shaped_reward
+from evocell.reinforce import ReinforceTrainer, shaped_reward
 
 
 def _report(capsys, number: int, ok: bool, detail: str) -> None:
@@ -304,7 +304,7 @@ def test_criterion_6_controller_learns_bandit(capsys):
     for seed in range(10):
         rng = np.random.default_rng(seed)
         params = init_controller(cfg, rng, embed_size=32, hidden_size=32)
-        trainer = ReinforceTrainer(params.p, RewardConfig(), lr=0.01)
+        trainer = ReinforceTrainer(params.p, lr=0.01, entropy_weight=0.1)
         solved_at = None
         for step in range(1, 2001):
             trace = sample_mutation(params, parent, rng)

@@ -48,6 +48,10 @@ def test_space_config_validation():
         SpaceConfig(num_blocks=2, num_ops=1)
     with pytest.raises(ValueError):
         SpaceConfig(num_blocks=2, num_ops=7)
+    for blocks, ops, name in ((2.5, 3, "num_blocks"), (True, 3, "num_blocks"),
+                              (2, 3.0, "num_ops")):
+        with pytest.raises(ValueError, match=f"^{name} must be an int"):
+            SpaceConfig(blocks, ops)
 
 
 def test_ops_prefix_subset():

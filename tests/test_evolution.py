@@ -233,7 +233,7 @@ def test_trainer_requires_gradient_capable_policy():
     pop = initialize(CFG, oracle, 4, streams["init"], streams["eval"])
     policy = RandomMutationPolicy(CFG, streams["policy"])
     params = init_controller(CFG, streams["params"], embed_size=4, hidden_size=4)
-    trainer = ReinforceTrainer(params.p)
+    trainer = ReinforceTrainer(params.p, lr=0.001, entropy_weight=0.1)
     with pytest.raises(ValueError):
         evolution_step(
             pop, policy, trainer, oracle, 2, streams["tournament"], streams["eval"]
@@ -343,7 +343,7 @@ def test_controller_policy_run_trains_and_logs_diagnostics():
     streams = rng_streams(13)
     params = init_controller(CFG, streams["params"], embed_size=6, hidden_size=6)
     policy = ControllerPolicy(params, streams["policy"])
-    trainer = ReinforceTrainer(params.p)
+    trainer = ReinforceTrainer(params.p, lr=0.001, entropy_weight=0.1)
     result = run(
         CFG, oracle, policy, trainer,
         budget=15, pop_size=5, sample_size=3, streams=streams,

@@ -23,7 +23,7 @@ from evocell.nn_core import (
     adam_step,
     save_params,
 )
-from evocell.reinforce import ReinforceTrainer, RewardConfig
+from evocell.reinforce import ReinforceTrainer
 
 TINY = dict(embed_size=4, hidden_size=5)
 CFG = SpaceConfig(num_blocks=3, num_ops=4)
@@ -139,7 +139,8 @@ def test_grad_norm_matches_the_per_array_sum():
     rng = np.random.default_rng(9)
     cell = random_cell(CFG, rng)
     trace = sample_mutation(params, cell, rng)
-    trainer = ReinforceTrainer(params.p, RewardConfig(baseline=None))
+    trainer = ReinforceTrainer(params.p, lr=0.001, entropy_weight=0.1)
+    trainer.baseline = 0.0  # so the first advantage is not 0
     grads = trace_grads(params, cell, trace)
     diag = trainer.update(grads, trace.total_entropy, 0.7)
     # the trainer scaled the gradient in place into the loss gradient
@@ -155,7 +156,8 @@ def test_non_finite_gradient_raises_naming_its_parameter(name):
     cell = random_cell(CFG, rng)
     trace = sample_mutation(params, cell, rng)
     before = params.p.flat.copy()
-    trainer = ReinforceTrainer(params.p, RewardConfig(baseline=None))
+    trainer = ReinforceTrainer(params.p, lr=0.001, entropy_weight=0.1)
+    trainer.baseline = 0.0  # so the first advantage is not 0
     grads = trace_grads(params, cell, trace)
     grads[name].reshape(-1)[-1] = np.nan
     with pytest.raises(RuntimeError, match=f"non-finite gradient in {name!r}"):
@@ -168,7 +170,7 @@ def test_trainer_rejects_a_gradient_of_another_layout():
     rng = np.random.default_rng(11)
     cell = random_cell(CFG, rng)
     trace = sample_mutation(other, cell, rng)
-    trainer = ReinforceTrainer(params.p)
+    trainer = ReinforceTrainer(params.p, lr=0.001, entropy_weight=0.1)
     with pytest.raises(ValueError):
         trainer.update(trace_grads(other, cell, trace), 0.0, 0.5)
 
@@ -180,7 +182,9 @@ def test_trainer_rejects_a_gradient_of_another_layout():
 
 def test_full_size_checkpoint_round_trip_through_a_json_name(tmp_path):
     cfg = SpaceConfig(num_blocks=5, num_ops=6)
-    params = init_controller(cfg, np.random.default_rng(12))  # E = H = 100
+    params = init_controller(
+        cfg, np.random.default_rng(12), embed_size=100, hidden_size=100
+    )
     path = os.path.join(tmp_path, "controller.json")
     save_controller(path, params)
     assert os.listdir(tmp_path) == ["controller.json"]  # written to exactly path

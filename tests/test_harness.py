@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -51,7 +52,6 @@ from evocell.harness import (
     replay,
     resolve_target,
     run_strategy,
-    validate_config,
     write_jsonl,
 )
 from evocell.nn_core import check_grads
@@ -80,40 +80,70 @@ def _cfg(strategy, **kwargs):
 # ---------------------------------------------------------------------------
 
 
-def test_validate_config_rejects_bad_inputs():
+def test_strategy_config_rejects_bad_inputs():
     with pytest.raises(ConfigError):
-        validate_config(_cfg("hillclimb"))
+        _cfg("hillclimb")
     with pytest.raises(ConfigError):
-        validate_config(_cfg("random", budget=0))
+        _cfg("random", budget=0)
     with pytest.raises(ConfigError):
-        validate_config(_cfg("reinforced", pop_size=1))
+        _cfg("reinforced", pop_size=1)
     with pytest.raises(ConfigError):
-        validate_config(_cfg("reinforced", sample_size=9))
+        _cfg("reinforced", sample_size=9)
     with pytest.raises(ConfigError):
-        validate_config(_cfg("ea_random", budget=7))  # below pop_size
+        _cfg("ea_random", budget=7)  # below pop_size
     with pytest.raises(ConfigError):
-        validate_config(_cfg("random", oracle_kind="csv"))
+        _cfg("random", oracle_kind="csv")
     with pytest.raises(ConfigError):
-        validate_config(_cfg("random", oracle_kind="file"))
+        _cfg("random", oracle_kind="file")
     with pytest.raises(ConfigError):
-        validate_config(_cfg("random", noise=-0.1))
+        _cfg("random", noise=-0.1)
     with pytest.raises(ConfigError):
-        validate_config(_cfg("random", baseline="avg"))
+        _cfg("random", oracle_seed=-1)
     with pytest.raises(ConfigError):
-        validate_config(_cfg("random", oracle_seed=-1))
+        _cfg("reinforced", embed_size=0)
     with pytest.raises(ConfigError):
-        validate_config(_cfg("reinforced", embed_size=0))
+        _cfg("reinforced", hidden_size=0)
     with pytest.raises(ConfigError):
-        validate_config(_cfg("reinforced", hidden_size=0))
+        _cfg("reinforced", learning_rate=-1.0)
     with pytest.raises(ConfigError):
-        validate_config(_cfg("reinforced", learning_rate=-1.0))
-    with pytest.raises(ConfigError):
-        validate_config(_cfg("rl_construct", learning_rate=0.0))
+        _cfg("rl_construct", learning_rate=0.0)
     for name in ("noise", "learning_rate", "entropy_weight"):
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ConfigError, match=name):
-                validate_config(_cfg("reinforced", **{name: value}))
-    validate_config(_cfg("reinforced"))  # the good case passes
+                _cfg("reinforced", **{name: value})
+    with pytest.raises(ConfigError, match="budget"):
+        replace(_cfg("reinforced"), budget=0)  # replace runs the same check
+    _cfg("reinforced")  # the good case passes
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(pop_size=8.0),
+        dict(pop_size=True),
+        dict(budget="40"),
+        dict(oracle_seed=7.0),
+        dict(learning_rate=True),
+        dict(entropy_weight="0.1"),
+        dict(noise=False),
+        dict(strategy=1),
+        dict(oracle_kind=None),
+        dict(oracle_kind="file", oracle_path=3),
+        dict(space=(2, 3)),
+    ],
+    ids=lambda kwargs: ",".join(f"{k}={v!r}" for k, v in kwargs.items()),
+)
+def test_strategy_config_rejects_a_value_of_another_type(kwargs):
+    name = list(kwargs)[-1]
+    with pytest.raises(ConfigError, match=f"^{name} must be"):
+        StrategyConfig(**kwargs)
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.0, "1"])
+def test_run_strategy_rejects_a_bad_seed(seed):
+    cfg = _cfg("random", budget=5)
+    with pytest.raises(ConfigError, match="seed"):
+        run_strategy(cfg, seed, make_oracle(cfg))
 
 
 @pytest.mark.parametrize(
@@ -473,6 +503,11 @@ def test_compare_rejects_bad_requests(tmp_path):
         compare(cfg, ["reinforced", "hillclimb"], [0], str(tmp_path), verbose=False)
     with pytest.raises(ConfigError):
         compare(cfg, ["random"], [0, 0], str(tmp_path), verbose=False)
+    out = tmp_path / "out"
+    for seeds in ([-1, 0], [0, True]):
+        with pytest.raises(ConfigError, match="seed"):
+            compare(cfg, ["random"], seeds, str(out), verbose=False)
+    assert not out.exists()  # checked before any file is written
 
 
 # ---------------------------------------------------------------------------
@@ -666,8 +701,7 @@ def test_replay_validates_each_logged_cell_once(strategy, tmp_path, monkeypatch)
         checked.append(cell)
         return validate(cell, cfg)
 
-    for module in (arch_space, evaluators):
-        monkeypatch.setattr(module, "validate", counted)
+    monkeypatch.setattr(arch_space, "validate", counted)
     replay(path)
     assert len(checked) == 12
 
@@ -727,6 +761,12 @@ def _another_cell(text):
         pytest.param("random", "eval", 0, ("index",), bool, id="eval-index-true"),
         pytest.param("ea_random", "final", 0, ("members", 0, "id"), float,
                      id="final-members-id-float"),
+        # the header names the trainer's one baseline kind, as it names its
+        # reward constants; a log that names another does not reproduce
+        pytest.param("ea_random", "header", 0, ("policy", "baseline"),
+                     lambda kind: None, id="header-policy.baseline-null"),
+        pytest.param("ea_random", "header", 0, ("policy", "baseline"),
+                     lambda kind: "none", id="header-policy.baseline-none"),
     ],
 )
 def test_replay_rejects_an_edited_record(strategy, kind, at, keys, change, tmp_path):
@@ -742,34 +782,78 @@ def test_replay_rejects_an_edited_record(strategy, kind, at, keys, change, tmp_p
         replay(path)
 
 
+def _header_keys():
+    """The header key that each StrategyConfig field is read from (the
+    space's sizes each), with the type it declares, and the run seed's."""
+    where = {"strategy": ("strategy",), "noise": ("maturity", "sigma")}
+    keys = {("seed",): int}
+    for f in fields(StrategyConfig):
+        if f.name == "space":
+            for name, hint in get_type_hints(SpaceConfig).items():
+                keys[("space", name)] = hint
+        else:
+            hint = get_type_hints(StrategyConfig)[f.name]
+            kind = next(t for t in get_args(hint) or (hint,) if t is not type(None))
+            keys[f.metadata.get("header") or where[f.name]] = kind
+    return keys
+
+
+# a value of each wrong JSON type, made from the logged one: a bool for every
+# key, a string for a number, a float for an int, an int for a string
+_WRONG = {
+    "bool": (object, lambda value: True),
+    "str": ((int, float), str),
+    "float": (int, float),
+    "int": (str, lambda value: 3),
+}
+
+
+def _header_type_cases():
+    for keys, kind in _header_keys().items():
+        label = "oracle-seed" if keys == ("oracle", "seed") else keys[-1]
+        for name, (types, change) in _WRONG.items():
+            if issubclass(kind, types):
+                yield pytest.param("ea_random", keys, change, id=f"{label}-{name}")
+
+
 @pytest.mark.parametrize(
     "strategy, keys, change",
     [
+        *_header_type_cases(),
         pytest.param("ea_random", ("seed",), lambda seed: -1, id="seed-negative"),
-        pytest.param("ea_random", ("seed",), float, id="seed-float"),
-        pytest.param("ea_random", ("seed",), bool, id="seed-bool"),
-        pytest.param("ea_random", ("space", "num_blocks"), bool, id="num_blocks-bool"),
-        pytest.param("ea_random", ("space", "num_ops"), float, id="num_ops-float"),
-        pytest.param("ea_random", ("run", "pop_size"), float, id="pop_size-float"),
-        pytest.param("ea_random", ("run", "sample_size"), float, id="sample_size-float"),
-        pytest.param("ea_random", ("run", "budget"), float, id="budget-float"),
-        pytest.param("ea_random", ("policy", "embed_size"), float, id="embed_size-float"),
-        pytest.param("ea_random", ("oracle", "seed"), float, id="oracle-seed-float"),
         pytest.param("random", ("run", "budget"), float, id="random-budget-float"),
     ],
 )
 def test_cli_replay_of_a_header_with_a_bad_integer_exits_2(
     strategy, keys, change, tmp_path, capsys
 ):
-    log, path = _logged(strategy, tmp_path)
+    # an oracle path is logged under kind file; an int path is a descriptor
+    # of the oracle file, which the check must leave open
+    oracle = {}
+    if keys == ("oracle", "path"):
+        table = tmp_path / "oracle.json"
+        save_oracle(str(table), build_tabular(CFG23, seed=7))
+        oracle = dict(oracle_kind="file", oracle_path=str(table))
+    log, path = _logged(strategy, tmp_path, **oracle)
     section = log[0]
     for key in keys[:-1]:
         section = section[key]
-    section[keys[-1]] = change(section[keys[-1]])
-    write_jsonl(path, log)
-    assert main(["replay", path]) == 2
+    value = change(section[keys[-1]])
+    fd = None
+    if keys == ("oracle", "path") and type(value) is int:
+        value = fd = os.open(oracle["oracle_path"], os.O_RDONLY)
+    section[keys[-1]] = value
+    try:
+        write_jsonl(path, log)
+        assert main(["replay", path]) == 2
+        if fd is not None:  # still open, on the same file
+            assert os.fstat(fd).st_ino == os.stat(oracle["oracle_path"]).st_ino
+    finally:
+        if fd is not None:
+            os.close(fd)
     err = capsys.readouterr().err
     assert err.startswith("error: malformed log header") and keys[-1] in err
+    assert err.count("\n") == 1
 
 
 def test_cli_replay_of_an_edited_log_exits_2(tmp_path, capsys):
@@ -809,7 +893,6 @@ def test_header_round_trips_through_config(strategy):
         oracle_kind="landscape",
         oracle_seed=3,
         noise=0.05,
-        baseline=None,
         learning_rate=0.01,
     )
     _, log = run_strategy(cfg, seed=4, oracle=make_oracle(cfg))
@@ -861,10 +944,6 @@ def test_parse_seeds():
         parse_seeds("3:3")
     with pytest.raises(ConfigError):
         parse_seeds("a,b")
-    with pytest.raises(ConfigError):
-        parse_seeds("-1:2")
-    with pytest.raises(ConfigError):
-        parse_seeds("3,-4")
 
 
 def test_parse_oracle_spec():
@@ -1152,7 +1231,6 @@ _SEARCH_SETTINGS = [
     ("hidden", "7"),
     ("lr", "0.01"),
     ("entropy_weight", "0.3"),
-    ("baseline", "none"),
 ]
 
 

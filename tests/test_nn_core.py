@@ -326,7 +326,7 @@ def test_shape_logits_gradcheck():
 def test_adam_zero_gradient_leaves_params_unchanged():
     p = np.array([1.0, -2.0])
     before = p.copy()
-    adam_step(AdamState(), p, np.zeros_like(p))
+    adam_step(AdamState(lr=0.001), p, np.zeros_like(p))
     assert np.array_equal(p, before)
 
 
@@ -360,7 +360,7 @@ def test_adam_missing_grad_treated_as_zero_but_moments_decay():
 
 def test_adam_rejects_a_gradient_of_another_size():
     with pytest.raises(ValueError):
-        adam_step(AdamState(), np.zeros(3), np.zeros(2))
+        adam_step(AdamState(lr=0.001), np.zeros(3), np.zeros(2))
 
 
 # ---------------------------------------------------------------------------

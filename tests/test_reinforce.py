@@ -29,7 +29,6 @@ from evocell.nn_core import check_grads, log_softmax_np, shape_logits_np
 from evocell.reinforce import (
     FITNESS_CLIP,
     ReinforceTrainer,
-    RewardConfig,
     shaped_reward,
 )
 
@@ -73,19 +72,15 @@ def test_shaped_reward_strictly_monotone(f1, f2):
     assert shaped_reward(lo) < shaped_reward(hi)
 
 
-def test_reward_config_validates_baseline_kind():
-    RewardConfig(baseline=None)
-    RewardConfig(baseline="ema")
-    with pytest.raises(ValueError):
-        RewardConfig(baseline="moving-something")
-
-
-def _bandit(seed=0, ops=2, **cfg_kwargs):
+def _bandit(seed=0, ops=2, entropy_weight=0.1, baseline=None):
+    """A one-block controller and its trainer; a given baseline primes the
+    EMA, which otherwise starts at the first reward."""
     cfg = SpaceConfig(num_blocks=1, num_ops=ops)
     rng = np.random.default_rng(seed)
     params = init_controller(cfg, rng, **TINY)
     cell = CellSpec((BlockSpec(CELL_PREV2, CELL_PREV1, Op.SEP3, Op.SEP3),), num_ops=ops)
-    trainer = ReinforceTrainer(params.p, RewardConfig(**cfg_kwargs))
+    trainer = ReinforceTrainer(params.p, lr=0.001, entropy_weight=entropy_weight)
+    trainer.baseline = baseline
     return cfg, params, cell, trainer, rng
 
 
@@ -104,22 +99,20 @@ def test_first_update_with_ema_baseline_is_a_no_op():
 
 
 def test_zero_advantage_no_baseline_zero_entropy_keeps_params():
-    cfg, params, cell, trainer, rng = _bandit(
-        seed=2, entropy_weight=0.0, baseline=None
-    )
+    cfg, params, cell, trainer, rng = _bandit(seed=2, entropy_weight=0.0, baseline=0.0)
     trace = sample_mutation(params, cell, rng)
     before = {name: a.copy() for name, a in params.named_params()}
     diag = trainer.update(
         trace_grads(params, cell, trace), trace.total_entropy, 0.0
     )
-    # fitness 0 -> shaped reward 0; no baseline -> advantage 0 -> no movement
+    # fitness 0 -> shaped reward 0; a zero baseline -> advantage 0 -> no movement
     assert diag["advantage"] == 0.0
     for name, a in params.named_params():
         assert np.array_equal(a, before[name]), name
 
 
 def test_positive_advantage_raises_trace_logprob():
-    cfg, params, cell, trainer, rng = _bandit(seed=3, baseline=None, entropy_weight=0.0)
+    cfg, params, cell, trainer, rng = _bandit(seed=3, baseline=0.0, entropy_weight=0.0)
     trace = sample_mutation(params, cell, rng)
     lp_before, _ = trace_logprob(params, cell, trace)
     for _ in range(2):
@@ -183,7 +176,7 @@ def test_high_entropy_weight_keeps_decisions_near_uniform():
     rng = np.random.default_rng(11)
     params = init_controller(cfg, rng, **TINY)
     cell = CellSpec((BlockSpec(CELL_PREV2, CELL_PREV1, Op.SEP3, Op.SEP3),), num_ops=2)
-    trainer = ReinforceTrainer(params.p, RewardConfig(entropy_weight=10.0))
+    trainer = ReinforceTrainer(params.p, lr=0.001, entropy_weight=10.0)
     for _ in range(5000):
         trace = sample_mutation(params, cell, rng)
         trainer.update(trace_grads(params, cell, trace), trace.total_entropy, 0.5)
