@@ -130,15 +130,11 @@ class Violation:
         return f"block {self.block}, field {self.field}: {self.reason}"
 
 
-def legal_inputs(block_index: int) -> List[int]:
-    """Legal input references for 1-based block b: -2, -1, then blocks 1..b-1."""
-    return [CELL_PREV2, CELL_PREV1] + list(range(1, block_index))
-
-
 @cache
-def _legal_input_refs(block_index: int) -> Tuple[int, ...]:
-    """legal_inputs, built once per block index."""
-    return tuple(legal_inputs(block_index))
+def legal_inputs(block_index: int) -> Tuple[int, ...]:
+    """Legal input references for 1-based block b: -2, -1, then blocks
+    1..b-1; built once per block index."""
+    return (CELL_PREV2, CELL_PREV1, *range(1, block_index))
 
 
 def validate(cell: CellSpec, cfg: SpaceConfig) -> Optional[Violation]:
@@ -160,7 +156,7 @@ def validate(cell: CellSpec, cfg: SpaceConfig) -> Optional[Violation]:
         )
     ops = cfg.ops
     for b, block in enumerate(cell.blocks, start=1):
-        allowed = _legal_input_refs(b)
+        allowed = legal_inputs(b)
         if block.i1 not in allowed:
             return Violation(
                 b, "i1", f"input {block.i1} not in legal set {list(allowed)}"

@@ -13,8 +13,9 @@ space and --oracle its oracle. Each subcommand registers only the options
 it reads. Options resolve as command line > config file > default. The
 config file is flat ``key = value`` lines (``#`` comments allowed) whose
 keys are the subcommand's long option names with underscores.
-Configuration errors exit with status 2; anything else that goes wrong is
-a bug and raises.
+Configuration errors, and a path the user names that cannot be read or
+written, exit with status 2 and one error: line; anything else that goes
+wrong is a bug and raises.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .evaluators import save_oracle
 from .harness import (
     ConfigError,
     StrategyConfig,
-    compare,
     make_oracle,
     read_oracle_file,
     replay,
@@ -75,24 +75,26 @@ RUN_OPTIONS = (
 
 def load_config_file(path: str, keys: Sequence[str]) -> Dict[str, object]:
     """Flat key = value file; keys outside `keys` are configuration errors."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}")
     values: Dict[str, object] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in keys:
-                raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
-            try:
-                values[key] = OPTIONS[key].get("type", str)(value.strip())
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in keys:
+            raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
+        try:
+            values[key] = OPTIONS[key].get("type", str)(value.strip())
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
     return values
 
 
@@ -169,11 +171,7 @@ def cmd_search(opts: Dict[str, object]) -> int:
     }
     with open(os.path.join(out_dir, f"search_{cfg.strategy}_{seed}.json"), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
-    reached = (
-        str(summary.evals_to_target)
-        if summary.evals_to_target is not None
-        else "never"
-    )
+    reached = summary.evals_to_target or "never"  # reached ones are >= 1
     print(
         f"{cfg.strategy} seed={seed}: best_true={summary.final_best_true:.4f} "
         f"target={target:.4f} evals_to_target={reached} "
@@ -189,6 +187,8 @@ def cmd_compare(opts: Dict[str, object]) -> int:
     seeds = parse_seeds(str(opts["seeds"]))
     cfg = build_strategy_config(opts, strategy=names[0])
     out_dir = str(opts["out"])
+    from .report import compare  # here, so that no other command loads scipy
+
     report = compare(cfg, names, seeds, out_dir)
     print(f"wrote {os.path.join(out_dir, 'runs.csv')}")
     print(f"wrote {os.path.join(out_dir, 'summary.json')}")
@@ -325,7 +325,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             opts.update(load_config_file(args.config, args.options))
         opts.update(vars(args))
         return args.func(opts)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: an unusable path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,15 +1,16 @@
-"""Recurrent mutation policy over cell genotypes.
+"""The two recurrent policies over cell genotypes: the mutation controller
+and the construction policy of rl_construct.
 
-The policy encodes a parent cell's token sequence with a bidirectional LSTM,
-then walks the blocks in order. For each block it first routes: which of the
-four searchable fields (i1, i2, o1, o2) to mutate, scored by a shared linear
-head over the field's encoder state. If an input field was chosen, a second
-head scores every legal replacement candidate, each represented by an
-encoder state: earlier blocks by the state of their combiner token, and the
-two previous-cell inputs by learned begin vectors. If an op field was
-chosen, a third head produces logits over the active op subset. Every
-softmax is squashed (shape_logits_np), so no decision can become
-deterministic.
+The mutation controller encodes a parent cell's token sequence with a
+bidirectional LSTM, then walks the blocks in order. For each block it first
+routes: which of the four searchable fields (i1, i2, o1, o2) to mutate,
+scored by a shared linear head over the field's encoder state. If an input
+field was chosen, a second head scores every legal replacement candidate,
+each represented by an encoder state: earlier blocks by the state of their
+combiner token, and the two previous-cell inputs by learned begin vectors.
+If an op field was chosen, a third head produces logits over the active op
+subset. Every softmax is squashed (shape_logits_np), so no decision can
+become deterministic.
 
 Everything runs on the numpy engine. encode_forward caches one encoder
 pass. One walk scores and chooses every block of one or many parents, and
@@ -20,6 +21,10 @@ with the choices forced. trace_grads backpropagates by hand-derived BPTT
 through a walk's own head scores and the encoder cache: the walk that
 sampled the trace when the caller kept it, otherwise the forced walk.
 Central differences of trace_logprob check it.
+
+ConstructionPolicy, on the same engine, emits a whole cell as one choice
+per field, each token fed back as the next LSTM input; its gradient
+backpropagates through the walk that sampled the cell.
 """
 
 from __future__ import annotations
@@ -39,8 +44,10 @@ from .arch_space import (
     CellSpec,
     Op,
     SpaceConfig,
-    _legal_input_refs,
+    cell_digits,
+    cell_from_digits,
     encode_tokens,
+    legal_inputs,
     vocab_size,
     with_fields,
 )
@@ -227,7 +234,7 @@ def _check_action(b: int, action: MutationAction, num_ops: int) -> bool:
     if action.target in (MutTarget.I1, MutTarget.I2):
         if isinstance(new, Op):
             raise ValueError(f"block {b}: input mutation carries an op replacement")
-        allowed = _legal_input_refs(b)
+        allowed = legal_inputs(b)
         if new not in allowed:
             raise ValueError(f"block {b}: input {new} not in legal set {list(allowed)}")
         return True
@@ -676,3 +683,158 @@ def load_controller(path: str) -> ControllerParams:
     )
     expected.check(layout)
     return ControllerParams(expected.views(flat), num_blocks, num_ops)
+
+
+# ---------------------------------------------------------------------------
+# Sequential construction policy (rl_construct)
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _ConstructionWalk:
+    """One pass of the construction policy, kept for its gradient."""
+
+    cell: CellSpec
+    digits: List[int]  # the choice made at each step
+    tokens: List[int]  # the token each choice feeds to the next step
+    cache: nn_core.LSTMCache
+    heads: List[Tuple[np.ndarray, np.ndarray]]  # each step's raw scores, log-probs
+    total_logprob: float
+    total_entropy: float
+
+
+class ConstructionPolicy:
+    """Recurrent policy that emits a cell as 4 * num_blocks choices.
+
+    Per block, in order: i1, i2, o1, o2. Input choices are scored by a
+    shared head over the first b+1 slots (the legal references at block b);
+    ops by a separate head over the active subset. Chosen tokens feed back
+    as the next LSTM input, starting from a learned start vector. All
+    logits pass through the same squash as the mutation controller. Its
+    weights are self.p, the views of one flat buffer, each read by its
+    layout name.
+    """
+
+    def __init__(
+        self,
+        cfg: SpaceConfig,
+        rng: np.random.Generator,
+        embed_size: int,
+        hidden_size: int,
+    ):
+        self.cfg = cfg
+        self.embed_size = embed_size
+        self.hidden_size = hidden_size
+        B = cfg.num_blocks
+        layout = ParamLayout(
+            [
+                ("embedding", (vocab_size(B), embed_size)),
+                ("start", (1, embed_size)),
+                *nn_core.lstm_spec("lstm", embed_size, hidden_size),
+                ("w_input", (hidden_size, B + 1)),
+                ("b_input", (1, B + 1)),
+                ("w_op", (hidden_size, cfg.num_ops)),
+                ("b_op", (1, cfg.num_ops)),
+            ]
+        )
+        self.p = layout.views(layout.draw(rng))
+        self.lstm = LSTMParams(*nn_core.lstm_entries(self.p, "lstm"))
+        self._last: Optional[_ConstructionWalk] = None
+
+    def named_params(self) -> List[Tuple[str, np.ndarray]]:
+        return list(self.p.items())
+
+    def _decision_plan(self) -> List[Tuple[str, int]]:
+        kinds = ("input", "input", "op", "op")
+        return [(kind, b) for b in range(1, self.cfg.num_blocks + 1) for kind in kinds]
+
+    def _raw(self, kind: str, b: int, h: np.ndarray) -> np.ndarray:
+        if kind == "input":
+            return (h @ self.p["w_input"] + self.p["b_input"][0])[: b + 1]
+        return h @ self.p["w_op"] + self.p["b_op"][0]
+
+    def _walk(
+        self, rng: Optional[np.random.Generator], digits: Optional[Sequence[int]] = None
+    ) -> _ConstructionWalk:
+        """Run the policy over one cell: sample each choice from rng, or
+        teacher-force the given digits. Both fill the LSTM cache identically."""
+        T = 4 * self.cfg.num_blocks
+        X = np.empty((T, 1, self.embed_size))
+        cache = nn_core.LSTMCache.empty(X, self.hidden_size)
+        op_base = 2 + self.cfg.num_blocks
+        x = self.p["start"][0]
+        chosen: List[int] = []
+        tokens: List[int] = []
+        heads: List[Tuple[np.ndarray, np.ndarray]] = []
+        total_lp = total_h = 0.0
+        for t, (kind, b) in enumerate(self._decision_plan()):
+            cache.X[t, 0] = x
+            np.matmul(x, self.lstm.Wx, out=cache.gates[t, 0])
+            nn_core.lstm_step_np(self.lstm, cache, t)
+            raw = self._raw(kind, b, cache.h[t, 0])
+            logp = nn_core.squashed_logp_np(raw)
+            idx = int(
+                draw_index_np(logp, rng.random()) if digits is None else digits[t]
+            )
+            total_lp += float(logp[idx])
+            total_h += float(entropy_from_logp_np(logp))
+            chosen.append(idx)
+            tokens.append(idx if kind == "input" else op_base + idx)
+            heads.append((raw, logp))
+            x = self.p["embedding"][tokens[-1]]
+        cell = cell_from_digits(chosen, self.cfg)
+        return _ConstructionWalk(cell, chosen, tokens, cache, heads, total_lp, total_h)
+
+    def sample(self, rng: np.random.Generator) -> Tuple[CellSpec, float, float]:
+        """Draw one cell; returns (cell, total log-prob, total entropy).
+
+        The walk is kept so that grads() for this cell reuses it.
+        """
+        walk = self._walk(rng)
+        self._last = walk
+        return walk.cell, walk.total_logprob, walk.total_entropy
+
+    def grads(self, cell: CellSpec) -> ParamViews:
+        """The gradient of the log-prob of emitting exactly this cell (one
+        flat vector in self.p's layout, as per-name views), by hand-derived
+        BPTT; criterion 3 checks it against central differences of
+        logprob().
+
+        It backpropagates through a walk's own head scores: the walk of
+        the last sample(), reused once if it emitted this cell (the
+        parameters must be unchanged since), or else a fresh walk that
+        replays the cell's choices.
+        """
+        walk, self._last = self._last, None
+        if walk is None or walk.cell != cell:
+            walk = self._walk(None, cell_digits(cell))
+        cache = walk.cache
+        T, H = len(walk.digits), self.hidden_size
+        dh = np.zeros((1, T, H))
+        grads = self.p.layout.zeros()
+        d_w_input, d_b_input = grads["w_input"], grads["b_input"]
+        d_w_op, d_b_op = grads["w_op"], grads["b_op"]
+        for t, (kind, b) in enumerate(self._decision_plan()):
+            h = cache.h[t, 0]
+            g = nn_core.squashed_logp_grad_np(*walk.heads[t], walk.digits[t])
+            if kind == "input":
+                dh[0, t] = self.p["w_input"][:, : b + 1] @ g
+                d_w_input[:, : b + 1] += np.outer(h, g)
+                d_b_input[0, : b + 1] += g
+            else:
+                dh[0, t] = self.p["w_op"] @ g
+                d_w_op += np.outer(h, g)
+                d_b_op[0] += g
+        dX = nn_core.lstm_backward_np(
+            self.lstm, cache, dh, out=nn_core.lstm_entries(grads, "lstm")
+        )[3]
+        # step t > 0 reads the token chosen at step t - 1
+        np.add.at(grads["embedding"], walk.tokens[:-1], dX[0, 1:])
+        grads["start"][...] = dX[0, :1]
+        return grads
+
+    def logprob(self, cell: CellSpec) -> Tuple[float, float]:
+        """(log-prob, entropy) of emitting exactly this cell: the totals of
+        a walk teacher-forced on its choices, as sample() sums them."""
+        walk = self._walk(None, cell_digits(cell))
+        return walk.total_logprob, walk.total_entropy

@@ -30,6 +30,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .arch_space import (
+    ENUMERATION_CAP,
     CellSpec,
     SpaceConfig,
     cell_from_rank,
@@ -367,14 +368,11 @@ class _SeededTable(TabularOracle):
 
 
 def build_tabular(
-    cfg: SpaceConfig,
-    seed: int,
-    maturity: Optional[MaturityModel] = None,
-    cap: int = 10**7,
+    cfg: SpaceConfig, seed: int, maturity: Optional[MaturityModel] = None
 ) -> TabularOracle:
     """The seeded landscape over every cell of a reduced space, affinely
-    rescaled to [0.05, 0.95], with its argmax; spaces above cap cells are a
-    ValueError.
+    rescaled to [0.05, 0.95], with its argmax; spaces above ENUMERATION_CAP
+    cells are a ValueError.
 
     No table is filled. Each score term reads two digit axes, so the running
     sum of all terms but the last spans only the axes those terms read
@@ -385,8 +383,10 @@ def build_tabular(
     by the same operations, bit for bit.
     """
     total = space_size(cfg)
-    if total > cap:
-        raise ValueError(f"space has {total} cells, above the tabulation cap {cap}")
+    if total > ENUMERATION_CAP:
+        raise ValueError(
+            f"space has {total} cells, above the tabulation cap {ENUMERATION_CAP}"
+        )
     weights = _LandscapeWeights.draw(cfg, seed)
     radices = digit_radices(cfg)
 
@@ -440,22 +440,26 @@ def save_oracle(path: str, oracle: TabularOracle, entry_cap: int = 10**6) -> Non
 
 
 def load_oracle(path: str) -> TabularOracle:
+    """The oracle save_oracle wrote, read as strictly as a log header: a
+    payload or entries that are not JSON objects, a space size that is not
+    an int or a fitness that is not a number in [0, 1] is a ValueError."""
     with open(path) as fh:
         payload = json.load(fh)
+    if type(payload) is not dict:
+        raise ValueError("an oracle file must hold one JSON object")
     if payload.get("version") != ORACLE_FILE_VERSION:
         raise ValueError(f"unsupported oracle file version {payload.get('version')!r}")
-    cfg = SpaceConfig(
-        num_blocks=int(payload["space"]["num_blocks"]),
-        num_ops=int(payload["space"]["num_ops"]),
-    )
+    cfg = SpaceConfig(**payload["space"])
     mat = MaturityModel(**payload["maturity"])
     total = space_size(cfg)
     entries: Dict[str, float] = payload["entries"]
+    if type(entries) is not dict:
+        raise ValueError("oracle entries must be a JSON object")
     if len(entries) != total:
         raise ValueError(f"expected {total} entries, file has {len(entries)}")
     table = np.full(total, np.nan)  # NaN marks a cell no entry has set yet
     for text, value in entries.items():
-        if not 0.0 <= value <= 1.0:  # NaN fails this too
+        if type(value) not in (int, float) or not 0.0 <= value <= 1.0:  # or NaN
             raise ValueError(f"entry {text} has fitness {value!r}, not in [0, 1]")
         rank = cell_rank(cell_from_text(text, cfg), cfg)
         if not np.isnan(table[rank]):

@@ -1,4 +1,4 @@
-"""Strategy runners, head-to-head comparison, run logs, and replay.
+"""Run settings, strategy runners, run logs, and replay.
 
 Five search strategies share one oracle and one seeding discipline:
 
@@ -13,43 +13,29 @@ Five search strategies share one oracle and one seeding discipline:
 
 Each run emits a JSONL trace sufficient to re-derive every evaluated cell
 without the policy networks, so any logged run can be replayed bit-exactly.
-Comparisons are scored on evaluations-to-target (target defaults to 99% of
-the oracle optimum) with rank-sum significance and bootstrap confidence
-intervals on paired speedups.
+A run is scored on evaluations-to-target (target defaults to 99% of the
+oracle optimum); report.compare sets strategies against each other.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-import os
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from typing import get_args, get_type_hints
 
 import numpy as np
 
 from .arch_space import (
-    CellSpec,
     SpaceConfig,
-    cell_digits,
     cell_from_digits,
     cell_from_text,
     cell_to_text,
     random_digits,
-    vocab_size,
 )
-from . import nn_core
-from .nn_core import (
-    LSTMParams,
-    ParamLayout,
-    ParamViews,
-    draw_index_np,
-    entropy_from_logp_np,
-)
-from .controller import init_controller, trace_from_dict, trace_to_dict
+from .controller import ConstructionPolicy, init_controller, trace_from_dict, trace_to_dict
 from .evaluators import (
     FitnessOracle,
     LandscapeOracle,
@@ -248,161 +234,6 @@ def resolve_target(oracle: FitnessOracle) -> Tuple[float, str]:
         return TARGET_FRACTION * oracle.optimum_fitness, "oracle_optimum"
     best = max(oracle.max_true_fitness(rows) for rows in pilot_digits(oracle))
     return TARGET_FRACTION * best, f"random_pilot({PILOT_SAMPLES})"
-
-
-# ---------------------------------------------------------------------------
-# Sequential construction policy (rl_construct)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _ConstructionWalk:
-    """One pass of the construction policy, kept for its gradient."""
-
-    cell: CellSpec
-    digits: List[int]  # the choice made at each step
-    tokens: List[int]  # the token each choice feeds to the next step
-    cache: nn_core.LSTMCache
-    heads: List[Tuple[np.ndarray, np.ndarray]]  # each step's raw scores, log-probs
-    total_logprob: float
-    total_entropy: float
-
-
-class ConstructionPolicy:
-    """Recurrent policy that emits a cell as 4 * num_blocks choices.
-
-    Per block, in order: i1, i2, o1, o2. Input choices are scored by a
-    shared head over the first b+1 slots (the legal references at block b);
-    ops by a separate head over the active subset. Chosen tokens feed back
-    as the next LSTM input, starting from a learned start vector. All
-    logits pass through the same squash as the mutation controller. Its
-    weights are self.p, the views of one flat buffer, each read by its
-    layout name.
-    """
-
-    def __init__(
-        self,
-        cfg: SpaceConfig,
-        rng: np.random.Generator,
-        embed_size: int,
-        hidden_size: int,
-    ):
-        self.cfg = cfg
-        self.embed_size = embed_size
-        self.hidden_size = hidden_size
-        B = cfg.num_blocks
-        layout = ParamLayout(
-            [
-                ("embedding", (vocab_size(B), embed_size)),
-                ("start", (1, embed_size)),
-                *nn_core.lstm_spec("lstm", embed_size, hidden_size),
-                ("w_input", (hidden_size, B + 1)),
-                ("b_input", (1, B + 1)),
-                ("w_op", (hidden_size, cfg.num_ops)),
-                ("b_op", (1, cfg.num_ops)),
-            ]
-        )
-        self.p = layout.views(layout.draw(rng))
-        self.lstm = LSTMParams(*nn_core.lstm_entries(self.p, "lstm"))
-        self._last: Optional[_ConstructionWalk] = None
-
-    def named_params(self) -> List[Tuple[str, np.ndarray]]:
-        return list(self.p.items())
-
-    def _decision_plan(self) -> List[Tuple[str, int]]:
-        kinds = ("input", "input", "op", "op")
-        return [(kind, b) for b in range(1, self.cfg.num_blocks + 1) for kind in kinds]
-
-    def _raw(self, kind: str, b: int, h: np.ndarray) -> np.ndarray:
-        if kind == "input":
-            return (h @ self.p["w_input"] + self.p["b_input"][0])[: b + 1]
-        return h @ self.p["w_op"] + self.p["b_op"][0]
-
-    def _walk(
-        self, rng: Optional[np.random.Generator], digits: Optional[Sequence[int]] = None
-    ) -> _ConstructionWalk:
-        """Run the policy over one cell: sample each choice from rng, or
-        teacher-force the given digits. Both fill the LSTM cache identically."""
-        T = 4 * self.cfg.num_blocks
-        X = np.empty((T, 1, self.embed_size))
-        cache = nn_core.LSTMCache.empty(X, self.hidden_size)
-        op_base = 2 + self.cfg.num_blocks
-        x = self.p["start"][0]
-        chosen: List[int] = []
-        tokens: List[int] = []
-        heads: List[Tuple[np.ndarray, np.ndarray]] = []
-        total_lp = total_h = 0.0
-        for t, (kind, b) in enumerate(self._decision_plan()):
-            cache.X[t, 0] = x
-            np.matmul(x, self.lstm.Wx, out=cache.gates[t, 0])
-            nn_core.lstm_step_np(self.lstm, cache, t)
-            raw = self._raw(kind, b, cache.h[t, 0])
-            logp = nn_core.squashed_logp_np(raw)
-            idx = int(
-                draw_index_np(logp, rng.random()) if digits is None else digits[t]
-            )
-            total_lp += float(logp[idx])
-            total_h += float(entropy_from_logp_np(logp))
-            chosen.append(idx)
-            tokens.append(idx if kind == "input" else op_base + idx)
-            heads.append((raw, logp))
-            x = self.p["embedding"][tokens[-1]]
-        cell = cell_from_digits(chosen, self.cfg)
-        return _ConstructionWalk(cell, chosen, tokens, cache, heads, total_lp, total_h)
-
-    def sample(self, rng: np.random.Generator) -> Tuple[CellSpec, float, float]:
-        """Draw one cell; returns (cell, total log-prob, total entropy).
-
-        The walk is kept so that grads() for this cell reuses it.
-        """
-        walk = self._walk(rng)
-        self._last = walk
-        return walk.cell, walk.total_logprob, walk.total_entropy
-
-    def grads(self, cell: CellSpec) -> ParamViews:
-        """The gradient of the log-prob of emitting exactly this cell (one
-        flat vector in self.p's layout, as per-name views), by hand-derived
-        BPTT; criterion 3 checks it against central differences of
-        logprob().
-
-        It backpropagates through a walk's own head scores: the walk of
-        the last sample(), reused once if it emitted this cell (the
-        parameters must be unchanged since), or else a fresh walk that
-        replays the cell's choices.
-        """
-        walk, self._last = self._last, None
-        if walk is None or walk.cell != cell:
-            walk = self._walk(None, cell_digits(cell))
-        cache = walk.cache
-        T, H = len(walk.digits), self.hidden_size
-        dh = np.zeros((1, T, H))
-        grads = self.p.layout.zeros()
-        d_w_input, d_b_input = grads["w_input"], grads["b_input"]
-        d_w_op, d_b_op = grads["w_op"], grads["b_op"]
-        for t, (kind, b) in enumerate(self._decision_plan()):
-            h = cache.h[t, 0]
-            g = nn_core.squashed_logp_grad_np(*walk.heads[t], walk.digits[t])
-            if kind == "input":
-                dh[0, t] = self.p["w_input"][:, : b + 1] @ g
-                d_w_input[:, : b + 1] += np.outer(h, g)
-                d_b_input[0, : b + 1] += g
-            else:
-                dh[0, t] = self.p["w_op"] @ g
-                d_w_op += np.outer(h, g)
-                d_b_op[0] += g
-        dX = nn_core.lstm_backward_np(
-            self.lstm, cache, dh, out=nn_core.lstm_entries(grads, "lstm")
-        )[3]
-        # step t > 0 reads the token chosen at step t - 1
-        np.add.at(grads["embedding"], walk.tokens[:-1], dX[0, 1:])
-        grads["start"][...] = dX[0, :1]
-        return grads
-
-    def logprob(self, cell: CellSpec) -> Tuple[float, float]:
-        """(log-prob, entropy) of emitting exactly this cell: the totals of
-        a walk teacher-forced on its choices, as sample() sums them."""
-        walk = self._walk(None, cell_digits(cell))
-        return walk.total_logprob, walk.total_entropy
 
 
 # ---------------------------------------------------------------------------
@@ -703,151 +534,6 @@ def _run_sampling(
 
 
 # ---------------------------------------------------------------------------
-# Comparison across strategies and seeds
-# ---------------------------------------------------------------------------
-
-
-def _censored(values: Sequence[Optional[int]], budget: int) -> np.ndarray:
-    # runs that never reach the target count as budget + 1: finite, worst rank
-    return np.array(
-        [budget + 1 if v is None else v for v in values], dtype=np.float64
-    )
-
-
-def _bootstrap_ci(
-    values: np.ndarray, stat, n_boot: int = 2000, seed: int = 1234
-) -> Tuple[float, float]:
-    rng = np.random.default_rng(seed)
-    n = values.shape[0]
-    samples = np.empty(n_boot)
-    for i in range(n_boot):
-        samples[i] = stat(values[rng.integers(0, n, size=n)])
-    return float(np.percentile(samples, 2.5)), float(np.percentile(samples, 97.5))
-
-
-def compare(
-    cfg: StrategyConfig,
-    strategies: Sequence[str],
-    seeds: Sequence[int],
-    out_dir: str,
-    verbose: bool = True,
-) -> dict:
-    """Run every strategy on every seed against one shared oracle.
-
-    Writes runs.csv (one row per evaluation per run), summary.json, and one
-    trace_<strategy>_<seed>.jsonl per run into out_dir. Returns the summary
-    dict. Identical inputs produce a byte-identical runs.csv. Every
-    strategy's config and every seed is checked before a file is written.
-    """
-    run_cfgs = {name: replace(cfg, strategy=name) for name in strategies}
-    if len(run_cfgs) != len(strategies):
-        raise ConfigError("duplicate strategies in comparison")
-    seeds = [check_seed(seed) for seed in seeds]
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError("duplicate seeds in comparison")
-    os.makedirs(out_dir, exist_ok=True)
-    oracle = make_oracle(cfg)
-    target, target_source = resolve_target(oracle)
-
-    summaries: Dict[str, List[RunSummary]] = {name: [] for name in strategies}
-    for name, run_cfg in run_cfgs.items():
-        for seed in seeds:
-            summary, log = run_strategy(run_cfg, seed, oracle, target)
-            summaries[name].append(summary)
-            write_jsonl(
-                os.path.join(out_dir, f"trace_{name}_{seed}.jsonl"), log
-            )
-            if verbose:
-                reached = (
-                    str(summary.evals_to_target)
-                    if summary.evals_to_target is not None
-                    else "never"
-                )
-                print(
-                    f"[{name} seed={seed}] best_true={summary.final_best_true:.4f} "
-                    f"evals_to_target={reached} ({summary.wall_time:.1f}s)"
-                )
-
-    write_runs_csv(os.path.join(out_dir, "runs.csv"), summaries, strategies, seeds)
-    report = build_report(cfg, strategies, seeds, summaries, target, target_source)
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-    return report
-
-
-def build_report(
-    cfg: StrategyConfig,
-    strategies: Sequence[str],
-    seeds: Sequence[int],
-    summaries: Dict[str, List[RunSummary]],
-    target: float,
-    target_source: str,
-) -> dict:
-    per_strategy = {}
-    for name in strategies:
-        runs = summaries[name]
-        censored = _censored([s.evals_to_target for s in runs], cfg.budget)
-        per_strategy[name] = {
-            "evals_to_target": [
-                None if s.evals_to_target is None else s.evals_to_target
-                for s in runs
-            ],
-            "median_evals_to_target": float(np.median(censored)),
-            "unreached": int(sum(s.evals_to_target is None for s in runs)),
-            "final_best_true": [s.final_best_true for s in runs],
-            "median_final_best_true": float(
-                np.median([s.final_best_true for s in runs])
-            ),
-            "wall_time_s": [round(s.wall_time, 3) for s in runs],
-        }
-
-    comparisons = {}
-    if "reinforced" in strategies:
-        from scipy import stats  # here, not at start-up: only compare runs it
-
-        base = _censored(
-            [s.evals_to_target for s in summaries["reinforced"]], cfg.budget
-        )
-        for other in ("ea_random", "random", "rl_construct"):
-            if other not in strategies:
-                continue
-            other_vals = _censored(
-                [s.evals_to_target for s in summaries[other]], cfg.budget
-            )
-            ratios = other_vals / base
-            lo, hi = _bootstrap_ci(ratios, np.median)
-            pvalue = float(
-                stats.mannwhitneyu(base, other_vals, alternative="less").pvalue
-            )
-            comparisons[f"reinforced_vs_{other}"] = {
-                "speedup_median": float(np.median(ratios)),
-                "speedup_ci95": [lo, hi],
-                "rank_sum_p": pvalue,
-            }
-        if "reinforced_nonbi" in strategies:
-            nonbi = _censored(
-                [s.evals_to_target for s in summaries["reinforced_nonbi"]],
-                cfg.budget,
-            )
-            diffs = nonbi - base
-            lo, hi = _bootstrap_ci(diffs, np.median)
-            comparisons["reinforced_nonbi_minus_reinforced"] = {
-                "median_diff": float(np.median(diffs)),
-                "diff_ci95": [lo, hi],
-            }
-
-    return {
-        "version": LOG_VERSION,
-        **config_sections(cfg),
-        "target": target,
-        "target_source": target_source,
-        "seeds": list(seeds),
-        "strategies": per_strategy,
-        "comparisons": comparisons,
-    }
-
-
-# ---------------------------------------------------------------------------
 # File output
 # ---------------------------------------------------------------------------
 
@@ -864,38 +550,6 @@ def write_jsonl(path: str, records: Sequence[dict]) -> None:
 def read_jsonl(path: str) -> List[dict]:
     with open(path) as fh:
         return [json.loads(line) for line in fh if line.strip()]
-
-
-def _fmt(value: Optional[float]) -> str:
-    return "" if value is None else repr(float(value))
-
-
-def write_runs_csv(
-    path: str,
-    summaries: Dict[str, List[RunSummary]],
-    strategies: Sequence[str],
-    seeds: Sequence[int],
-) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["strategy", "seed", "eval", "true_fitness", "best_so_far", "pop_mean", "pop_var"]
-        )
-        for name in strategies:
-            for summary in summaries[name]:
-                n = len(summary.true_per_eval)
-                for i in range(n):
-                    writer.writerow(
-                        [
-                            name,
-                            summary.seed,
-                            i + 1,
-                            _fmt(summary.true_per_eval[i]),
-                            _fmt(summary.best_so_far[i]),
-                            _fmt(summary.pop_mean[i]) if summary.pop_mean else "",
-                            _fmt(summary.pop_var[i]) if summary.pop_var else "",
-                        ]
-                    )
 
 
 # ---------------------------------------------------------------------------

@@ -298,12 +298,12 @@ def draw_index_np(logp: np.ndarray, u: Union[np.ndarray, float]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass(eq=False)
 class AdamState:
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: Optional[np.ndarray] = None  # first moment, flat; allocated on the first step
     v: Optional[np.ndarray] = None  # second moment
@@ -330,20 +330,20 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> None:
         )
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     m, v = state.m, state.v
     w, step = state.work
-    m *= state.beta1
-    np.multiply(grad, 1.0 - state.beta1, out=w)
+    m *= ADAM_BETA1
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=w)
     m += w
-    v *= state.beta2
+    v *= ADAM_BETA2
     np.multiply(grad, grad, out=w)
-    w *= 1.0 - state.beta2
+    w *= 1.0 - ADAM_BETA2
     v += w
     np.divide(v, bc2, out=w)
     np.sqrt(w, out=w)
-    w += state.eps
+    w += ADAM_EPS
     np.divide(m, bc1, out=step)
     step *= state.lr
     step /= w

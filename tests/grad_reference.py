@@ -97,7 +97,7 @@ def controller_grads(params, cell, trace):
 
 
 def construction_grads(policy, cell):
-    """ConstructionPolicy.grads as a loop over tokens that scores each head
+    """controller.ConstructionPolicy.grads as a loop over tokens that scores each head
     again from the teacher-forced walk's LSTM outputs."""
     walk = policy._walk(None, cell_digits(cell))
     cache = walk.cache

@@ -26,6 +26,7 @@ from evocell.arch_space import (
     validate,
 )
 from evocell.controller import (
+    ConstructionPolicy,
     MutTarget,
     apply_mutation,
     encode_forward,
@@ -42,9 +43,7 @@ from evocell.evolution import (
     initialize,
 )
 from evocell.harness import (
-    ConstructionPolicy,
     StrategyConfig,
-    compare,
     make_oracle,
     read_jsonl,
     replay,
@@ -53,6 +52,7 @@ from evocell.harness import (
 )
 from evocell.nn_core import check_grads, log_softmax_np, shape_logits_np
 from evocell.reinforce import ReinforceTrainer, shaped_reward
+from evocell.report import compare
 
 
 def _report(capsys, number: int, ok: bool, detail: str) -> None:
@@ -351,7 +351,7 @@ def test_criterion_7_ablation_ordering(capsys, tmp_path):
         budget=600,
     )
     strategies = ("reinforced", "reinforced_nonbi", "ea_random", "random")
-    report = compare(cfg, strategies, list(range(20)), str(tmp_path), verbose=False)
+    report = compare(cfg, strategies, list(range(20)), str(tmp_path))
     med = {
         name: report["strategies"][name]["median_evals_to_target"]
         for name in strategies

@@ -60,9 +60,9 @@ def test_ops_prefix_subset():
 
 
 def test_legal_inputs_grow_with_block_index():
-    assert legal_inputs(1) == [CELL_PREV2, CELL_PREV1]
-    assert legal_inputs(2) == [CELL_PREV2, CELL_PREV1, 1]
-    assert legal_inputs(4) == [CELL_PREV2, CELL_PREV1, 1, 2, 3]
+    assert legal_inputs(1) == (CELL_PREV2, CELL_PREV1)
+    assert legal_inputs(2) == (CELL_PREV2, CELL_PREV1, 1)
+    assert legal_inputs(4) == (CELL_PREV2, CELL_PREV1, 1, 2, 3)
 
 
 def test_single_block_token_encoding():
@@ -123,7 +123,7 @@ def _field_by_field(cell, cfg):
             0, "num_ops", f"expected num_ops {cfg.num_ops}, got {cell.num_ops}"
         )
     for b, block in enumerate(cell.blocks, start=1):
-        allowed = legal_inputs(b)
+        allowed = list(legal_inputs(b))
         for field_name, ref in (("i1", block.i1), ("i2", block.i2)):
             if ref not in allowed:
                 return Violation(b, field_name, f"input {ref} not in legal set {allowed}")

@@ -415,7 +415,7 @@ def test_raw_score_equals_block_by_block_reference_bit_for_bit():
 
 def test_build_tabular_respects_cap():
     with pytest.raises(ValueError):
-        build_tabular(SpaceConfig(num_blocks=5, num_ops=6), seed=0, cap=10**7)
+        build_tabular(SpaceConfig(num_blocks=5, num_ops=6), seed=0)
 
 
 def test_tabular_matches_affine_rescale_of_landscape():

@@ -10,13 +10,13 @@ import pytest
 
 from evocell.arch_space import SpaceConfig, random_cell
 from evocell.controller import (
+    ConstructionPolicy,
     init_controller,
     load_controller,
     sample_mutation,
     save_controller,
     trace_grads,
 )
-from evocell.harness import ConstructionPolicy
 from evocell.nn_core import (
     AdamState,
     ParamLayout,

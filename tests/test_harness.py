@@ -30,6 +30,7 @@ from evocell.cli import (
     parse_oracle_spec,
     parse_seeds,
 )
+from evocell.controller import ConstructionPolicy
 from evocell.evaluators import LandscapeOracle, build_tabular, save_oracle, load_oracle
 from evocell.evolution import RandomMutationPolicy, rng_streams, run as run_evolution
 from evocell.harness import (
@@ -38,12 +39,10 @@ from evocell.harness import (
     STRATEGIES,
     TARGET_FRACTION,
     ConfigError,
-    ConstructionPolicy,
     ReplayDiverged,
     StrategyConfig,
     _evals_to_target,
     _population_trajectories,
-    compare,
     config_from_header,
     header_record,
     make_oracle,
@@ -55,6 +54,7 @@ from evocell.harness import (
     write_jsonl,
 )
 from evocell.nn_core import check_grads
+from evocell.report import compare
 
 CFG23 = SpaceConfig(num_blocks=2, num_ops=3)
 
@@ -446,7 +446,7 @@ def comparison(tmp_path_factory):
     out = tmp_path_factory.mktemp("cmp")
     cfg = _cfg("reinforced", budget=60, pop_size=10, sample_size=4)
     strategies = ["reinforced", "ea_random", "random"]
-    report = compare(cfg, strategies, [0, 1], str(out), verbose=False)
+    report = compare(cfg, strategies, [0, 1], str(out))
     return cfg, strategies, out, report
 
 
@@ -489,7 +489,7 @@ def test_compare_report_structure(comparison):
 def test_compare_is_byte_identical_across_reruns(comparison, tmp_path):
     cfg, strategies, out, report = comparison
     again = tmp_path / "again"
-    compare(cfg, strategies, [0, 1], str(again), verbose=False)
+    compare(cfg, strategies, [0, 1], str(again))
     assert (again / "runs.csv").read_bytes() == (out / "runs.csv").read_bytes()
     for name in strategies:
         for seed in (0, 1):
@@ -500,13 +500,13 @@ def test_compare_is_byte_identical_across_reruns(comparison, tmp_path):
 def test_compare_rejects_bad_requests(tmp_path):
     cfg = _cfg("reinforced")
     with pytest.raises(ConfigError):
-        compare(cfg, ["reinforced", "hillclimb"], [0], str(tmp_path), verbose=False)
+        compare(cfg, ["reinforced", "hillclimb"], [0], str(tmp_path))
     with pytest.raises(ConfigError):
-        compare(cfg, ["random"], [0, 0], str(tmp_path), verbose=False)
+        compare(cfg, ["random"], [0, 0], str(tmp_path))
     out = tmp_path / "out"
     for seeds in ([-1, 0], [0, True]):
         with pytest.raises(ConfigError, match="seed"):
-            compare(cfg, ["random"], seeds, str(out), verbose=False)
+            compare(cfg, ["random"], seeds, str(out))
     assert not out.exists()  # checked before any file is written
 
 
@@ -1131,12 +1131,39 @@ def test_cli_config_error_exits_2(tmp_path, capsys):
         "tabular_above_cap",
         "table_above_export_cap",
         "repeated_strategy",
+        "config_is_a_directory",
+        "config_not_utf8",
+        "search_out_is_a_file",
+        "compare_out_is_a_file",
+        "oracle_build_out_in_a_missing_directory",
+        "oracle_export_out_in_a_missing_directory",
+        "replay_out_is_a_directory",
     ],
 )
 def test_cli_bad_input_exits_2(case, tmp_path, capsys):
     missing = str(tmp_path / "absent.json")
     not_json = tmp_path / "trace.jsonl"
     not_json.write_text("not json\n")
+    not_utf8 = tmp_path / "latin1.cfg"
+    not_utf8.write_bytes(b"# caf\xe9\npop = 8\n")
+    a_file = tmp_path / "taken"
+    a_file.write_text("")
+    in_missing_dir = str(tmp_path / "absent" / "out.json")
+    table = str(tmp_path / "oracle.json")
+    save_oracle(table, build_tabular(CFG23, seed=7))
+    log = str(tmp_path / "run.jsonl")
+    cfg = _cfg("ea_random", budget=12)
+    write_jsonl(log, run_strategy(cfg, 0, make_oracle(cfg))[1])
+    # the path each unusable-path case names, which its error line must name
+    named = {
+        "config_is_a_directory": str(tmp_path),
+        "config_not_utf8": str(not_utf8),
+        "search_out_is_a_file": str(a_file),
+        "compare_out_is_a_file": str(a_file),
+        "oracle_build_out_in_a_missing_directory": in_missing_dir,
+        "oracle_export_out_in_a_missing_directory": in_missing_dir,
+        "replay_out_is_a_directory": str(tmp_path),
+    }
     argv = {
         "replay_missing": ["replay", missing],
         "replay_not_json": ["replay", str(not_json)],
@@ -1150,9 +1177,26 @@ def test_cli_bad_input_exits_2(case, tmp_path, capsys):
             "--blocks", "2", "--ops", "3", "--pop", "5", "--sample", "2",
             "--budget", "20", "--out", str(tmp_path),
         ],
+        "config_is_a_directory": ["search", "--config", str(tmp_path)],
+        "config_not_utf8": ["search", "--config", str(not_utf8)],
+        "search_out_is_a_file": _search_args(a_file),
+        "compare_out_is_a_file": [
+            "compare", "--strategies", "random", "--seeds", "0", "--blocks", "2",
+            "--ops", "3", "--budget", "20", "--out", str(a_file),
+        ],
+        "oracle_build_out_in_a_missing_directory": [
+            "oracle", "build", "--blocks", "2", "--ops", "3", "--out", in_missing_dir,
+        ],
+        "oracle_export_out_in_a_missing_directory": [
+            "oracle", "export", table, "--out", in_missing_dir,
+        ],
+        "replay_out_is_a_directory": ["replay", log, "--out", str(tmp_path)],
     }[case]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if case in named:
+        assert err.count("\n") == 1 and named[case] in err
 
 
 @pytest.mark.parametrize(
@@ -1175,6 +1219,36 @@ def test_cli_oracle_file_with_a_bad_maturity_exits_2(field, value, tmp_path, cap
     assert main(_search_args(tmp_path, ["--oracle", f"file:{path}"])) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"maturity {field}" in err
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("payload-list", "JSON object"),
+        ("entries-list", "JSON object"),
+        ("num_blocks-float", "num_blocks"),
+        ("num_ops-float", "num_ops"),
+        ("fitness-true", "fitness True"),
+    ],
+)
+def test_cli_oracle_file_of_a_bad_shape_exits_2(case, message, tmp_path, capsys):
+    path = tmp_path / "oracle.json"
+    save_oracle(str(path), build_tabular(CFG23, seed=7))
+    payload = json.loads(path.read_text())
+    if case == "payload-list":
+        payload = [payload]
+    elif case == "entries-list":
+        payload["entries"] = list(payload["entries"].items())
+    elif case == "num_blocks-float":
+        payload["space"]["num_blocks"] = 2.5
+    elif case == "num_ops-float":
+        payload["space"]["num_ops"] = 3.0
+    else:
+        payload["entries"][next(iter(payload["entries"]))] = True
+    path.write_text(json.dumps(payload))
+    assert main(_search_args(tmp_path, ["--oracle", f"file:{path}"])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 @pytest.mark.parametrize(
@@ -1205,7 +1279,7 @@ def built_configs(monkeypatch):
         raise _Captured
 
     monkeypatch.setattr(cli, "make_oracle", capture)
-    monkeypatch.setattr(cli, "compare", capture)
+    monkeypatch.setattr("evocell.report.compare", capture)
     return seen
 
 

@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, every
 function, class and method the package defines is referenced from src,
-tests or perfbench, only nn_core names the tape's Tensor, and search and
-replay start on numpy alone."""
+tests or perfbench, only nn_core names the tape's Tensor, only report
+imports scipy and harness nothing of nn_core, and search and replay start
+on numpy alone."""
 
 import ast
 import os
@@ -134,6 +135,46 @@ def test_only_nn_core_names_the_tape_tensor():
         if "Tensor" in {name for name, _ in _references(ast.parse(path.read_text()))}
     ]
     assert naming == ["nn_core.py"]
+
+
+def _imported(tree):
+    """Each module an import statement names, and each name it imports
+    from one, as dotted paths without the leading dots of a relative
+    import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            yield base
+            yield from (f"{base}.{alias.name}".lstrip(".") for alias in node.names)
+
+
+def test_report_alone_imports_scipy_and_harness_no_nn_core():
+    imports = {
+        path.name: set(_imported(ast.parse(path.read_text())))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    scipy_users = [
+        name
+        for name, modules in imports.items()
+        if any(m.split(".")[0] == "scipy" for m in modules)
+    ]
+    assert scipy_users == ["report.py"]
+    assert not [m for m in imports["harness.py"] if "nn_core" in m.split(".")]
+
+
+def test_no_module_imports_report_when_it_loads():
+    # the CLI imports report only to run compare, so its other commands start
+    # without scipy
+    loading = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and "report" in {m.rsplit(".", 1)[-1] for m in _imported(node)}
+    ]
+    assert loading == []
 
 
 SEARCH_AND_REPLAY = textwrap.dedent(

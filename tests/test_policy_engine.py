@@ -9,6 +9,7 @@ import pytest
 from evocell import controller
 from evocell.arch_space import SpaceConfig, random_cell
 from evocell.controller import (
+    ConstructionPolicy,
     encode_forward,
     init_controller,
     sample_mutation,
@@ -17,7 +18,6 @@ from evocell.controller import (
     trace_logprob,
 )
 from evocell.evolution import ControllerPolicy
-from evocell.harness import ConstructionPolicy
 from evocell.nn_core import check_grads
 import grad_reference
 from policy_reference import construction_logprob, controller_logprob
