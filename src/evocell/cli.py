@@ -33,6 +33,7 @@ from .evaluators import save_oracle
 from .harness import (
     ConfigError,
     StrategyConfig,
+    check_seed,
     make_oracle,
     read_oracle_file,
     replay,
@@ -151,12 +152,12 @@ def build_strategy_config(opts: Dict[str, object], **fixed) -> StrategyConfig:
 
 def cmd_search(opts: Dict[str, object]) -> int:
     cfg = build_strategy_config(opts)
-    seed = opts["seed"]
+    seed = check_seed(opts["seed"])
     oracle = make_oracle(cfg)
+    out_dir = str(opts["out"])
+    os.makedirs(out_dir, exist_ok=True)  # an unusable --out fails before the run
     target, target_source = resolve_target(oracle)
     summary, log = run_strategy(cfg, seed, oracle, target)
-    out_dir = str(opts["out"])
-    os.makedirs(out_dir, exist_ok=True)
     trace_path = os.path.join(out_dir, f"trace_{cfg.strategy}_{seed}.jsonl")
     write_jsonl(trace_path, log)
     payload = {
@@ -252,9 +253,15 @@ def cmd_oracle_export(opts: Dict[str, object]) -> int:
 
 
 def cmd_replay(opts: Dict[str, object]) -> int:
+    out = opts["out_file"]
+    if out:  # an unusable --out fails before the replay
+        if os.path.isdir(out):
+            raise ConfigError(f"--out {out} is a directory")
+        if not os.path.isdir(os.path.dirname(out) or "."):
+            raise ConfigError(f"--out {out} is in a directory that does not exist")
     final = replay(opts["log"])
-    if opts["out_file"]:
-        with open(opts["out_file"], "w") as fh:
+    if out:
+        with open(out, "w") as fh:
             json.dump(final, fh, indent=2, sort_keys=True)
     print(
         f"replayed {opts['log']}: best_cell={final['best_cell']} "

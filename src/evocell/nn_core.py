@@ -6,11 +6,13 @@ feeds), a hand-derived BPTT backward over the same cache
 (lstm_backward_np), the squashed log-softmax heads and their gradient (one
 chosen index per row, so many heads are differentiated at once), the one
 inverse-CDF draw both policies sample with (draw_index_np, one uniform per
-row), and Adam. A policy keeps all its parameters in one flat float64 buffer
-(ParamLayout names the views into it), so Adam, the gradient norm and
-checkpoints each run over one vector; a checkpoint is that buffer plus JSON
-metadata in one binary file. check_grads holds every analytic gradient to
-central differences of a forward-only loss.
+row), and Adam in Kingma & Ba's efficient form, its bias corrections folded
+into two scalars and its update run over L2-sized slices. A policy keeps
+all its parameters in one flat float64 buffer (ParamLayout names the views
+into it), so Adam, the gradient norm and checkpoints each run over one
+vector; a checkpoint is that buffer plus JSON metadata in one binary file.
+check_grads holds every analytic gradient to central differences of a
+forward-only loss.
 
 A parameter is a plain ndarray view, read by its layout name. Tensor is a
 small tape autodiff over 2-D arrays (backward, gradcheck) that the tests
@@ -300,29 +302,46 @@ def draw_index_np(logp: np.ndarray, u: Union[np.ndarray, float]) -> np.ndarray:
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
+# Elements Adam updates per pass over its vectors. One slice of the
+# parameters, gradient, both moments and the work vector is 5 x 256 KiB of
+# float64, which stays within a core's 2 MiB L2 across the update's dozen
+# passes. A whole 164k-element bidirectional policy (1.3 MiB per vector)
+# does not, and its update measured about 20 % slower unsliced, and 9 %
+# slower in 16k slices.
+ADAM_SLICE = 32768
+
 
 @dataclass(eq=False)
 class AdamState:
+    """Adam's step count and moments over one flat vector; work is one
+    slice of scratch, so the update's temporaries never grow with the
+    vector."""
+
     lr: float
     step_count: int = 0
     m: Optional[np.ndarray] = None  # first moment, flat; allocated on the first step
     v: Optional[np.ndarray] = None  # second moment
-    work: Optional[np.ndarray] = None  # (2, size) scratch for the update
+    work: Optional[np.ndarray] = None  # (min(ADAM_SLICE, size),) scratch
 
 
 def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> None:
     """One Adam update with bias correction, in place on a flat parameter
     vector. A zero gradient entry still decays that entry's moments.
 
-    Element for element it evaluates the textbook expressions, in their
-    order: m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2, then
-    params -= lr m_hat / (sqrt(v_hat) + eps); two preallocated work vectors
-    stand in for the temporaries.
+    The moments follow the textbook expressions in their order,
+    m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2, and the step is
+    Kingma & Ba's efficient form (arXiv 1412.6980, section 2): both bias
+    corrections fold into two scalars, lr_t = lr sqrt(1 - b2^t) / (1 - b1^t)
+    and eps_t = eps sqrt(1 - b2^t), and params -= lr_t m / (sqrt(v) + eps_t).
+    That is algebraically the textbook update with one divide per element
+    instead of three, so only rounding differs from it. The update runs
+    one work vector's length (ADAM_SLICE when the state was allocated) at a
+    time; every element's operations are the same at any slicing.
     """
     if state.m is None:
         state.m = np.zeros_like(params)
         state.v = np.zeros_like(params)
-        state.work = np.empty((2,) + params.shape)
+        state.work = np.empty(min(ADAM_SLICE, params.size))
     if grad.shape != params.shape or state.m.shape != params.shape:
         raise ValueError(
             f"Adam over {params.shape} got gradient {grad.shape}, "
@@ -330,24 +349,25 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> None:
         )
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - ADAM_BETA1**t
-    bc2 = 1.0 - ADAM_BETA2**t
-    m, v = state.m, state.v
-    w, step = state.work
-    m *= ADAM_BETA1
-    np.multiply(grad, 1.0 - ADAM_BETA1, out=w)
-    m += w
-    v *= ADAM_BETA2
-    np.multiply(grad, grad, out=w)
-    w *= 1.0 - ADAM_BETA2
-    v += w
-    np.divide(v, bc2, out=w)
-    np.sqrt(w, out=w)
-    w += ADAM_EPS
-    np.divide(m, bc1, out=step)
-    step *= state.lr
-    step /= w
-    params -= step
+    root_bc2 = math.sqrt(1.0 - ADAM_BETA2**t)
+    lr_t = state.lr * root_bc2 / (1.0 - ADAM_BETA1**t)
+    eps_t = ADAM_EPS * root_bc2
+    size, width = params.size, state.work.size
+    for a in range(0, size, width):
+        b = min(a + width, size)
+        g, m, v, w = grad[a:b], state.m[a:b], state.v[a:b], state.work[: b - a]
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=w)
+        m += w
+        v *= ADAM_BETA2
+        np.multiply(g, g, out=w)
+        w *= 1.0 - ADAM_BETA2
+        v += w
+        np.sqrt(v, out=w)
+        w += eps_t
+        np.divide(m, w, out=w)
+        w *= lr_t
+        params[a:b] -= w
 
 
 # ---------------------------------------------------------------------------

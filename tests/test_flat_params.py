@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from evocell import nn_core
 from evocell.arch_space import SpaceConfig, random_cell
 from evocell.controller import (
     ConstructionPolicy,
@@ -101,7 +102,8 @@ def test_gradients_are_one_flat_vector_in_the_layout(kind):
 
 
 def _per_array_adam(state, named, grads):
-    """The per-array update flat Adam replaces, kept as its reference."""
+    """The textbook per-array update, with both moments bias-corrected
+    elementwise: the reference flat Adam agrees with up to rounding."""
     state["t"] += 1
     t = state["t"]
     bc1 = 1.0 - 0.9**t
@@ -119,19 +121,87 @@ def _per_array_adam(state, named, grads):
         p -= 0.001 * m_hat / (np.sqrt(v_hat) + 1e-8)
 
 
-def test_flat_adam_is_bit_identical_to_per_array_adam():
-    params = _policy("bi", seed=8)
+def _per_array_efficient_adam(state, named, grads):
+    """Kingma & Ba's efficient form per array, its bias corrections folded
+    into lr_t and eps_t: the update flat Adam runs, kept as its bitwise
+    reference."""
+    state["t"] += 1
+    t = state["t"]
+    root_bc2 = math.sqrt(1.0 - 0.999**t)
+    lr_t = 0.001 * root_bc2 / (1.0 - 0.9**t)
+    eps_t = 1e-8 * root_bc2
+    for name, p in named:
+        g = grads[name]
+        m = state["m"].setdefault(name, np.zeros_like(p))
+        v = state["v"].setdefault(name, np.zeros_like(p))
+        m *= 0.9
+        m += (1.0 - 0.9) * g
+        v *= 0.999
+        v += (1.0 - 0.999) * (g * g)
+        p -= lr_t * (m / (np.sqrt(v) + eps_t))
+
+
+def _adam_against(reference, seed):
+    """Yield (flat params, reference params) after each of 200 steps of
+    flat Adam and a per-array reference on the same gradients."""
+    params = _policy("bi", seed=seed)
     ref = {name: a.copy() for name, a in params.named_params()}
     ref_state = {"t": 0, "m": {}, "v": {}}
     state = AdamState(lr=0.001)
-    rng = np.random.default_rng(8)
+    rng = np.random.default_rng(seed)
     for _ in range(200):
         grads = params.p.layout.views(rng.normal(size=params.p.layout.size))
         grads["w_op"][...] = 0.0  # one parameter never gets a gradient
-        _per_array_adam(ref_state, list(ref.items()), grads)
+        reference(ref_state, list(ref.items()), grads)
         adam_step(state, params.p.flat, grads.flat)
-        for name, a in params.named_params():
+        yield params.named_params(), ref
+
+
+def test_flat_adam_is_bit_identical_to_per_array_adam():
+    for named, ref in _adam_against(_per_array_efficient_adam, seed=8):
+        for name, a in named:
             assert np.array_equal(a, ref[name]), name
+
+
+# The worst gap between the two forms over these 200 steps was 2.1e-17 at
+# seed 8 (1.7e-17 at seeds 1-3): three ulps of the largest parameters,
+# about 0.05. The bound leaves five times that, so drift that grows with
+# the step count would fail it.
+TEXTBOOK_ATOL = 1e-16
+
+
+def test_flat_adam_is_the_textbook_update_up_to_rounding():
+    worst = 0.0
+    for named, ref in _adam_against(_per_array_adam, seed=8):
+        for name, a in named:
+            worst = max(worst, float(np.max(np.abs(a - ref[name]))))
+    assert 0.0 < worst <= TEXTBOOK_ATOL
+
+
+def test_adam_slices_give_the_bits_of_one_slice(monkeypatch):
+    # two whole slices and a half-slice tail, so both the boundaries and
+    # the tail are covered; gradients with zeros, tiny and large entries
+    size = 2 * nn_core.ADAM_SLICE + nn_core.ADAM_SLICE // 2
+    rng = np.random.default_rng(11)
+    start = rng.normal(0.0, 0.01, size=size)
+    sliced, whole = start.copy(), start.copy()
+    sliced_state, whole_state = AdamState(lr=0.001), AdamState(lr=0.001)
+    grads = []
+    for _ in range(5):
+        g = rng.normal(size=size) * 10.0 ** rng.integers(-6, 3, size=size)
+        g[rng.random(size) < 0.1] = 0.0
+        grads.append(g)
+    for g in grads:
+        adam_step(sliced_state, sliced, g)
+    assert sliced_state.work.shape == (nn_core.ADAM_SLICE,)
+    monkeypatch.setattr(nn_core, "ADAM_SLICE", size)
+    for g in grads:
+        adam_step(whole_state, whole, g)
+    assert whole_state.work.shape == (size,)
+    assert np.array_equal(sliced, whole)
+    assert np.array_equal(sliced_state.m, whole_state.m)
+    assert np.array_equal(sliced_state.v, whole_state.v)
+    assert not np.array_equal(sliced, start)
 
 
 def test_grad_norm_matches_the_per_array_sum():

@@ -1138,9 +1138,10 @@ def test_cli_config_error_exits_2(tmp_path, capsys):
         "oracle_build_out_in_a_missing_directory",
         "oracle_export_out_in_a_missing_directory",
         "replay_out_is_a_directory",
+        "replay_out_in_a_missing_directory",
     ],
 )
-def test_cli_bad_input_exits_2(case, tmp_path, capsys):
+def test_cli_bad_input_exits_2(case, tmp_path, capsys, monkeypatch):
     missing = str(tmp_path / "absent.json")
     not_json = tmp_path / "trace.jsonl"
     not_json.write_text("not json\n")
@@ -1163,6 +1164,7 @@ def test_cli_bad_input_exits_2(case, tmp_path, capsys):
         "oracle_build_out_in_a_missing_directory": in_missing_dir,
         "oracle_export_out_in_a_missing_directory": in_missing_dir,
         "replay_out_is_a_directory": str(tmp_path),
+        "replay_out_in_a_missing_directory": in_missing_dir,
     }
     argv = {
         "replay_missing": ["replay", missing],
@@ -1191,7 +1193,21 @@ def test_cli_bad_input_exits_2(case, tmp_path, capsys):
             "oracle", "export", table, "--out", in_missing_dir,
         ],
         "replay_out_is_a_directory": ["replay", log, "--out", str(tmp_path)],
+        "replay_out_in_a_missing_directory": ["replay", log, "--out", in_missing_dir],
     }[case]
+    # an unusable --out is reported before any work: the run or the replay
+    # it would have held is never started
+    unstarted = {
+        "search_out_is_a_file": "run_strategy",
+        "replay_out_is_a_directory": "replay",
+        "replay_out_in_a_missing_directory": "replay",
+    }
+    if case in unstarted:
+
+        def never_called(*args, **kwargs):
+            raise AssertionError(f"{unstarted[case]} ran before --out was checked")
+
+        monkeypatch.setattr(cli, unstarted[case], never_called)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")

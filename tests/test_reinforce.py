@@ -1,4 +1,5 @@
-"""Reward shaping, policy-gradient updates, baselines."""
+"""Reward shaping, policy-gradient updates, baselines, and learner runs
+under the efficient and the textbook Adam update."""
 
 import math
 
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import tandg
 
+import adam_reference
+from evocell import reinforce
 from evocell.arch_space import (
     CELL_PREV1,
     CELL_PREV2,
@@ -25,6 +28,7 @@ from evocell.controller import (
     trace_grads,
     trace_logprob,
 )
+from evocell.harness import StrategyConfig, make_oracle, run_strategy
 from evocell.nn_core import check_grads, log_softmax_np, shape_logits_np
 from evocell.reinforce import (
     FITNESS_CLIP,
@@ -238,3 +242,78 @@ def test_baseline_does_not_flip_expected_gradient_direction():
                 np.sign(flat_plain[name][significant])
                 == np.sign(flat_base[name][significant])
             ).all(), name
+
+
+# ---------------------------------------------------------------------------
+# Adam's efficient form moves only rounding
+# ---------------------------------------------------------------------------
+
+# The learner's outputs in a log: floats that the Adam update's rounding
+# reaches. Everything else in a record is a decision or an oracle value.
+_LEARNER_FIELDS = frozenset(
+    (
+        "router_logprob",
+        "replace_logprob",
+        "router_entropy",
+        "replace_entropy",
+        "total_logprob",
+        "total_entropy",
+        "diagnostics",
+        "grad_norm",
+    )
+)
+
+# Worst gap measured between the two updates' logs (budget 200, seeds 0-1,
+# reinforced, reinforced_nonbi and rl_construct) was 2.5e-12, by the
+# measure below; the bound leaves 400 times that.
+LEARNER_RTOL = 1e-9
+
+
+def _split_record(value, path="", learner=False, out=None):
+    """(decisions, learner floats) of a log record, each as path -> leaf."""
+    if out is None:
+        out = ({}, {})
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _split_record(item, f"{path}/{key}", learner or key in _LEARNER_FIELDS, out)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _split_record(item, f"{path}[{i}]", learner, out)
+    else:
+        out[learner][path] = value
+    return out
+
+
+@pytest.mark.parametrize("strategy", ["reinforced", "rl_construct"])
+def test_efficient_adam_takes_the_textbook_adams_decisions(strategy, monkeypatch):
+    cfg = StrategyConfig(
+        strategy=strategy,
+        space=SpaceConfig(num_blocks=3, num_ops=4),
+        oracle_kind="tabular",
+        oracle_seed=5,
+        pop_size=20,
+        sample_size=5,
+        budget=200,
+    )
+    oracle = make_oracle(cfg)
+    for seed in (0, 1):
+        _, log = run_strategy(cfg, seed, oracle)
+        with monkeypatch.context() as patch:
+            patch.setattr(reinforce, "adam_step", adam_reference.adam_step)
+            _, textbook_log = run_strategy(cfg, seed, oracle)
+        assert len(log) == len(textbook_log)
+        moved = 0
+        for record, textbook in zip(log, textbook_log):
+            decisions, floats = _split_record(record)
+            textbook_decisions, textbook_floats = _split_record(textbook)
+            # ids, cells, fitness values, trace targets and replacements
+            assert decisions == textbook_decisions, (seed, decisions)
+            assert floats.keys() == textbook_floats.keys()
+            for path, x in floats.items():
+                y = textbook_floats[path]
+                assert abs(x - y) <= LEARNER_RTOL * max(1.0, abs(x), abs(y)), (
+                    seed,
+                    path,
+                )
+                moved += x != y
+        assert moved > 0  # the two updates did run, and round differently
