@@ -15,16 +15,16 @@ become deterministic.
 Everything runs on the numpy engine. encode_forward caches one encoder
 pass. One walk scores and chooses every block of one or many parents, and
 is the only code that scores a head: sample_mutation runs it on one parent
-(and keeps it on the pass), sample_mutation_batch on many (the same draws,
-parent by parent), and trace_logprob re-scores a recorded trace through it
-with the choices forced. trace_grads backpropagates by hand-derived BPTT
-through a walk's own head scores and the encoder cache: the walk that
-sampled the trace when the caller kept it, otherwise the forced walk.
-Central differences of trace_logprob check it.
+and keeps it on the pass (its trace, its choices and its head scores),
+sample_mutation_batch on many (the same draws, parent by parent), and
+trace_logprob re-scores a recorded trace through it with the choices
+forced. trace_grads backpropagates a kept walk by hand-derived BPTT
+through its own head scores and the encoder cache; central differences of
+trace_logprob check it.
 
 ConstructionPolicy, on the same engine, emits a whole cell as one choice
-per field, each token fed back as the next LSTM input; its gradient
-backpropagates through the walk that sampled the cell.
+per field, each token fed back as the next LSTM input; sample() returns
+the walk that emitted the cell, and grads(walk) backpropagates it.
 """
 
 from __future__ import annotations
@@ -218,6 +218,15 @@ def _candidate_index(block: int, ref: int) -> int:
     return ref - 1
 
 
+def _check_space(num_blocks: int, num_ops: int, cell: CellSpec) -> None:
+    """ValueError, naming both spaces, unless cell is of the policy's."""
+    if (cell.num_blocks, cell.num_ops) != (num_blocks, num_ops):
+        raise ValueError(
+            f"a cell of {cell.num_blocks} blocks and {cell.num_ops} ops given to "
+            f"a policy of {num_blocks} blocks and {num_ops} ops"
+        )
+
+
 def _check_trace(cell: CellSpec, trace: MutationTrace) -> None:
     if len(trace.actions) != cell.num_blocks:
         raise ValueError(
@@ -265,21 +274,26 @@ def _forced(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class MutationWalk:
+    """One parent's walk as sample_mutation ran it: the trace, its (B, 2)
+    (target, replacement index) choices and the head scores _walk returns."""
+
+    trace: MutationTrace
+    choices: np.ndarray
+    heads: tuple
+
+
 @dataclass
 class EncoderForward:
-    """One cell's cached encoder pass.
+    """One cell's cached encoder pass, and the walk sample_mutation kept on
+    it for trace_grads; both are valid only while the parameters are unchanged."""
 
-    Sampling reads its states; trace_grads backpropagates through its LSTM
-    caches and through the walk sample_mutation last ran on it (its trace
-    and head scores). It is valid only while the parameters are unchanged.
-    """
-
-    cell: CellSpec
     ids: np.ndarray  # token ids, (T,)
     fwd: LSTMCache
     bwd: Optional[LSTMCache]  # run over the reversed sequence
     states: np.ndarray  # (T, W): forward states, then backward states in token order
-    walk: Optional[Tuple[MutationTrace, tuple]] = None  # trace, head scores
+    walk: Optional[MutationWalk] = None
 
 
 def _encode_ids(
@@ -297,10 +311,11 @@ def _encode_ids(
 def encode_forward(params: ControllerParams, cell: CellSpec) -> EncoderForward:
     """One encoder pass over cell. State t belongs to token t of
     encode_tokens(cell): block b's fields sit at 5(b-1)..5(b-1)+3 and its
-    combiner at 5(b-1)+4."""
+    combiner at 5(b-1)+4. ValueError if cell is of another space."""
+    _check_space(params.num_blocks, params.num_ops, cell)
     ids = np.asarray(encode_tokens(cell), dtype=np.intp)
     fwd, bwd, states = _encode_ids(params, ids[None])
-    return EncoderForward(cell, ids, fwd, bwd, states[0])
+    return EncoderForward(ids, fwd, bwd, states[0])
 
 
 # Head scores. Each takes one parent's values or a stack of them: encoder
@@ -345,9 +360,10 @@ def _walk(
     states: np.ndarray,
     u: Optional[np.ndarray] = None,
     forced: Optional[np.ndarray] = None,
-) -> Tuple[List[MutationTrace], tuple]:
-    """One trace per parent, from N parents' encoder states (N, T, W), and
-    the head scores behind them, kept for the backward: (raw scores,
+) -> Tuple[List[MutationTrace], List[List[Tuple[int, int]]], tuple]:
+    """One trace per parent, from N parents' encoder states (N, T, W), its
+    choices (a (target, replacement index) pair per block), and the head
+    scores behind them, kept for the backward: (raw scores,
     log-probs) of the routers (N, B, 4) and of the op heads (K, num_ops),
     one row per (parent, block) routed to an op, in that order; and for
     each block b, the candidates (n, b+1, W), raw scores and log-probs
@@ -405,17 +421,20 @@ def _walk(
     router_h = entropy_from_logp_np(router_logp)
     refs = [input_candidate_refs(b) for b in range(1, B + 1)]
     traces: List[MutationTrace] = []
+    choices = []
     for row in zip(t_idx.tolist(), chosen, router_logp.tolist(), router_h.tolist()):
-        actions = []
+        actions, pairs = [], []
         total_lp = total_h = 0.0
         for b, (t, (r, r_lp, r_h), t_logp, t_h) in enumerate(zip(*row), start=1):
             t_lp = t_logp[t]
             repl: Replacement = refs[b - 1][r] if t < 2 else Op(r)
             actions.append(MutationAction(b, MutTarget(t), repl, t_lp, r_lp, t_h, r_h))
+            pairs.append((t, r))
             total_lp += t_lp + r_lp
             total_h += t_h + r_h
         traces.append(MutationTrace(tuple(actions), total_lp, total_h))
-    return traces, ((router_raw, router_logp), (op_raw, op_logp), inputs)
+        choices.append(pairs)
+    return traces, choices, ((router_raw, router_logp), (op_raw, op_logp), inputs)
 
 
 def sample_mutation(
@@ -428,15 +447,16 @@ def sample_mutation(
 
     Consumes exactly two uniforms per block (router, replacement), in block
     order, drawn in one call. trace_logprob recomputes the recorded totals
-    bit for bit. A caller that will train on the sample passes the encoder
-    pass it keeps (encode_forward under the current parameters); the walk
-    is kept on it for trace_grads. Otherwise one is run.
+    bit for bit. The walk is kept on the encoder pass for trace_grads: a
+    caller that trains on the sample passes the pass of cell it keeps
+    (encode_forward under the current parameters); otherwise one is run.
+    ValueError if cell is of another space.
     """
-    if forward is None or forward.cell != cell:
+    if forward is None:
         forward = encode_forward(params, cell)
     u = rng.random((1, 2 * cell.num_blocks))
-    (trace,), heads = _walk(params, forward.states[None], u)
-    forward.walk = trace, heads
+    (trace,), choices, heads = _walk(params, forward.states[None], u)
+    forward.walk = MutationWalk(trace, np.array(choices[0]), heads)
     return trace
 
 
@@ -454,10 +474,13 @@ def sample_mutation_batch(
 
     The uniforms are drawn parent by parent, 2B each, in one call, so a
     single parent is sampled exactly as sample_mutation samples it. Nothing
-    trains on these samples, so the encoder caches are not kept.
+    trains on these samples, so the encoder caches are not kept. ValueError
+    if a cell is of another space.
     """
     if not cells:
         return []
+    for cell in cells:
+        _check_space(params.num_blocks, params.num_ops, cell)
     ids = np.array([encode_tokens(c) for c in cells], dtype=np.intp)
     states = np.concatenate(  # (N, T, W)
         [
@@ -474,43 +497,28 @@ def trace_logprob(
     """A trace's (total log-prob, total entropy) under the current
     parameters, recomputed forward only, as sample_mutation sums them.
 
-    Raises ValueError if the trace does not fit the cell (wrong block count,
-    a replacement outside the legal candidate set, or an op outside the
-    active subset).
+    Raises ValueError if the cell is of another space or the trace does not
+    fit the cell (wrong block count, a replacement outside the legal
+    candidate set, or an op outside the active subset).
     """
-    forced = _forced(params, cell, trace)[None]
-    (walk,), _ = _walk(params, encode_forward(params, cell).states[None], forced=forced)
+    states = encode_forward(params, cell).states[None]
+    (walk,), _, _ = _walk(params, states, forced=_forced(params, cell, trace)[None])
     return walk.total_logprob, walk.total_entropy
 
 
-def trace_grads(
-    params: ControllerParams,
-    cell: CellSpec,
-    trace: MutationTrace,
-    forward: Optional[EncoderForward] = None,
-) -> ParamViews:
-    """The gradient of a trace's total log-prob: one flat vector in the
-    parameters' layout, returned as its per-name views. The log-prob
-    itself is the walk's (trace.total_logprob, or trace_logprob).
+def trace_grads(params: ControllerParams, forward: EncoderForward) -> ParamViews:
+    """The gradient of the total log-prob of the walk sample_mutation kept
+    on forward, under the parameters of that sample: one flat vector in
+    their layout, returned as its per-name views.
 
-    Hand-derived BPTT through a walk's head scores (squash and
+    Hand-derived BPTT through the walk's head scores (squash and
     log-softmax), both encoder directions, the begin vectors and the
     embedding rows; criterion 3 checks it against central differences of
-    trace_logprob. `forward` is reused when it encodes `cell` (it must come
-    from the current parameters), and so is the walk sample_mutation ran
-    on it when that walk sampled `trace`; otherwise the encoder runs again
-    and the trace is forced through the walk trace_logprob runs. Validates
-    the trace as trace_logprob does.
+    trace_logprob.
     """
-    forced = _forced(params, cell, trace)
-    if forward is None or forward.cell != cell:
-        forward = encode_forward(params, cell)
-    if forward.walk is not None and forward.walk[0] == trace:
-        heads = forward.walk[1]
-    else:
-        _, heads = _walk(params, forward.states[None], forced=forced[None])
+    walk = forward.walk
     S = forward.states
-    B, W, H = len(forced), params.state_width, params.hidden_size
+    B, W, H = len(walk.choices), params.state_width, params.hidden_size
     w_r = params.p["w_router"][:, 0]
     w_in = params.p["w_input"][:, 0]
     grads = params.p.layout.zeros()
@@ -522,15 +530,15 @@ def trace_grads(
     d_begin1 = grads["begin_prev1"][0]
     d_begin2 = grads["begin_prev2"][0]
     d_b_r = d_b_in = 0.0
-    (router_raw, router_logp), ops, inputs = heads
-    targets, repl = forced.T
+    (router_raw, router_logp), ops, inputs = walk.heads
+    targets, repl = walk.choices.T
     g_router = squashed_logp_grad_np(router_raw[0], router_logp[0], targets)
     dS.reshape(B, 5, W)[:, :4] += g_router[..., None] * w_r
     for g, fields in zip(g_router, S.reshape(B, 5, W)[:, :4]):
         d_w_r += g @ fields
         d_b_r += g.sum()
     g_ops = iter(squashed_logp_grad_np(*ops, repl[targets >= 2]))
-    for b, (t, idx) in enumerate(forced.tolist(), start=1):
+    for b, (t, idx) in enumerate(walk.choices.tolist(), start=1):
         base = 5 * (b - 1)
         state_id = S[base + t]
         if t < 2:
@@ -692,7 +700,7 @@ def load_controller(path: str) -> ControllerParams:
 
 @dataclass
 class _ConstructionWalk:
-    """One pass of the construction policy, kept for its gradient."""
+    """One pass of the construction policy: its cell, totals and gradient inputs."""
 
     cell: CellSpec
     digits: List[int]  # the choice made at each step
@@ -739,7 +747,6 @@ class ConstructionPolicy:
         )
         self.p = layout.views(layout.draw(rng))
         self.lstm = LSTMParams(*nn_core.lstm_entries(self.p, "lstm"))
-        self._last: Optional[_ConstructionWalk] = None
 
     def named_params(self) -> List[Tuple[str, np.ndarray]]:
         return list(self.p.items())
@@ -785,29 +792,17 @@ class ConstructionPolicy:
         cell = cell_from_digits(chosen, self.cfg)
         return _ConstructionWalk(cell, chosen, tokens, cache, heads, total_lp, total_h)
 
-    def sample(self, rng: np.random.Generator) -> Tuple[CellSpec, float, float]:
-        """Draw one cell; returns (cell, total log-prob, total entropy).
+    def sample(self, rng: np.random.Generator) -> _ConstructionWalk:
+        """Draw one cell: the walk that emitted it, with its cell, total
+        log-prob and total entropy; grads() takes it."""
+        return self._walk(rng)
 
-        The walk is kept so that grads() for this cell reuses it.
+    def grads(self, walk: _ConstructionWalk) -> ParamViews:
+        """The gradient of the log-prob of a walk of sample(), under the
+        parameters of that sample (one flat vector in self.p's layout, as
+        per-name views), by hand-derived BPTT through the walk's own head
+        scores; criterion 3 checks it against central differences of logprob().
         """
-        walk = self._walk(rng)
-        self._last = walk
-        return walk.cell, walk.total_logprob, walk.total_entropy
-
-    def grads(self, cell: CellSpec) -> ParamViews:
-        """The gradient of the log-prob of emitting exactly this cell (one
-        flat vector in self.p's layout, as per-name views), by hand-derived
-        BPTT; criterion 3 checks it against central differences of
-        logprob().
-
-        It backpropagates through a walk's own head scores: the walk of
-        the last sample(), reused once if it emitted this cell (the
-        parameters must be unchanged since), or else a fresh walk that
-        replays the cell's choices.
-        """
-        walk, self._last = self._last, None
-        if walk is None or walk.cell != cell:
-            walk = self._walk(None, cell_digits(cell))
         cache = walk.cache
         T, H = len(walk.digits), self.hidden_size
         dh = np.zeros((1, T, H))
@@ -835,6 +830,8 @@ class ConstructionPolicy:
 
     def logprob(self, cell: CellSpec) -> Tuple[float, float]:
         """(log-prob, entropy) of emitting exactly this cell: the totals of
-        a walk teacher-forced on its choices, as sample() sums them."""
+        a walk teacher-forced on its choices, as sample() sums them.
+        ValueError if cell is of another space."""
+        _check_space(self.cfg.num_blocks, self.cfg.num_ops, cell)
         walk = self._walk(None, cell_digits(cell))
         return walk.total_logprob, walk.total_entropy

@@ -6,7 +6,8 @@ removes the subset's worst member. The mutation proposer is injected: a
 learned controller, a uniform-random baseline, or a replay of logged
 traces all drive the identical loop. When a trainer is attached, every
 child evaluation triggers one policy-gradient update on the gradient that
-the policy's grads() returns.
+the policy's grads() returns: that of the walk that sampled the step's
+mutation, which the policy kept from its proposal.
 """
 
 from __future__ import annotations
@@ -69,9 +70,8 @@ class MutationPolicy(Protocol):
 class ControllerPolicy:
     """Adapter putting ControllerParams behind the policy protocol.
 
-    It keeps the encoder pass of its last proposal, with the walk that
-    sampled it, so the update that follows backpropagates through them
-    instead of encoding the parent and scoring its heads again.
+    It keeps the encoder pass of its last proposal, on which sample_mutation
+    kept the walk that sampled it, for the update that follows.
     """
 
     def __init__(self, params: ControllerParams, rng: np.random.Generator):
@@ -83,15 +83,15 @@ class ControllerPolicy:
         self._forward = encode_forward(self.params, cell)
         return sample_mutation(self.params, cell, self.rng, self._forward)
 
-    def grads(self, cell: CellSpec, trace: MutationTrace) -> ParamViews:
-        """The gradient of trace's log-prob on cell, for
-        ReinforceTrainer.update.
-
-        The kept pass and walk are handed over once; the trainer's Adam
-        step then makes them stale, so a later call encodes the cell anew.
-        """
+    def grads(self) -> ParamViews:
+        """The gradient of the walk that sampled the last proposal, for
+        ReinforceTrainer.update, whose Adam step makes that walk stale: so it
+        is handed over once, and a call with no proposal since raises
+        ValueError."""
         forward, self._forward = self._forward, None
-        return trace_grads(self.params, cell, trace, forward)
+        if forward is None:
+            raise ValueError("grads() needs a proposal since the last call")
+        return trace_grads(self.params, forward)
 
 
 def _log_count(n: int) -> float:
@@ -276,9 +276,7 @@ def evolution_step(
     if trainer is not None:
         if not hasattr(policy, "grads"):
             raise ValueError("trainer attached to a policy without gradients")
-        diagnostics = trainer.update(
-            policy.grads(parent.cell, trace), trace.total_entropy, child_fitness
-        )
+        diagnostics = trainer.update(policy.grads(), trace.total_entropy, child_fitness)
     return StepRecord(
         step=step,
         sampled_ids=[ind.id for ind in sample],

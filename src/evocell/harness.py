@@ -519,13 +519,14 @@ def _run_sampling(
     true_vals: List[float] = []
     for index in range(1, cfg.budget + 1):
         if construct:
-            cell, _lp, ent = policy.sample(streams["policy"])
+            walk = policy.sample(streams["policy"])
+            cell = walk.cell
         else:
             cell = cell_from_digits(rows[index - 1], cfg.space)
         observed, true = oracle.evaluate(cell, 1.0, streams["eval"])
         learner = {}
         if construct:
-            diag = trainer.update(policy.grads(cell), ent, observed)
+            diag = trainer.update(policy.grads(walk), walk.total_entropy, observed)
             learner["grad_norm"] = diag["grad_norm"]
         evals.append(eval_record(index, cell_to_text(cell), observed, **learner))
         true_vals.append(true)

@@ -31,13 +31,12 @@ from evocell.controller import (
     apply_mutation,
     encode_forward,
     init_controller,
-    sample_mutation,
     sample_mutation_batch,
-    trace_grads,
     trace_logprob,
 )
 from evocell.evaluators import MaturityModel, build_tabular
 from evocell.evolution import (
+    ControllerPolicy,
     RandomMutationPolicy,
     evolution_step,
     initialize,
@@ -150,8 +149,9 @@ def test_criterion_3_gradient_correctness(capsys):
             bidirectional=(draw < 10),  # cover both shipped encoder variants
         )
         cell = random_cell(cfg, rng)
-        trace = sample_mutation(params, cell, rng)
-        grads = trace_grads(params, cell, trace)
+        policy = ControllerPolicy(params, rng)
+        trace = policy.propose(cell)
+        grads = policy.grads()  # the walk that sampled trace, as training uses
         err = check_grads(
             lambda: trace_logprob(params, cell, trace)[0], grads, params.named_params()
         )
@@ -160,8 +160,8 @@ def test_criterion_3_gradient_correctness(capsys):
     for draw in range(20):
         rng = np.random.default_rng(400 + draw)
         policy = ConstructionPolicy(cfg, rng, embed_size=4, hidden_size=4)
-        cell, _, _ = policy.sample(rng)
-        grads = policy.grads(cell)
+        walk = policy.sample(rng)
+        grads, cell = policy.grads(walk), walk.cell
         err = check_grads(lambda: policy.logprob(cell)[0], grads, policy.named_params())
         worst_construct = max(worst_construct, err)
     elapsed = time.perf_counter() - t0
@@ -305,13 +305,13 @@ def test_criterion_6_controller_learns_bandit(capsys):
         rng = np.random.default_rng(seed)
         params = init_controller(cfg, rng, embed_size=32, hidden_size=32)
         trainer = ReinforceTrainer(params.p, lr=0.01, entropy_weight=0.1)
+        policy = ControllerPolicy(params, rng)
         solved_at = None
         for step in range(1, 2001):
-            trace = sample_mutation(params, parent, rng)
+            trace = policy.propose(parent)
             child = apply_mutation(parent, trace)
             fitness = 0.9 if child.blocks[0].o1 == Op.SEP5 else 0.1
-            grads = trace_grads(params, parent, trace)
-            trainer.update(grads, trace.total_entropy, fitness)
+            trainer.update(policy.grads(), trace.total_entropy, fitness)
             if step % 50 == 0 and _rewarded_action_prob(params, parent) > 0.6:
                 solved_at = step
                 break

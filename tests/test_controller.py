@@ -238,12 +238,31 @@ def test_batch_sampler_draws_the_scalar_stream():
 def test_trace_logprob_gradcheck_tiny():
     cfg, params, rng = _tiny_controller(blocks=2, ops=3, seed=2)
     cell = random_cell(cfg, rng)
-    trace = sample_mutation(params, cell, rng)
-    grads = trace_grads(params, cell, trace)
+    forward = encode_forward(params, cell)
+    trace = sample_mutation(params, cell, rng, forward)
     err = check_grads(
-        lambda: trace_logprob(params, cell, trace)[0], grads, params.named_params()
+        lambda: trace_logprob(params, cell, trace)[0],
+        trace_grads(params, forward),
+        params.named_params(),
     )
     assert err < 1e-4
+
+
+@pytest.mark.parametrize("blocks, ops", [(2, 4), (1, 4), (3, 5)])
+def test_a_cell_of_another_space_is_rejected(blocks, ops):
+    _, params, rng = _tiny_controller(blocks=3, ops=4)
+    other_cfg, other, _ = _tiny_controller(blocks=blocks, ops=ops, seed=1)
+    cell = random_cell(other_cfg, rng)
+    trace = sample_mutation(other, cell, rng)
+    fits = random_cell(SpaceConfig(3, 4), rng)
+    spaces = f"{blocks} blocks and {ops} ops .* 3 blocks and 4 ops"
+    for call in (
+        lambda: sample_mutation(params, cell, rng),
+        lambda: sample_mutation_batch(params, [fits, cell], rng),
+        lambda: trace_logprob(params, cell, trace),
+    ):
+        with pytest.raises(ValueError, match=spaces):
+            call()
 
 
 def test_entropy_bounded_by_uniform():
@@ -462,10 +481,12 @@ class TestUnidirectional:
     def test_gradcheck(self):
         cfg, uni, rng = self._uni()
         cell = random_cell(cfg, rng)
-        trace = sample_mutation(uni, cell, rng)
-        grads = trace_grads(uni, cell, trace)
+        forward = encode_forward(uni, cell)
+        trace = sample_mutation(uni, cell, rng, forward)
         err = check_grads(
-            lambda: trace_logprob(uni, cell, trace)[0], grads, uni.named_params()
+            lambda: trace_logprob(uni, cell, trace)[0],
+            trace_grads(uni, forward),
+            uni.named_params(),
         )
         assert err < 1e-4
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evocell import controller
 from evocell.arch_space import SpaceConfig, random_cell
 from evocell.controller import init_controller
 from evocell.evaluators import MaturityModel, build_tabular
@@ -352,6 +353,46 @@ def test_controller_policy_run_trains_and_logs_diagnostics():
     for rec in result.records:
         assert set(rec.diagnostics) == {"reward", "advantage", "grad_norm"}
     assert trainer.steps == 15
+
+
+def test_controller_grads_needs_a_proposal_since_the_last_call():
+    rng = np.random.default_rng(14)
+    params = init_controller(CFG, rng, embed_size=6, hidden_size=6)
+    policy = ControllerPolicy(params, rng)
+    with pytest.raises(ValueError, match="proposal"):
+        policy.grads()
+    policy.propose(random_cell(CFG, rng))
+    policy.grads()
+    with pytest.raises(ValueError, match="proposal"):
+        policy.grads()
+
+
+def test_a_reinforced_step_walks_and_encodes_once(monkeypatch):
+    # the update backpropagates the proposal's own pass and walk
+    streams = rng_streams(15)
+    oracle = _oracle()
+    pop = initialize(CFG, oracle, 5, streams["init"], streams["eval"])
+    params = init_controller(CFG, streams["params"], embed_size=6, hidden_size=6)
+    policy = ControllerPolicy(params, streams["policy"])
+    trainer = ReinforceTrainer(params.p, lr=0.001, entropy_weight=0.1)
+    calls = {"_walk": 0, "_encode_ids": 0}
+
+    def counted(name):
+        fn = getattr(controller, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(controller, name, counted(name))
+    evolution_step(
+        pop, policy, trainer, oracle, 3, streams["tournament"], streams["eval"]
+    )
+    assert calls == {"_walk": 1, "_encode_ids": 1}
+    assert trainer.steps == 1
 
 
 def test_random_policy_reaches_near_optimum_on_small_space():

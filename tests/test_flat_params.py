@@ -12,6 +12,7 @@ from evocell import nn_core
 from evocell.arch_space import SpaceConfig, random_cell
 from evocell.controller import (
     ConstructionPolicy,
+    encode_forward,
     init_controller,
     load_controller,
     sample_mutation,
@@ -35,6 +36,14 @@ def _policy(kind, seed=0):
     if kind == "construction":
         return ConstructionPolicy(CFG, rng, **TINY)
     return init_controller(CFG, rng, bidirectional=(kind == "bi"), **TINY)
+
+
+def _sampled(params, rng):
+    """A trace sampled on a random cell, and the gradient of its walk."""
+    cell = random_cell(CFG, rng)
+    forward = encode_forward(params, cell)
+    trace = sample_mutation(params, cell, rng, forward)
+    return trace, trace_grads(params, forward)
 
 
 # ---------------------------------------------------------------------------
@@ -85,11 +94,9 @@ def test_gradients_are_one_flat_vector_in_the_layout(kind):
     policy = _policy(kind, seed=4)
     rng = np.random.default_rng(4)
     if kind == "construction":
-        cell, _, _ = policy.sample(rng)
-        grads = policy.grads(cell)
+        grads = policy.grads(policy.sample(rng))
     else:
-        cell = random_cell(CFG, rng)
-        grads = trace_grads(policy, cell, sample_mutation(policy, cell, rng))
+        _, grads = _sampled(policy, rng)
     assert grads.layout == policy.p.layout
     assert list(grads) == list(policy.p.layout.names)
     for name, g in grads.items():
@@ -206,12 +213,9 @@ def test_adam_slices_give_the_bits_of_one_slice(monkeypatch):
 
 def test_grad_norm_matches_the_per_array_sum():
     params = _policy("bi", seed=9)
-    rng = np.random.default_rng(9)
-    cell = random_cell(CFG, rng)
-    trace = sample_mutation(params, cell, rng)
+    trace, grads = _sampled(params, np.random.default_rng(9))
     trainer = ReinforceTrainer(params.p, lr=0.001, entropy_weight=0.1)
     trainer.baseline = 0.0  # so the first advantage is not 0
-    grads = trace_grads(params, cell, trace)
     diag = trainer.update(grads, trace.total_entropy, 0.7)
     # the trainer scaled the gradient in place into the loss gradient
     per_array = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
@@ -222,13 +226,10 @@ def test_grad_norm_matches_the_per_array_sum():
 @pytest.mark.parametrize("name", ["embedding", "bwd.Wh", "b_op"])
 def test_non_finite_gradient_raises_naming_its_parameter(name):
     params = _policy("bi", seed=10)
-    rng = np.random.default_rng(10)
-    cell = random_cell(CFG, rng)
-    trace = sample_mutation(params, cell, rng)
+    trace, grads = _sampled(params, np.random.default_rng(10))
     before = params.p.flat.copy()
     trainer = ReinforceTrainer(params.p, lr=0.001, entropy_weight=0.1)
     trainer.baseline = 0.0  # so the first advantage is not 0
-    grads = trace_grads(params, cell, trace)
     grads[name].reshape(-1)[-1] = np.nan
     with pytest.raises(RuntimeError, match=f"non-finite gradient in {name!r}"):
         trainer.update(grads, trace.total_entropy, 0.7)
@@ -237,12 +238,10 @@ def test_non_finite_gradient_raises_naming_its_parameter(name):
 
 def test_trainer_rejects_a_gradient_of_another_layout():
     params, other = _policy("bi"), _policy("nonbi")
-    rng = np.random.default_rng(11)
-    cell = random_cell(CFG, rng)
-    trace = sample_mutation(other, cell, rng)
+    _, grads = _sampled(other, np.random.default_rng(11))
     trainer = ReinforceTrainer(params.p, lr=0.001, entropy_weight=0.1)
     with pytest.raises(ValueError):
-        trainer.update(trace_grads(other, cell, trace), 0.0, 0.5)
+        trainer.update(grads, 0.0, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 import pytest
 
-from evocell import arch_space, cli, evaluators
+from evocell import arch_space, cli, evaluators, nn_core
 
 from evocell.arch_space import (
     SpaceConfig,
@@ -239,18 +239,19 @@ def test_construction_policy_samples_valid_cells():
         policy = ConstructionPolicy(CFG23, np.random.default_rng(seed), **SMALL)
         rng = np.random.default_rng(seed + 100)
         for _ in range(250):
-            cell, lp, ent = policy.sample(rng)
-            assert validate(cell, CFG23) is None
-            assert lp <= 0.0
-            assert ent > 0.0
+            walk = policy.sample(rng)
+            assert validate(walk.cell, CFG23) is None
+            assert walk.total_logprob <= 0.0
+            assert walk.total_entropy > 0.0
 
 
 def test_construction_sample_matches_differentiable_logprob():
     policy = ConstructionPolicy(CFG23, np.random.default_rng(3), **SMALL)
     rng = np.random.default_rng(4)
     for _ in range(25):
-        cell, lp, ent = policy.sample(rng)
-        assert policy.logprob(cell) == (lp, ent)  # teacher-forced on the sample
+        walk = policy.sample(rng)
+        # teacher-forced on the sample
+        assert policy.logprob(walk.cell) == (walk.total_logprob, walk.total_entropy)
 
 
 def test_construction_entropy_bounded_by_uniform():
@@ -258,17 +259,46 @@ def test_construction_entropy_bounded_by_uniform():
     bound = 0.0
     for b in range(1, 3):
         bound += 2 * math.log(b + 1) + 2 * math.log(3)
-    _, _, ent = policy.sample(np.random.default_rng(6))
-    assert ent <= bound + 1e-9
+    assert policy.sample(np.random.default_rng(6)).total_entropy <= bound + 1e-9
+
+
+@pytest.mark.parametrize("blocks, ops", [(3, 3), (1, 3), (2, 4)])
+def test_construction_logprob_rejects_a_cell_of_another_space(blocks, ops):
+    policy = ConstructionPolicy(CFG23, np.random.default_rng(9), **SMALL)
+    cell = random_cell(SpaceConfig(blocks, ops), np.random.default_rng(10))
+    with pytest.raises(ValueError, match=f"{blocks} blocks and {ops} ops .* 2 blocks"):
+        policy.logprob(cell)
+
+
+def test_an_rl_construct_evaluation_walks_once(monkeypatch):
+    # one sampling walk, one LSTM pass over its 4B steps, and the update
+    # backpropagates that walk rather than walking the cell again
+    calls = {"walk": 0, "step": 0}
+
+    def counted(name, fn):
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return count
+
+    monkeypatch.setattr(
+        ConstructionPolicy, "_walk", counted("walk", ConstructionPolicy._walk)
+    )
+    monkeypatch.setattr(nn_core, "lstm_step_np", counted("step", nn_core.lstm_step_np))
+    cfg = _cfg("rl_construct", budget=1)
+    run_strategy(cfg, 0, make_oracle(cfg))
+    assert calls == {"walk": 1, "step": 4 * CFG23.num_blocks}
 
 
 def test_construction_logprob_gradcheck():
     policy = ConstructionPolicy(
         CFG23, np.random.default_rng(7), embed_size=4, hidden_size=4
     )
-    cell, _, _ = policy.sample(np.random.default_rng(8))
-    grads = policy.grads(cell)
-    err = check_grads(lambda: policy.logprob(cell)[0], grads, policy.named_params())
+    walk = policy.sample(np.random.default_rng(8))
+    err = check_grads(
+        lambda: policy.logprob(walk.cell)[0], policy.grads(walk), policy.named_params()
+    )
     assert err < 1e-4
 
 

@@ -1,7 +1,9 @@
 """numpy policy engine: log-probs against an independent per-token
-reference, gradients against that reference's tape form, against central
-differences and byte for byte against per-decision re-scoring, and reuse
-of the sampling walk."""
+reference, gradients of the sampling walk against that reference's tape
+form, against central differences and byte for byte against per-decision
+re-scoring."""
+
+import copy
 
 import numpy as np
 import pytest
@@ -35,6 +37,8 @@ def _space(seed):
 
 
 def _controller_draw(seed, bidirectional, size=8, space=_space):
+    """Perturbed parameters, a cell, the trace sampled on it, the gradient
+    of that trace's walk, and the rng."""
     rng = np.random.default_rng(seed)
     cfg = space(seed)
     params = init_controller(
@@ -42,7 +46,9 @@ def _controller_draw(seed, bidirectional, size=8, space=_space):
     )
     _perturb(params.named_params(), rng)
     cell = random_cell(cfg, rng)
-    return params, cell, sample_mutation(params, cell, rng), rng
+    forward = encode_forward(params, cell)
+    trace = sample_mutation(params, cell, rng, forward)
+    return params, cell, trace, trace_grads(params, forward), rng
 
 
 def _construction_draw(seed, size=8, space=_space):
@@ -80,9 +86,8 @@ def _assert_match(named_params, walk_lp, fused, tape_lp, tape):
 @pytest.mark.parametrize("bidirectional", [True, False])
 def test_controller_grads_match_tape(bidirectional):
     for seed in range(20):
-        params, cell, trace, _ = _controller_draw(seed, bidirectional)
+        params, cell, trace, grads, _ = _controller_draw(seed, bidirectional)
         named = params.named_params()
-        grads = trace_grads(params, cell, trace)
         lp, _ = trace_logprob(params, cell, trace)
         tape_lp, tape = _tape_grads(
             params.p, lambda p: tape_reference.controller_logprob(p, cell, trace)[0]
@@ -94,8 +99,8 @@ def test_construction_grads_match_tape():
     for seed in range(20):
         policy, rng = _construction_draw(seed)
         named = policy.named_params()
-        cell, _, _ = policy.sample(rng)
-        grads = policy.grads(cell)
+        walk = policy.sample(rng)
+        cell, grads = walk.cell, policy.grads(walk)
         lp, _ = policy.logprob(cell)
         tape_lp, tape = _tape_grads(
             policy.p, lambda p: tape_reference.construction_logprob(p, cell)[0]
@@ -106,7 +111,7 @@ def test_construction_grads_match_tape():
 @pytest.mark.parametrize("bidirectional", [True, False])
 def test_trace_logprob_and_samplers_match_the_reference(bidirectional):
     for seed in range(20):
-        params, cell, trace, rng = _controller_draw(seed, bidirectional)
+        params, cell, trace, _, rng = _controller_draw(seed, bidirectional)
         want = controller_logprob(params, cell, trace)
         _assert_close(trace_logprob(params, cell, trace), want)
         _assert_close((trace.total_logprob, trace.total_entropy), want)
@@ -121,7 +126,7 @@ def test_trace_logprob_and_samplers_match_the_reference(bidirectional):
 
 def test_trace_logprob_recomputes_a_fresh_sample_bit_for_bit():
     for seed in range(10):
-        params, cell, trace, _ = _controller_draw(seed, bidirectional=seed % 2 == 0)
+        params, cell, trace, _, _ = _controller_draw(seed, seed % 2 == 0)
         assert trace_logprob(params, cell, trace) == (
             trace.total_logprob,
             trace.total_entropy,
@@ -131,9 +136,10 @@ def test_trace_logprob_recomputes_a_fresh_sample_bit_for_bit():
 def test_construction_logprob_matches_the_reference():
     for seed in range(20):
         policy, rng = _construction_draw(seed)
-        cell, lp, ent = policy.sample(rng)
+        walk = policy.sample(rng)
+        cell = walk.cell
         want = construction_logprob(policy, cell)
-        _assert_close((lp, ent), want)
+        _assert_close((walk.total_logprob, walk.total_entropy), want)
         _assert_close(policy.logprob(cell), want)
         other = random_cell(policy.cfg, rng)
         _assert_close(policy.logprob(other), construction_logprob(policy, other))
@@ -142,15 +148,14 @@ def test_construction_logprob_matches_the_reference():
 def test_fused_grads_pass_central_differences():
     # off the near-uniform init; criterion 3 covers the init itself
     for seed in range(4):
-        params, cell, trace, _ = _controller_draw(seed, seed < 2, size=4)
-        grads = trace_grads(params, cell, trace)
+        params, cell, trace, grads, _ = _controller_draw(seed, seed < 2, size=4)
         err = check_grads(
             lambda: trace_logprob(params, cell, trace)[0], grads, params.named_params()
         )
         assert err < 1e-4
         policy, rng = _construction_draw(seed, size=4)
-        cell, _, _ = policy.sample(rng)
-        grads = policy.grads(cell)
+        walk = policy.sample(rng)
+        grads, cell = policy.grads(walk), walk.cell
         err = check_grads(lambda: policy.logprob(cell)[0], grads, policy.named_params())
         assert err < 1e-4
 
@@ -162,68 +167,37 @@ def _assert_same(a, b):
 
 
 def test_sampling_forward_gives_the_fresh_gradient_bit_for_bit():
+    # the policy's update differentiates the pass its proposal kept, as a
+    # fresh pass sampled at the same draws does
     for seed in range(6):
-        params, cell, _, rng = _controller_draw(seed, bidirectional=seed % 2 == 0)
-        forward = encode_forward(params, cell)
-        trace = sample_mutation(params, cell, rng, forward)
-        _assert_same(
-            trace_grads(params, cell, trace, forward), trace_grads(params, cell, trace)
-        )
+        params, cell, _, _, rng = _controller_draw(seed, seed % 2 == 0)
+        twin = copy.deepcopy(rng)
         policy = ControllerPolicy(params, rng)
         trace = policy.propose(cell)
-        _assert_same(policy.grads(cell, trace), trace_grads(params, cell, trace))
+        forward = encode_forward(params, cell)
+        assert sample_mutation(params, cell, twin, forward) == trace
+        _assert_same(policy.grads(), trace_grads(params, forward))
 
 
 def test_construction_sampling_walk_gives_the_fresh_gradient_bit_for_bit():
+    # the policy keeps no sample state: a walk's gradient is its own, after
+    # another sample too
     cfg = SpaceConfig(num_blocks=3, num_ops=4)
     for seed in range(6):
         rng = np.random.default_rng(seed)
         policy = ConstructionPolicy(cfg, rng, embed_size=8, hidden_size=8)
         _perturb(policy.named_params(), rng)
-        cell, lp, ent = policy.sample(rng)
-        assert policy.logprob(cell) == (lp, ent)
-        _assert_same(policy.grads(cell), policy.grads(cell))  # the walk is used once
-
-
-def test_grad_for_another_cell_recomputes():
-    params, cell, trace, rng = _controller_draw(3, bidirectional=True)
-    other = random_cell(SpaceConfig(params.num_blocks, params.num_ops), rng)
-    while other == cell:
-        other = random_cell(SpaceConfig(params.num_blocks, params.num_ops), rng)
-    other_trace = sample_mutation(params, other, rng)
-    stale = encode_forward(params, cell)
-    _assert_same(
-        trace_grads(params, other, other_trace, stale),
-        trace_grads(params, other, other_trace),
-    )
-
-    cfg = SpaceConfig(num_blocks=3, num_ops=4)
-    policy = ConstructionPolicy(cfg, rng, embed_size=8, hidden_size=8)
-    first, _, _ = policy.sample(rng)
-    second = random_cell(cfg, rng)
-    while second == first:
-        second = random_cell(cfg, rng)
-    fresh = ConstructionPolicy(
-        cfg, np.random.default_rng(0), embed_size=8, hidden_size=8
-    )
-    for (_, a), (_, b) in zip(fresh.named_params(), policy.named_params()):
-        a[...] = b
-    _assert_same(policy.grads(second), fresh.grads(second))
-
-
-def test_kept_forward_is_not_reused_after_the_parameters_move():
-    params, cell, _, rng = _controller_draw(5, bidirectional=True)
-    policy = ControllerPolicy(params, rng)
-    trace = policy.propose(cell)
-    policy.grads(cell, trace)  # hands the kept forward over, as an update does
-    params.fwd.Wh *= 1.5
-    _assert_same(policy.grads(cell, trace), trace_grads(params, cell, trace))
+        walk = policy.sample(rng)
+        assert policy.logprob(walk.cell) == (walk.total_logprob, walk.total_entropy)
+        first = policy.grads(walk)
+        policy.sample(rng)
+        _assert_same(policy.grads(walk), first)
 
 
 def test_samplers_raise_on_nan_weights():
     # NaN log-probabilities would otherwise fall through the inverse-CDF
     # draw to index 0 and be logged as a legal choice
-    params, cell, _, _ = _controller_draw(0, bidirectional=True)
+    params, cell, _, _, _ = _controller_draw(0, bidirectional=True)
     policy, rng = _construction_draw(0)
     params.p.flat[:] = np.nan
     policy.p.flat[:] = np.nan
@@ -249,35 +223,32 @@ def _every_space(seed):
 @pytest.mark.parametrize("bidirectional", [True, False])
 def test_controller_grads_equal_per_block_rescoring_byte_for_byte(bidirectional, size):
     for seed in range(25):
-        params, cell, _, rng = _controller_draw(seed, bidirectional, size, _every_space)
-        policy = ControllerPolicy(params, rng)
-        kept = policy.propose(cell)
-        want = grad_reference.controller_grads(params, cell, kept)
-        _assert_bytes(policy.grads(cell, kept), want)  # the sampled walk
-        _assert_bytes(trace_grads(params, cell, kept), want)  # a forced walk
+        params, cell, trace, grads, _ = _controller_draw(
+            seed, bidirectional, size, _every_space
+        )
+        _assert_bytes(grads, grad_reference.controller_grads(params, cell, trace))
 
 
 @pytest.mark.parametrize("size", [8, 100])
 def test_construction_grads_equal_per_token_rescoring_byte_for_byte(size):
     for seed in range(25):
         policy, rng = _construction_draw(seed, size, _every_space)
-        cell, _, _ = policy.sample(rng)
-        want = grad_reference.construction_grads(policy, cell)
-        _assert_bytes(policy.grads(cell), want)  # the sampled walk
-        _assert_bytes(policy.grads(cell), want)  # a forced walk
+        walk = policy.sample(rng)
+        want = grad_reference.construction_grads(policy, walk.cell)
+        _assert_bytes(policy.grads(walk), want)
 
 
 def test_gradients_rescore_nothing_after_sampling(monkeypatch):
-    params, cell, _, rng = _controller_draw(4, bidirectional=True)
+    params, cell, _, _, rng = _controller_draw(4, bidirectional=True)
     forward = encode_forward(params, cell)
-    trace = sample_mutation(params, cell, rng, forward)
+    sample_mutation(params, cell, rng, forward)
     policy, rng = _construction_draw(4)
-    built, _, _ = policy.sample(rng)
+    built = policy.sample(rng)
 
     def walk_again(*args, **kwargs):
         raise AssertionError("a head was scored again")
 
     monkeypatch.setattr(controller, "_walk", walk_again)
     monkeypatch.setattr(policy, "_walk", walk_again)
-    trace_grads(params, cell, trace, forward)
+    trace_grads(params, forward)
     policy.grads(built)

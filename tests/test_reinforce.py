@@ -88,15 +88,20 @@ def _bandit(seed=0, ops=2, entropy_weight=0.1, baseline=None):
     return cfg, params, cell, trainer, rng
 
 
+def _sample(params, cell, rng):
+    """A trace sampled on cell, and the gradient of its walk."""
+    forward = encode_forward(params, cell)
+    trace = sample_mutation(params, cell, rng, forward)
+    return trace, trace_grads(params, forward)
+
+
 def test_first_update_with_ema_baseline_is_a_no_op():
     # the baseline starts at the first observed reward, so the first
     # advantage is exactly zero and parameters must not move
     cfg, params, cell, trainer, rng = _bandit(seed=1)
-    trace = sample_mutation(params, cell, rng)
+    trace, grads = _sample(params, cell, rng)
     before = {name: a.copy() for name, a in params.named_params()}
-    diag = trainer.update(
-        trace_grads(params, cell, trace), trace.total_entropy, 0.6
-    )
+    diag = trainer.update(grads, trace.total_entropy, 0.6)
     assert diag["advantage"] == 0.0
     for name, a in params.named_params():
         assert np.array_equal(a, before[name]), name
@@ -104,11 +109,9 @@ def test_first_update_with_ema_baseline_is_a_no_op():
 
 def test_zero_advantage_no_baseline_zero_entropy_keeps_params():
     cfg, params, cell, trainer, rng = _bandit(seed=2, entropy_weight=0.0, baseline=0.0)
-    trace = sample_mutation(params, cell, rng)
+    trace, grads = _sample(params, cell, rng)
     before = {name: a.copy() for name, a in params.named_params()}
-    diag = trainer.update(
-        trace_grads(params, cell, trace), trace.total_entropy, 0.0
-    )
+    diag = trainer.update(grads, trace.total_entropy, 0.0)
     # fitness 0 -> shaped reward 0; a zero baseline -> advantage 0 -> no movement
     assert diag["advantage"] == 0.0
     for name, a in params.named_params():
@@ -117,18 +120,17 @@ def test_zero_advantage_no_baseline_zero_entropy_keeps_params():
 
 def test_positive_advantage_raises_trace_logprob():
     cfg, params, cell, trainer, rng = _bandit(seed=3, baseline=0.0, entropy_weight=0.0)
-    trace = sample_mutation(params, cell, rng)
+    trace, grads = _sample(params, cell, rng)
     lp_before, _ = trace_logprob(params, cell, trace)
-    for _ in range(2):
-        trainer.update(trace_grads(params, cell, trace), trace.total_entropy, 0.8)
+    trainer.update(grads, trace.total_entropy, 0.8)
     lp_after, _ = trace_logprob(params, cell, trace)
     assert lp_after > lp_before
 
 
 def test_diagnostics_keys_and_values():
     cfg, params, cell, trainer, rng = _bandit(seed=4)
-    trace = sample_mutation(params, cell, rng)
-    diag = trainer.update(trace_grads(params, cell, trace), trace.total_entropy, 0.3)
+    trace, grads = _sample(params, cell, rng)
+    diag = trainer.update(grads, trace.total_entropy, 0.3)
     assert set(diag) == {"reward", "advantage", "grad_norm"}
     assert diag["reward"] == pytest.approx(
         shaped_reward(0.3) + 0.1 * trace.total_entropy
@@ -138,19 +140,18 @@ def test_diagnostics_keys_and_values():
 
 def test_update_aborts_on_non_finite_gradients():
     cfg, params, cell, trainer, rng = _bandit(seed=5)
-    trace = sample_mutation(params, cell, rng)
-    params.p["embedding"][:] = np.nan
+    trace, grads = _sample(params, cell, rng)
+    grads["embedding"][:] = np.nan
     with pytest.raises(RuntimeError):
-        with np.errstate(invalid="ignore", over="ignore"):
-            trainer.update(trace_grads(params, cell, trace), trace.total_entropy, 0.5)
+        trainer.update(grads, trace.total_entropy, 0.5)
 
 
 def test_ema_baseline_tracks_reward():
     cfg, params, cell, trainer, rng = _bandit(seed=6, entropy_weight=0.0)
     rewards = []
     for fitness in (0.2, 0.4, 0.6):
-        trace = sample_mutation(params, cell, rng)
-        trainer.update(trace_grads(params, cell, trace), trace.total_entropy, fitness)
+        trace, grads = _sample(params, cell, rng)
+        trainer.update(grads, trace.total_entropy, fitness)
         rewards.append(shaped_reward(fitness))
     # baseline: r0, then decayed mixes, always strictly between min and max
     expected = rewards[0]
@@ -161,9 +162,8 @@ def test_ema_baseline_tracks_reward():
 
 def test_surrogate_gradient_matches_finite_differences():
     cfg, params, cell, trainer, rng = _bandit(seed=7)
-    trace = sample_mutation(params, cell, rng)
+    trace, grads = _sample(params, cell, rng)
     advantage = 1.7
-    grads = trace_grads(params, cell, trace)
     surrogate = {name: -advantage * g for name, g in grads.items()}
     err = check_grads(
         lambda: trace_logprob(params, cell, trace)[0] * (-advantage),
@@ -182,8 +182,8 @@ def test_high_entropy_weight_keeps_decisions_near_uniform():
     cell = CellSpec((BlockSpec(CELL_PREV2, CELL_PREV1, Op.SEP3, Op.SEP3),), num_ops=2)
     trainer = ReinforceTrainer(params.p, lr=0.001, entropy_weight=10.0)
     for _ in range(5000):
-        trace = sample_mutation(params, cell, rng)
-        trainer.update(trace_grads(params, cell, trace), trace.total_entropy, 0.5)
+        trace, grads = _sample(params, cell, rng)
+        trainer.update(grads, trace.total_entropy, 0.5)
 
     states = encode_forward(params, cell).states
     w_r = params.p["w_router"][:, 0]
@@ -221,8 +221,8 @@ def test_baseline_does_not_flip_expected_gradient_direction():
     rewards = []
     grads = []
     for _ in range(n):
-        trace = sample_mutation(params, cell, rng)
-        grads.append(trace_grads(params, cell, trace))
+        trace, g = _sample(params, cell, rng)
+        grads.append(g)
         rewards.append(reward_of(trace))
     b = float(np.mean(rewards))
     flat_plain = {}
