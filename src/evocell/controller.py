@@ -9,18 +9,21 @@ field was chosen, a second head scores every legal replacement candidate,
 each represented by an encoder state: earlier blocks by the state of their
 combiner token, and the two previous-cell inputs by learned begin vectors.
 If an op field was chosen, a third head produces logits over the active op
-subset. Every softmax is squashed (shape_logits_np), so no decision can
-become deterministic.
+subset. Every softmax is squashed (nn_core.SquashedHead), so no decision
+can become deterministic.
 
 Everything runs on the numpy engine. encode_forward caches one encoder
 pass. One walk scores and chooses every block of one or many parents, and
 is the only code that scores a head: sample_mutation runs it on one parent
-and keeps it on the pass (its trace, its choices and its head scores),
+and keeps it on the pass (its trace, its choices and its heads),
 sample_mutation_batch on many (the same draws, parent by parent), and
 trace_logprob re-scores a recorded trace through it with the choices
-forced. trace_grads backpropagates a kept walk by hand-derived BPTT
-through its own head scores and the encoder cache; central differences of
-trace_logprob check it.
+forced. The walk computes raw scores in stacked numpy products, then runs
+each head's softmax, draw and entropy on its row as Python floats: a head
+has 2-7 candidates, too few to repay numpy's per-call overhead.
+trace_grads backpropagates a kept walk by hand-derived BPTT from the
+gradients of its own heads through the encoder cache; central differences
+of trace_logprob check it.
 
 ConstructionPolicy, on the same engine, emits a whole cell as one choice
 per field, each token fed back as the next LSTM input; sample() returns
@@ -57,14 +60,11 @@ from .nn_core import (
     LSTMParams,
     ParamLayout,
     ParamViews,
-    draw_index_np,
-    entropy_from_logp_np,
+    SquashedHead,
     lstm_backward_np,
     lstm_entries,
     lstm_forward_np,
     lstm_spec,
-    squashed_logp_grad_np,
-    squashed_logp_np,
 )
 
 
@@ -276,12 +276,13 @@ def _forced(
 
 @dataclass(frozen=True)
 class MutationWalk:
-    """One parent's walk as sample_mutation ran it: the trace, its (B, 2)
-    (target, replacement index) choices and the head scores _walk returns."""
+    """One parent's walk as sample_mutation ran it: the trace, its
+    (target, replacement index) choice per block and the (router,
+    replacement) heads behind each."""
 
     trace: MutationTrace
-    choices: np.ndarray
-    heads: tuple
+    choices: List[Tuple[int, int]]
+    heads: List[Tuple[SquashedHead, SquashedHead]]
 
 
 @dataclass
@@ -360,14 +361,11 @@ def _walk(
     states: np.ndarray,
     u: Optional[np.ndarray] = None,
     forced: Optional[np.ndarray] = None,
-) -> Tuple[List[MutationTrace], List[List[Tuple[int, int]]], tuple]:
+) -> Tuple[List[MutationTrace], List[List[Tuple[int, int]]], list]:
     """One trace per parent, from N parents' encoder states (N, T, W), its
-    choices (a (target, replacement index) pair per block), and the head
-    scores behind them, kept for the backward: (raw scores,
-    log-probs) of the routers (N, B, 4) and of the op heads (K, num_ops),
-    one row per (parent, block) routed to an op, in that order; and for
-    each block b, the candidates (n, b+1, W), raw scores and log-probs
-    (n, b+1) of the n parents routed to an input there.
+    choices (a (target, replacement index) pair per block), and the heads
+    behind them, kept for the backward: per parent, a (router, replacement)
+    pair of SquashedHeads per block.
 
     In each block the router picks a field, then that field's head picks
     its new value. Block b's two choices are drawn at the uniforms
@@ -375,66 +373,63 @@ def _walk(
     (target, replacement index) pair. All routers are scored in one stacked
     product, and so are the op heads of all blocks routed to an op; an
     input head has b+1 candidates, so each block's is scored for the
-    parents that routed to an input there. Totals add each block's router
-    and replacement terms as a pair, in block order.
+    parents that routed to an input there. Each head's softmax, draw and
+    entropy then run on its row of raw scores as Python floats. Totals add
+    each block's router and replacement terms as a pair, in block order.
     """
     N, T, W = states.shape
     B = T // 5
+
+    def choose(heads: list, k: int) -> List[List[int]]:
+        """Each (parent, block) head's choice: forced[..., k], or its draw
+        at its uniform in u[:, k::2]."""
+        if u is None:
+            return forced[..., k].tolist()
+        return [
+            [head.draw(x) for head, x in zip(row, us)]
+            for row, us in zip(heads, u[:, k::2].tolist())
+        ]
+
     blocks = states.reshape(N, B, 5, W)
-    router_raw = _router_raw(params, blocks[:, :, :4])
-    router_logp = squashed_logp_np(router_raw)  # (N, B, 4)
-    t_idx = forced[..., 0] if u is None else draw_index_np(router_logp, u[:, 0::2])
+    router_raw = _router_raw(params, blocks[:, :, :4]).tolist()  # (N, B, 4)
+    routers = [[SquashedHead(row) for row in rows] for rows in router_raw]
+    targets = choose(routers, 0)
+    t_idx = np.array(targets)  # (N, B)
     state_id = blocks[np.arange(N)[:, None], np.arange(B), t_idx]  # (N, B, W)
     is_input = t_idx < 2  # MutTarget.I1 or I2
 
-    chosen = [[None] * B for _ in range(N)]  # (index, log-prob, entropy)
-
-    def replace(where: tuple, logp: np.ndarray):
-        """(index, log-prob, entropy) of the replacement chosen for each
-        (parent, block) pair in where, whose head log-probs are logp's rows."""
-        if u is None:
-            idx = forced[where][:, 1].tolist()
-        else:
-            idx = draw_index_np(logp, u[:, 1::2][where]).tolist()
-        lp = [row[i] for row, i in zip(logp.tolist(), idx)]
-        return zip(idx, lp, entropy_from_logp_np(logp).tolist())
-
-    is_op = ~is_input
-    rows, cols = np.nonzero(is_op)
-    op_raw = _op_raw(params, state_id[is_op])
-    op_logp = squashed_logp_np(op_raw)
-    choices = replace((rows, cols), op_logp)
-    for n, b, choice in zip(rows.tolist(), cols.tolist(), choices):
-        chosen[n][b] = choice
+    replacers = [[None] * B for _ in range(N)]
+    rows, cols = np.nonzero(~is_input)
+    op_raw = _op_raw(params, state_id[rows, cols]).tolist()
+    for n, b, raw in zip(rows.tolist(), cols.tolist(), op_raw):
+        replacers[n][b] = SquashedHead(raw)
     combiners = blocks[:, :, 4]
-    inputs = {}
     for b in range(1, B + 1):
         rows = np.flatnonzero(is_input[:, b - 1])
         if rows.size:
             cands = _input_candidates(params, combiners[rows, : b - 1], b)
-            raw = _input_raw(params, state_id[rows, b - 1], cands)
-            in_logp = squashed_logp_np(raw)
-            inputs[b] = cands, raw, in_logp
-            for n, choice in zip(rows.tolist(), replace((rows, b - 1), in_logp)):
-                chosen[n][b - 1] = choice
+            raw = _input_raw(params, state_id[rows, b - 1], cands).tolist()
+            for n, row in zip(rows.tolist(), raw):
+                replacers[n][b - 1] = SquashedHead(row)
+    indices = choose(replacers, 1)
 
-    router_h = entropy_from_logp_np(router_logp)
     refs = [input_candidate_refs(b) for b in range(1, B + 1)]
     traces: List[MutationTrace] = []
-    choices = []
-    for row in zip(t_idx.tolist(), chosen, router_logp.tolist(), router_h.tolist()):
-        actions, pairs = [], []
+    heads = []
+    for row in zip(routers, replacers, targets, indices):
+        actions = []
         total_lp = total_h = 0.0
-        for b, (t, (r, r_lp, r_h), t_logp, t_h) in enumerate(zip(*row), start=1):
-            t_lp = t_logp[t]
+        for b, (router, replacer, t, r) in enumerate(zip(*row), start=1):
+            t_lp, r_lp = router.logp[t], replacer.logp[r]
+            t_h, r_h = router.entropy, replacer.entropy
             repl: Replacement = refs[b - 1][r] if t < 2 else Op(r)
             actions.append(MutationAction(b, MutTarget(t), repl, t_lp, r_lp, t_h, r_h))
-            pairs.append((t, r))
             total_lp += t_lp + r_lp
             total_h += t_h + r_h
         traces.append(MutationTrace(tuple(actions), total_lp, total_h))
-        choices.append(pairs)
-    return traces, choices, ((router_raw, router_logp), (op_raw, op_logp), inputs)
+        heads.append(list(zip(row[0], row[1])))
+    choices = [list(zip(ts, rs)) for ts, rs in zip(targets, indices)]
+    return traces, choices, heads
 
 
 def sample_mutation(
@@ -455,8 +450,8 @@ def sample_mutation(
     if forward is None:
         forward = encode_forward(params, cell)
     u = rng.random((1, 2 * cell.num_blocks))
-    (trace,), choices, heads = _walk(params, forward.states[None], u)
-    forward.walk = MutationWalk(trace, np.array(choices[0]), heads)
+    (trace,), (choices,), (heads,) = _walk(params, forward.states[None], u)
+    forward.walk = MutationWalk(trace, choices, heads)
     return trace
 
 
@@ -511,56 +506,56 @@ def trace_grads(params: ControllerParams, forward: EncoderForward) -> ParamViews
     on forward, under the parameters of that sample: one flat vector in
     their layout, returned as its per-name views.
 
-    Hand-derived BPTT through the walk's head scores (squash and
-    log-softmax), both encoder directions, the begin vectors and the
-    embedding rows; criterion 3 checks it against central differences of
-    trace_logprob.
+    Hand-derived BPTT from the gradient of each of the walk's heads, taken
+    from the raw scores and probabilities it kept, through both encoder
+    directions, the begin vectors and the embedding rows; criterion 3
+    checks it against central differences of trace_logprob. The routers'
+    gradients are one (B, 4) array and the op and input heads' one matrix
+    each, so every weight's gradient is one product. A parent's input heads
+    share its candidates, so their gradients are summed per candidate:
+    columns prev1, prev2, then blocks 1..B-1, zero past a head's own.
     """
-    walk = forward.walk
     S = forward.states
-    B, W, H = len(walk.choices), params.state_width, params.hidden_size
-    w_r = params.p["w_router"][:, 0]
-    w_in = params.p["w_input"][:, 0]
-    grads = params.p.layout.zeros()
+    B, W, H = len(S) // 5, params.state_width, params.hidden_size
+    p = params.p
+    routers, replacers = zip(*forward.walk.heads)
+    targets, indices = zip(*forward.walk.choices)
+    grads = p.layout.zeros()
     dS = np.zeros_like(S)
-    d_w_r = grads["w_router"][:, 0]
-    d_w_in = grads["w_input"][:, 0]
-    d_w_op = grads["w_op"]
-    d_b_op = grads["b_op"][0]
-    d_begin1 = grads["begin_prev1"][0]
-    d_begin2 = grads["begin_prev2"][0]
-    d_b_r = d_b_in = 0.0
-    (router_raw, router_logp), ops, inputs = walk.heads
-    targets, repl = walk.choices.T
-    g_router = squashed_logp_grad_np(router_raw[0], router_logp[0], targets)
-    dS.reshape(B, 5, W)[:, :4] += g_router[..., None] * w_r
-    for g, fields in zip(g_router, S.reshape(B, 5, W)[:, :4]):
-        d_w_r += g @ fields
-        d_b_r += g.sum()
-    g_ops = iter(squashed_logp_grad_np(*ops, repl[targets >= 2]))
-    for b, (t, idx) in enumerate(walk.choices.tolist(), start=1):
-        base = 5 * (b - 1)
-        state_id = S[base + t]
-        if t < 2:
-            cands, raw, logp = (a[0] for a in inputs[b])
-            g = squashed_logp_grad_np(raw, logp, idx)
-            g_sum = g.sum()
-            dS[base + t] += g_sum * w_in[:W]
-            d_w_in[:W] += g_sum * state_id
-            d_cands = np.outer(g, w_in[W:])
-            dS[4 : 5 * (b - 1) : 5] += d_cands[: b - 1]
-            d_begin1 += d_cands[b - 1]
-            d_begin2 += d_cands[b]
-            d_w_in[W:] += g @ cands
-            d_b_in += g_sum
-        else:
-            g = next(g_ops)
-            dS[base + t] += params.p["w_op"] @ g
-            d_w_op += np.outer(state_id, g)
-            d_b_op += g
+    g_router = np.array([h.grad(t) for h, t in zip(routers, targets)])  # (B, 4)
+    fields = S.reshape(B, 5, W)[:, :4]
+    dS.reshape(B, 5, W)[:, :4] = g_router[..., None] * p["w_router"][:, 0]
+    grads["w_router"][:, 0] = g_router.reshape(-1) @ fields.reshape(4 * B, W)
+    grads["b_router"][0, 0] = g_router.sum()
 
-    grads["b_router"][0, 0] = d_b_r
-    grads["b_input"][0, 0] = d_b_in
+    g_repl = [h.grad(r) for h, r in zip(replacers, indices)]
+    ops = [b for b in range(B) if targets[b] >= 2]
+    ins = [b for b in range(B) if targets[b] < 2]
+    if ops:
+        g_op = np.array([g_repl[b] for b in ops])  # (K, num_ops)
+        at = [5 * b + targets[b] for b in ops]  # the routed fields' states
+        dS[at] += g_op @ p["w_op"].T
+        np.matmul(S[at].T, g_op, out=grads["w_op"])
+        grads["b_op"][0] = g_op.sum(axis=0)
+    if ins:
+        w_in = p["w_input"][:, 0]
+        g_in = np.array(  # block b + 1's head has b combiners, then prev1, prev2
+            [g_repl[b][-2:] + g_repl[b][:-2] + [0.0] * (B - 1 - b) for b in ins]
+        )
+        g_sum = g_in.sum(axis=1)  # each routed field's own term
+        at = [5 * b + targets[b] for b in ins]
+        dS[at] += np.outer(g_sum, w_in[:W])
+        grads["w_input"][:W, 0] = g_sum @ S[at]
+        grads["b_input"][0, 0] = g_sum.sum()
+        g_cand = g_in.sum(axis=0)  # (B + 1,)
+        combiners = S[4 : 5 * (B - 1) : 5]  # blocks 1..B-1
+        cands = np.concatenate([p["begin_prev1"], p["begin_prev2"], combiners])
+        grads["w_input"][W:, 0] = g_cand @ cands
+        d_cands = np.outer(g_cand, w_in[W:])
+        grads["begin_prev1"][0] = d_cands[0]
+        grads["begin_prev2"][0] = d_cands[1]
+        dS[4 : 5 * (B - 1) : 5] += d_cands[2:]
+
     dX = lstm_backward_np(
         params.fwd, forward.fwd, dS[None, :, :H], out=lstm_entries(grads, "fwd")
     )[3][0]
@@ -706,7 +701,7 @@ class _ConstructionWalk:
     digits: List[int]  # the choice made at each step
     tokens: List[int]  # the token each choice feeds to the next step
     cache: nn_core.LSTMCache
-    heads: List[Tuple[np.ndarray, np.ndarray]]  # each step's raw scores, log-probs
+    heads: List[SquashedHead]  # each step's head
     total_logprob: float
     total_entropy: float
 
@@ -772,22 +767,19 @@ class ConstructionPolicy:
         x = self.p["start"][0]
         chosen: List[int] = []
         tokens: List[int] = []
-        heads: List[Tuple[np.ndarray, np.ndarray]] = []
+        heads: List[SquashedHead] = []
         total_lp = total_h = 0.0
         for t, (kind, b) in enumerate(self._decision_plan()):
             cache.X[t, 0] = x
             np.matmul(x, self.lstm.Wx, out=cache.gates[t, 0])
             nn_core.lstm_step_np(self.lstm, cache, t)
-            raw = self._raw(kind, b, cache.h[t, 0])
-            logp = nn_core.squashed_logp_np(raw)
-            idx = int(
-                draw_index_np(logp, rng.random()) if digits is None else digits[t]
-            )
-            total_lp += float(logp[idx])
-            total_h += float(entropy_from_logp_np(logp))
+            head = SquashedHead(self._raw(kind, b, cache.h[t, 0]).tolist())
+            idx = head.draw(rng.random()) if digits is None else digits[t]
+            total_lp += head.logp[idx]
+            total_h += head.entropy
             chosen.append(idx)
             tokens.append(idx if kind == "input" else op_base + idx)
-            heads.append((raw, logp))
+            heads.append(head)
             x = self.p["embedding"][tokens[-1]]
         cell = cell_from_digits(chosen, self.cfg)
         return _ConstructionWalk(cell, chosen, tokens, cache, heads, total_lp, total_h)
@@ -800,28 +792,30 @@ class ConstructionPolicy:
     def grads(self, walk: _ConstructionWalk) -> ParamViews:
         """The gradient of the log-prob of a walk of sample(), under the
         parameters of that sample (one flat vector in self.p's layout, as
-        per-name views), by hand-derived BPTT through the walk's own head
-        scores; criterion 3 checks it against central differences of logprob().
+        per-name views), from the raw scores and probabilities each of the
+        walk's heads kept; criterion 3 checks it against central
+        differences of logprob().
         """
         cache = walk.cache
-        T, H = len(walk.digits), self.hidden_size
-        dh = np.zeros((1, T, H))
+        T = len(walk.digits)
+        # each head's gradient at its choice, stacked into one zero-padded
+        # (T, B+1) input and one (T, num_ops) op matrix, so each weight's
+        # gradient is one product
+        g_in = np.zeros((T, self.cfg.num_blocks + 1))
+        g_op = np.zeros((T, self.cfg.num_ops))
+        plan = self._decision_plan()
+        for t, ((kind, _), head, d) in enumerate(zip(plan, walk.heads, walk.digits)):
+            g = head.grad(d)
+            (g_in if kind == "input" else g_op)[t, : len(g)] = g
+        h = cache.h[:, 0]
+        dh = g_in @ self.p["w_input"].T + g_op @ self.p["w_op"].T
         grads = self.p.layout.zeros()
-        d_w_input, d_b_input = grads["w_input"], grads["b_input"]
-        d_w_op, d_b_op = grads["w_op"], grads["b_op"]
-        for t, (kind, b) in enumerate(self._decision_plan()):
-            h = cache.h[t, 0]
-            g = nn_core.squashed_logp_grad_np(*walk.heads[t], walk.digits[t])
-            if kind == "input":
-                dh[0, t] = self.p["w_input"][:, : b + 1] @ g
-                d_w_input[:, : b + 1] += np.outer(h, g)
-                d_b_input[0, : b + 1] += g
-            else:
-                dh[0, t] = self.p["w_op"] @ g
-                d_w_op += np.outer(h, g)
-                d_b_op[0] += g
+        np.matmul(h.T, g_in, out=grads["w_input"])
+        np.matmul(h.T, g_op, out=grads["w_op"])
+        grads["b_input"][0] = g_in.sum(axis=0)
+        grads["b_op"][0] = g_op.sum(axis=0)
         dX = nn_core.lstm_backward_np(
-            self.lstm, cache, dh, out=nn_core.lstm_entries(grads, "lstm")
+            self.lstm, cache, dh[None], out=nn_core.lstm_entries(grads, "lstm")
         )[3]
         # step t > 0 reads the token chosen at step t - 1
         np.add.at(grads["embedding"], walk.tokens[:-1], dX[0, 1:])

@@ -3,14 +3,17 @@
 Sampling and training run on a numpy engine without a tape: a cached,
 time-major LSTM forward (lstm_forward_np; lstm_step_np for autoregressive
 feeds), a hand-derived BPTT backward over the same cache
-(lstm_backward_np), the squashed log-softmax heads and their gradient (one
-chosen index per row, so many heads are differentiated at once), the one
-inverse-CDF draw both policies sample with (draw_index_np, one uniform per
-row), and Adam in Kingma & Ba's efficient form, its bias corrections folded
-into two scalars and its update run over L2-sized slices. A policy keeps
-all its parameters in one flat float64 buffer (ParamLayout names the views
-into it), so Adam, the gradient norm and checkpoints each run over one
-vector; a checkpoint is that buffer plus JSON metadata in one binary file.
+(lstm_backward_np), and Adam in Kingma & Ba's efficient form, its bias
+corrections folded into two scalars and its update run over L2-sized
+slices. Every decision head of both policies is one SquashedHead: the
+squashed log-softmax over a row of raw scores, its entropy, the one
+inverse-CDF draw both policies sample with and the gradient at the chosen
+index. A head has 2-7 candidates, where numpy's per-call overhead is most
+of an array op's cost, so its arithmetic runs on Python floats. A policy
+keeps all its parameters in one flat float64 buffer (ParamLayout names the
+views into it), so Adam, the gradient norm and checkpoints each run over
+one vector; a checkpoint is that buffer plus JSON metadata in one binary
+file.
 check_grads holds every analytic gradient to central differences of a
 forward-only loss.
 
@@ -25,8 +28,9 @@ import bisect
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -261,38 +265,50 @@ def lstm_entries(named: Mapping[str, object], prefix: str) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Softmax machinery. Logits are squashed to [-2.5, 2.5] before every softmax
-# so no single choice can collapse the distribution (max/min probability
-# ratio stays at or below e^5).
+# Softmax heads. Logits are squashed to [-2.5, 2.5] before every softmax so
+# no single choice can collapse the distribution (max/min probability ratio
+# stays at or below e^5).
 # ---------------------------------------------------------------------------
 
 
-def shape_logits_np(raw: np.ndarray) -> np.ndarray:
-    return 2.5 * np.tanh(raw / 5.0)
+class SquashedHead:
+    """One categorical decision over a row of raw scores, on Python floats.
 
+    Built from the raw scores (a list), it holds the log-probs of the
+    squashed logits 2.5 tanh(raw / 5) after a log-softmax, their
+    probabilities p and the entropy; draw samples it and grad
+    differentiates it, both from those without scoring the row again. Sums
+    are math.fsum, rounded once, so their bits do not depend on the Python
+    version (the built-in sum of floats changed in 3.12). A NaN score
+    makes every log-prob NaN, whatever max() returns for it.
+    """
 
-def log_softmax_np(logits: np.ndarray) -> np.ndarray:
-    c = logits.max(axis=-1, keepdims=True)
-    shifted = logits - c
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True)) + c
-    return logits - lse
+    __slots__ = ("raw", "logp", "p", "entropy")
 
+    def __init__(self, raw: List[float]):
+        z = [2.5 * math.tanh(r / 5.0) for r in raw]
+        c = max(z)
+        lse = math.log(math.fsum([math.exp(x - c) for x in z])) + c
+        self.raw = raw
+        self.logp = logp = [x - lse for x in z]
+        self.p = p = [math.exp(x) for x in logp]
+        self.entropy = -math.fsum(map(operator.mul, p, logp))
 
-def entropy_from_logp_np(logp: np.ndarray) -> np.ndarray:
-    return -(np.exp(logp) * logp).sum(axis=-1)
+    def draw(self, u: float) -> int:
+        """Inverse-CDF draw at the uniform u: the first index whose
+        cumulative probability exceeds u, capped at the last candidate.
+        Probabilities with a non-finite sum raise ValueError."""
+        cum = list(itertools.accumulate(self.p))
+        if not math.isfinite(cum[-1]):
+            raise ValueError("cannot sample: probabilities sum to a non-finite value")
+        return bisect.bisect_right(cum, u, 0, len(cum) - 1)
 
-
-def draw_index_np(logp: np.ndarray, u: Union[np.ndarray, float]) -> np.ndarray:
-    """Inverse-CDF draw along logp's last axis at the uniforms u, one per
-    row (a float for a single row): the first index whose cumulative
-    probability exceeds u, capped at the last candidate. Probabilities
-    with a non-finite sum raise ValueError."""
-    cum = np.exp(logp).cumsum(axis=-1)
-    if not math.isfinite(cum[..., -1].sum()):
-        raise ValueError("cannot sample: probabilities sum to a non-finite value")
-    # cum is nondecreasing, so counting over all but its last entry caps
-    # the index at the last candidate
-    return (cum[..., :-1] <= np.asarray(u)[..., None]).sum(axis=-1)
+    def grad(self, idx: int) -> List[float]:
+        """d logp[idx] / d raw, through the log-softmax and the squash."""
+        g = [-q for q in self.p]
+        g[idx] += 1.0
+        t = [math.tanh(r / 5.0) for r in self.raw]
+        return [x * (0.5 * (1.0 - y * y)) for x, y in zip(g, t)]
 
 
 # ---------------------------------------------------------------------------
@@ -699,20 +715,3 @@ def lstm_backward_np(
     dz_flat.sum(axis=0, keepdims=True, out=db)
     dX = (dz_flat @ params.Wx.T).reshape(T, N, E).transpose(1, 0, 2)
     return dWx, dWh, db, dX
-
-
-def squashed_logp_np(raw: np.ndarray) -> np.ndarray:
-    """Log-probabilities of the squashed logits shape_logits_np(raw)."""
-    return log_softmax_np(shape_logits_np(raw))
-
-
-def squashed_logp_grad_np(
-    raw: np.ndarray, logp: np.ndarray, idx: Union[np.ndarray, Sequence[int], int]
-) -> np.ndarray:
-    """d logp[..., idx] / d raw through the log-softmax and the 2.5 tanh(raw/5)
-    squash, for one index per row along the last axis (an int for one row)."""
-    u = np.tanh(raw / 5.0)
-    grad = -np.exp(logp)
-    rows = grad.reshape(-1, grad.shape[-1])
-    rows[np.arange(len(rows)), np.asarray(idx, dtype=np.intp).ravel()] += 1.0
-    return grad * (0.5 * (1.0 - u * u))

@@ -49,9 +49,10 @@ from evocell.harness import (
     run_strategy,
     write_jsonl,
 )
-from evocell.nn_core import check_grads, log_softmax_np, shape_logits_np
+from evocell.nn_core import check_grads
 from evocell.reinforce import ReinforceTrainer, shaped_reward
 from evocell.report import compare
+from head_reference import squashed_logp_np
 
 
 def _report(capsys, number: int, ok: bool, detail: str) -> None:
@@ -286,11 +287,9 @@ def _rewarded_action_prob(params, cell) -> float:
     states = encode_forward(params, cell).states
     w_r = params.p["w_router"][:, 0]
     b_r = params.p["b_router"][0, 0]
-    router_logp = log_softmax_np(
-        shape_logits_np(np.array([states[j] @ w_r + b_r for j in range(4)]))
-    )
+    router_logp = squashed_logp_np(np.array([states[j] @ w_r + b_r for j in range(4)]))
     op_raw = states[int(MutTarget.O1)] @ params.p["w_op"] + params.p["b_op"][0]
-    op_logp = log_softmax_np(shape_logits_np(op_raw))
+    op_logp = squashed_logp_np(op_raw)
     return float(np.exp(router_logp[int(MutTarget.O1)] + op_logp[int(Op.SEP5)]))
 
 

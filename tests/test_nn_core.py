@@ -1,5 +1,5 @@
-"""nn_core: tape tensor ops, the numpy LSTM and its backward, softmax
-machinery, Adam, checkpoints."""
+"""nn_core: tape tensor ops, the numpy LSTM and its backward, the float
+softmax head, Adam, checkpoints."""
 
 import json
 import math
@@ -14,21 +14,16 @@ from evocell.nn_core import (
     ParamLayout,
     Tensor,
     adam_step,
+    SquashedHead,
     check_grads,
-    draw_index_np,
-    entropy_from_logp_np,
     gradcheck,
     load_params,
-    log_softmax_np,
     lstm_backward_np,
     lstm_forward_np,
     save_params,
-    shape_logits_np,
-    squashed_logp_grad_np,
-    squashed_logp_np,
 )
+from head_reference import entropy_np, sample_index_np, squashed_logp_np
 import tape_reference
-from walk_reference import sample_index_np
 
 
 # ---------------------------------------------------------------------------
@@ -212,82 +207,114 @@ def test_numpy_backward_matches_tape():
 
 
 # ---------------------------------------------------------------------------
-# Softmax machinery
+# Squashed softmax heads
 # ---------------------------------------------------------------------------
-
 
 def test_uniform_logits_give_uniform_probabilities_and_max_entropy():
     for n in (2, 4, 7):
-        logp = log_softmax_np(np.zeros(n))
-        assert np.allclose(np.exp(logp), 1.0 / n, atol=1e-12)
-        assert abs(float(entropy_from_logp_np(logp)) - math.log(n)) < 1e-12
+        head = SquashedHead([0.0] * n)
+        assert all(abs(p - 1.0 / n) <= 1e-12 for p in head.p)
+        assert abs(head.entropy - math.log(n)) < 1e-12
 
 
 def test_softmax_is_probability_vector():
     rng = np.random.default_rng(1)
     for _ in range(100):
-        p = np.exp(log_softmax_np(rng.normal(scale=4.0, size=6)))
-        assert abs(p.sum() - 1.0) <= 1e-9
-        assert (p >= 0).all()
+        head = SquashedHead(rng.normal(scale=4.0, size=6).tolist())
+        assert abs(sum(head.p) - 1.0) <= 1e-9
+        assert min(head.p) >= 0
 
 
 def test_extreme_logits_pick_first_index():
-    logp = log_softmax_np(np.array([40.0, -40.0]))
+    # the squash caps the odds at e^5: raw scores of +-1e3 squash to +-2.5
+    # to double precision, so the first has probability 1 / (1 + e^-5), and
+    # every uniform below that draws index 0
+    head = SquashedHead([1e3, -1e3])
+    assert abs(head.logp[0] + math.log1p(math.exp(-5.0))) < 1e-12
     rng = np.random.default_rng(0)
-    for _ in range(50):
-        assert draw_index_np(logp, rng.random()) == 0
-    assert float(logp[0]) > -1e-9
+    for u in rng.random(200):
+        assert head.draw(u) == (0 if u < head.p[0] else 1)
+    assert head.draw(0.0) == 0 and head.draw(math.nextafter(1.0, 0.0)) == 1
 
 
 def test_sample_frequencies_match_probabilities():
     rng = np.random.default_rng(33)
-    logits = np.array([0.9, -0.3, 0.1, 1.4, -1.0])
-    logp = log_softmax_np(logits)
-    p = np.exp(logp)
+    head = SquashedHead([0.9, -0.3, 0.1, 1.4, -1.0])
+    p = np.array(head.p)
     n = 100_000
     counts = np.zeros(5)
-    for _ in range(n):
-        counts[draw_index_np(logp, rng.random())] += 1
+    for u in rng.random(n).tolist():
+        counts[head.draw(u)] += 1
     freq = counts / n
     sigma = np.sqrt(p * (1 - p) / n)
     assert (np.abs(freq - p) <= 3 * sigma + 1e-12).all(), (freq, p)
 
 
 def test_draw_equals_the_searchsorted_reference():
-    # one row at a time and all rows at once, on every candidate count
+    # the searchsorted draw over the head's log-probs, on every candidate
+    # count
     rng = np.random.default_rng(41)
-    for k in range(2, 7):
-        logp = log_softmax_np(rng.normal(scale=2.0, size=(4000, k)))
+    for k in range(2, 8):
+        rows = rng.normal(scale=4.0, size=(4000, k)).tolist()
+        heads = [SquashedHead(row) for row in rows]
         seed = int(rng.integers(2**32))
         twin = np.random.default_rng(seed)
-        want = [sample_index_np(row, twin) for row in logp]
-        u = np.random.default_rng(seed).random(len(logp))
-        assert draw_index_np(logp, u).tolist() == want
-        assert [int(draw_index_np(row, x)) for row, x in zip(logp, u)] == want
+        want = [sample_index_np(np.array(h.logp), twin) for h in heads]
+        u = np.random.default_rng(seed).random(len(heads)).tolist()
+        assert [h.draw(x) for h, x in zip(heads, u)] == want
 
 
 def test_draw_rejects_non_finite_probabilities():
-    with pytest.raises(ValueError, match="cannot sample"):
-        draw_index_np(np.array([np.nan, 0.0]), 0.5)
-    with pytest.raises(ValueError, match="cannot sample"):
-        draw_index_np(np.array([[0.0, -1.0], [np.inf, 0.0]]), np.array([0.1, 0.2]))
+    for raw in ([math.nan, 0.0], [0.0, -1.0, math.nan]):
+        head = SquashedHead(raw)
+        with pytest.raises(ValueError, match="cannot sample"):
+            head.draw(0.5)
 
 
 def test_shape_logits_values():
-    assert shape_logits_np(np.array([0.0]))[0] == 0.0
-    assert abs(shape_logits_np(np.array([5.0]))[0] - 2.5 * math.tanh(1.0)) < 1e-15
-    assert abs(shape_logits_np(np.array([1e9]))[0]) <= 2.5
-    assert abs(shape_logits_np(np.array([-1e9]))[0]) <= 2.5
+    # a one-candidate head's log-prob is 0 whatever its raw score; over two,
+    # the squashed logits are (2.5 tanh(raw / 5), 0)
+    for r in (0.0, 5.0, 1e9, -1e9):
+        head = SquashedHead([r, 0.0])
+        z = 2.5 * math.tanh(r / 5.0)
+        assert abs(z) <= 2.5
+        assert abs((head.logp[0] - head.logp[1]) - z) < 1e-15
+    assert SquashedHead([0.0]).logp == [0.0]
 
 
-def _check_squashed_logp_grad(raw):
-    """Max central-difference error of squashed_logp_grad_np over every idx."""
+def test_float_head_equals_the_numpy_formula_within_a_few_ulp():
+    # log-probs and entropy of random rows of width 2-7 at raw scales from
+    # 1e-3 to 50, against the numpy squash and log-softmax; the error is
+    # counted in ulps of the logits' bound 2.5. The draws agree except where
+    # the uniform lies within that tolerance of a cumulative boundary.
+    tol = 4 * math.ulp(2.5)
+    rng = np.random.default_rng(43)
+    near_boundary = 0
+    for k in range(2, 8):
+        for scale in (1e-3, 1e-1, 1.0, 5.0, 50.0):
+            raw = rng.normal(scale=scale, size=(500, k))
+            logp = squashed_logp_np(raw)
+            entropy = entropy_np(logp)
+            cum = np.cumsum(np.exp(logp), axis=-1)
+            u = rng.random(len(raw))
+            for row, lp, h, c, x in zip(raw.tolist(), logp, entropy, cum, u):
+                head = SquashedHead(row)
+                assert np.abs(np.array(head.logp) - lp).max() <= tol, row
+                assert abs(head.entropy - h) <= tol, row
+                if np.abs(c[:-1] - x).min() <= tol:
+                    near_boundary += 1
+                    continue
+                assert head.draw(x) == int((c[:-1] <= x).sum()), row
+    assert near_boundary < 5
+
+
+def _check_head_grad(raw):
+    """Max central-difference error of SquashedHead.grad over every idx."""
     worst = 0.0
     for idx in range(raw.shape[1]):
-        logp = squashed_logp_np(raw[0])
-        grad = squashed_logp_grad_np(raw[0], logp, idx)
+        grad = np.array([SquashedHead(raw[0].tolist()).grad(idx)])
         err = check_grads(
-            lambda: float(squashed_logp_np(raw[0])[idx]),
+            lambda: SquashedHead(raw[0].tolist()).logp[idx],
             {"raw": grad},
             [("raw", raw)],
         )
@@ -295,19 +322,24 @@ def _check_squashed_logp_grad(raw):
     return worst
 
 
-def test_squashed_logp_grad_takes_one_index_per_row():
+def test_head_grad_is_the_one_hot_minus_p_times_the_squash_slope():
+    # d logp[idx] / d raw is (onehot(idx) - p) times the squash's slope
+    # 0.5 (1 - tanh(raw / 5)^2); without the slope it sums to 0
     rng = np.random.default_rng(23)
-    raw = rng.normal(scale=4.0, size=(6, 5))
-    logp = squashed_logp_np(raw)
-    idx = rng.integers(5, size=6)
-    rows = [squashed_logp_grad_np(r, lp, int(i)) for r, lp, i in zip(raw, logp, idx)]
-    assert squashed_logp_grad_np(raw, logp, idx).tobytes() == np.array(rows).tobytes()
+    for k in range(2, 8):
+        head = SquashedHead(rng.normal(scale=4.0, size=k).tolist())
+        slope = [0.5 * (1.0 - math.tanh(r / 5.0) ** 2) for r in head.raw]
+        for idx in range(k):
+            g = head.grad(idx)
+            want = [((j == idx) - p) * s for j, (p, s) in enumerate(zip(head.p, slope))]
+            assert np.allclose(g, want, rtol=0.0, atol=1e-15)
+            assert abs(sum(g[j] / slope[j] for j in range(k))) < 1e-12
 
 
 def test_log_softmax_gradcheck():
     # raw scores where the squash is close to linear: the log-softmax term
     rng = np.random.default_rng(17)
-    assert _check_squashed_logp_grad(rng.normal(scale=0.5, size=(1, 5))) < 1e-6
+    assert _check_head_grad(rng.normal(scale=0.5, size=(1, 5))) < 1e-6
 
 
 def test_shape_logits_gradcheck():
@@ -315,7 +347,7 @@ def test_shape_logits_gradcheck():
     rng = np.random.default_rng(19)
     for scale in (3.0, 20.0):
         raw = rng.normal(scale=scale, size=(1, 5))
-        assert _check_squashed_logp_grad(raw) < 1e-6
+        assert _check_head_grad(raw) < 1e-6
 
 
 # ---------------------------------------------------------------------------

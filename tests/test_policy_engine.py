@@ -8,7 +8,7 @@ import copy
 import numpy as np
 import pytest
 
-from evocell import controller
+from evocell import nn_core
 from evocell.arch_space import SpaceConfig, random_cell
 from evocell.controller import (
     ConstructionPolicy,
@@ -239,16 +239,45 @@ def test_construction_grads_equal_per_token_rescoring_byte_for_byte(size):
 
 
 def test_gradients_rescore_nothing_after_sampling(monkeypatch):
+    # a head is scored only when a SquashedHead is built; both backwards
+    # differentiate the heads their walk kept, and a backward that scores
+    # its heads again trips the patch
     params, cell, _, _, rng = _controller_draw(4, bidirectional=True)
     forward = encode_forward(params, cell)
     sample_mutation(params, cell, rng, forward)
     policy, rng = _construction_draw(4)
     built = policy.sample(rng)
 
-    def walk_again(*args, **kwargs):
+    def score_again(*args, **kwargs):
         raise AssertionError("a head was scored again")
 
-    monkeypatch.setattr(controller, "_walk", walk_again)
-    monkeypatch.setattr(policy, "_walk", walk_again)
+    monkeypatch.setattr(nn_core.SquashedHead, "__init__", score_again)
     trace_grads(params, forward)
     policy.grads(built)
+    with pytest.raises(AssertionError, match="scored again"):
+        grad_reference.controller_grads(params, cell, forward.walk.trace)
+    with pytest.raises(AssertionError, match="scored again"):
+        grad_reference.construction_grads(policy, built.cell)
+
+
+def test_one_nan_parameter_makes_every_sampler_raise():
+    # a NaN score reaches the head's probabilities, whose sum the draw
+    # rejects, instead of falling through to a logged choice
+    params, cell, _, _, rng = _controller_draw(0, bidirectional=True)
+    cfg = SpaceConfig(params.num_blocks, params.num_ops)
+    cells = [random_cell(cfg, rng) for _ in range(16)]
+    for name in ("b_router", "b_op", "b_input", "embedding"):
+        params.p[name][0, 0] = np.nan
+        with pytest.raises(ValueError, match="cannot sample"):
+            sample_mutation_batch(params, [cell] + cells, rng)
+        params.p[name][0, 0] = 0.0
+    params.p["b_router"][0, 0] = np.nan
+    with pytest.raises(ValueError, match="cannot sample"):
+        sample_mutation(params, cell, rng)
+    policy, rng = _construction_draw(0)
+    for name in ("b_input", "b_op", "start"):
+        saved = policy.p[name][0, 0]
+        policy.p[name][0, 0] = np.nan
+        with pytest.raises(ValueError, match="cannot sample"):
+            policy.sample(rng)
+        policy.p[name][0, 0] = saved

@@ -29,12 +29,13 @@ from evocell.controller import (
     trace_logprob,
 )
 from evocell.harness import StrategyConfig, make_oracle, run_strategy
-from evocell.nn_core import check_grads, log_softmax_np, shape_logits_np
+from evocell.nn_core import check_grads
 from evocell.reinforce import (
     FITNESS_CLIP,
     ReinforceTrainer,
     shaped_reward,
 )
+from head_reference import squashed_logp_np
 
 TINY = dict(embed_size=4, hidden_size=4)
 
@@ -188,12 +189,10 @@ def test_high_entropy_weight_keeps_decisions_near_uniform():
     states = encode_forward(params, cell).states
     w_r = params.p["w_router"][:, 0]
     b_r = params.p["b_router"][0, 0]
-    router_logp = log_softmax_np(
-        shape_logits_np(np.array([states[j] @ w_r + b_r for j in range(4)]))
-    )
+    router_logp = squashed_logp_np(np.array([states[j] @ w_r + b_r for j in range(4)]))
     kl_router = float(np.sum(np.exp(router_logp) * (router_logp - math.log(0.25))))
     op_raw = states[2] @ params.p["w_op"] + params.p["b_op"][0]
-    op_logp = log_softmax_np(shape_logits_np(op_raw))
+    op_logp = squashed_logp_np(op_raw)
     kl_op = float(np.sum(np.exp(op_logp) * (op_logp - math.log(0.5))))
     assert kl_router < 0.05, kl_router
     assert kl_op < 0.05, kl_op

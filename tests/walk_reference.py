@@ -2,11 +2,11 @@
 
 The straightforward walk over one parent: for each block in order, score
 its router, draw the field, score the head of that field, draw the
-replacement, each draw a separate rng.random() call through
-sample_index_np, a searchsorted inverse-CDF draw. The package scores
-all blocks' routers and op heads in stacked products and draws a parent's
-uniforms in one call; agreement bit for bit checks that this regrouping
-leaves every decision and every log-prob unchanged.
+replacement, each head a SquashedHead over that block's own raw scores and
+each draw a separate rng.random() call. The package scores all blocks'
+routers and op heads in stacked products and draws a parent's uniforms in
+one call; agreement bit for bit checks that this regrouping leaves every
+decision and every log-prob unchanged.
 
 That agreement rests on numpy's matmul handing each (1, W) or (4, W) slice
 of a stacked product to the same BLAS kernel (dot or gemv) as the 1-D and
@@ -14,7 +14,6 @@ of a stacked product to the same BLAS kernel (dot or gemv) as the 1-D and
 candidates, never over padding.
 """
 
-import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,19 +27,7 @@ from evocell.controller import (
     encode_forward,
     input_candidate_refs,
 )
-from evocell.nn_core import entropy_from_logp_np, squashed_logp_np
-
-
-def sample_index_np(logp: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw from log-probabilities; one uniform consumed.
-    Probabilities with a non-finite sum raise ValueError before the draw."""
-    p = np.exp(logp).reshape(-1)
-    cum = np.cumsum(p)
-    if not math.isfinite(cum[-1]):
-        raise ValueError(f"cannot sample: probabilities sum to {cum[-1]}")
-    u = rng.random()
-    idx = int(np.searchsorted(cum, u, side="right"))
-    return min(idx, p.size - 1)
+from evocell.nn_core import SquashedHead
 
 
 def _router_raw(params, states, b):
@@ -77,21 +64,19 @@ def _walk(
     total_lp = 0.0
     total_h = 0.0
     for b in range(1, num_blocks + 1):
-        router_logp = squashed_logp_np(_router_raw(params, states, b))
-        t_idx = forced[b - 1][0] if rng is None else sample_index_np(router_logp, rng)
-        router_lp = float(router_logp[t_idx])
-        router_h = float(entropy_from_logp_np(router_logp))
+        router = SquashedHead(_router_raw(params, states, b).tolist())
+        t_idx = forced[b - 1][0] if rng is None else router.draw(rng.random())
         state_id = states[5 * (b - 1) + t_idx]
         is_input = t_idx < 2
         if is_input:
             cands = _input_candidates(params, states, b)
-            repl_logp = squashed_logp_np(_input_raw(params, state_id, cands))
+            head = SquashedHead(_input_raw(params, state_id, cands).tolist())
         else:
-            repl_logp = squashed_logp_np(_op_raw(params, state_id))
-        r_idx = forced[b - 1][1] if rng is None else sample_index_np(repl_logp, rng)
+            head = SquashedHead(_op_raw(params, state_id).tolist())
+        r_idx = forced[b - 1][1] if rng is None else head.draw(rng.random())
         replacement = input_candidate_refs(b)[r_idx] if is_input else Op(r_idx)
-        repl_lp = float(repl_logp[r_idx])
-        repl_h = float(entropy_from_logp_np(repl_logp))
+        router_lp, router_h = router.logp[t_idx], router.entropy
+        repl_lp, repl_h = head.logp[r_idx], head.entropy
         actions.append(
             MutationAction(
                 block=b,
