@@ -5,12 +5,14 @@ The mutation controller encodes a parent cell's token sequence with a
 bidirectional LSTM, then walks the blocks in order. For each block it first
 routes: which of the four searchable fields (i1, i2, o1, o2) to mutate,
 scored by a shared linear head over the field's encoder state. If an input
-field was chosen, a second head scores every legal replacement candidate,
-each represented by an encoder state: earlier blocks by the state of their
+field was chosen, a second linear head scores every legal replacement
+candidate by its encoder state alone: earlier blocks by the state of their
 combiner token, and the two previous-cell inputs by learned begin vectors.
 If an op field was chosen, a third head produces logits over the active op
 subset. Every softmax is squashed (nn_core.SquashedHead), so no decision
-can become deterministic.
+can become deterministic. The router and input heads carry no bias and the
+input head no term for the routed field's own state: each would add the
+same value to every candidate, which the softmax cancels.
 
 Everything runs on the numpy engine. encode_forward caches one encoder
 pass. One walk scores and chooses every block of one or many parents, and
@@ -115,9 +117,10 @@ class ControllerParams:
 
     begin_prev1 / begin_prev2 are free vectors of encoder-output width that
     stand in for the two previous-cell inputs when scoring replacement
-    candidates. A layout without "bwd.*" weights makes the encoder
-    forward-only (bwd is None), and every head is dimensioned to width H
-    instead of 2H.
+    candidates. w_router scores a field's state and w_input a candidate's;
+    w_op and b_op score the routed op field's state over the active ops. A
+    layout without "bwd.*" weights makes the encoder forward-only (bwd is
+    None), and every head is dimensioned to width H instead of 2H.
     """
 
     p: ParamViews
@@ -159,7 +162,8 @@ def controller_layout(
     bidirectional: bool,
 ) -> ParamLayout:
     """The policy's parameters in named_params() order, which is also the
-    order init_controller has always drawn them in."""
+    order init_controller draws them in. The router and input heads are
+    one weight column each, over a field's or a candidate's state."""
     E, H = embed_size, hidden_size
     W = 2 * H if bidirectional else H
     return ParamLayout(
@@ -170,9 +174,7 @@ def controller_layout(
             ("begin_prev1", (1, W)),
             ("begin_prev2", (1, W)),
             ("w_router", (W, 1)),
-            ("b_router", (1, 1)),
-            ("w_input", (2 * W, 1)),  # applied to [state; candidate]
-            ("b_input", (1, 1)),
+            ("w_input", (W, 1)),
             ("w_op", (W, num_ops)),
             ("b_op", (1, num_ops)),
         ]
@@ -328,7 +330,7 @@ def encode_forward(params: ControllerParams, cell: CellSpec) -> EncoderForward:
 
 def _router_raw(params: ControllerParams, fields: np.ndarray) -> np.ndarray:
     """(..., 4) from the states of a block's four fields (..., 4, W)."""
-    return fields @ params.p["w_router"][:, 0] + params.p["b_router"][0, 0]
+    return fields @ params.p["w_router"][:, 0]
 
 
 def _input_candidates(
@@ -340,15 +342,6 @@ def _input_candidates(
     cands[..., b - 1, :] = params.p["begin_prev1"][0]
     cands[..., b, :] = params.p["begin_prev2"][0]
     return cands
-
-
-def _input_raw(
-    params: ControllerParams, state_id: np.ndarray, cands: np.ndarray
-) -> np.ndarray:
-    W = params.state_width
-    w = params.p["w_input"][:, 0]
-    own = state_id[..., None, :] @ w[:W]  # (..., 1): a dot product per parent
-    return own + cands @ w[W:] + params.p["b_input"][0, 0]
 
 
 def _op_raw(params: ControllerParams, state_id: np.ndarray) -> np.ndarray:
@@ -408,7 +401,7 @@ def _walk(
         rows = np.flatnonzero(is_input[:, b - 1])
         if rows.size:
             cands = _input_candidates(params, combiners[rows, : b - 1], b)
-            raw = _input_raw(params, state_id[rows, b - 1], cands).tolist()
+            raw = (cands @ params.p["w_input"][:, 0]).tolist()
             for n, row in zip(rows.tolist(), raw):
                 replacers[n][b - 1] = SquashedHead(row)
     indices = choose(replacers, 1)
@@ -510,10 +503,10 @@ def trace_grads(params: ControllerParams, forward: EncoderForward) -> ParamViews
     from the raw scores and probabilities it kept, through both encoder
     directions, the begin vectors and the embedding rows; criterion 3
     checks it against central differences of trace_logprob. The routers'
-    gradients are one (B, 4) array and the op and input heads' one matrix
-    each, so every weight's gradient is one product. A parent's input heads
-    share its candidates, so their gradients are summed per candidate:
-    columns prev1, prev2, then blocks 1..B-1, zero past a head's own.
+    gradients are one (B, 4) array and the op heads' one matrix, so every
+    weight's gradient is one product. A parent's input heads share its
+    candidates and score nothing else, so their gradients are summed per
+    candidate: prev1, prev2, then blocks 1..B-1.
     """
     S = forward.states
     B, W, H = len(S) // 5, params.state_width, params.hidden_size
@@ -526,7 +519,6 @@ def trace_grads(params: ControllerParams, forward: EncoderForward) -> ParamViews
     fields = S.reshape(B, 5, W)[:, :4]
     dS.reshape(B, 5, W)[:, :4] = g_router[..., None] * p["w_router"][:, 0]
     grads["w_router"][:, 0] = g_router.reshape(-1) @ fields.reshape(4 * B, W)
-    grads["b_router"][0, 0] = g_router.sum()
 
     g_repl = [h.grad(r) for h, r in zip(replacers, indices)]
     ops = [b for b in range(B) if targets[b] >= 2]
@@ -538,20 +530,13 @@ def trace_grads(params: ControllerParams, forward: EncoderForward) -> ParamViews
         np.matmul(S[at].T, g_op, out=grads["w_op"])
         grads["b_op"][0] = g_op.sum(axis=0)
     if ins:
-        w_in = p["w_input"][:, 0]
-        g_in = np.array(  # block b + 1's head has b combiners, then prev1, prev2
-            [g_repl[b][-2:] + g_repl[b][:-2] + [0.0] * (B - 1 - b) for b in ins]
-        )
-        g_sum = g_in.sum(axis=1)  # each routed field's own term
-        at = [5 * b + targets[b] for b in ins]
-        dS[at] += np.outer(g_sum, w_in[:W])
-        grads["w_input"][:W, 0] = g_sum @ S[at]
-        grads["b_input"][0, 0] = g_sum.sum()
-        g_cand = g_in.sum(axis=0)  # (B + 1,)
-        combiners = S[4 : 5 * (B - 1) : 5]  # blocks 1..B-1
+        g_cand = np.zeros(B + 1)  # prev1, prev2, then blocks 1..B-1
+        for b in ins:  # block b + 1's head has b combiners, then prev1, prev2
+            g_cand[: b + 2] += g_repl[b][-2:] + g_repl[b][:-2]
+        combiners = S[4 : 5 * (B - 1) : 5]
         cands = np.concatenate([p["begin_prev1"], p["begin_prev2"], combiners])
-        grads["w_input"][W:, 0] = g_cand @ cands
-        d_cands = np.outer(g_cand, w_in[W:])
+        grads["w_input"][:, 0] = g_cand @ cands
+        d_cands = np.outer(g_cand, p["w_input"][:, 0])
         grads["begin_prev1"][0] = d_cands[0]
         grads["begin_prev2"][0] = d_cands[1]
         dS[4 : 5 * (B - 1) : 5] += d_cands[2:]

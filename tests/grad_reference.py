@@ -16,7 +16,6 @@ from evocell.controller import (
     MutationWalk,
     _forced,
     _input_candidates,
-    _input_raw,
     _op_raw,
     _router_raw,
     encode_forward,
@@ -35,7 +34,8 @@ def controller_grads(params, cell, trace):
         base = 5 * (b - 1)
         state_id = S[base + t_idx]
         if t_idx < 2:
-            raw = _input_raw(params, state_id, _input_candidates(params, S[4::5], b))
+            cands = _input_candidates(params, S[4::5], b)
+            raw = cands @ params.p["w_input"][:, 0]
         else:
             raw = _op_raw(params, state_id)
         router = _router_raw(params, S[base : base + 4])

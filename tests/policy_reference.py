@@ -57,19 +57,18 @@ def controller_logprob(params, cell, trace):
         backward = lstm_states(params.bwd, xs[::-1])[::-1]
         states = [np.concatenate([f, b]) for f, b in zip(states, backward)]
     begins = [p["begin_prev1"][0], p["begin_prev2"][0]]
-    w_router, b_router = p["w_router"][:, 0], p["b_router"][0, 0]
-    w_input, b_input = p["w_input"][:, 0], p["b_input"][0, 0]
+    w_router, w_input = p["w_router"][:, 0], p["w_input"][:, 0]
     total_lp = total_h = 0.0
     for b, action in enumerate(trace.actions, start=1):
         fields = states[5 * (b - 1) : 5 * (b - 1) + 4]
-        lp, h = _scored([s @ w_router + b_router for s in fields], int(action.target))
+        lp, h = _scored([s @ w_router for s in fields], int(action.target))
         total_lp += lp
         total_h += h
         state = fields[int(action.target)]
-        if int(action.target) < 2:  # an input: score [state; candidate] pairs
+        if int(action.target) < 2:  # an input: score each candidate's state
             refs = list(range(1, b)) + [CELL_PREV1, CELL_PREV2]
             cands = [states[5 * (k - 1) + 4] for k in range(1, b)] + begins
-            raw = [np.concatenate([state, cand]) @ w_input + b_input for cand in cands]
+            raw = [cand @ w_input for cand in cands]
             lp, h = _scored(raw, refs.index(int(action.replacement)))
         else:
             raw = state @ p["w_op"] + p["b_op"][0]

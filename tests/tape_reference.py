@@ -44,12 +44,13 @@ def lstm_states(lstm, xs):
     return states
 
 
-def _affine(parts, W, b):
-    """[parts...] @ W + b, one slice of W's rows per part."""
+def _affine(parts, W, b=None):
+    """[parts...] @ W, plus b if given, one slice of W's rows per part."""
     out, start = b, 0
     for part in parts:
         width = part.shape[1]
-        out = out + part @ W.rows(range(start, start + width))
+        term = part @ W.rows(range(start, start + width))
+        out = term if out is None else out + term
         start += width
     assert start == W.shape[0]
     return out
@@ -80,15 +81,15 @@ def controller_logprob(p, cell, trace):
     total_lp = total_h = 0.0
     for b, action in enumerate(trace.actions, start=1):
         fields = states[5 * (b - 1) : 5 * (b - 1) + 4]
-        raws = [_affine(s, p["w_router"], p["b_router"]) for s in fields]
+        raws = [_affine(s, p["w_router"]) for s in fields]
         lp, h = _scored(raws, int(action.target))
         total_lp = lp + total_lp
         total_h = h + total_h
         state = fields[int(action.target)]
-        if int(action.target) < 2:  # an input: score [state; candidate] pairs
+        if int(action.target) < 2:  # an input: score each candidate's state
             refs = list(range(1, b)) + [CELL_PREV1, CELL_PREV2]
             cands = [states[5 * (k - 1) + 4] for k in range(1, b)] + begins
-            raws = [_affine(state + cand, p["w_input"], p["b_input"]) for cand in cands]
+            raws = [_affine(cand, p["w_input"]) for cand in cands]
             lp, h = _scored(raws, refs.index(int(action.replacement)))
         else:
             raws = _columns(_affine(state, p["w_op"], p["b_op"]))

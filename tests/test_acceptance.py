@@ -286,8 +286,7 @@ def _rewarded_action_prob(params, cell) -> float:
     """P(router picks the first-block o1 slot) * P(op head picks SEP5)."""
     states = encode_forward(params, cell).states
     w_r = params.p["w_router"][:, 0]
-    b_r = params.p["b_router"][0, 0]
-    router_logp = squashed_logp_np(np.array([states[j] @ w_r + b_r for j in range(4)]))
+    router_logp = squashed_logp_np(np.array([states[j] @ w_r for j in range(4)]))
     op_raw = states[int(MutTarget.O1)] @ params.p["w_op"] + params.p["b_op"][0]
     op_logp = squashed_logp_np(op_raw)
     return float(np.exp(router_logp[int(MutTarget.O1)] + op_logp[int(Op.SEP5)]))

@@ -146,7 +146,6 @@ def test_trace_carries_two_decisions_per_block():
 def test_router_frequencies_uniform_when_logits_equal():
     cfg, params, rng = _tiny_controller(blocks=2, ops=3, seed=4)
     params.p["w_router"][:] = 0.0
-    params.p["b_router"][:] = 0.0
     cells = [random_cell(cfg, rng) for _ in range(100)]
     counts = np.zeros(4)
     n_rounds = 250  # 100 cells x 250 rounds x 2 blocks = 50_000 decisions
@@ -467,7 +466,7 @@ class TestUnidirectional:
         cell = random_cell(cfg, rng)
         assert encode_forward(uni, cell).states.shape == (10, 4)  # width H, not 2H
         assert uni.p["begin_prev1"].shape == (1, 4)
-        assert uni.p["w_input"].shape == (8, 1)
+        assert uni.p["w_input"].shape == (4, 1)
 
     def test_sampling_and_walk_agree(self):
         cfg, uni, rng = self._uni()

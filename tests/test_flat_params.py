@@ -321,8 +321,8 @@ def test_checkpoint_with_a_missing_or_extra_name_is_rejected(tmp_path):
     params = _policy("bi")
     path = os.path.join(tmp_path, "c.json")
     named = params.named_params()
-    _save_controller_as(path, params, [p for p in named if p[0] != "b_input"])
-    with pytest.raises(ValueError, match="missing parameter 'b_input'"):
+    _save_controller_as(path, params, [p for p in named if p[0] != "begin_prev2"])
+    with pytest.raises(ValueError, match="missing parameter 'begin_prev2'"):
         load_controller(path)
     _save_controller_as(path, params, named + [("extra", np.zeros((1, 1)))])
     with pytest.raises(ValueError, match="unexpected parameter 'extra'"):

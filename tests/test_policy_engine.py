@@ -194,22 +194,6 @@ def test_construction_sampling_walk_gives_the_fresh_gradient_bit_for_bit():
         _assert_same(policy.grads(walk), first)
 
 
-def test_samplers_raise_on_nan_weights():
-    # NaN log-probabilities would otherwise fall through the inverse-CDF
-    # draw to index 0 and be logged as a legal choice
-    params, cell, _, _, _ = _controller_draw(0, bidirectional=True)
-    policy, rng = _construction_draw(0)
-    params.p.flat[:] = np.nan
-    policy.p.flat[:] = np.nan
-    for sample in (
-        lambda: sample_mutation(params, cell, rng),
-        lambda: sample_mutation_batch(params, [cell, cell], rng),
-        lambda: policy.sample(rng),
-    ):
-        with pytest.raises(ValueError, match="cannot sample"):
-            sample()
-
-
 def _assert_bytes(got, want):
     assert got.flat.tobytes() == want.flat.tobytes()
 
@@ -262,16 +246,18 @@ def test_gradients_rescore_nothing_after_sampling(monkeypatch):
 
 def test_one_nan_parameter_makes_every_sampler_raise():
     # a NaN score reaches the head's probabilities, whose sum the draw
-    # rejects, instead of falling through to a logged choice
+    # rejects, instead of falling through the inverse-CDF draw to index 0
+    # and being logged as a legal choice
     params, cell, _, _, rng = _controller_draw(0, bidirectional=True)
     cfg = SpaceConfig(params.num_blocks, params.num_ops)
     cells = [random_cell(cfg, rng) for _ in range(16)]
-    for name in ("b_router", "b_op", "b_input", "embedding"):
+    for name in ("w_router", "b_op", "w_input", "embedding"):
+        saved = params.p[name][0, 0]
         params.p[name][0, 0] = np.nan
         with pytest.raises(ValueError, match="cannot sample"):
             sample_mutation_batch(params, [cell] + cells, rng)
-        params.p[name][0, 0] = 0.0
-    params.p["b_router"][0, 0] = np.nan
+        params.p[name][0, 0] = saved
+    params.p["w_router"][0, 0] = np.nan  # every walk scores a router
     with pytest.raises(ValueError, match="cannot sample"):
         sample_mutation(params, cell, rng)
     policy, rng = _construction_draw(0)
@@ -281,3 +267,47 @@ def test_one_nan_parameter_makes_every_sampler_raise():
         with pytest.raises(ValueError, match="cannot sample"):
             policy.sample(rng)
         policy.p[name][0, 0] = saved
+
+
+# Every layout entry must move its policy's log-prob at init. Over 300
+# walks sampled at init, the smallest mean |gradient| per element of any
+# entry was 4.9e-7 (bwd.Wh, bidirectional controller, 1 block, E = H = 8),
+# 2.4x above this floor. The router bias, input bias and input query half
+# that the controller once had read at most 9.5e-8 there (b_input,
+# forward-only, 1 block, E = H = 8), 2.1x below it: each added the same
+# value to every candidate of its head, and the softmax cancels such a
+# shift except through the squash's curvature.
+LIVE_GRAD_FLOOR = 2e-7
+
+
+def _mean_abs_grads(layout, walk_grads, n=300):
+    """name -> mean |gradient| per element over n walks' gradients."""
+    total = layout.zeros()
+    for _ in range(n):
+        total.flat[:] += np.abs(walk_grads().flat)
+    return {name: float(a.mean()) / n for name, a in total.items()}
+
+
+@pytest.mark.parametrize("blocks, ops", [(1, 2), (3, 4)])
+@pytest.mark.parametrize("size", [8, 100])
+@pytest.mark.parametrize("policy", ["bidirectional", "forward-only", "construction"])
+def test_no_layout_entry_is_inert_at_init(policy, size, blocks, ops):
+    rng = np.random.default_rng(0)
+    cfg = SpaceConfig(num_blocks=blocks, num_ops=ops)
+    if policy == "construction":
+        built = ConstructionPolicy(cfg, rng, embed_size=size, hidden_size=size)
+        means = _mean_abs_grads(built.p.layout, lambda: built.grads(built.sample(rng)))
+    else:
+        params = init_controller(
+            cfg, rng, size, size, bidirectional=policy == "bidirectional"
+        )
+
+        def walk_grads():
+            cell = random_cell(cfg, rng)
+            forward = encode_forward(params, cell)
+            sample_mutation(params, cell, rng, forward)
+            return trace_grads(params, forward)
+
+        means = _mean_abs_grads(params.p.layout, walk_grads)
+    inert = {name: m for name, m in means.items() if m < LIVE_GRAD_FLOOR}
+    assert not inert, inert

@@ -188,8 +188,7 @@ def test_high_entropy_weight_keeps_decisions_near_uniform():
 
     states = encode_forward(params, cell).states
     w_r = params.p["w_router"][:, 0]
-    b_r = params.p["b_router"][0, 0]
-    router_logp = squashed_logp_np(np.array([states[j] @ w_r + b_r for j in range(4)]))
+    router_logp = squashed_logp_np(np.array([states[j] @ w_r for j in range(4)]))
     kl_router = float(np.sum(np.exp(router_logp) * (router_logp - math.log(0.25))))
     op_raw = states[2] @ params.p["w_op"] + params.p["b_op"][0]
     op_logp = squashed_logp_np(op_raw)

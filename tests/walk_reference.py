@@ -32,8 +32,7 @@ from evocell.nn_core import SquashedHead
 
 def _router_raw(params, states, b):
     base = 5 * (b - 1)
-    w_r, b_r = params.p["w_router"][:, 0], params.p["b_router"][0, 0]
-    return states[..., base : base + 4, :] @ w_r + b_r
+    return states[..., base : base + 4, :] @ params.p["w_router"][:, 0]
 
 
 def _input_candidates(params, states, b):
@@ -43,10 +42,8 @@ def _input_candidates(params, states, b):
     return np.concatenate([states[..., 4 : 5 * (b - 1) : 5, :], begins], axis=-2)
 
 
-def _input_raw(params, state_id, cands):
-    W = params.state_width
-    w = params.p["w_input"][:, 0]
-    return (state_id @ w[:W])[..., None] + cands @ w[W:] + params.p["b_input"][0, 0]
+def _input_raw(params, cands):
+    return cands @ params.p["w_input"][:, 0]
 
 
 def _op_raw(params, state_id):
@@ -70,7 +67,7 @@ def _walk(
         is_input = t_idx < 2
         if is_input:
             cands = _input_candidates(params, states, b)
-            head = SquashedHead(_input_raw(params, state_id, cands).tolist())
+            head = SquashedHead(_input_raw(params, cands).tolist())
         else:
             head = SquashedHead(_op_raw(params, state_id).tolist())
         r_idx = forced[b - 1][1] if rng is None else head.draw(rng.random())
