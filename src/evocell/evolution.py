@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -159,18 +159,15 @@ class RandomMutationPolicy:
 
 
 class ReplayMutationPolicy:
-    """Feed back previously logged traces, in order; proposed counts those
-    handed out, so it is the step of the last one."""
+    """Feed back logged traces in order, pulled one at a time from traces."""
 
-    def __init__(self, traces: Sequence[MutationTrace]):
-        self._traces = list(traces)
-        self.proposed = 0
+    def __init__(self, traces: Iterable[MutationTrace]):
+        self._traces = iter(traces)
 
     def propose(self, cell: CellSpec) -> MutationTrace:
-        if self.proposed >= len(self._traces):
+        trace = next(self._traces, None)
+        if trace is None:
             raise RuntimeError("replay log exhausted")
-        trace = self._traces[self.proposed]
-        self.proposed += 1
         return trace
 
 
@@ -209,13 +206,7 @@ def initialize(
     for row in random_digits(cfg, rng, pop_size).tolist():
         cell = cell_from_digits(row, cfg)
         fit, true = oracle.evaluate(cell, m0, eval_rng)
-        ind = Individual(
-            cell=cell,
-            fitness=fit,
-            true_fitness=true,
-            maturity=m0,
-            id=len(pop.history),
-        )
+        ind = Individual(cell, fit, true, m0, id=len(pop.history))
         pop.members.append(ind)
         pop.history.append(ind)
     return pop
@@ -262,11 +253,7 @@ def evolution_step(
     )
     child_fitness, child_true = oracle.evaluate(child_cell, child_maturity, eval_rng)
     child = Individual(
-        cell=child_cell,
-        fitness=child_fitness,
-        true_fitness=child_true,
-        maturity=child_maturity,
-        id=len(pop.history),
+        child_cell, child_fitness, child_true, child_maturity, id=len(pop.history)
     )
     del pop.members[next(i for i, ind in zip(picks, sample) if ind is doomed)]
     pop.members.append(child)
@@ -298,6 +285,36 @@ class RunResult:
     best: Individual  # best by true fitness over the final population
 
 
+def evolution_steps(
+    pop: Population,
+    policy: MutationPolicy,
+    trainer: Optional[ReinforceTrainer],
+    oracle: FitnessOracle,
+    budget: int,
+    sample_size: int,
+    streams: Dict[str, np.random.Generator],
+) -> Iterator[StepRecord]:
+    """Steps 1 to budget of a run on pop, each yielded as soon as it is taken."""
+    rngs = streams["tournament"], streams["eval"]
+    for step in range(1, budget + 1):
+        yield evolution_step(pop, policy, trainer, oracle, sample_size, *rngs, step)
+
+
+def reevaluate_finalists(
+    pop: Population, oracle: FitnessOracle, eval_rng: np.random.Generator
+) -> Individual:
+    """The best member by true fitness, once every survivor of a pop that
+    evolved is observed at the full training budget (maturity 1.0), as a
+    from-scratch retrain of the finalists would be; history keeps births."""
+    if len(pop.history) > pop.capacity:
+        observe = oracle.observe
+        pop.members = [
+            replace(ind, fitness=observe(ind.true_fitness, 1.0, eval_rng), maturity=1.0)
+            for ind in pop.members
+        ]
+    return max(pop.members, key=lambda ind: (ind.true_fitness, -ind.id))
+
+
 def run(
     cfg: SpaceConfig,
     oracle: FitnessOracle,
@@ -308,35 +325,11 @@ def run(
     sample_size: int,
     streams: Dict[str, np.random.Generator],
 ) -> RunResult:
-    """Initialize, run `budget` evolution steps, then re-evaluate finalists.
-
-    Cells, tournaments and observation noise draw from the init, tournament
-    and eval entries of streams, an rng_streams() dict. The final
-    re-evaluation grants every surviving member the full training budget
-    (maturity 1.0), mirroring a from-scratch retrain of the candidates that
-    made it to the end. History keeps birth-time records, so len(history)
-    == pop_size + budget regardless.
-    """
-    tournament_rng, eval_rng = streams["tournament"], streams["eval"]
-    pop = initialize(cfg, oracle, pop_size, streams["init"], eval_rng)
-    records: List[StepRecord] = []
-    for step in range(1, budget + 1):
-        records.append(
-            evolution_step(
-                pop, policy, trainer, oracle, sample_size, tournament_rng, eval_rng, step
-            )
-        )
-    if budget > 0:
-        pop.members = [
-            replace(
-                ind,
-                fitness=oracle.observe(ind.true_fitness, 1.0, eval_rng),
-                maturity=1.0,
-            )
-            for ind in pop.members
-        ]
-    best = max(pop.members, key=lambda ind: (ind.true_fitness, -ind.id))
-    return RunResult(population=pop, records=records, best=best)
+    """initialize, `budget` evolution_steps, then reevaluate_finalists (as
+    replay runs them), on streams' init, tournament and eval generators."""
+    pop = initialize(cfg, oracle, pop_size, streams["init"], streams["eval"])
+    steps = evolution_steps(pop, policy, trainer, oracle, budget, sample_size, streams)
+    return RunResult(pop, list(steps), reevaluate_finalists(pop, oracle, streams["eval"]))
 
 
 def rng_streams(seed: int) -> Dict[str, np.random.Generator]:

@@ -47,11 +47,13 @@ from .evaluators import (
 from .evolution import (
     ControllerPolicy,
     Individual,
-    MutationPolicy,
     RandomMutationPolicy,
     ReplayMutationPolicy,
     RunResult,
     StepRecord,
+    evolution_steps,
+    initialize,
+    reevaluate_finalists,
     rng_streams,
     run as run_evolution,
 )
@@ -352,11 +354,9 @@ def config_from_header(header: dict) -> Tuple[StrategyConfig, int]:
         raise ConfigError(f"malformed log header: {exc!r}")
 
 
-# Log records: one writer per kind, which the runners log and replay
-# rebuilds and compares. The fields replay does not rebuild: a step's trace,
-# which it parses strictly and feeds back in, and the learner's outputs. An
-# eval's cell is fed back too, but its text is rebuilt by cell_to_text, so
-# a text that cell_to_text would not write diverges.
+# Log records: one writer per kind, which the runners log and replay rebuilds
+# and compares, but for these fields: a step's trace, parsed strictly and fed
+# back in, and the learner's outputs. An eval's cell is fed back, its text rebuilt.
 _NOT_REBUILT = frozenset(("trace", "diagnostics", "grad_norm"))
 
 
@@ -376,8 +376,7 @@ def step_record(rec: StepRecord) -> dict:
 
 
 def step_fields(rec: StepRecord) -> dict:
-    """A step record as replay rebuilds it: less the _NOT_REBUILT fields, so
-    that replay never encodes a trace."""
+    """A step record less the _NOT_REBUILT fields: replay encodes no trace."""
     kept = {k: v for k, v in vars(rec).items() if k not in _NOT_REBUILT}
     return {"kind": "step", **kept}
 
@@ -397,21 +396,6 @@ def final_record(members, best_cell: str, best_true: float) -> dict:
         "best_cell": best_cell,
         "best_true": best_true,
     }
-
-
-def _population_log(header: dict, result: RunResult, write_step) -> Iterator[dict]:
-    """An evolution run's records, in order; write_step is step_record, or
-    step_fields for replay, which compares them one at a time."""
-    pop, best = result.population, result.best
-    yield header
-    yield from map(init_record, pop.history[: pop.capacity])
-    yield from map(write_step, result.records)
-    yield final_record(pop.members, cell_to_text(best.cell), best.true_fitness)
-
-
-def _sampling_log(header: dict, evals: List[dict], true_vals: List[float]) -> list:
-    best = int(np.argmax(true_vals))  # the first evaluation of the best cell
-    return [header, *evals, final_record([], evals[best]["cell"], true_vals[best])]
 
 
 def _summary(
@@ -457,20 +441,6 @@ def run_strategy(
     return summary, log
 
 
-def _evolve(
-    cfg: StrategyConfig,
-    streams: Dict[str, np.random.Generator],
-    oracle: FitnessOracle,
-    policy: MutationPolicy,
-    trainer: Optional[ReinforceTrainer],
-) -> RunResult:
-    """cfg's evolution run on streams; cfg.budget counts the initial cells."""
-    steps = cfg.budget - cfg.pop_size
-    return run_evolution(
-        cfg.space, oracle, policy, trainer, steps, cfg.pop_size, cfg.sample_size, streams
-    )
-
-
 def _run_population_strategy(
     cfg: StrategyConfig, seed: int, oracle: FitnessOracle, target: float
 ) -> Tuple[RunSummary, List[dict]]:
@@ -488,9 +458,18 @@ def _run_population_strategy(
         )
         policy = ControllerPolicy(params, streams["policy"])
         trainer = ReinforceTrainer(params.p, cfg.learning_rate, cfg.entropy_weight)
-    result = _evolve(cfg, streams, oracle, policy, trainer)
+    steps = cfg.budget - cfg.pop_size  # cfg.budget counts the initial cells
+    result = run_evolution(
+        cfg.space, oracle, policy, trainer, steps, cfg.pop_size, cfg.sample_size, streams
+    )
     true_vals, pop_mean, pop_var = _population_trajectories(result)
-    log = list(_population_log(header_record(cfg, seed, oracle), result, step_record))
+    pop, best = result.population, result.best
+    log = [
+        header_record(cfg, seed, oracle),
+        *map(init_record, pop.history[: pop.capacity]),
+        *map(step_record, result.records),
+        final_record(pop.members, cell_to_text(best.cell), best.true_fitness),
+    ]
     return _summary(cfg, seed, target, true_vals, log[-1], pop_mean, pop_var), log
 
 
@@ -515,8 +494,7 @@ def _run_sampling(
         trainer = ReinforceTrainer(policy.p, cfg.learning_rate, cfg.entropy_weight)
     else:
         rows = random_digits(cfg.space, streams["init"], cfg.budget).tolist()
-    evals: List[dict] = []
-    true_vals: List[float] = []
+    evals, true_vals = [], []
     for index in range(1, cfg.budget + 1):
         if construct:
             walk = policy.sample(streams["policy"])
@@ -530,8 +508,10 @@ def _run_sampling(
             learner["grad_norm"] = diag["grad_norm"]
         evals.append(eval_record(index, cell_to_text(cell), observed, **learner))
         true_vals.append(true)
-    log = _sampling_log(header_record(cfg, seed, oracle), evals, true_vals)
-    return _summary(cfg, seed, target, true_vals, log[-1]), log
+    best = int(np.argmax(true_vals))  # the first evaluation of the best cell
+    final = final_record([], evals[best]["cell"], true_vals[best])
+    log = [header_record(cfg, seed, oracle), *evals, final]
+    return _summary(cfg, seed, target, true_vals, final), log
 
 
 # ---------------------------------------------------------------------------
@@ -563,45 +543,10 @@ class ReplayDiverged(ConfigError, RuntimeError):
     reproduce: an edited record, or a change in the code."""
 
 
-def _log_inputs(log_path: str, records: Sequence[dict], cfg: StrategyConfig) -> list:
-    """What replay feeds back from the records after the header, in order:
-    each step's parsed trace, or each eval's parsed cell. A record of
-    unknown kind, or whose trace or cell does not parse, is a ConfigError
-    that names it; so is a count of records that does not match the
-    header's pop_size and budget."""
-    found = {"init": 0, "step": 0, "eval": 0, "final": 0}
-    inputs = []
-    for number, record in enumerate(records[1:], start=2):
-        try:
-            kind = record["kind"]
-            if kind == "step":
-                inputs.append(trace_from_dict(record["trace"]))
-            elif kind == "eval":
-                inputs.append(cell_from_text(record["cell"], cfg.space))
-            elif kind not in found:
-                raise ValueError(f"unknown record kind {kind!r}")
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{log_path}: record {number} is malformed: {exc!r}")
-        found[kind] += 1
-    if cfg.strategy in POPULATION_STRATEGIES:
-        steps = cfg.budget - cfg.pop_size
-        expected = {"init": cfg.pop_size, "step": steps, "eval": 0, "final": 1}
-    else:
-        expected = {"init": 0, "step": 0, "eval": cfg.budget, "final": 1}
-    for kind, count in expected.items():
-        if found[kind] != count:
-            raise ConfigError(
-                f"{log_path}: {found[kind]} {kind} records, but the header's "
-                f"pop_size {cfg.pop_size} and budget {cfg.budget} give {count}"
-            )
-    return inputs
-
-
 def _typed_alike(logged: dict, record: dict) -> bool:
     """Whether logged, a record that == record, holds every value with the
-    type that record gives it (1 == 1.0 == True), nested values included.
-    Values are looked up by record's keys, since logged keys come back
-    sorted; a list's items are dicts or scalars, never lists."""
+    type that record gives it (1 == 1.0 == True), nested values included,
+    looked up by record's keys; a list's items are dicts or scalars."""
     for key, value in record.items():
         other = logged[key]
         if type(other) is not type(value):
@@ -620,61 +565,123 @@ def _typed_alike(logged: dict, record: dict) -> bool:
     return True
 
 
-def replay(log_path: str) -> dict:
-    """Re-run a logged run and verify it record by record; returns its final
-    record, with the recomputed evaluations as "evals" for random and
-    rl_construct.
+class _LogReader:
+    """A run log read in lockstep with its re-run: record is the last one
+    read, number its place (blank lines skipped), cfg the header's."""
 
-    Mutation traces (or logged cells, for non-population strategies) are
-    taken from the log, so the policy networks are never rebuilt; random
-    streams for initialization, tournaments, and observation noise are
-    re-derived from the logged seed. Every record is rebuilt by the writer
-    that logged it and must equal the logged one bit for bit, each value
-    with the type the writer gives it, except for the _NOT_REBUILT fields;
-    ReplayDiverged names the first that does not.
-    A malformed log is a ConfigError.
-    """
-    try:
-        records = read_jsonl(log_path)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read log {log_path}: {exc}")
-    header = records[0] if records else None
-    if not isinstance(header, dict) or header.get("kind") != "header":
-        raise ConfigError(f"{log_path} does not start with a header record")
-    if header.get("version") != LOG_VERSION:
-        raise ConfigError(f"unsupported log version {header.get('version')!r}")
-    cfg, seed = config_from_header(header)
-    oracle = make_oracle(cfg)
-    inputs = _log_inputs(log_path, records, cfg)
-    streams = rng_streams(seed)
+    def __init__(self, path: str, fh) -> None:
+        self.path, self.number, self.cfg = path, 0, None
+        self._lines = (line for line in fh if line.strip())
+        self._taken = dict.fromkeys(("init", "step", "eval", "final"), 0)
 
-    if cfg.strategy in POPULATION_STRATEGIES:
-        policy = ReplayMutationPolicy(inputs)
+    def read(self) -> bool:
+        """Read the next record into record; False at the end of the log."""
         try:
-            result = _evolve(cfg, streams, oracle, policy, None)
-        except ValueError as exc:  # a logged trace that its parent cannot take
-            step = policy.proposed
-            raise ReplayDiverged(
-                f"replay diverged from log at record {1 + cfg.pop_size + step} "
-                f"(step {step}): {exc}"
-            )
-        rebuilt = _population_log(header_record(cfg, seed, oracle), result, step_fields)
-    else:
-        evals, true_vals = [], []
-        for index, cell in enumerate(inputs, start=1):
-            true = oracle.lookup(cell)  # cell_from_text validated it
-            observed = oracle.observe(true, 1.0, streams["eval"])
-            evals.append(eval_record(index, cell_to_text(cell), observed))
-            true_vals.append(true)
-        rebuilt = _sampling_log(header_record(cfg, seed, oracle), evals, true_vals)
-    for n, (logged, record) in enumerate(zip(records, rebuilt), start=1):
+            line = next(self._lines, None)
+            self.record = None if line is None else json.loads(line)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read log {self.path}: {exc}")
+        self.number += line is not None
+        return line is not None
+
+    def take(self, kind: str, count: int, field=None, parse=None, *args):
+        """The next record, one of the count of kind that the header gives,
+        or parse(record[field], *args); a ConfigError names a record of
+        another kind, or a malformed one: of no known kind, or unparsed."""
+        found = "the end of the log"
+        if self.read():
+            try:
+                found = self.record["kind"]
+                if found not in self._taken:
+                    raise ValueError(f"unknown record kind {found!r}")
+                value = self.record
+                if parse and found == kind:
+                    value = parse(value[field], *args)
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"{self.path}: record {self.number} is malformed: {exc!r}")
+            if found == kind:
+                self._taken[kind] += 1
+                return value
+            found = f"record {self.number}, of kind {found}"
+        raise ConfigError(
+            f"{self.path}: {self._taken[kind]} {kind} records, then {found}, but the "
+            f"header's pop_size {self.cfg.pop_size} and budget {self.cfg.budget} "
+            f"give {count}"
+        )
+
+    def check(self, rebuilt: dict) -> None:
+        """ReplayDiverged unless record, less its _NOT_REBUILT fields, equals
+        rebuilt bit for bit, each value with the type the writer gives it."""
+        logged = self.record
         if not _NOT_REBUILT.isdisjoint(logged):  # a step, or an rl_construct eval
             logged = {k: v for k, v in logged.items() if k not in _NOT_REBUILT}
-        if logged != record or not _typed_alike(logged, record):
-            ids = [str(record[k]) for k in ("step", "index", "id") if k in record]
-            name = " ".join([record["kind"], *ids])
-            raise ReplayDiverged(f"replay diverged from log at record {n} ({name})")
-    if cfg.strategy in POPULATION_STRATEGIES:
-        return record  # the final record, compared last
-    recomputed = [{"index": e["index"], "fitness": e["fitness"]} for e in evals]
-    return {**record, "evals": recomputed}
+        if logged != rebuilt or not _typed_alike(logged, rebuilt):
+            ids = [str(rebuilt[k]) for k in ("step", "index", "id") if k in rebuilt]
+            name = " ".join([rebuilt["kind"], *ids])
+            raise ReplayDiverged(f"replay diverged from log at record {self.number} ({name})")
+
+
+def replay(log_path: str) -> dict:
+    """Re-run a logged run in lockstep with its log, on streams from its
+    seed, the logged traces (or cells, for random and rl_construct) standing
+    in for the policy; returns the final record, with the recomputed "evals"
+    of random and rl_construct. Each record is rebuilt by its writer and
+    compared, bit for bit and type for type but for the _NOT_REBUILT fields,
+    as the re-run reaches it: the header before anything runs, the inits
+    after initialize, each step right after it, each eval as it is rebuilt
+    and the final record last. One logged record is held at a time; the
+    first that is malformed, missing or extra is a ConfigError, the first
+    that differs a ReplayDiverged."""
+    try:
+        fh = open(log_path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read log {log_path}: {exc}")
+    with fh:
+        log = _LogReader(log_path, fh)
+        header = log.record if log.read() else None
+        if not isinstance(header, dict) or header.get("kind") != "header":
+            raise ConfigError(f"{log_path} does not start with a header record")
+        if header.get("version") != LOG_VERSION:
+            raise ConfigError(f"unsupported log version {header.get('version')!r}")
+        cfg, seed = config_from_header(header)
+        oracle = make_oracle(cfg)
+        log.check(header_record(cfg, seed, oracle))
+        log.cfg, streams, pop_size = cfg, rng_streams(seed), cfg.pop_size
+        if cfg.strategy in POPULATION_STRATEGIES:
+            pop = initialize(cfg.space, oracle, pop_size, streams["init"], streams["eval"])
+            for ind in pop.history:
+                log.take("init", pop_size)
+                log.check(init_record(ind))
+            steps = cfg.budget - pop_size
+            traces = (log.take("step", steps, "trace", trace_from_dict) for _ in range(steps))
+            policy = ReplayMutationPolicy(traces)
+            try:
+                for rec in evolution_steps(
+                    pop, policy, None, oracle, steps, cfg.sample_size, streams
+                ):
+                    log.check(step_fields(rec))
+            except ConfigError:
+                raise
+            except ValueError as exc:  # a logged trace that its parent cannot take
+                raise ReplayDiverged(
+                    f"replay diverged from log at record {log.number} "
+                    f"(step {log.number - 1 - pop_size}): {exc}"
+                )
+            best = reevaluate_finalists(pop, oracle, streams["eval"])
+            final = final_record(pop.members, cell_to_text(best.cell), best.true_fitness)
+        else:
+            evals, best_true = [], -math.inf
+            for index in range(1, cfg.budget + 1):
+                cell = log.take("eval", cfg.budget, "cell", cell_from_text, cfg.space)
+                true = oracle.lookup(cell)  # cell_from_text validated it
+                observed = oracle.observe(true, 1.0, streams["eval"])
+                log.check(eval_record(index, cell_to_text(cell), observed))
+                evals.append({"index": index, "fitness": observed})
+                if true > best_true:  # the first evaluation of the best cell
+                    best_true, best_cell = true, log.record["cell"]
+            final = final_record([], best_cell, best_true)
+        log.take("final", 1)
+        log.check(final)
+        if log.read():
+            raise ConfigError(f"{log_path}: record {log.number} follows the final record")
+    return final if cfg.strategy in POPULATION_STRATEGIES else {**final, "evals": evals}

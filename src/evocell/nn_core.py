@@ -376,7 +376,7 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> None:
         np.multiply(g, 1.0 - ADAM_BETA1, out=w)
         m += w
         v *= ADAM_BETA2
-        np.multiply(g, g, out=w)
+        np.square(g, out=w)
         w *= 1.0 - ADAM_BETA2
         v += w
         np.sqrt(v, out=w)

@@ -366,8 +366,8 @@ def test_criterion_7_ablation_ordering(capsys, tmp_path):
         7,
         ok,
         "median evaluations-to-99%-of-optimum over 20 seeds: "
-        f"reinforced={med['reinforced']:.0f}, ea_random={med['ea_random']:.0f}, "
-        f"random={med['random']:.0f}, reinforced_nonbi={med['reinforced_nonbi']:.0f}; "
+        f"reinforced={med['reinforced']:.1f}, ea_random={med['ea_random']:.1f}, "
+        f"random={med['random']:.1f}, reinforced_nonbi={med['reinforced_nonbi']:.1f}; "
         f"reinforced<ea_random p={vs_ea['rank_sum_p']:.3g} "
         f"({'holds' if ea_holds else 'VIOLATED'}); "
         f"reinforced<random p={vs_rand['rank_sum_p']:.3g} "
@@ -376,7 +376,7 @@ def test_criterion_7_ablation_ordering(capsys, tmp_path):
         f"CI95 {_fmt_ci(vs_ea['speedup_ci95'])}, vs random "
         f"{vs_rand['speedup_median']:.2f}x CI95 {_fmt_ci(vs_rand['speedup_ci95'])} "
         "(reference band 1.5-2.0x, reported not asserted); "
-        f"nonbi minus bi median diff {nonbi['median_diff']:+.0f} evals "
+        f"nonbi minus bi median diff {nonbi['median_diff']:+.1f} evals "
         f"CI95 {_fmt_ci(nonbi['diff_ci95'])} (reported); "
         f"{elapsed:.0f}s (<900s)",
     )

@@ -13,7 +13,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 import pytest
 
-from evocell import arch_space, cli, evaluators, nn_core
+from evocell import arch_space, cli, evaluators, evolution, nn_core
 
 from evocell.arch_space import (
     SpaceConfig,
@@ -748,6 +748,46 @@ def test_replay_of_a_tabular_log_allocates_no_table(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2**20  # the oracle's table would take 18 MB
+
+
+def test_replay_holds_one_logged_record_at_a_time(tmp_path):
+    """A 2,000-evaluation landscape log replays within 4 MiB of traced heap:
+    the population's history and one record. Holding every decoded record
+    and parsed trace took 14.7 MiB here; reading in lockstep takes 2.3 MiB."""
+    cfg = _cfg("ea_random", space=SpaceConfig(num_blocks=5, num_ops=6),
+               oracle_kind="landscape", oracle_seed=7, pop_size=100,
+               sample_size=25, budget=2000)
+    _, log = run_strategy(cfg, seed=0, oracle=make_oracle(cfg), target=1.0)
+    path = str(tmp_path / "trace_ea_random_0.jsonl")
+    write_jsonl(path, log)
+    del log
+    tracemalloc.start()
+    try:
+        replay(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, peak
+
+
+def test_replay_stops_at_the_step_that_diverges(tmp_path, monkeypatch):
+    """A log edited at step 6 is reported once step 6 is re-run, not after
+    the whole budget (32 steps here)."""
+    log, path = _logged("ea_random", tmp_path)
+    step = [r for r in log if r["kind"] == "step"][5]
+    step["child_fitness"] = _bit_up(step["child_fitness"])
+    write_jsonl(path, log)
+    calls = []
+    step_fn = evolution.evolution_step
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return step_fn(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "evolution_step", counted)
+    with pytest.raises(ReplayDiverged, match=r"\(step 6\)"):
+        replay(path)
+    assert 1 <= len(calls) <= 6
 
 
 def _bit_up(value):
