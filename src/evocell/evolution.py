@@ -8,6 +8,9 @@ traces all drive the identical loop. When a trainer is attached, every
 child evaluation triggers one policy-gradient update on the gradient that
 the policy's grads() returns: that of the walk that sampled the step's
 mutation, which the policy kept from its proposal.
+
+A run is initialize, the generator evolution_steps and reevaluate_finalists,
+which harness._records chains for a run and for its replay alike.
 """
 
 from __future__ import annotations
@@ -278,13 +281,6 @@ def evolution_step(
     )
 
 
-@dataclass
-class RunResult:
-    population: Population
-    records: List[StepRecord]
-    best: Individual  # best by true fitness over the final population
-
-
 def evolution_steps(
     pop: Population,
     policy: MutationPolicy,
@@ -313,23 +309,6 @@ def reevaluate_finalists(
             for ind in pop.members
         ]
     return max(pop.members, key=lambda ind: (ind.true_fitness, -ind.id))
-
-
-def run(
-    cfg: SpaceConfig,
-    oracle: FitnessOracle,
-    policy: MutationPolicy,
-    trainer: Optional[ReinforceTrainer],
-    budget: int,
-    pop_size: int,
-    sample_size: int,
-    streams: Dict[str, np.random.Generator],
-) -> RunResult:
-    """initialize, `budget` evolution_steps, then reevaluate_finalists (as
-    replay runs them), on streams' init, tournament and eval generators."""
-    pop = initialize(cfg, oracle, pop_size, streams["init"], streams["eval"])
-    steps = evolution_steps(pop, policy, trainer, oracle, budget, sample_size, streams)
-    return RunResult(pop, list(steps), reevaluate_finalists(pop, oracle, streams["eval"]))
 
 
 def rng_streams(seed: int) -> Dict[str, np.random.Generator]:

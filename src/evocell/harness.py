@@ -49,13 +49,11 @@ from .evolution import (
     Individual,
     RandomMutationPolicy,
     ReplayMutationPolicy,
-    RunResult,
     StepRecord,
     evolution_steps,
     initialize,
     reevaluate_finalists,
     rng_streams,
-    run as run_evolution,
 )
 from .reinforce import BASELINE_DECAY, FITNESS_CLIP, ReinforceTrainer
 
@@ -265,38 +263,36 @@ def _evals_to_target(best_so_far: Sequence[float], target: float) -> Optional[in
 
 
 def _population_trajectories(
-    result: RunResult,
-) -> Tuple[List[float], List[float], List[float]]:
-    """Each evaluation's carried true fitness, and the mean and variance of
-    the live population's true fitness after it.
+    true_vals: List[float], pop_size: int, steps: Sequence[dict]
+) -> Tuple[List[float], List[float]]:
+    """The mean and variance of the live population's true fitness after
+    each evaluation, from each evaluation's true fitness and the step
+    records.
 
     While the population fills, the live set is a growing prefix of the
-    history; after that, each step removes one member and appends the
+    evaluations; after that, each step removes one member and appends the
     child, the order Population.members keeps. Rows are reduced as one
     (steps, pop) matrix, each row's sum in the same order as a 1-D mean.
     """
-    history = result.population.history
-    pop_size = result.population.capacity
-    true_vals = [ind.true_fitness for ind in history]
     first = np.array(true_vals[:pop_size])
     pop_mean = [float(first[:k].mean()) for k in range(1, pop_size + 1)]
     pop_var = [float(first[:k].var()) for k in range(1, pop_size + 1)]
-    live_ids = [ind.id for ind in history[:pop_size]]
+    live_ids = list(range(pop_size))
     live = true_vals[:pop_size]
-    rows = np.empty((len(result.records), pop_size))
-    for row, record, child_true in zip(rows, result.records, true_vals[pop_size:]):
-        at = live_ids.index(record.removed_id)
+    rows = np.empty((len(steps), pop_size))
+    for row, record, child_true in zip(rows, steps, true_vals[pop_size:]):
+        at = live_ids.index(record["removed_id"])
         del live_ids[at], live[at]
-        live_ids.append(record.child_id)
+        live_ids.append(record["child_id"])
         live.append(child_true)
         row[:] = live
     pop_mean.extend(rows.mean(axis=1).tolist())
     pop_var.extend(rows.var(axis=1).tolist())
-    return true_vals, pop_mean, pop_var
+    return pop_mean, pop_var
 
 
 # ---------------------------------------------------------------------------
-# Strategy runners. All runners share the stream layout from rng_streams():
+# Run records. Every strategy draws from the stream layout of rng_streams():
 # init (cells), tournament, policy (sampling), eval (observation noise),
 # params (network initialization).
 # ---------------------------------------------------------------------------
@@ -354,9 +350,10 @@ def config_from_header(header: dict) -> Tuple[StrategyConfig, int]:
         raise ConfigError(f"malformed log header: {exc!r}")
 
 
-# Log records: one writer per kind, which the runners log and replay rebuilds
-# and compares, but for these fields: a step's trace, parsed strictly and fed
-# back in, and the learner's outputs. An eval's cell is fed back, its text rebuilt.
+# Log records: one writer per kind, which _records yields, run_strategy logs
+# and replay compares, but for these fields: a step's trace, parsed strictly and
+# fed back in, and the learner's outputs. An eval's cell is fed back, its text
+# rebuilt.
 _NOT_REBUILT = frozenset(("trace", "diagnostics", "grad_norm"))
 
 
@@ -398,28 +395,87 @@ def final_record(members, best_cell: str, best_true: float) -> dict:
     }
 
 
-def _summary(
-    cfg: StrategyConfig,
-    seed: int,
-    target: float,
-    true_vals: List[float],
-    final: dict,
-    pop_mean: Optional[List[float]] = None,
-    pop_var: Optional[List[float]] = None,
-) -> RunSummary:
-    best_so_far = list(np.maximum.accumulate(true_vals))
-    return RunSummary(
-        strategy=cfg.strategy,
-        seed=seed,
-        target=target,
-        true_per_eval=true_vals,
-        best_so_far=best_so_far,
-        pop_mean=pop_mean,
-        pop_var=pop_var,
-        evals_to_target=_evals_to_target(best_so_far, target),
-        final_best_true=final["best_true"],
-        wall_time=0.0,
-    )
+def _records(
+    cfg: StrategyConfig, seed: int, oracle: FitnessOracle, log=None
+) -> Iterator[Tuple[dict, Optional[float]]]:
+    """A run's log records in log order, each with the true fitness of the
+    evaluation it logs (None for the header and the final record): the
+    header, then a population strategy's inits, steps and final record, or
+    the evals and final record of random (its cells' digits drawn from the
+    init stream in one random_digits call) and rl_construct (one update per
+    evaluation, its grad_norm logged). The one code that knows a run's
+    record order: run_strategy keeps what it yields, replay compares it.
+
+    Without log it builds the strategy's policy and trainer. With log,
+    replay's _LogReader past the header, the logged traces (or cells) stand
+    in for the policy, each taken as the re-run needs it; nothing trains,
+    and a step yields its step_fields.
+    """
+    streams = rng_streams(seed)
+    yield header_record(cfg, seed, oracle), None
+    trainer = None
+    if cfg.strategy in POPULATION_STRATEGIES:
+        pop = initialize(cfg.space, oracle, cfg.pop_size, streams["init"], streams["eval"])
+        for ind in pop.history:
+            yield init_record(ind), ind.true_fitness
+        steps = cfg.budget - cfg.pop_size  # cfg.budget counts the initial cells
+        write = step_record
+        if log is not None:
+            traces = (log.take("step", "trace", trace_from_dict) for _ in range(steps))
+            policy, write = ReplayMutationPolicy(traces), step_fields
+        elif cfg.strategy == "ea_random":
+            policy = RandomMutationPolicy(cfg.space, streams["policy"])
+        else:
+            params = init_controller(
+                cfg.space,
+                streams["params"],
+                embed_size=cfg.embed_size,
+                hidden_size=cfg.hidden_size,
+                bidirectional=(cfg.strategy == "reinforced"),
+            )
+            policy = ControllerPolicy(params, streams["policy"])
+            trainer = ReinforceTrainer(params.p, cfg.learning_rate, cfg.entropy_weight)
+        for rec in evolution_steps(
+            pop, policy, trainer, oracle, steps, cfg.sample_size, streams
+        ):
+            yield write(rec), pop.history[-1].true_fitness
+        best = reevaluate_finalists(pop, oracle, streams["eval"])
+        yield final_record(pop.members, cell_to_text(best.cell), best.true_fitness), None
+        return
+    if log is not None:
+        cells = (log.take("eval", "cell", cell_from_text, cfg.space) for _ in range(cfg.budget))
+    elif cfg.strategy == "rl_construct":
+        policy = ConstructionPolicy(
+            cfg.space,
+            streams["params"],
+            embed_size=cfg.embed_size,
+            hidden_size=cfg.hidden_size,
+        )
+        trainer = ReinforceTrainer(policy.p, cfg.learning_rate, cfg.entropy_weight)
+    else:
+        rows = random_digits(cfg.space, streams["init"], cfg.budget).tolist()
+        cells = (cell_from_digits(row, cfg.space) for row in rows)
+    best_true = -math.inf
+    for index in range(1, cfg.budget + 1):
+        learner = {}
+        if trainer is None:
+            cell = next(cells)
+        else:
+            walk = policy.sample(streams["policy"])
+            cell = walk.cell
+        if log is None:
+            observed, true = oracle.evaluate(cell, 1.0, streams["eval"])
+        else:  # cell_from_text validated the logged cell
+            true = oracle.lookup(cell)
+            observed = oracle.observe(true, 1.0, streams["eval"])
+        if trainer is not None:
+            diag = trainer.update(policy.grads(walk), walk.total_entropy, observed)
+            learner["grad_norm"] = diag["grad_norm"]
+        text = cell_to_text(cell)
+        yield eval_record(index, text, observed, **learner), true
+        if true > best_true:  # the first evaluation of the best cell
+            best_true, best_cell = true, text
+    yield final_record([], best_cell, best_true), None
 
 
 def run_strategy(
@@ -433,85 +489,28 @@ def run_strategy(
     if target is None:
         target, _ = resolve_target(oracle)
     started = time.perf_counter()
+    log, true_vals = [], []
+    for record, true in _records(cfg, seed, oracle):
+        log.append(record)
+        if true is not None:
+            true_vals.append(true)
+    pop_mean = pop_var = None
     if cfg.strategy in POPULATION_STRATEGIES:
-        summary, log = _run_population_strategy(cfg, seed, oracle, target)
-    else:
-        summary, log = _run_sampling(cfg, seed, oracle, target)
-    summary.wall_time = time.perf_counter() - started
-    return summary, log
-
-
-def _run_population_strategy(
-    cfg: StrategyConfig, seed: int, oracle: FitnessOracle, target: float
-) -> Tuple[RunSummary, List[dict]]:
-    streams = rng_streams(seed)
-    trainer = None
-    if cfg.strategy == "ea_random":
-        policy = RandomMutationPolicy(cfg.space, streams["policy"])
-    else:
-        params = init_controller(
-            cfg.space,
-            streams["params"],
-            embed_size=cfg.embed_size,
-            hidden_size=cfg.hidden_size,
-            bidirectional=(cfg.strategy == "reinforced"),
-        )
-        policy = ControllerPolicy(params, streams["policy"])
-        trainer = ReinforceTrainer(params.p, cfg.learning_rate, cfg.entropy_weight)
-    steps = cfg.budget - cfg.pop_size  # cfg.budget counts the initial cells
-    result = run_evolution(
-        cfg.space, oracle, policy, trainer, steps, cfg.pop_size, cfg.sample_size, streams
-    )
-    true_vals, pop_mean, pop_var = _population_trajectories(result)
-    pop, best = result.population, result.best
-    log = [
-        header_record(cfg, seed, oracle),
-        *map(init_record, pop.history[: pop.capacity]),
-        *map(step_record, result.records),
-        final_record(pop.members, cell_to_text(best.cell), best.true_fitness),
-    ]
-    return _summary(cfg, seed, target, true_vals, log[-1], pop_mean, pop_var), log
-
-
-def _run_sampling(
-    cfg: StrategyConfig, seed: int, oracle: FitnessOracle, target: float
-) -> Tuple[RunSummary, List[dict]]:
-    """random and rl_construct: every evaluation is a fresh cell at full
-    maturity. random draws the digits of all its cells from the init stream
-    in one random_digits call, the stream of one random_cell call per cell
-    (the cells a population would start from); rl_construct draws each
-    from the construction policy, takes one update on its observed fitness
-    and logs that update's gradient norm."""
-    streams = rng_streams(seed)
-    construct = cfg.strategy == "rl_construct"
-    if construct:
-        policy = ConstructionPolicy(
-            cfg.space,
-            streams["params"],
-            embed_size=cfg.embed_size,
-            hidden_size=cfg.hidden_size,
-        )
-        trainer = ReinforceTrainer(policy.p, cfg.learning_rate, cfg.entropy_weight)
-    else:
-        rows = random_digits(cfg.space, streams["init"], cfg.budget).tolist()
-    evals, true_vals = [], []
-    for index in range(1, cfg.budget + 1):
-        if construct:
-            walk = policy.sample(streams["policy"])
-            cell = walk.cell
-        else:
-            cell = cell_from_digits(rows[index - 1], cfg.space)
-        observed, true = oracle.evaluate(cell, 1.0, streams["eval"])
-        learner = {}
-        if construct:
-            diag = trainer.update(policy.grads(walk), walk.total_entropy, observed)
-            learner["grad_norm"] = diag["grad_norm"]
-        evals.append(eval_record(index, cell_to_text(cell), observed, **learner))
-        true_vals.append(true)
-    best = int(np.argmax(true_vals))  # the first evaluation of the best cell
-    final = final_record([], evals[best]["cell"], true_vals[best])
-    log = [header_record(cfg, seed, oracle), *evals, final]
-    return _summary(cfg, seed, target, true_vals, final), log
+        steps = log[1 + cfg.pop_size : -1]
+        pop_mean, pop_var = _population_trajectories(true_vals, cfg.pop_size, steps)
+    best_so_far = list(np.maximum.accumulate(true_vals))
+    return RunSummary(
+        strategy=cfg.strategy,
+        seed=seed,
+        target=target,
+        true_per_eval=true_vals,
+        best_so_far=best_so_far,
+        pop_mean=pop_mean,
+        pop_var=pop_var,
+        evals_to_target=_evals_to_target(best_so_far, target),
+        final_best_true=log[-1]["best_true"],
+        wall_time=time.perf_counter() - started,
+    ), log
 
 
 # ---------------------------------------------------------------------------
@@ -584,10 +583,10 @@ class _LogReader:
         self.number += line is not None
         return line is not None
 
-    def take(self, kind: str, count: int, field=None, parse=None, *args):
-        """The next record, one of the count of kind that the header gives,
-        or parse(record[field], *args); a ConfigError names a record of
-        another kind, or a malformed one: of no known kind, or unparsed."""
+    def take(self, kind: str, field=None, parse=None, *args):
+        """The next record, of kind, or parse(record[field], *args); a
+        ConfigError names a record of another kind, with the count of kind
+        that cfg gives, or a malformed one: of no known kind, or unparsed."""
         found = "the end of the log"
         if self.read():
             try:
@@ -603,9 +602,12 @@ class _LogReader:
                 self._taken[kind] += 1
                 return value
             found = f"record {self.number}, of kind {found}"
+        cfg = self.cfg
+        count = {"init": cfg.pop_size, "step": cfg.budget - cfg.pop_size,
+                 "eval": cfg.budget, "final": 1}[kind]
         raise ConfigError(
             f"{self.path}: {self._taken[kind]} {kind} records, then {found}, but the "
-            f"header's pop_size {self.cfg.pop_size} and budget {self.cfg.budget} "
+            f"header's pop_size {cfg.pop_size} and budget {cfg.budget} "
             f"give {count}"
         )
 
@@ -625,13 +627,13 @@ def replay(log_path: str) -> dict:
     """Re-run a logged run in lockstep with its log, on streams from its
     seed, the logged traces (or cells, for random and rl_construct) standing
     in for the policy; returns the final record, with the recomputed "evals"
-    of random and rl_construct. Each record is rebuilt by its writer and
-    compared, bit for bit and type for type but for the _NOT_REBUILT fields,
-    as the re-run reaches it: the header before anything runs, the inits
-    after initialize, each step right after it, each eval as it is rebuilt
-    and the final record last. One logged record is held at a time; the
-    first that is malformed, missing or extra is a ConfigError, the first
-    that differs a ReplayDiverged."""
+    of random and rl_construct. Each record that _records yields is compared
+    with the next logged one, bit for bit and type for type but for the
+    _NOT_REBUILT fields, as the re-run reaches it: the header before
+    anything runs, the inits after initialize, each step right after it,
+    each eval as it is rebuilt and the final record last. One logged record
+    is held at a time; the first that is malformed, missing or extra is a
+    ConfigError, the first that differs a ReplayDiverged."""
     try:
         fh = open(log_path)
     except OSError as exc:
@@ -643,45 +645,24 @@ def replay(log_path: str) -> dict:
             raise ConfigError(f"{log_path} does not start with a header record")
         if header.get("version") != LOG_VERSION:
             raise ConfigError(f"unsupported log version {header.get('version')!r}")
-        cfg, seed = config_from_header(header)
-        oracle = make_oracle(cfg)
-        log.check(header_record(cfg, seed, oracle))
-        log.cfg, streams, pop_size = cfg, rng_streams(seed), cfg.pop_size
-        if cfg.strategy in POPULATION_STRATEGIES:
-            pop = initialize(cfg.space, oracle, pop_size, streams["init"], streams["eval"])
-            for ind in pop.history:
-                log.take("init", pop_size)
-                log.check(init_record(ind))
-            steps = cfg.budget - pop_size
-            traces = (log.take("step", steps, "trace", trace_from_dict) for _ in range(steps))
-            policy = ReplayMutationPolicy(traces)
-            try:
-                for rec in evolution_steps(
-                    pop, policy, None, oracle, steps, cfg.sample_size, streams
-                ):
-                    log.check(step_fields(rec))
-            except ConfigError:
-                raise
-            except ValueError as exc:  # a logged trace that its parent cannot take
-                raise ReplayDiverged(
-                    f"replay diverged from log at record {log.number} "
-                    f"(step {log.number - 1 - pop_size}): {exc}"
-                )
-            best = reevaluate_finalists(pop, oracle, streams["eval"])
-            final = final_record(pop.members, cell_to_text(best.cell), best.true_fitness)
-        else:
-            evals, best_true = [], -math.inf
-            for index in range(1, cfg.budget + 1):
-                cell = log.take("eval", cfg.budget, "cell", cell_from_text, cfg.space)
-                true = oracle.lookup(cell)  # cell_from_text validated it
-                observed = oracle.observe(true, 1.0, streams["eval"])
-                log.check(eval_record(index, cell_to_text(cell), observed))
-                evals.append({"index": index, "fitness": observed})
-                if true > best_true:  # the first evaluation of the best cell
-                    best_true, best_cell = true, log.record["cell"]
-            final = final_record([], best_cell, best_true)
-        log.take("final", 1)
-        log.check(final)
+        log.cfg, seed = config_from_header(header)
+        records = _records(log.cfg, seed, make_oracle(log.cfg), log)
+        evals = []
+        try:
+            for record, _ in records:
+                kind = record["kind"]
+                if kind in ("init", "final"):  # the re-run reads nothing of these
+                    log.take(kind)
+                log.check(record)
+                if kind == "eval":
+                    evals.append({"index": record["index"], "fitness": record["fitness"]})
+        except ConfigError:
+            raise
+        except ValueError as exc:  # a logged trace that its parent cannot take
+            raise ReplayDiverged(
+                f"replay diverged from log at record {log.number} "
+                f"(step {log.number - 1 - log.cfg.pop_size}): {exc}"
+            )
         if log.read():
             raise ConfigError(f"{log_path}: record {log.number} follows the final record")
-    return final if cfg.strategy in POPULATION_STRATEGIES else {**final, "evals": evals}
+    return record if log.cfg.strategy in POPULATION_STRATEGIES else {**record, "evals": evals}

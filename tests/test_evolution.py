@@ -1,6 +1,7 @@
 """Tournament loop: selection, replacement, training hooks, reproducibility."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,9 +19,10 @@ from evocell.evolution import (
     RandomMutationPolicy,
     ReplayMutationPolicy,
     evolution_step,
+    evolution_steps,
     initialize,
+    reevaluate_finalists,
     rng_streams,
-    run,
     tournament,
 )
 from evocell.reinforce import ReinforceTrainer
@@ -31,6 +33,16 @@ CFG = SpaceConfig(num_blocks=2, num_ops=3)
 
 def _oracle(sigma=0.01, seed=7):
     return build_tabular(CFG, seed=seed, maturity=MaturityModel(sigma=sigma))
+
+
+def evolve(cfg, oracle, policy, trainer, budget, pop_size, sample_size, streams):
+    """A whole run: initialize, `budget` evolution_steps, then
+    reevaluate_finalists; the population, the step records and the best."""
+    pop = initialize(cfg, oracle, pop_size, streams["init"], streams["eval"])
+    steps = evolution_steps(pop, policy, trainer, oracle, budget, sample_size, streams)
+    records = list(steps)
+    best = reevaluate_finalists(pop, oracle, streams["eval"])
+    return SimpleNamespace(population=pop, records=records, best=best)
 
 
 def _ind(fitness, id, cell=None, maturity=0.1, true_fitness=0.5):
@@ -264,7 +276,7 @@ def test_max_member_fitness_never_drops_without_noise():
 def test_run_zero_budget_returns_initial_population():
     oracle = _oracle()
     streams = rng_streams(9)
-    result = run(
+    result = evolve(
         CFG, oracle, RandomMutationPolicy(CFG, streams["policy"]), None,
         budget=0, pop_size=6, sample_size=3, streams=streams,
     )
@@ -277,7 +289,7 @@ def test_run_zero_budget_returns_initial_population():
 def test_run_history_and_final_retrain():
     oracle = _oracle()
     streams = rng_streams(10)
-    result = run(
+    result = evolve(
         CFG, oracle, RandomMutationPolicy(CFG, streams["policy"]), None,
         budget=40, pop_size=8, sample_size=3, streams=streams,
     )
@@ -297,7 +309,7 @@ def test_run_deterministic_given_seeds():
     def one():
         oracle = _oracle()
         streams = rng_streams(11)
-        return run(
+        return evolve(
             CFG, oracle, RandomMutationPolicy(CFG, streams["policy"]), None,
             budget=30, pop_size=6, sample_size=3, streams=streams,
         )
@@ -315,13 +327,13 @@ def test_run_deterministic_given_seeds():
 def test_replay_policy_reproduces_run():
     oracle = _oracle()
     streams = rng_streams(12)
-    first = run(
+    first = evolve(
         CFG, oracle, RandomMutationPolicy(CFG, streams["policy"]), None,
         budget=25, pop_size=5, sample_size=3, streams=streams,
     )
     traces = [rec.trace for rec in first.records]
     replay_streams = rng_streams(12)
-    second = run(
+    second = evolve(
         CFG, _oracle(), ReplayMutationPolicy(traces), None,
         budget=25, pop_size=5, sample_size=3, streams=replay_streams,
     )
@@ -345,7 +357,7 @@ def test_controller_policy_run_trains_and_logs_diagnostics():
     params = init_controller(CFG, streams["params"], embed_size=6, hidden_size=6)
     policy = ControllerPolicy(params, streams["policy"])
     trainer = ReinforceTrainer(params.p, lr=0.001, entropy_weight=0.1)
-    result = run(
+    result = evolve(
         CFG, oracle, policy, trainer,
         budget=15, pop_size=5, sample_size=3, streams=streams,
     )
@@ -405,7 +417,7 @@ def test_random_policy_reaches_near_optimum_on_small_space():
         target = 0.99 * oracle.optimum_fitness
         streams = rng_streams(seed)
         pop_size, budget = 20, 1480
-        result = run(
+        result = evolve(
             CFG, oracle, RandomMutationPolicy(CFG, streams["policy"]), None,
             budget=budget, pop_size=pop_size, sample_size=5, streams=streams,
         )

@@ -32,7 +32,7 @@ from evocell.cli import (
 )
 from evocell.controller import ConstructionPolicy
 from evocell.evaluators import LandscapeOracle, build_tabular, save_oracle, load_oracle
-from evocell.evolution import RandomMutationPolicy, rng_streams, run as run_evolution
+from evocell.evolution import RandomMutationPolicy, rng_streams
 from evocell.harness import (
     PILOT_SAMPLES,
     POPULATION_STRATEGIES,
@@ -51,10 +51,12 @@ from evocell.harness import (
     replay,
     resolve_target,
     run_strategy,
+    step_record,
     write_jsonl,
 )
 from evocell.nn_core import check_grads
 from evocell.report import compare
+from test_evolution import evolve
 
 CFG23 = SpaceConfig(num_blocks=2, num_ops=3)
 
@@ -404,7 +406,7 @@ def test_population_trajectories_equal_per_step_reference(
     )
     oracle = make_oracle(cfg)
     streams = rng_streams(4)  # the streams run_strategy draws from for seed 4
-    result = run_evolution(
+    result = evolve(
         cfg.space,
         oracle,
         RandomMutationPolicy(cfg.space, streams["policy"]),
@@ -414,13 +416,15 @@ def test_population_trajectories_equal_per_step_reference(
         sample_size=sample,
         streams=streams,
     )
-    trajectories = _population_trajectories(result)
+    true_vals = [ind.true_fitness for ind in result.population.history]
+    steps = [step_record(rec) for rec in result.records]
+    trajectories = (true_vals, *_population_trajectories(true_vals, pop, steps))
     assert trajectories == _reference_trajectories(result, oracle)  # bit for bit
     summary, _ = run_strategy(cfg, seed=4, oracle=oracle, target=1.0)
     assert (summary.true_per_eval, summary.pop_mean, summary.pop_var) == trajectories
 
 
-@pytest.mark.parametrize("strategy", ["ea_random", "random"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
 def test_each_evaluation_reads_true_fitness_once(strategy):
     cfg = _cfg(strategy, oracle_kind="landscape", budget=60, pop_size=10, sample_size=4)
     oracle = make_oracle(cfg)
