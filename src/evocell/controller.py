@@ -34,9 +34,10 @@ the walk that emitted the cell, and grads(walk) backpropagates it.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import cache
+from functools import cache, cached_property
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -99,6 +100,16 @@ class MutationAction:
     replace_logprob: float
     router_entropy: float
     replace_entropy: float
+
+    @cached_property
+    def json_text(self) -> str:
+        """This action's entry in a logged trace, as LOG_ENCODER writes it.
+        Formatted once per object (the uniform policy builds each action
+        once per space) and kept outside the dataclass fields, so ==, hash,
+        repr and asdict do not see it. It is keyed on the object, not on
+        values, which compare equal across 1, 1.0 and True, and 0.0 and
+        -0.0."""
+        return LOG_ENCODER.encode(_action_dict(self))
 
 
 @dataclass(frozen=True)
@@ -585,26 +596,38 @@ def apply_mutation(cell: CellSpec, trace: MutationTrace) -> CellSpec:
 # Trace serialization (JSON-friendly dicts; one trace per JSONL line)
 # ---------------------------------------------------------------------------
 
+# A run log's one JSON form: sorted keys, json's default separators.
+LOG_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def _action_dict(a: MutationAction) -> dict:
+    return {
+        "block": a.block,
+        "target": _TARGET_NAMES[a.target],
+        "replacement": OP_NAMES[a.replacement]
+        if isinstance(a.replacement, Op)
+        else int(a.replacement),
+        "router_logprob": a.router_logprob,
+        "replace_logprob": a.replace_logprob,
+        "router_entropy": a.router_entropy,
+        "replace_entropy": a.replace_entropy,
+    }
+
+
+def _totals(trace: MutationTrace) -> dict:
+    return {"total_logprob": trace.total_logprob, "total_entropy": trace.total_entropy}
+
 
 def trace_to_dict(trace: MutationTrace) -> dict:
-    return {
-        "actions": [
-            {
-                "block": a.block,
-                "target": _TARGET_NAMES[a.target],
-                "replacement": OP_NAMES[a.replacement]
-                if isinstance(a.replacement, Op)
-                else int(a.replacement),
-                "router_logprob": a.router_logprob,
-                "replace_logprob": a.replace_logprob,
-                "router_entropy": a.router_entropy,
-                "replace_entropy": a.replace_entropy,
-            }
-            for a in trace.actions
-        ],
-        "total_logprob": trace.total_logprob,
-        "total_entropy": trace.total_entropy,
-    }
+    return {"actions": [_action_dict(a) for a in trace.actions], **_totals(trace)}
+
+
+def trace_json(trace: MutationTrace) -> str:
+    """LOG_ENCODER.encode(trace_to_dict(trace)), byte for byte, joined from
+    each action's cached json_text and the encoded totals, whose keys sort
+    after "actions"."""
+    actions = ", ".join([a.json_text for a in trace.actions])
+    return f'{{"actions": [{actions}], {LOG_ENCODER.encode(_totals(trace))[1:]}'
 
 
 def _typed(value, kind: type, name: str):
@@ -678,6 +701,22 @@ def load_controller(path: str) -> ControllerParams:
 # ---------------------------------------------------------------------------
 
 
+def construction_layout(cfg: SpaceConfig, embed_size: int, hidden_size: int) -> ParamLayout:
+    """ConstructionPolicy's parameters, in the order it draws them."""
+    B = cfg.num_blocks
+    return ParamLayout(
+        [
+            ("embedding", (vocab_size(B), embed_size)),
+            ("start", (1, embed_size)),
+            *nn_core.lstm_spec("lstm", embed_size, hidden_size),
+            ("w_input", (hidden_size, B + 1)),
+            ("b_input", (1, B + 1)),
+            ("w_op", (hidden_size, cfg.num_ops)),
+            ("b_op", (1, cfg.num_ops)),
+        ]
+    )
+
+
 @dataclass
 class _ConstructionWalk:
     """One pass of the construction policy: its cell, totals and gradient inputs."""
@@ -713,18 +752,7 @@ class ConstructionPolicy:
         self.cfg = cfg
         self.embed_size = embed_size
         self.hidden_size = hidden_size
-        B = cfg.num_blocks
-        layout = ParamLayout(
-            [
-                ("embedding", (vocab_size(B), embed_size)),
-                ("start", (1, embed_size)),
-                *nn_core.lstm_spec("lstm", embed_size, hidden_size),
-                ("w_input", (hidden_size, B + 1)),
-                ("b_input", (1, B + 1)),
-                ("w_op", (hidden_size, cfg.num_ops)),
-                ("b_op", (1, cfg.num_ops)),
-            ]
-        )
+        layout = construction_layout(cfg, embed_size, hidden_size)
         self.p = layout.views(layout.draw(rng))
         self.lstm = LSTMParams(*nn_core.lstm_entries(self.p, "lstm"))
 

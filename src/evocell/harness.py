@@ -35,7 +35,16 @@ from .arch_space import (
     cell_to_text,
     random_digits,
 )
-from .controller import ConstructionPolicy, init_controller, trace_from_dict, trace_to_dict
+from .controller import (
+    LOG_ENCODER,
+    ConstructionPolicy,
+    MutationTrace,
+    construction_layout,
+    controller_layout,
+    init_controller,
+    trace_from_dict,
+    trace_json,
+)
 from .evaluators import (
     FitnessOracle,
     LandscapeOracle,
@@ -71,6 +80,7 @@ TARGET_FRACTION = 0.99
 LOG_VERSION = 1
 PILOT_SAMPLES = 20_000
 PILOT_CHUNK = 1_000  # rows per draw, so the pilot adds no visible peak memory
+TRAJECTORY_ROWS = 256  # population rows reduced at a time: no (steps, pop) matrix
 
 
 class ConfigError(ValueError):
@@ -145,6 +155,13 @@ class StrategyConfig:
                 raise ConfigError(f"{name} must be >= {lowest}, got {value}")
         if not self.learning_rate > 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        size = policy_size(self)
+        if size > MAX_POLICY_SIZE:
+            raise ConfigError(
+                f"embed_size {self.embed_size} and hidden_size {self.hidden_size} give "
+                f"the {self.strategy} policy {size:,} parameters; at most "
+                f"{MAX_POLICY_SIZE:,} are allowed"
+            )
         if self.strategy in POPULATION_STRATEGIES:
             if self.pop_size < 2:
                 raise ConfigError(f"pop_size must be >= 2, got {self.pop_size}")
@@ -171,11 +188,26 @@ _ACCEPTS = {
     for name, hint in get_type_hints(StrategyConfig).items()
 }
 _LOWEST = {"budget": 1, "oracle_seed": 0, "noise": 0, "embed_size": 1, "hidden_size": 1}
+# The largest policy a run may build: 128 MiB of float64 parameters, which
+# the learner holds several times over (gradient, Adam's two moments).
+MAX_POLICY_SIZE = 2**24
 _HEADER_KEYS = {
     f.name: f.metadata["header"]
     for f in fields(StrategyConfig)
     if f.metadata.get("header")
 }
+
+
+def policy_size(cfg: StrategyConfig) -> int:
+    """The parameter count of cfg's policy, read off its layout, which
+    allocates nothing; 0 for ea_random and random, which have none."""
+    E, H, space = cfg.embed_size, cfg.hidden_size, cfg.space
+    if cfg.strategy == "rl_construct":
+        return construction_layout(space, E, H).size
+    if cfg.strategy in ("reinforced", "reinforced_nonbi"):
+        bidirectional = cfg.strategy == "reinforced"
+        return controller_layout(space.num_blocks, space.num_ops, E, H, bidirectional).size
+    return 0
 
 
 def check_seed(seed: int) -> int:
@@ -271,23 +303,26 @@ def _population_trajectories(
 
     While the population fills, the live set is a growing prefix of the
     evaluations; after that, each step removes one member and appends the
-    child, the order Population.members keeps. Rows are reduced as one
-    (steps, pop) matrix, each row's sum in the same order as a 1-D mean.
+    child, the order Population.members keeps. Rows are reduced
+    TRAJECTORY_ROWS at a time as a (rows, pop) matrix, each row's sum in
+    the same order as a 1-D mean, whatever the block's height.
     """
     first = np.array(true_vals[:pop_size])
     pop_mean = [float(first[:k].mean()) for k in range(1, pop_size + 1)]
     pop_var = [float(first[:k].var()) for k in range(1, pop_size + 1)]
     live_ids = list(range(pop_size))
     live = true_vals[:pop_size]
-    rows = np.empty((len(steps), pop_size))
-    for row, record, child_true in zip(rows, steps, true_vals[pop_size:]):
-        at = live_ids.index(record["removed_id"])
-        del live_ids[at], live[at]
-        live_ids.append(record["child_id"])
-        live.append(child_true)
-        row[:] = live
-    pop_mean.extend(rows.mean(axis=1).tolist())
-    pop_var.extend(rows.var(axis=1).tolist())
+    children = zip(steps, true_vals[pop_size:])
+    for start in range(0, len(steps), TRAJECTORY_ROWS):
+        rows = np.empty((min(TRAJECTORY_ROWS, len(steps) - start), pop_size))
+        for row, (record, child_true) in zip(rows, children):
+            at = live_ids.index(record["removed_id"])
+            del live_ids[at], live[at]
+            live_ids.append(record["child_id"])
+            live.append(child_true)
+            row[:] = live
+        pop_mean.extend(rows.mean(axis=1).tolist())
+        pop_var.extend(rows.var(axis=1).tolist())
     return pop_mean, pop_var
 
 
@@ -368,8 +403,9 @@ def init_record(ind: Individual) -> dict:
 
 
 def step_record(rec: StepRecord) -> dict:
-    """StepRecord's fields, with the trace encoded."""
-    return {"kind": "step", **vars(rec), "trace": trace_to_dict(rec.trace)}
+    """StepRecord's fields; the trace stays a MutationTrace, which
+    write_jsonl formats."""
+    return {"kind": "step", **vars(rec)}
 
 
 def step_fields(rec: StepRecord) -> dict:
@@ -518,13 +554,21 @@ def run_strategy(
 # ---------------------------------------------------------------------------
 
 
-_JSON = json.JSONEncoder(sort_keys=True)
-
-
 def write_jsonl(path: str, records: Sequence[dict]) -> None:
+    """Each record as one line of LOG_ENCODER's JSON. A step record that
+    _records yields holds its MutationTrace: the line is its other fields
+    encoded, with trace_json's text in place of "trace", the last of a step
+    record's keys in sorted order; any other record (one read back by
+    read_jsonl holds its trace as a dict) is encoded whole."""
+    encode = LOG_ENCODER.encode
     with open(path, "w") as fh:
         for record in records:
-            fh.write(_JSON.encode(record) + "\n")
+            trace = record.get("trace")
+            if type(trace) is MutationTrace:
+                head = encode({**record, "trace": 0})  # ends in '"trace": 0}'
+                fh.write(f"{head[:-2]}{trace_json(trace)}}}\n")
+            else:
+                fh.write(encode(record) + "\n")
 
 
 def read_jsonl(path: str) -> List[dict]:

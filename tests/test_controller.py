@@ -1,5 +1,6 @@
 """Mutation policy: encoding, sampling walks, legality, serialization."""
 
+import dataclasses
 import math
 import os
 
@@ -22,6 +23,7 @@ from evocell.arch_space import (
     validate,
 )
 from evocell.controller import (
+    LOG_ENCODER,
     MutationAction,
     MutationTrace,
     MutTarget,
@@ -35,6 +37,7 @@ from evocell.controller import (
     save_controller,
     trace_from_dict,
     trace_grads,
+    trace_json,
     trace_logprob,
     trace_to_dict,
 )
@@ -449,6 +452,23 @@ def test_trace_json_round_trip():
     import json
 
     assert trace_from_dict(json.loads(json.dumps(payload))) == trace
+
+
+def test_trace_json_tells_apart_actions_that_compare_equal():
+    """Each action's text is cached on the object: equal actions whose
+    floats differ in sign (0.0 == -0.0) keep their own text, and the cache
+    is invisible to ==, hash, repr and asdict."""
+    plus = MutationAction(1, MutTarget.I1, CELL_PREV1, 0.0, -1.5, 2.0, 1e-300)
+    minus = dataclasses.replace(plus, router_logprob=-0.0)
+    before = repr(plus), dataclasses.asdict(plus)
+    assert plus.json_text != minus.json_text
+    assert plus == minus and hash(plus) == hash(minus)
+    assert (repr(plus), dataclasses.asdict(plus)) == before
+    for trace in (
+        MutationTrace((plus, minus, plus), -3.0, 4.0),
+        MutationTrace((minus,), math.nan, -math.inf),
+    ):
+        assert trace_json(trace) == LOG_ENCODER.encode(trace_to_dict(trace))
 
 
 class TestUnidirectional:

@@ -1,8 +1,10 @@
 """Strategy runners, comparison outputs, logs, replay, and the CLI."""
 
+import collections
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -30,10 +32,17 @@ from evocell.cli import (
     parse_oracle_spec,
     parse_seeds,
 )
-from evocell.controller import ConstructionPolicy
+from evocell.controller import (
+    ConstructionPolicy,
+    init_controller,
+    trace_from_dict,
+    trace_json,
+    trace_to_dict,
+)
 from evocell.evaluators import LandscapeOracle, build_tabular, save_oracle, load_oracle
 from evocell.evolution import RandomMutationPolicy, rng_streams
 from evocell.harness import (
+    MAX_POLICY_SIZE,
     PILOT_SAMPLES,
     POPULATION_STRATEGIES,
     STRATEGIES,
@@ -41,12 +50,14 @@ from evocell.harness import (
     ConfigError,
     ReplayDiverged,
     StrategyConfig,
+    _NOT_REBUILT,
     _evals_to_target,
     _population_trajectories,
     config_from_header,
     header_record,
     make_oracle,
     pilot_digits,
+    policy_size,
     read_jsonl,
     replay,
     resolve_target,
@@ -139,6 +150,36 @@ def test_strategy_config_rejects_a_value_of_another_type(kwargs):
     name = list(kwargs)[-1]
     with pytest.raises(ConfigError, match=f"^{name} must be"):
         StrategyConfig(**kwargs)
+
+
+def test_policy_size_is_the_size_of_the_policy_a_run_builds():
+    rng = np.random.default_rng(0)
+    for strategy, bidirectional in (("reinforced", True), ("reinforced_nonbi", False)):
+        params = init_controller(CFG23, rng, 8, 8, bidirectional)
+        assert policy_size(_cfg(strategy)) == params.p.flat.size
+    policy = ConstructionPolicy(CFG23, rng, embed_size=8, hidden_size=8)
+    assert policy_size(_cfg("rl_construct")) == policy.p.flat.size
+    assert policy_size(_cfg("ea_random")) == policy_size(_cfg("random")) == 0
+
+
+def test_a_policy_above_the_size_cap_is_a_config_error(tmp_path, capsys):
+    """Refused from the sizes alone, before anything is allocated: at
+    hidden_size 1e9 the weights alone would take exabytes."""
+    tracemalloc.start()
+    try:
+        for strategy in ("reinforced", "reinforced_nonbi", "rl_construct"):
+            with pytest.raises(ConfigError, match="hidden_size 1000000000"):
+                _cfg(strategy, hidden_size=10**9)
+            with pytest.raises(ConfigError, match=f"at most {MAX_POLICY_SIZE:,}"):
+                _cfg(strategy, embed_size=10**9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    _cfg("ea_random", hidden_size=10**9)  # which builds no policy
+    assert main(["search", "--hidden", "1000000000", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("seed", [-1, True, 1.0, "1"])
@@ -391,7 +432,10 @@ def _reference_trajectories(result, oracle):
 
 @pytest.mark.parametrize(
     "blocks, ops, kind, pop, sample, budget",
-    [(5, 6, "landscape", 100, 25, 400), (3, 4, "tabular", 20, 5, 300)],
+    # steps: 300 and 280 (a 256-row block and part of one), 512 (two whole
+    # blocks) and 513 (one row past them)
+    [(5, 6, "landscape", 100, 25, 400), (3, 4, "tabular", 20, 5, 300),
+     (2, 3, "tabular", 8, 3, 520), (2, 3, "landscape", 8, 3, 521)],
 )
 def test_population_trajectories_equal_per_step_reference(
     blocks, ops, kind, pop, sample, budget
@@ -617,6 +661,36 @@ def _logged(strategy, tmp_path, **kwargs):
     return log, str(tmp_path / f"trace_{strategy}_0.jsonl")
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_write_jsonl_writes_what_json_dumps_writes(strategy, tmp_path):
+    """A step record holds its MutationTrace, whose text write_jsonl splices
+    in from trace_json; each line is json.dumps of the record with the
+    trace in its trace_to_dict form. trace_json is the encoded dict, also
+    for a trace that trace_from_dict rebuilt, whose actions are fresh
+    objects with nothing cached."""
+    cfg = _cfg(strategy, budget=30)
+    _, log = run_strategy(cfg, seed=2, oracle=make_oracle(cfg))
+    path = tmp_path / "log.jsonl"
+    write_jsonl(str(path), log)
+    dicts = _dict_traces(log)
+    assert path.read_text().splitlines() == [json.dumps(r, sort_keys=True) for r in dicts]
+    traces = [r["trace"] for r in log if r["kind"] == "step"]
+    assert len(traces) == (22 if strategy in POPULATION_STRATEGIES else 0)
+    for trace in traces:
+        text = json.dumps(trace_to_dict(trace), sort_keys=True)
+        assert trace_json(trace) == text
+        assert trace_json(trace_from_dict(json.loads(text))) == text
+    write_jsonl(str(path), dicts)  # records read back hold their traces as dicts
+    assert read_jsonl(str(path)) == dicts
+
+
+def _dict_traces(log):
+    """log with each step's trace in its trace_to_dict form, as read_jsonl
+    gives it back."""
+    return [{**r, "trace": trace_to_dict(r["trace"])} if r["kind"] == "step" else r
+            for r in log]
+
+
 def test_replay_rejects_an_eval_record_with_a_bad_cell(tmp_path):
     log, path = _logged("random", tmp_path, budget=5)
     log[3]["cell"] = "garbage"
@@ -667,6 +741,7 @@ def test_replay_parses_a_fed_back_trace_strictly(chosen, edit, tmp_path):
     replays as the logged one, so only a strict parse can tell it from the
     log."""
     log, path = _logged("ea_random", tmp_path)
+    log = _dict_traces(log)
     step = next(
         r for r in log if r["kind"] == "step" and any(map(chosen, r["trace"]["actions"]))
     )
@@ -713,6 +788,7 @@ def test_replay_rejects_an_edited_child(key, tmp_path):
 
 def test_replay_names_the_step_whose_trace_does_not_apply(tmp_path):
     log, path = _logged("ea_random", tmp_path)
+    log = _dict_traces(log)
     step = [r for r in log if r["kind"] == "step"][5]
     action = step["trace"]["actions"][0]
     action["target"], action["replacement"] = "o1", "MAX3"  # outside 3 ops
@@ -772,6 +848,27 @@ def test_replay_holds_one_logged_record_at_a_time(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20, peak
+
+
+def test_search_and_its_log_write_fit_in_6_mib(tmp_path):
+    """A 2,000-evaluation landscape ea_random search and the write of its
+    log peak within 6 MiB of traced heap. A dict per step's trace and the
+    whole (steps, pop) trajectory matrix took 8.45 MiB; step records that
+    hold their traces, whose text the writer joins from each action's, and
+    trajectory rows reduced in blocks take 4.25 MiB."""
+    cfg = _cfg("ea_random", space=SpaceConfig(num_blocks=5, num_ops=6),
+               oracle_kind="landscape", oracle_seed=7, pop_size=100,
+               sample_size=25, budget=2000)
+    oracle = make_oracle(cfg)
+    path = str(tmp_path / "trace_ea_random_3.jsonl")
+    tracemalloc.start()
+    try:
+        _, log = run_strategy(cfg, seed=3, oracle=oracle, target=1.0)
+        write_jsonl(path, log)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20, peak
 
 
 def test_replay_stops_at_the_step_that_diverges(tmp_path, monkeypatch):
@@ -854,6 +951,123 @@ def test_replay_rejects_an_edited_record(strategy, kind, at, keys, change, tmp_p
     number = log.index(record) + 1
     with pytest.raises(ReplayDiverged, match=rf"record {number} \({kind}"):
         replay(path)
+
+
+def _paths(value, path=()):
+    """The key path of every value nested in value, a record."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, item in items:
+        yield path + (key,)
+        if isinstance(item, (dict, list)):
+            yield from _paths(item, path + (key,))
+
+
+def _nudged(value):
+    """value moved the least step that keeps its JSON type."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return _bit_up(value)
+    return 0 if value is None else value + "x"
+
+
+def _retyped(value):
+    """value as another JSON type; a list or an object as null."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, int):
+        return float(value)
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, str):
+        return 0
+    return "" if value is None else None
+
+
+def _fuzzed(lines, rng):
+    """lines with one seeded edit, and the path of the value it edits
+    (None for an edit to a line as a whole): a line deleted, duplicated or
+    cut short, or in one record a value nudged or retyped, or a key dropped."""
+    lines = list(lines)
+    at = rng.randrange(len(lines))
+    edit = rng.choice(("delete", "duplicate", "cut", "nudge", "retype", "drop"))
+    if edit == "delete":
+        del lines[at]
+    elif edit == "duplicate":
+        lines.insert(at, lines[at])
+    elif edit == "cut":
+        lines[at] = lines[at][: rng.randrange(1, len(lines[at]))]
+    else:
+        record = json.loads(lines[at])
+        kind = record["kind"]
+        paths = [p for p in _paths(record) if edit != "drop" or isinstance(p[-1], str)]
+        if edit == "nudge":
+            paths = [p for p in paths if not isinstance(_at(record, p), (dict, list))]
+        path = rng.choice(paths)
+        parent = _at(record, path[:-1])
+        if edit == "drop":
+            del parent[path[-1]]
+        else:
+            change = _nudged if edit == "nudge" else _retyped
+            parent[path[-1]] = change(parent[path[-1]])
+        lines[at] = json.dumps(record, sort_keys=True)
+        return lines, (kind, path)
+    return lines, None
+
+
+def _at(record, path):
+    for key in path:
+        record = record[key]
+    return record
+
+
+def _may_replay_clean(strategy, where):
+    """Whether an edit at where, (record kind, key path), may replay clean:
+    one to a _NOT_REBUILT field, or to a header setting that a replay of
+    strategy reads into its config but never uses: the policy's (nothing
+    trains), the population's for random and rl_construct, and the oracle's
+    path (no oracle here is read from a file). An edit to a line as a whole
+    (where is None) may not."""
+    if where is None:
+        return False
+    kind, keys = where
+    if kind != "header":
+        return keys[0] in _NOT_REBUILT
+    unread = [("policy", key) for key in
+              ("embed_size", "hidden_size", "learning_rate", "entropy_weight")]
+    unread.append(("oracle", "path"))
+    if strategy not in POPULATION_STRATEGIES:
+        unread += [("run", "pop_size"), ("run", "sample_size")]
+    return keys[:2] in unread
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_replay_of_a_fuzzed_log_raises_a_config_error_or_is_clean(strategy, tmp_path):
+    """300 seeded edits of a small log. Each replay raises ConfigError (a
+    ReplayDiverged is one), and nothing else; it may run clean only when
+    the edit left the text as it was, or touched a _NOT_REBUILT field, or a
+    header setting that the strategy's re-run never uses."""
+    log, path = _logged(strategy, tmp_path, budget=30)
+    write_jsonl(path, log)
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    rng = random.Random(f"replay fuzz {strategy}")
+    outcomes = collections.Counter()
+    for _ in range(300):
+        edited, where = _fuzzed(lines, rng)
+        with open(path, "w") as fh:
+            fh.write("\n".join(edited) + "\n")
+        try:
+            replay(path)
+        except ConfigError as exc:
+            outcomes[type(exc)] += 1
+            continue
+        except Exception as exc:
+            raise AssertionError(f"{where}: {exc!r}") from exc
+        assert edited == lines or _may_replay_clean(strategy, where), where
+    assert outcomes[ConfigError] and outcomes[ReplayDiverged], outcomes
 
 
 def _header_keys():

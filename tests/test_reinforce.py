@@ -21,12 +21,14 @@ from evocell.arch_space import (
     random_cell,
 )
 from evocell.controller import (
+    MutationTrace,
     MutTarget,
     encode_forward,
     init_controller,
     sample_mutation,
     trace_grads,
     trace_logprob,
+    trace_to_dict,
 )
 from evocell.harness import StrategyConfig, make_oracle, run_strategy
 from evocell.nn_core import check_grads
@@ -271,6 +273,8 @@ def _split_record(value, path="", learner=False, out=None):
     """(decisions, learner floats) of a log record, each as path -> leaf."""
     if out is None:
         out = ({}, {})
+    if isinstance(value, MutationTrace):  # a step record's, as run_strategy logs it
+        value = trace_to_dict(value)
     if isinstance(value, dict):
         for key, item in value.items():
             _split_record(item, f"{path}/{key}", learner or key in _LEARNER_FIELDS, out)
