@@ -30,6 +30,11 @@ COMBINER = "ADD"
 
 ENUMERATION_CAP = 10**7
 
+# Most blocks per cell. A space's sizes grow with the block count, the
+# landscape oracle's input weights with its cube (270,400 floats at 64
+# blocks), so a larger count is refused before anything is built.
+MAX_BLOCKS = 64
+
 
 class Op(IntEnum):
     """Candidate operations. Reduced spaces use a prefix of this order."""
@@ -63,8 +68,10 @@ class SpaceConfig:
             value = getattr(self, name)
             if type(value) is not int:
                 raise ValueError(f"{name} must be an int, got {value!r}")
-        if self.num_blocks < 1:
-            raise ValueError(f"num_blocks must be >= 1, got {self.num_blocks}")
+        if not 1 <= self.num_blocks <= MAX_BLOCKS:
+            raise ValueError(
+                f"num_blocks must be in [1, {MAX_BLOCKS}], got {self.num_blocks}"
+            )
         if not 2 <= self.num_ops <= NUM_OPS_TOTAL:
             raise ValueError(
                 f"num_ops must be in [2, {NUM_OPS_TOTAL}], got {self.num_ops}"

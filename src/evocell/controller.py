@@ -614,20 +614,28 @@ def _action_dict(a: MutationAction) -> dict:
     }
 
 
-def _totals(trace: MutationTrace) -> dict:
-    return {"total_logprob": trace.total_logprob, "total_entropy": trace.total_entropy}
-
-
 def trace_to_dict(trace: MutationTrace) -> dict:
-    return {"actions": [_action_dict(a) for a in trace.actions], **_totals(trace)}
+    return {
+        "actions": [_action_dict(a) for a in trace.actions],
+        "total_logprob": trace.total_logprob,
+        "total_entropy": trace.total_entropy,
+    }
+
+
+# JSON's spelling of the floats whose repr is not a JSON number
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def trace_json(trace: MutationTrace) -> str:
     """LOG_ENCODER.encode(trace_to_dict(trace)), byte for byte, joined from
-    each action's cached json_text and the encoded totals, whose keys sort
-    after "actions"."""
+    each action's cached json_text and the totals, whose keys sort after
+    "actions": each written as LOG_ENCODER writes a float, its
+    float.__repr__ or, if not finite, JSON's NaN, Infinity or -Infinity."""
     actions = ", ".join([a.json_text for a in trace.actions])
-    return f'{{"actions": [{actions}], {LOG_ENCODER.encode(_totals(trace))[1:]}'
+    h = float.__repr__(trace.total_entropy)
+    lp = float.__repr__(trace.total_logprob)
+    h, lp = _NON_FINITE.get(h, h), _NON_FINITE.get(lp, lp)
+    return f'{{"actions": [{actions}], "total_entropy": {h}, "total_logprob": {lp}}}'
 
 
 def _typed(value, kind: type, name: str):

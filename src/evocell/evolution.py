@@ -11,13 +11,29 @@ mutation, which the policy kept from its proposal.
 
 A run is initialize, the generator evolution_steps and reevaluate_finalists,
 which harness._records chains for a run and for its replay alike.
+
+The uniform policy draws straight from its generator's bit generator:
+uniform_integers reads next_uint32 through numpy's public ctypes interface
+and gives rng.integers(n) bit for bit, values and stream alike, without a
+Generator call per draw. Those draws bypass the Generator's lock, so the
+policy owns its stream: nothing else may draw from it meanwhile.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Protocol, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -133,16 +149,47 @@ def _uniform_tables(num_blocks: int, num_ops: int):
     return tuple(blocks)
 
 
+def uniform_integers(rng: np.random.Generator) -> Callable[[int], int]:
+    """rng.integers as a function of n alone, for 1 <= n < 2**32: the same
+    value as a Python int, and the bit generator left in the same state.
+
+    Each draw is numpy's own bounded step (Lemire, arXiv 1805.10941) on the
+    bit generator's next_uint32: m = u * n, rejected while its low 32 bits
+    fall below (2**32 - n) % n, gives m >> 32; n == 1 draws nothing. The
+    draws skip the Generator's call overhead and its lock.
+    """
+    bits = rng.bit_generator
+    interface = bits.ctypes
+
+    # _bits keeps alive the bit generator whose state _state addresses
+    def integers(
+        n: int, *, _next=interface.next_uint32, _state=interface.state_address,
+        _bits=bits,
+    ) -> int:
+        if n == 1:
+            return 0
+        m = _next(_state) * n
+        if m & 0xFFFFFFFF < n:  # n bounds the threshold; only then compute it
+            threshold = (0x100000000 - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = _next(_state) * n
+        return m >> 32
+
+    return integers
+
+
 class RandomMutationPolicy:
     """Uniform target and uniform legal replacement; no learning signal.
 
     Log-probabilities are recorded against the uniform distributions so
-    traces stay self-consistent, though nothing trains on them.
+    traces stay self-consistent, though nothing trains on them. It owns
+    rng: its draws, through uniform_integers, bypass the Generator's lock.
     """
 
     def __init__(self, cfg: SpaceConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.rng = rng
+        self._integers = uniform_integers(rng)
 
     def propose(self, cell: CellSpec) -> MutationTrace:
         """Per block, one draw of the target, then one of the replacement
@@ -151,7 +198,7 @@ class RandomMutationPolicy:
         actions = []
         total_lp = 0.0
         total_h = 0.0
-        integers = self.rng.integers
+        integers = self._integers
         for per_target in _uniform_tables(cell.num_blocks, cell.num_ops):
             options = per_target[integers(4)]
             action, lp, h = options[integers(len(options))]

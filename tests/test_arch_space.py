@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from evocell.arch_space import (
     CELL_PREV1,
     CELL_PREV2,
     ENUMERATION_CAP,
+    MAX_BLOCKS,
     BlockSpec,
     CellSpec,
     Op,
@@ -52,6 +54,16 @@ def test_space_config_validation():
                               (2, 3.0, "num_ops")):
         with pytest.raises(ValueError, match=f"^{name} must be an int"):
             SpaceConfig(blocks, ops)
+
+
+def test_space_config_caps_the_block_count():
+    """Checked from the number alone: a 10**8-block space is refused before
+    anything of its size exists."""
+    assert SpaceConfig(num_blocks=MAX_BLOCKS).num_blocks == MAX_BLOCKS
+    for blocks in (MAX_BLOCKS + 1, 10**8):
+        message = f"num_blocks must be in [1, {MAX_BLOCKS}], got {blocks}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SpaceConfig(num_blocks=blocks)
 
 
 def test_ops_prefix_subset():

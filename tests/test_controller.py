@@ -467,6 +467,7 @@ def test_trace_json_tells_apart_actions_that_compare_equal():
     for trace in (
         MutationTrace((plus, minus, plus), -3.0, 4.0),
         MutationTrace((minus,), math.nan, -math.inf),
+        MutationTrace((plus,), -math.inf, math.inf),
     ):
         assert trace_json(trace) == LOG_ENCODER.encode(trace_to_dict(trace))
 

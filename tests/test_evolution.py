@@ -1,5 +1,7 @@
 """Tournament loop: selection, replacement, training hooks, reproducibility."""
 
+import functools
+import json
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -24,6 +26,7 @@ from evocell.evolution import (
     reevaluate_finalists,
     rng_streams,
     tournament,
+    uniform_integers,
 )
 from evocell.reinforce import ReinforceTrainer
 from propose_reference import reference_propose
@@ -157,12 +160,73 @@ def test_one_pass_tournament_equals_keyed_max_and_min(fitnesses, random):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("blocks, ops", [(1, 2), (2, 3), (3, 4), (5, 6)])
-def test_random_policy_draws_as_the_field_by_field_reference(blocks, ops):
+BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64)
+# Every bound up to 70, one whose draws reject a quarter of the time, and the
+# largest bound the helper takes.
+BOUNDS = (*range(1, 71), 3 * 2**30, 2**32 - 1)
+
+
+def _state(bits):
+    """bits.state as text, its arrays as lists, so that == compares it."""
+    return json.dumps(bits.state, default=np.ndarray.tolist)
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
+def test_uniform_integers_is_generator_integers(bit_generator):
+    """Every value, and the bit generator's state after every draw, equal
+    Generator.integers' on each bit generator, whose own next_uint32 the
+    helper reads; a bound of 1 draws nothing, as in numpy."""
+    for seed in range(50):
+        ours = np.random.Generator(bit_generator(seed))
+        numpy_ = np.random.Generator(bit_generator(seed))
+        integers = uniform_integers(ours)
+        for n in BOUNDS:
+            for _ in range(3):
+                value = integers(n)
+                assert type(value) is int and value == numpy_.integers(n), (seed, n)
+                assert _state(ours.bit_generator) == _state(numpy_.bit_generator)
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
+def test_uniform_integers_rejects_as_numpy_does(bit_generator):
+    """At n = 3 * 2**30 the threshold is 2**30 and a word u is rejected when
+    u % 4 == 0, so about a quarter of draws take a second word or more: the
+    words each draw took are counted by stepping a twin generator to its
+    state, and the values still match numpy's."""
+    draws = rejecting = 0
+    n = 3 * 2**30
+    for seed in range(50):
+        ours = np.random.Generator(bit_generator(seed))
+        numpy_ = np.random.Generator(bit_generator(seed))
+        twin = bit_generator(seed)
+        step = functools.partial(twin.ctypes.next_uint32, twin.ctypes.state_address)
+        integers = uniform_integers(ours)
+        for _ in range(40):
+            assert integers(n) == numpy_.integers(n)
+            target = _state(ours.bit_generator)
+            words = 0
+            while _state(twin) != target:
+                step()
+                words += 1
+                assert words < 20
+            draws += 1
+            rejecting += words > 1
+    assert 0.2 < rejecting / draws < 0.3, rejecting / draws
+
+
+@pytest.mark.parametrize(
+    "blocks, ops, make_rng",
+    [pytest.param(b, o, np.random.default_rng, id=f"{b}-{o}")
+     for b, o in [(1, 2), (2, 3), (3, 4), (5, 6)]]
+    # a non-default bit generator, whose state dict == compares
+    + [pytest.param(b, o, lambda s: np.random.Generator(np.random.PCG64DXSM(s)),
+                    id=f"PCG64DXSM-{b}-{o}") for b, o in [(1, 2), (5, 6)]],
+)
+def test_random_policy_draws_as_the_field_by_field_reference(blocks, ops, make_rng):
     cfg = SpaceConfig(num_blocks=blocks, num_ops=ops)
     cells = np.random.default_rng(blocks)
-    policy = RandomMutationPolicy(cfg, np.random.default_rng(ops))
-    reference = np.random.default_rng(ops)
+    policy = RandomMutationPolicy(cfg, make_rng(ops))
+    reference = make_rng(ops)
     for _ in range(200):
         cell = random_cell(cfg, cells)
         trace = policy.propose(cell)

@@ -18,6 +18,7 @@ import pytest
 from evocell import arch_space, cli, evaluators, evolution, nn_core
 
 from evocell.arch_space import (
+    MAX_BLOCKS,
     SpaceConfig,
     cell_from_digits,
     cell_from_text,
@@ -180,6 +181,24 @@ def test_a_policy_above_the_size_cap_is_a_config_error(tmp_path, capsys):
     assert main(["search", "--hidden", "1000000000", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def test_an_oversized_space_is_a_config_error(tmp_path, capsys):
+    """The block cap fires while the CLI builds its config, before the
+    oracle: at 10**8 blocks its first weight table alone would take 11.9 GiB."""
+    argv = ["search", "--strategy", "ea_random", "--oracle", "landscape:7",
+            "--blocks", "100000000", "--pop", "4", "--sample", "2",
+            "--budget", "6", "--out", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    err = capsys.readouterr().err
+    assert err == f"error: num_blocks must be in [1, {MAX_BLOCKS}], got 100000000\n"
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("seed", [-1, True, 1.0, "1"])
