@@ -24,10 +24,6 @@ import numpy as np
 CELL_PREV1 = -1
 CELL_PREV2 = -2
 
-# Every block combines its two branches by element-wise addition. The
-# combiner is part of the token stream but never searched over.
-COMBINER = "ADD"
-
 ENUMERATION_CAP = 10**7
 
 # Most blocks per cell. A space's sizes grow with the block count, the

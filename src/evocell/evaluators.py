@@ -147,12 +147,6 @@ class FitnessOracle(ABC):
         true = self.true_fitness(cell)
         return self.observe(true, maturity, rng), true
 
-    def cost(self, cell: CellSpec, inherited: bool) -> float:
-        """Abstract training cost in epoch units."""
-        return (
-            self.maturity.finetune_epochs if inherited else self.maturity.full_budget
-        )
-
 
 @dataclass
 class _LandscapeWeights:

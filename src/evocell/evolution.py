@@ -1,16 +1,15 @@
-"""Tournament evolution with mutation proposals from a pluggable policy.
+"""Tournament evolution with mutations from a proposal function.
 
 Each step samples a subset of the population without replacement, mutates
 the subset's best member, evaluates the child at inherited maturity, and
-removes the subset's worst member. The mutation proposer is injected: a
-learned controller, a uniform-random baseline, or a replay of logged
-traces all drive the identical loop. When a trainer is attached, every
-child evaluation triggers one policy-gradient update on the gradient that
-the policy's grads() returns: that of the walk that sampled the step's
-mutation, which the policy kept from its proposal.
-
-A run is initialize, the generator evolution_steps and reevaluate_finalists,
-which harness._records chains for a run and for its replay alike.
+removes the subset's worst member. The step only evolves: where a mutation
+comes from is the propose function it is handed, which maps the parent's
+cell to a MutationTrace. A learned controller's ControllerPolicy.propose, a
+uniform-random baseline's RandomMutationPolicy.propose, or a function that
+takes the next logged trace all drive the identical step. Nothing trains
+here: harness._records runs the loop and, for a learner, hands each
+child's reward to the trainer with ControllerPolicy.grads(), the gradient
+of the walk that sampled the step's mutation.
 
 The uniform policy draws straight from its generator's bit generator:
 uniform_integers reads next_uint32 through numpy's public ctypes interface
@@ -23,17 +22,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,7 +41,6 @@ from .controller import (
 )
 from .evaluators import FitnessOracle, inherit_maturity
 from .nn_core import ParamViews
-from .reinforce import ReinforceTrainer
 
 
 @dataclass(frozen=True)
@@ -81,13 +69,8 @@ class Population:
     history: List[Individual] = field(default_factory=list)
 
 
-class MutationPolicy(Protocol):
-    def propose(self, cell: CellSpec) -> MutationTrace:
-        ...
-
-
 class ControllerPolicy:
-    """Adapter putting ControllerParams behind the policy protocol.
+    """ControllerParams as a proposer: propose is evolution_step's propose.
 
     It keeps the encoder pass of its last proposal, on which sample_mutation
     kept the walk that sampled it, for the update that follows.
@@ -208,19 +191,6 @@ class RandomMutationPolicy:
         return MutationTrace(tuple(actions), total_lp, total_h)
 
 
-class ReplayMutationPolicy:
-    """Feed back logged traces in order, pulled one at a time from traces."""
-
-    def __init__(self, traces: Iterable[MutationTrace]):
-        self._traces = iter(traces)
-
-    def propose(self, cell: CellSpec) -> MutationTrace:
-        trace = next(self._traces, None)
-        if trace is None:
-            raise RuntimeError("replay log exhausted")
-        return trace
-
-
 @dataclass
 class StepRecord:
     """One step; its fields are the logged step record's (harness.step_record)."""
@@ -234,7 +204,7 @@ class StepRecord:
     child_maturity: float
     removed_id: int
     trace: MutationTrace
-    diagnostics: Optional[Dict[str, float]]
+    diagnostics: Optional[Dict[str, float]] = None  # a learner's update, set by _records
 
 
 def initialize(
@@ -279,15 +249,15 @@ def tournament(sample: Sequence[Individual]) -> Tuple[Individual, Individual]:
 
 def evolution_step(
     pop: Population,
-    policy: MutationPolicy,
-    trainer: Optional[ReinforceTrainer],
+    propose: Callable[[CellSpec], MutationTrace],
     oracle: FitnessOracle,
     sample_size: int,
     rng: np.random.Generator,
     eval_rng: np.random.Generator,
     step: int = 0,
 ) -> StepRecord:
-    """One select-mutate-evaluate-replace round, plus an optional update."""
+    """One select-mutate-evaluate-replace round; propose(parent cell) gives
+    the mutation."""
     if not 2 <= sample_size <= len(pop.members):
         raise ValueError(
             f"sample_size must be in [2, {len(pop.members)}], got {sample_size}"
@@ -296,7 +266,7 @@ def evolution_step(
     sample = [pop.members[i] for i in picks]
     parent, doomed = tournament(sample)
 
-    trace = policy.propose(parent.cell)
+    trace = propose(parent.cell)
     child_cell = apply_mutation(parent.cell, trace)
     child_maturity = inherit_maturity(
         oracle.maturity, parent.maturity, parent.cell, child_cell
@@ -308,12 +278,6 @@ def evolution_step(
     del pop.members[next(i for i, ind in zip(picks, sample) if ind is doomed)]
     pop.members.append(child)
     pop.history.append(child)
-
-    diagnostics = None
-    if trainer is not None:
-        if not hasattr(policy, "grads"):
-            raise ValueError("trainer attached to a policy without gradients")
-        diagnostics = trainer.update(policy.grads(), trace.total_entropy, child_fitness)
     return StepRecord(
         step=step,
         sampled_ids=[ind.id for ind in sample],
@@ -324,23 +288,7 @@ def evolution_step(
         child_maturity=child_maturity,
         removed_id=doomed.id,
         trace=trace,
-        diagnostics=diagnostics,
     )
-
-
-def evolution_steps(
-    pop: Population,
-    policy: MutationPolicy,
-    trainer: Optional[ReinforceTrainer],
-    oracle: FitnessOracle,
-    budget: int,
-    sample_size: int,
-    streams: Dict[str, np.random.Generator],
-) -> Iterator[StepRecord]:
-    """Steps 1 to budget of a run on pop, each yielded as soon as it is taken."""
-    rngs = streams["tournament"], streams["eval"]
-    for step in range(1, budget + 1):
-        yield evolution_step(pop, policy, trainer, oracle, sample_size, *rngs, step)
 
 
 def reevaluate_finalists(

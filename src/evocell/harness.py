@@ -57,9 +57,8 @@ from .evolution import (
     ControllerPolicy,
     Individual,
     RandomMutationPolicy,
-    ReplayMutationPolicy,
     StepRecord,
-    evolution_steps,
+    evolution_step,
     initialize,
     reevaluate_finalists,
     rng_streams,
@@ -408,12 +407,6 @@ def step_record(rec: StepRecord) -> dict:
     return {"kind": "step", **vars(rec)}
 
 
-def step_fields(rec: StepRecord) -> dict:
-    """A step record less the _NOT_REBUILT fields: replay encodes no trace."""
-    kept = {k: v for k, v in vars(rec).items() if k not in _NOT_REBUILT}
-    return {"kind": "step", **kept}
-
-
 def eval_record(index: int, cell: str, fitness: float, **learner: float) -> dict:
     """One sampled evaluation; rl_construct adds its update's grad_norm."""
     return {"kind": "eval", "index": index, "cell": cell, "fitness": fitness, **learner}
@@ -438,14 +431,16 @@ def _records(
     evaluation it logs (None for the header and the final record): the
     header, then a population strategy's inits, steps and final record, or
     the evals and final record of random (its cells' digits drawn from the
-    init stream in one random_digits call) and rl_construct (one update per
-    evaluation, its grad_norm logged). The one code that knows a run's
-    record order: run_strategy keeps what it yields, replay compares it.
+    init stream in one random_digits call) and rl_construct. The one code
+    that knows a run's record order, and the one loop that trains: a
+    learner gets one update per step (reinforced, reinforced_nonbi: its
+    diagnostics logged) or per evaluation (rl_construct: its grad_norm
+    logged), right after the evaluation it rewards. run_strategy keeps what
+    it yields, replay compares it.
 
     Without log it builds the strategy's policy and trainer. With log,
     replay's _LogReader past the header, the logged traces (or cells) stand
-    in for the policy, each taken as the re-run needs it; nothing trains,
-    and a step yields its step_fields.
+    in for the policy, each taken as the re-run needs it; nothing trains.
     """
     streams = rng_streams(seed)
     yield header_record(cfg, seed, oracle), None
@@ -454,13 +449,11 @@ def _records(
         pop = initialize(cfg.space, oracle, cfg.pop_size, streams["init"], streams["eval"])
         for ind in pop.history:
             yield init_record(ind), ind.true_fitness
-        steps = cfg.budget - cfg.pop_size  # cfg.budget counts the initial cells
-        write = step_record
         if log is not None:
-            traces = (log.take("step", "trace", trace_from_dict) for _ in range(steps))
-            policy, write = ReplayMutationPolicy(traces), step_fields
+            def propose(cell):
+                return log.take("step", "trace", trace_from_dict)
         elif cfg.strategy == "ea_random":
-            policy = RandomMutationPolicy(cfg.space, streams["policy"])
+            propose = RandomMutationPolicy(cfg.space, streams["policy"]).propose
         else:
             params = init_controller(
                 cfg.space,
@@ -470,11 +463,16 @@ def _records(
                 bidirectional=(cfg.strategy == "reinforced"),
             )
             policy = ControllerPolicy(params, streams["policy"])
+            propose = policy.propose
             trainer = ReinforceTrainer(params.p, cfg.learning_rate, cfg.entropy_weight)
-        for rec in evolution_steps(
-            pop, policy, trainer, oracle, steps, cfg.sample_size, streams
-        ):
-            yield write(rec), pop.history[-1].true_fitness
+        rngs = streams["tournament"], streams["eval"]
+        for step in range(1, cfg.budget - cfg.pop_size + 1):  # budget counts the inits
+            rec = evolution_step(pop, propose, oracle, cfg.sample_size, *rngs, step)
+            if trainer is not None:
+                rec.diagnostics = trainer.update(
+                    policy.grads(), rec.trace.total_entropy, rec.child_fitness
+                )
+            yield step_record(rec), pop.history[-1].true_fitness
         best = reevaluate_finalists(pop, oracle, streams["eval"])
         yield final_record(pop.members, cell_to_text(best.cell), best.true_fitness), None
         return
@@ -608,6 +606,14 @@ def _typed_alike(logged: dict, record: dict) -> bool:
     return True
 
 
+def _rebuilt_fields(record: dict) -> dict:
+    """record less its _NOT_REBUILT fields; record itself if it has none,
+    as all but a step and an rl_construct run's eval have."""
+    if _NOT_REBUILT.isdisjoint(record):
+        return record
+    return {k: v for k, v in record.items() if k not in _NOT_REBUILT}
+
+
 class _LogReader:
     """A run log read in lockstep with its re-run: record is the last one
     read, number its place (blank lines skipped), cfg the header's."""
@@ -656,11 +662,10 @@ class _LogReader:
         )
 
     def check(self, rebuilt: dict) -> None:
-        """ReplayDiverged unless record, less its _NOT_REBUILT fields, equals
-        rebuilt bit for bit, each value with the type the writer gives it."""
-        logged = self.record
-        if not _NOT_REBUILT.isdisjoint(logged):  # a step, or an rl_construct eval
-            logged = {k: v for k, v in logged.items() if k not in _NOT_REBUILT}
+        """ReplayDiverged unless record equals rebuilt, both less their
+        _NOT_REBUILT fields, bit for bit, each value with the type the writer
+        gives it."""
+        logged, rebuilt = _rebuilt_fields(self.record), _rebuilt_fields(rebuilt)
         if logged != rebuilt or not _typed_alike(logged, rebuilt):
             ids = [str(rebuilt[k]) for k in ("step", "index", "id") if k in rebuilt]
             name = " ".join([rebuilt["kind"], *ids])

@@ -239,7 +239,7 @@ def test_criterion_5_evolution_contracts(capsys):
         before = {m.id: m.fitness for m in pop.members}
         hist_len = len(pop.history)
         rec = evolution_step(
-            pop, policy, None, oracle, 5, streams[1], eval_rng=streams[2], step=step
+            pop, policy.propose, oracle, 5, streams[1], eval_rng=streams[2], step=step
         )
         sampled = list(rec.sampled_ids)
         best = max(sampled, key=lambda i: (before[i], -i))

@@ -200,13 +200,6 @@ def test_evaluate_deterministic_given_rng_state():
     assert a == b
 
 
-def test_cost_inherited_vs_scratch():
-    oracle = _FixedOracle(0.5)
-    cell = _some_cell()
-    assert oracle.cost(cell, inherited=True) == 1.0
-    assert oracle.cost(cell, inherited=False) == 10.0
-
-
 # ---------------------------------------------------------------------------
 # Landscape oracle
 # ---------------------------------------------------------------------------

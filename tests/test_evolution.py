@@ -1,4 +1,4 @@
-"""Tournament loop: selection, replacement, training hooks, reproducibility."""
+"""Tournament loop: selection, replacement, proposers, reproducibility."""
 
 import functools
 import json
@@ -19,16 +19,14 @@ from evocell.evolution import (
     Individual,
     Population,
     RandomMutationPolicy,
-    ReplayMutationPolicy,
     evolution_step,
-    evolution_steps,
     initialize,
     reevaluate_finalists,
     rng_streams,
     tournament,
     uniform_integers,
 )
-from evocell.reinforce import ReinforceTrainer
+from evocell.harness import StrategyConfig, make_oracle, run_strategy
 from propose_reference import reference_propose
 
 CFG = SpaceConfig(num_blocks=2, num_ops=3)
@@ -38,12 +36,16 @@ def _oracle(sigma=0.01, seed=7):
     return build_tabular(CFG, seed=seed, maturity=MaturityModel(sigma=sigma))
 
 
-def evolve(cfg, oracle, policy, trainer, budget, pop_size, sample_size, streams):
-    """A whole run: initialize, `budget` evolution_steps, then
-    reevaluate_finalists; the population, the step records and the best."""
+def evolve(cfg, oracle, propose, budget, pop_size, sample_size, streams):
+    """A whole run as harness._records takes it: initialize, steps 1 to
+    `budget`, then reevaluate_finalists; the population, the step records
+    and the best."""
     pop = initialize(cfg, oracle, pop_size, streams["init"], streams["eval"])
-    steps = evolution_steps(pop, policy, trainer, oracle, budget, sample_size, streams)
-    records = list(steps)
+    rngs = streams["tournament"], streams["eval"]
+    records = [
+        evolution_step(pop, propose, oracle, sample_size, *rngs, step)
+        for step in range(1, budget + 1)
+    ]
     best = reevaluate_finalists(pop, oracle, streams["eval"])
     return SimpleNamespace(population=pop, records=records, best=best)
 
@@ -102,7 +104,7 @@ def test_selection_never_reads_the_carried_true_fitness():
         blind.members = [replace(ind, true_fitness=float("nan")) for ind in blind.members]
         records = [
             evolution_step(
-                pop, RandomMutationPolicy(CFG, policy_rng), None, oracle, 5,
+                pop, RandomMutationPolicy(CFG, policy_rng).propose, oracle, 5,
                 tournament_rng, np.random.default_rng(step), step=step,
             )
             for pop, (policy_rng, tournament_rng) in zip(pops, streams)
@@ -247,7 +249,7 @@ def test_step_invariants_and_record():
     policy = RandomMutationPolicy(CFG, streams["policy"])
     before_ids = {ind.id for ind in pop.members}
     rec = evolution_step(
-        pop, policy, None, oracle, 3, streams["tournament"], streams["eval"], step=1
+        pop, policy.propose, oracle, 3, streams["tournament"], streams["eval"], step=1
     )
     assert len(pop.members) == 6
     assert len(pop.history) == 7
@@ -269,7 +271,7 @@ def test_step_child_fitness_noiseless():
     pop = initialize(CFG, oracle, 4, streams["init"], streams["eval"])
     policy = RandomMutationPolicy(CFG, streams["policy"])
     rec = evolution_step(
-        pop, policy, None, oracle, 4, streams["tournament"], streams["eval"], step=1
+        pop, policy.propose, oracle, 4, streams["tournament"], streams["eval"], step=1
     )
     child = pop.members[-1]
     expected = oracle.true_fitness(child.cell) * oracle.maturity.factor(
@@ -286,7 +288,7 @@ def test_full_sample_selects_global_best():
     for step in range(1, 21):
         best, _ = tournament(pop.members)
         rec = evolution_step(
-            pop, policy, None, oracle, len(pop.members), streams["tournament"],
+            pop, policy.propose, oracle, len(pop.members), streams["tournament"],
             streams["eval"], step=step,
         )
         assert rec.parent_id == best.id
@@ -300,21 +302,8 @@ def test_step_rejects_bad_sample_size():
     for bad in (0, 1, 5):
         with pytest.raises(ValueError):
             evolution_step(
-                pop, policy, None, oracle, bad, streams["tournament"], streams["eval"]
+                pop, policy.propose, oracle, bad, streams["tournament"], streams["eval"]
             )
-
-
-def test_trainer_requires_gradient_capable_policy():
-    oracle = _oracle()
-    streams = rng_streams(7)
-    pop = initialize(CFG, oracle, 4, streams["init"], streams["eval"])
-    policy = RandomMutationPolicy(CFG, streams["policy"])
-    params = init_controller(CFG, streams["params"], embed_size=4, hidden_size=4)
-    trainer = ReinforceTrainer(params.p, lr=0.001, entropy_weight=0.1)
-    with pytest.raises(ValueError):
-        evolution_step(
-            pop, policy, trainer, oracle, 2, streams["tournament"], streams["eval"]
-        )
 
 
 def test_max_member_fitness_never_drops_without_noise():
@@ -325,7 +314,7 @@ def test_max_member_fitness_never_drops_without_noise():
     best = max(ind.fitness for ind in pop.members)
     for step in range(1, 1001):
         evolution_step(
-            pop, policy, None, oracle, 4, streams["tournament"], streams["eval"], step
+            pop, policy.propose, oracle, 4, streams["tournament"], streams["eval"], step
         )
         now = max(ind.fitness for ind in pop.members)
         assert now >= best
@@ -341,7 +330,7 @@ def test_run_zero_budget_returns_initial_population():
     oracle = _oracle()
     streams = rng_streams(9)
     result = evolve(
-        CFG, oracle, RandomMutationPolicy(CFG, streams["policy"]), None,
+        CFG, oracle, RandomMutationPolicy(CFG, streams["policy"]).propose,
         budget=0, pop_size=6, sample_size=3, streams=streams,
     )
     assert result.records == []
@@ -354,7 +343,7 @@ def test_run_history_and_final_retrain():
     oracle = _oracle()
     streams = rng_streams(10)
     result = evolve(
-        CFG, oracle, RandomMutationPolicy(CFG, streams["policy"]), None,
+        CFG, oracle, RandomMutationPolicy(CFG, streams["policy"]).propose,
         budget=40, pop_size=8, sample_size=3, streams=streams,
     )
     assert len(result.population.history) == 48
@@ -374,7 +363,7 @@ def test_run_deterministic_given_seeds():
         oracle = _oracle()
         streams = rng_streams(11)
         return evolve(
-            CFG, oracle, RandomMutationPolicy(CFG, streams["policy"]), None,
+            CFG, oracle, RandomMutationPolicy(CFG, streams["policy"]).propose,
             budget=30, pop_size=6, sample_size=3, streams=streams,
         )
 
@@ -392,13 +381,14 @@ def test_replay_policy_reproduces_run():
     oracle = _oracle()
     streams = rng_streams(12)
     first = evolve(
-        CFG, oracle, RandomMutationPolicy(CFG, streams["policy"]), None,
+        CFG, oracle, RandomMutationPolicy(CFG, streams["policy"]).propose,
         budget=25, pop_size=5, sample_size=3, streams=streams,
     )
     traces = [rec.trace for rec in first.records]
     replay_streams = rng_streams(12)
+    logged = iter(traces)
     second = evolve(
-        CFG, _oracle(), ReplayMutationPolicy(traces), None,
+        CFG, _oracle(), lambda cell: next(logged),
         budget=25, pop_size=5, sample_size=3, streams=replay_streams,
     )
     assert [ind.fitness for ind in first.population.members] == [
@@ -407,28 +397,6 @@ def test_replay_policy_reproduces_run():
     assert [ind.cell for ind in first.population.history] == [
         ind.cell for ind in second.population.history
     ]
-
-
-def test_replay_policy_raises_when_exhausted():
-    policy = ReplayMutationPolicy([])
-    with pytest.raises(RuntimeError):
-        policy.propose(random_cell(CFG, np.random.default_rng(0)))
-
-
-def test_controller_policy_run_trains_and_logs_diagnostics():
-    oracle = _oracle()
-    streams = rng_streams(13)
-    params = init_controller(CFG, streams["params"], embed_size=6, hidden_size=6)
-    policy = ControllerPolicy(params, streams["policy"])
-    trainer = ReinforceTrainer(params.p, lr=0.001, entropy_weight=0.1)
-    result = evolve(
-        CFG, oracle, policy, trainer,
-        budget=15, pop_size=5, sample_size=3, streams=streams,
-    )
-    assert len(result.records) == 15
-    for rec in result.records:
-        assert set(rec.diagnostics) == {"reward", "advantage", "grad_norm"}
-    assert trainer.steps == 15
 
 
 def test_controller_grads_needs_a_proposal_since_the_last_call():
@@ -445,12 +413,11 @@ def test_controller_grads_needs_a_proposal_since_the_last_call():
 
 def test_a_reinforced_step_walks_and_encodes_once(monkeypatch):
     # the update backpropagates the proposal's own pass and walk
-    streams = rng_streams(15)
-    oracle = _oracle()
-    pop = initialize(CFG, oracle, 5, streams["init"], streams["eval"])
-    params = init_controller(CFG, streams["params"], embed_size=6, hidden_size=6)
-    policy = ControllerPolicy(params, streams["policy"])
-    trainer = ReinforceTrainer(params.p, lr=0.001, entropy_weight=0.1)
+    cfg = StrategyConfig(
+        strategy="reinforced", space=CFG, pop_size=5, sample_size=3, budget=6,
+        embed_size=6, hidden_size=6,
+    )
+    oracle = make_oracle(cfg)
     calls = {"_walk": 0, "_encode_ids": 0}
 
     def counted(name):
@@ -464,11 +431,9 @@ def test_a_reinforced_step_walks_and_encodes_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(controller, name, counted(name))
-    evolution_step(
-        pop, policy, trainer, oracle, 3, streams["tournament"], streams["eval"]
-    )
+    _, log = run_strategy(cfg, seed=15, oracle=oracle, target=1.0)
     assert calls == {"_walk": 1, "_encode_ids": 1}
-    assert trainer.steps == 1
+    assert [r["diagnostics"] is not None for r in log if r["kind"] == "step"] == [True]
 
 
 def test_random_policy_reaches_near_optimum_on_small_space():
@@ -482,7 +447,7 @@ def test_random_policy_reaches_near_optimum_on_small_space():
         streams = rng_streams(seed)
         pop_size, budget = 20, 1480
         result = evolve(
-            CFG, oracle, RandomMutationPolicy(CFG, streams["policy"]), None,
+            CFG, oracle, RandomMutationPolicy(CFG, streams["policy"]).propose,
             budget=budget, pop_size=pop_size, sample_size=5, streams=streams,
         )
         hit = None

@@ -15,7 +15,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 import pytest
 
-from evocell import arch_space, cli, evaluators, evolution, nn_core
+from evocell import arch_space, cli, evaluators, harness, nn_core
 
 from evocell.arch_space import (
     MAX_BLOCKS,
@@ -67,6 +67,7 @@ from evocell.harness import (
     write_jsonl,
 )
 from evocell.nn_core import check_grads
+from evocell.reinforce import ReinforceTrainer
 from evocell.report import compare
 from test_evolution import evolve
 
@@ -472,8 +473,7 @@ def test_population_trajectories_equal_per_step_reference(
     result = evolve(
         cfg.space,
         oracle,
-        RandomMutationPolicy(cfg.space, streams["policy"]),
-        None,
+        RandomMutationPolicy(cfg.space, streams["policy"]).propose,
         budget=budget - pop,
         pop_size=pop,
         sample_size=sample,
@@ -521,6 +521,40 @@ def test_random_summary_matches_exact_order_statistics():
     emp_mean = float(np.mean(bests))
     sem = float(np.std(bests, ddof=1)) / math.sqrt(n_seeds)
     assert abs(emp_mean - exact_mean) < 4.0 * sem + 1e-12, (emp_mean, exact_mean)
+
+
+def test_learners_train_once_per_step_or_eval_and_replay_never(tmp_path, monkeypatch):
+    """Every reinforced and reinforced_nonbi step logs its update's reward,
+    advantage and grad_norm, and every rl_construct eval its grad_norm: one
+    ReinforceTrainer.update each, by the run's one trainer. A replay of the
+    log never calls update."""
+    update = ReinforceTrainer.update
+    trainers = []
+
+    def counted(self, *args):
+        trainers.append(self)
+        return update(self, *args)
+
+    monkeypatch.setattr(ReinforceTrainer, "update", counted)
+    for strategy in ("reinforced", "reinforced_nonbi", "rl_construct"):
+        cfg = _cfg(strategy, budget=20, pop_size=6)
+        trainers.clear()
+        _, log = run_strategy(cfg, seed=13, oracle=make_oracle(cfg), target=1.0)
+        if strategy == "rl_construct":
+            trained = [r for r in log if r["kind"] == "eval"]
+            assert len(trained) == cfg.budget
+            assert all(type(r["grad_norm"]) is float for r in trained)
+        else:
+            trained = [r for r in log if r["kind"] == "step"]
+            assert len(trained) == cfg.budget - cfg.pop_size
+            for r in trained:
+                assert set(r["diagnostics"]) == {"reward", "advantage", "grad_norm"}
+        assert len(trainers) == len(trained) and len(set(map(id, trainers))) == 1
+        path = str(tmp_path / f"{strategy}.jsonl")
+        write_jsonl(path, log)
+        trainers.clear()
+        replay(path)
+        assert trainers == [], strategy
 
 
 def test_rl_construct_run_shape():
@@ -898,13 +932,13 @@ def test_replay_stops_at_the_step_that_diverges(tmp_path, monkeypatch):
     step["child_fitness"] = _bit_up(step["child_fitness"])
     write_jsonl(path, log)
     calls = []
-    step_fn = evolution.evolution_step
+    step_fn = harness.evolution_step
 
     def counted(*args, **kwargs):
         calls.append(args)
         return step_fn(*args, **kwargs)
 
-    monkeypatch.setattr(evolution, "evolution_step", counted)
+    monkeypatch.setattr(harness, "evolution_step", counted)
     with pytest.raises(ReplayDiverged, match=r"\(step 6\)"):
         replay(path)
     assert 1 <= len(calls) <= 6

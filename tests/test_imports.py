@@ -1,8 +1,8 @@
 """Every name a package module imports is used in that module, every
-function, class and method the package defines is referenced from src,
-tests or perfbench, only nn_core names the tape's Tensor, only report
-imports scipy and harness nothing of nn_core, and search and replay start
-on numpy alone."""
+function, class, method and module-level name the package defines is
+referenced from src, tests or perfbench, only nn_core names the tape's
+Tensor, only report imports scipy and harness nothing of nn_core, and
+search and replay start on numpy alone."""
 
 import ast
 import os
@@ -49,12 +49,17 @@ ROOT = PACKAGE.parents[1]
 
 
 def _definitions(tree):
-    """(qualified name, first line, last line) of each module-level function
-    and class, and of each method; dunder methods run implicitly and are
-    left out."""
+    """(qualified name, first line, last line) of each module-level function,
+    class and assigned name, and of each method; dunder methods run
+    implicitly and are left out."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node.lineno, node.end_lineno
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (n for target in targets for n in ast.walk(target)):
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                    yield name.id, node.lineno, node.end_lineno
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
@@ -118,10 +123,19 @@ def test_scan_finds_a_dead_definition():
         "    pass\n"
         "def unused():\n"
         "    pass\n"
+        "USED, DEAD = 1, 2\n"
+        "ANNOTATED: int = USED\n"
+        "UNUSED_TOO: int = 3\n"
+        "A.attribute = [0]\n"
+        "A.attribute[0] = ANNOTATED\n"
+        "TABLE = {key: 0 for key in 'ab'}\n"
+        "print(TABLE)\n"
     )
     user = "from m import A\nA()\ngetattr(A, 'bound_by_string')\n"
     assert _dead_definitions({"m": module}, {"user": user}) == [
         "m.A.recursive",
+        "m.DEAD",
+        "m.UNUSED_TOO",
         "m.unused",
     ]
 
