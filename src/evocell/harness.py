@@ -384,13 +384,6 @@ def config_from_header(header: dict) -> Tuple[StrategyConfig, int]:
         raise ConfigError(f"malformed log header: {exc!r}")
 
 
-# Log records: one writer per kind, which _records yields, run_strategy logs
-# and replay compares, but for these fields: a step's trace, parsed strictly and
-# fed back in, and the learner's outputs. An eval's cell is fed back, its text
-# rebuilt.
-_NOT_REBUILT = frozenset(("trace", "diagnostics", "grad_norm"))
-
-
 def init_record(ind: Individual) -> dict:
     return {
         "kind": "init",
@@ -403,7 +396,7 @@ def init_record(ind: Individual) -> dict:
 
 def step_record(rec: StepRecord) -> dict:
     """StepRecord's fields; the trace stays a MutationTrace, which
-    write_jsonl formats."""
+    record_line formats."""
     return {"kind": "step", **vars(rec)}
 
 
@@ -440,7 +433,9 @@ def _records(
 
     Without log it builds the strategy's policy and trainer. With log,
     replay's _LogReader past the header, the logged traces (or cells) stand
-    in for the policy, each taken as the re-run needs it; nothing trains.
+    in for the policy, each taken as the re-run needs it, and the logged
+    learner outputs (a step's diagnostics, an eval's grad_norm) for the
+    trainer; nothing trains. Every other field is rebuilt.
     """
     streams = rng_streams(seed)
     yield header_record(cfg, seed, oracle), None
@@ -472,6 +467,8 @@ def _records(
                 rec.diagnostics = trainer.update(
                     policy.grads(), rec.trace.total_entropy, rec.child_fitness
                 )
+            elif log is not None and cfg.strategy != "ea_random":
+                rec.diagnostics = log.record.get("diagnostics")
             yield step_record(rec), pop.history[-1].true_fitness
         best = reevaluate_finalists(pop, oracle, streams["eval"])
         yield final_record(pop.members, cell_to_text(best.cell), best.true_fitness), None
@@ -505,6 +502,8 @@ def _records(
         if trainer is not None:
             diag = trainer.update(policy.grads(walk), walk.total_entropy, observed)
             learner["grad_norm"] = diag["grad_norm"]
+        elif log is not None and cfg.strategy == "rl_construct":
+            learner["grad_norm"] = log.record.get("grad_norm")
         text = cell_to_text(cell)
         yield eval_record(index, text, observed, **learner), true
         if true > best_true:  # the first evaluation of the best cell
@@ -552,21 +551,30 @@ def run_strategy(
 # ---------------------------------------------------------------------------
 
 
+def _step_head(record: dict) -> str:
+    """A step record's line up to and including '"trace": ': its other
+    fields encoded, "trace" being the last of its keys in sorted order."""
+    return LOG_ENCODER.encode({**record, "trace": 0})[:-2]  # less '0}'
+
+
+def record_line(record: dict) -> str:
+    """record as its log line, less the newline: LOG_ENCODER's JSON. A step
+    record that _records yields holds its MutationTrace, whose trace_json
+    text follows the step's head; any other record (one read back by
+    read_jsonl holds its trace as a dict) is encoded whole. The one
+    definition of a correct line, which write_jsonl writes and replay
+    checks."""
+    trace = record.get("trace")
+    if type(trace) is MutationTrace:
+        return f"{_step_head(record)}{trace_json(trace)}}}"
+    return LOG_ENCODER.encode(record)
+
+
 def write_jsonl(path: str, records: Sequence[dict]) -> None:
-    """Each record as one line of LOG_ENCODER's JSON. A step record that
-    _records yields holds its MutationTrace: the line is its other fields
-    encoded, with trace_json's text in place of "trace", the last of a step
-    record's keys in sorted order; any other record (one read back by
-    read_jsonl holds its trace as a dict) is encoded whole."""
-    encode = LOG_ENCODER.encode
+    """Each record's record_line, one a line."""
     with open(path, "w") as fh:
         for record in records:
-            trace = record.get("trace")
-            if type(trace) is MutationTrace:
-                head = encode({**record, "trace": 0})  # ends in '"trace": 0}'
-                fh.write(f"{head[:-2]}{trace_json(trace)}}}\n")
-            else:
-                fh.write(encode(record) + "\n")
+            fh.write(record_line(record) + "\n")
 
 
 def read_jsonl(path: str) -> List[dict]:
@@ -584,39 +592,10 @@ class ReplayDiverged(ConfigError, RuntimeError):
     reproduce: an edited record, or a change in the code."""
 
 
-def _typed_alike(logged: dict, record: dict) -> bool:
-    """Whether logged, a record that == record, holds every value with the
-    type that record gives it (1 == 1.0 == True), nested values included,
-    looked up by record's keys; a list's items are dicts or scalars."""
-    for key, value in record.items():
-        other = logged[key]
-        if type(other) is not type(value):
-            return False
-        if type(value) is dict:
-            if not _typed_alike(other, value):
-                return False
-        elif type(value) is list:
-            types = list(map(type, value))
-            if list(map(type, other)) != types:
-                return False
-            if dict in types and not all(
-                _typed_alike(a, b) for a, b in zip(other, value) if type(b) is dict
-            ):
-                return False
-    return True
-
-
-def _rebuilt_fields(record: dict) -> dict:
-    """record less its _NOT_REBUILT fields; record itself if it has none,
-    as all but a step and an rl_construct run's eval have."""
-    if _NOT_REBUILT.isdisjoint(record):
-        return record
-    return {k: v for k, v in record.items() if k not in _NOT_REBUILT}
-
-
 class _LogReader:
-    """A run log read in lockstep with its re-run: record is the last one
-    read, number its place (blank lines skipped), cfg the header's."""
+    """A run log read in lockstep with its re-run: line is the last one
+    read, less its newline, record its parse, number its place (blank
+    lines skipped), cfg the header's."""
 
     def __init__(self, path: str, fh) -> None:
         self.path, self.number, self.cfg = path, 0, None
@@ -624,14 +603,17 @@ class _LogReader:
         self._taken = dict.fromkeys(("init", "step", "eval", "final"), 0)
 
     def read(self) -> bool:
-        """Read the next record into record; False at the end of the log."""
+        """Read the next line and its record; False at the end of the log."""
         try:
             line = next(self._lines, None)
             self.record = None if line is None else json.loads(line)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read log {self.path}: {exc}")
-        self.number += line is not None
-        return line is not None
+        if line is None:
+            return False
+        self.number += 1
+        self.line = line.removesuffix("\n")
+        return True
 
     def take(self, kind: str, field=None, parse=None, *args):
         """The next record, of kind, or parse(record[field], *args); a
@@ -662,11 +644,16 @@ class _LogReader:
         )
 
     def check(self, rebuilt: dict) -> None:
-        """ReplayDiverged unless record equals rebuilt, both less their
-        _NOT_REBUILT fields, bit for bit, each value with the type the writer
-        gives it."""
-        logged, rebuilt = _rebuilt_fields(self.record), _rebuilt_fields(rebuilt)
-        if logged != rebuilt or not _typed_alike(logged, rebuilt):
+        """ReplayDiverged unless line is the one the writer writes for
+        rebuilt, byte for byte. A step's line must start with rebuilt's head
+        and hold no other key; the rest of it is the trace that the re-run
+        took, parsed strictly, so it is not encoded again."""
+        if type(rebuilt.get("trace")) is MutationTrace:
+            same = (self.record.keys() == rebuilt.keys()
+                    and self.line.startswith(_step_head(rebuilt)))
+        else:
+            same = self.line == record_line(rebuilt)
+        if not same:
             ids = [str(rebuilt[k]) for k in ("step", "index", "id") if k in rebuilt]
             name = " ".join([rebuilt["kind"], *ids])
             raise ReplayDiverged(f"replay diverged from log at record {self.number} ({name})")
@@ -675,10 +662,11 @@ class _LogReader:
 def replay(log_path: str) -> dict:
     """Re-run a logged run in lockstep with its log, on streams from its
     seed, the logged traces (or cells, for random and rl_construct) standing
-    in for the policy; returns the final record, with the recomputed "evals"
-    of random and rl_construct. Each record that _records yields is compared
-    with the next logged one, bit for bit and type for type but for the
-    _NOT_REBUILT fields, as the re-run reaches it: the header before
+    in for the policy and the logged learner outputs for its trainer;
+    returns the final record, with the recomputed "evals" of random and
+    rl_construct. Each record that _records yields is checked against the
+    next logged line as the re-run reaches it, byte for byte with the line
+    record_line writes for it (a step's up to its trace): the header before
     anything runs, the inits after initialize, each step right after it,
     each eval as it is rebuilt and the final record last. One logged record
     is held at a time; the first that is malformed, missing or extra is a

@@ -51,7 +51,6 @@ from evocell.harness import (
     ConfigError,
     ReplayDiverged,
     StrategyConfig,
-    _NOT_REBUILT,
     _evals_to_target,
     _population_trajectories,
     config_from_header,
@@ -954,8 +953,19 @@ def _another_cell(text):
     return first if text != first else second
 
 
+def _negative_zero(zero):
+    """-0.0, which == zero, a logged 0.0, but is written "-0.0"."""
+    assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+    return -0.0
+
+
+# A run whose 15th init (record 16) is observed at 0.0, clamped from below.
+_CLAMPED = ("ea_random", dict(space=SpaceConfig(3, 4), oracle_seed=5, pop_size=20,
+                              sample_size=5, budget=60))
+
+
 @pytest.mark.parametrize(
-    "strategy, kind, at, keys, change",
+    "run, kind, at, keys, change",
     [
         pytest.param("ea_random", "step", 5, ("sampled_ids",), lambda ids: ids[::-1],
                      id="step-sampled_ids"),
@@ -985,6 +995,11 @@ def _another_cell(text):
         pytest.param("random", "eval", 0, ("index",), bool, id="eval-index-true"),
         pytest.param("ea_random", "final", 0, ("members", 0, "id"), float,
                      id="final-members-id-float"),
+        pytest.param(_CLAMPED, "init", 14, ("fitness",), _negative_zero,
+                     id="init-fitness-negative-zero"),
+        # ea_random has no learner: its steps' diagnostics are rebuilt as null
+        pytest.param("ea_random", "step", 5, ("diagnostics",), lambda none: 0,
+                     id="ea_random-step-diagnostics-0"),
         # the header names the trainer's one baseline kind, as it names its
         # reward constants; a log that names another does not reproduce
         pytest.param("ea_random", "header", 0, ("policy", "baseline"),
@@ -993,8 +1008,9 @@ def _another_cell(text):
                      lambda kind: "none", id="header-policy.baseline-none"),
     ],
 )
-def test_replay_rejects_an_edited_record(strategy, kind, at, keys, change, tmp_path):
-    log, path = _logged(strategy, tmp_path)
+def test_replay_rejects_an_edited_record(run, kind, at, keys, change, tmp_path):
+    strategy, settings = (run, {}) if isinstance(run, str) else run
+    log, path = _logged(strategy, tmp_path, **settings)
     record = [r for r in log if r["kind"] == kind][at]
     edited = record
     for key in keys[:-1]:
@@ -1004,6 +1020,48 @@ def test_replay_rejects_an_edited_record(strategy, kind, at, keys, change, tmp_p
     number = log.index(record) + 1
     with pytest.raises(ReplayDiverged, match=rf"record {number} \({kind}"):
         replay(path)
+
+
+@pytest.mark.parametrize(
+    "at, old, new",
+    [
+        pytest.param(0, '"entropy_weight": 0.1', '"entropy_weight": 1e-1',
+                     id="header-exponent"),
+        pytest.param(11, ", ", ",  ", id="step-extra-space"),
+    ],
+)
+def test_replay_rejects_a_line_that_the_writer_does_not_write(at, old, new, tmp_path):
+    """Each edit parses to the record that was logged, so only a check of
+    the line's bytes tells it from what the writer wrote."""
+    log, path = _logged("ea_random", tmp_path)
+    write_jsonl(path, log)
+    lines = Path(path).read_text().splitlines()
+    edited = lines[at].replace(old, new, 1)
+    assert edited != lines[at] and json.loads(edited) == json.loads(lines[at])
+    lines[at] = edited
+    Path(path).write_text("\n".join(lines) + "\n")
+    with pytest.raises(ReplayDiverged, match=rf"record {at + 1} \("):
+        replay(path)
+
+
+@pytest.mark.parametrize(
+    "strategy, kind, keys",
+    [
+        ("reinforced", "step", ("diagnostics", "reward")),
+        ("rl_construct", "eval", ("grad_norm",)),
+    ],
+)
+def test_replay_takes_the_learner_output_from_the_log(strategy, kind, keys, tmp_path):
+    """Replay rebuilds no policy and no trainer: the logged learner output
+    stands in for the trainer's, so an edit of it replays clean. Checking
+    it is ROADMAP item 5's replay --verify."""
+    log, path = _logged(strategy, tmp_path, budget=12)
+    edited = [r for r in log if r["kind"] == kind][2]
+    for key in keys[:-1]:
+        edited = edited[key]
+    edited[keys[-1]] = _bit_up(edited[keys[-1]])
+    write_jsonl(path, log)
+    assert replay(path)["best_true"] == log[-1]["best_true"]
 
 
 def _paths(value, path=()):
@@ -1078,16 +1136,23 @@ def _at(record, path):
 
 def _may_replay_clean(strategy, where):
     """Whether an edit at where, (record kind, key path), may replay clean:
-    one to a _NOT_REBUILT field, or to a header setting that a replay of
-    strategy reads into its config but never uses: the policy's (nothing
-    trains), the population's for random and rl_construct, and the oracle's
-    path (no oracle here is read from a file). An edit to a line as a whole
-    (where is None) may not."""
+    one to a step's trace, which replay feeds back in; to the learner output
+    that replay takes from the log in place of strategy's trainer (a step's
+    diagnostics, an rl_construct eval's grad_norm); or to a header setting
+    that a replay of strategy reads into its config but never uses: the
+    policy's (nothing trains), the population's for random and rl_construct,
+    and the oracle's path (no oracle here is read from a file). An edit to a
+    line as a whole (where is None) may not."""
     if where is None:
         return False
     kind, keys = where
+    if kind == "step":
+        learner = strategy in ("reinforced", "reinforced_nonbi")
+        return keys[0] == "trace" or learner and keys[0] == "diagnostics"
+    if kind == "eval":
+        return strategy == "rl_construct" and keys[0] == "grad_norm"
     if kind != "header":
-        return keys[0] in _NOT_REBUILT
+        return False
     unread = [("policy", key) for key in
               ("embed_size", "hidden_size", "learning_rate", "entropy_weight")]
     unread.append(("oracle", "path"))
@@ -1100,8 +1165,9 @@ def _may_replay_clean(strategy, where):
 def test_replay_of_a_fuzzed_log_raises_a_config_error_or_is_clean(strategy, tmp_path):
     """300 seeded edits of a small log. Each replay raises ConfigError (a
     ReplayDiverged is one), and nothing else; it may run clean only when
-    the edit left the text as it was, or touched a _NOT_REBUILT field, or a
-    header setting that the strategy's re-run never uses."""
+    the edit left the text as it was, or touched a step's trace, the
+    learner output that the log gives in place of the strategy's trainer,
+    or a header setting that the strategy's re-run never uses."""
     log, path = _logged(strategy, tmp_path, budget=30)
     write_jsonl(path, log)
     with open(path) as fh:
