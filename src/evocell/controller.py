@@ -103,13 +103,22 @@ class MutationAction:
 
     @cached_property
     def json_text(self) -> str:
-        """This action's entry in a logged trace, as LOG_ENCODER writes it.
+        """This action's entry in a logged trace, LOG_ENCODER's encoding of
+        its _action_dict joined from its fields' text in sorted-key order.
         Formatted once per object (the uniform policy builds each action
         once per space) and kept outside the dataclass fields, so ==, hash,
         repr and asdict do not see it. It is keyed on the object, not on
         values, which compare equal across 1, 1.0 and True, and 0.0 and
         -0.0."""
-        return LOG_ENCODER.encode(_action_dict(self))
+        r, t = self.replacement, float_text
+        r = f'"{OP_NAMES[r]}"' if isinstance(r, Op) else int(r)
+        return (
+            f'{{"block": {self.block}, "replace_entropy": {t(self.replace_entropy)}, '
+            f'"replace_logprob": {t(self.replace_logprob)}, "replacement": {r}, '
+            f'"router_entropy": {t(self.router_entropy)}, '
+            f'"router_logprob": {t(self.router_logprob)}, '
+            f'"target": "{_TARGET_NAMES[self.target]}"}}'
+        )
 
 
 @dataclass(frozen=True)
@@ -622,19 +631,21 @@ def trace_to_dict(trace: MutationTrace) -> dict:
     }
 
 
-# JSON's spelling of the floats whose repr is not a JSON number
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+def float_text(x: float) -> str:
+    """x as LOG_ENCODER writes a float: its float.__repr__ or, if it is not
+    finite, JSON's NaN, Infinity or -Infinity."""
+    text = float.__repr__(x)
+    if x - x == 0.0:  # finite
+        return text
+    return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[text]
 
 
 def trace_json(trace: MutationTrace) -> str:
     """LOG_ENCODER.encode(trace_to_dict(trace)), byte for byte, joined from
-    each action's cached json_text and the totals, whose keys sort after
-    "actions": each written as LOG_ENCODER writes a float, its
-    float.__repr__ or, if not finite, JSON's NaN, Infinity or -Infinity."""
+    each action's cached json_text and the float_text of the totals, whose
+    keys sort after "actions"."""
     actions = ", ".join([a.json_text for a in trace.actions])
-    h = float.__repr__(trace.total_entropy)
-    lp = float.__repr__(trace.total_logprob)
-    h, lp = _NON_FINITE.get(h, h), _NON_FINITE.get(lp, lp)
+    h, lp = float_text(trace.total_entropy), float_text(trace.total_logprob)
     return f'{{"actions": [{actions}], "total_entropy": {h}, "total_logprob": {lp}}}'
 
 

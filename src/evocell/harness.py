@@ -23,6 +23,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from typing import get_args, get_type_hints
 
@@ -41,6 +42,7 @@ from .controller import (
     MutationTrace,
     construction_layout,
     controller_layout,
+    float_text,
     init_controller,
     trace_from_dict,
     trace_json,
@@ -79,7 +81,6 @@ TARGET_FRACTION = 0.99
 LOG_VERSION = 1
 PILOT_SAMPLES = 20_000
 PILOT_CHUNK = 1_000  # rows per draw, so the pilot adds no visible peak memory
-TRAJECTORY_ROWS = 256  # population rows reduced at a time: no (steps, pop) matrix
 
 
 class ConfigError(ValueError):
@@ -268,7 +269,7 @@ def resolve_target(oracle: FitnessOracle) -> Tuple[float, str]:
 
 
 # ---------------------------------------------------------------------------
-# Run summaries and trajectory reconstruction
+# Run summaries
 # ---------------------------------------------------------------------------
 
 
@@ -279,8 +280,6 @@ class RunSummary:
     target: float
     true_per_eval: List[float]
     best_so_far: List[float]
-    pop_mean: Optional[List[float]]
-    pop_var: Optional[List[float]]
     evals_to_target: Optional[int]
     final_best_true: float
     wall_time: float
@@ -291,38 +290,6 @@ def _evals_to_target(best_so_far: Sequence[float], target: float) -> Optional[in
         if value >= target:
             return i
     return None
-
-
-def _population_trajectories(
-    true_vals: List[float], pop_size: int, steps: Sequence[dict]
-) -> Tuple[List[float], List[float]]:
-    """The mean and variance of the live population's true fitness after
-    each evaluation, from each evaluation's true fitness and the step
-    records.
-
-    While the population fills, the live set is a growing prefix of the
-    evaluations; after that, each step removes one member and appends the
-    child, the order Population.members keeps. Rows are reduced
-    TRAJECTORY_ROWS at a time as a (rows, pop) matrix, each row's sum in
-    the same order as a 1-D mean, whatever the block's height.
-    """
-    first = np.array(true_vals[:pop_size])
-    pop_mean = [float(first[:k].mean()) for k in range(1, pop_size + 1)]
-    pop_var = [float(first[:k].var()) for k in range(1, pop_size + 1)]
-    live_ids = list(range(pop_size))
-    live = true_vals[:pop_size]
-    children = zip(steps, true_vals[pop_size:])
-    for start in range(0, len(steps), TRAJECTORY_ROWS):
-        rows = np.empty((min(TRAJECTORY_ROWS, len(steps) - start), pop_size))
-        for row, (record, child_true) in zip(rows, children):
-            at = live_ids.index(record["removed_id"])
-            del live_ids[at], live[at]
-            live_ids.append(record["child_id"])
-            live.append(child_true)
-            row[:] = live
-        pop_mean.extend(rows.mean(axis=1).tolist())
-        pop_var.extend(rows.var(axis=1).tolist())
-    return pop_mean, pop_var
 
 
 # ---------------------------------------------------------------------------
@@ -527,10 +494,6 @@ def run_strategy(
         log.append(record)
         if true is not None:
             true_vals.append(true)
-    pop_mean = pop_var = None
-    if cfg.strategy in POPULATION_STRATEGIES:
-        steps = log[1 + cfg.pop_size : -1]
-        pop_mean, pop_var = _population_trajectories(true_vals, cfg.pop_size, steps)
     best_so_far = list(np.maximum.accumulate(true_vals))
     return RunSummary(
         strategy=cfg.strategy,
@@ -538,8 +501,6 @@ def run_strategy(
         target=target,
         true_per_eval=true_vals,
         best_so_far=best_so_far,
-        pop_mean=pop_mean,
-        pop_var=pop_var,
         evals_to_target=_evals_to_target(best_so_far, target),
         final_best_true=log[-1]["best_true"],
         wall_time=time.perf_counter() - started,
@@ -551,22 +512,63 @@ def run_strategy(
 # ---------------------------------------------------------------------------
 
 
-def _step_head(record: dict) -> str:
-    """A step record's line up to and including '"trace": ': its other
-    fields encoded, "trace" being the last of its keys in sorted order."""
-    return LOG_ENCODER.encode({**record, "trace": 0})[:-2]  # less '0}'
+def _step_head(r: dict) -> str:
+    """A step record's line up to and including '"trace": ', "trace" being
+    the last of its keys in sorted order. Joined from its other fields'
+    text in sorted-key order (its ints' and sampled_ids' reprs, its floats'
+    float_text, diagnostics null or encoded) if it holds the keys and field
+    types that _records writes; encoded otherwise."""
+    try:
+        ids, diagnostics = r["sampled_ids"], r["diagnostics"]
+        ints = child_id, parent_id, removed_id, step = (
+            r["child_id"], r["parent_id"], r["removed_id"], r["step"]
+        )
+        # the ten keys read here and the trace; ints, none of them a bool
+        if len(r) == 11 and type(ids) is list and {*map(type, ints), *map(type, ids)} == {int}:
+            diagnostics = "null" if diagnostics is None else LOG_ENCODER.encode(diagnostics)
+            return (
+                f'{{"child_fitness": {float_text(r["child_fitness"])}, "child_id": {child_id}, '
+                f'"child_maturity": {float_text(r["child_maturity"])}, '
+                f'"diagnostics": {diagnostics}, "kind": {encode_basestring_ascii(r["kind"])}, '
+                f'"parent_fitness": {float_text(r["parent_fitness"])}, "parent_id": {parent_id}, '
+                f'"removed_id": {removed_id}, "sampled_ids": {ids!r}, "step": {step}, "trace": '
+            )
+    except (KeyError, TypeError):  # a key missing; a float, or the kind, of another type
+        pass
+    return LOG_ENCODER.encode({**r, "trace": 0})[:-2]  # less '0}'
+
+
+def _eval_line(r: dict) -> str:
+    """An eval record's line, joined from its fields' text in sorted-key
+    order if it holds the keys and field types that _records writes;
+    encoded otherwise."""
+    try:
+        index = r["index"]
+        if type(index) is int and len(r) in (4, 5):  # with or without a grad_norm
+            grad_norm = f'"grad_norm": {float_text(r["grad_norm"])}, ' if len(r) == 5 else ""
+            return (
+                f'{{"cell": {encode_basestring_ascii(r["cell"])}, '
+                f'"fitness": {float_text(r["fitness"])}, {grad_norm}"index": {index}, '
+                '"kind": "eval"}'
+            )
+    except (KeyError, TypeError):  # a key missing; a float, or the cell, of another type
+        pass
+    return LOG_ENCODER.encode(r)
 
 
 def record_line(record: dict) -> str:
-    """record as its log line, less the newline: LOG_ENCODER's JSON. A step
-    record that _records yields holds its MutationTrace, whose trace_json
-    text follows the step's head; any other record (one read back by
-    read_jsonl holds its trace as a dict) is encoded whole. The one
+    """record as its log line, less the newline: LOG_ENCODER's JSON, byte
+    for byte. A step record that _records yields holds its MutationTrace,
+    whose trace_json text follows the step's head; the line of an eval
+    record is joined from its fields; any other record (a step read back
+    by read_jsonl holds its trace as a dict) is encoded whole. The one
     definition of a correct line, which write_jsonl writes and replay
     checks."""
     trace = record.get("trace")
     if type(trace) is MutationTrace:
         return f"{_step_head(record)}{trace_json(trace)}}}"
+    if record.get("kind") == "eval":
+        return _eval_line(record)
     return LOG_ENCODER.encode(record)
 
 

@@ -20,6 +20,7 @@ from scipy import stats
 
 from .harness import (
     LOG_VERSION,
+    POPULATION_STRATEGIES,
     ConfigError,
     RunSummary,
     StrategyConfig,
@@ -33,6 +34,7 @@ from .harness import (
 
 BOOTSTRAP_SAMPLES = 2000
 BOOTSTRAP_SEED = 1234
+TRAJECTORY_ROWS = 256  # population rows reduced at a time: no (steps, pop) matrix
 
 
 def _censored(values: Sequence[Optional[int]], budget: int) -> np.ndarray:
@@ -49,6 +51,38 @@ def _bootstrap_ci(values: np.ndarray, stat) -> Tuple[float, float]:
     for i in range(BOOTSTRAP_SAMPLES):
         samples[i] = stat(values[rng.integers(0, n, size=n)])
     return float(np.percentile(samples, 2.5)), float(np.percentile(samples, 97.5))
+
+
+def _population_trajectories(
+    true_vals: List[float], pop_size: int, steps: Sequence[dict]
+) -> Tuple[List[float], List[float]]:
+    """The mean and variance of the live population's true fitness after
+    each evaluation, from each evaluation's true fitness and the step
+    records.
+
+    While the population fills, the live set is a growing prefix of the
+    evaluations; after that, each step removes one member and appends the
+    child, the order Population.members keeps. Rows are reduced
+    TRAJECTORY_ROWS at a time as a (rows, pop) matrix, each row's sum in
+    the same order as a 1-D mean, whatever the block's height.
+    """
+    first = np.array(true_vals[:pop_size])
+    pop_mean = [float(first[:k].mean()) for k in range(1, pop_size + 1)]
+    pop_var = [float(first[:k].var()) for k in range(1, pop_size + 1)]
+    live_ids = list(range(pop_size))
+    live = true_vals[:pop_size]
+    children = zip(steps, true_vals[pop_size:])
+    for start in range(0, len(steps), TRAJECTORY_ROWS):
+        rows = np.empty((min(TRAJECTORY_ROWS, len(steps) - start), pop_size))
+        for row, (record, child_true) in zip(rows, children):
+            at = live_ids.index(record["removed_id"])
+            del live_ids[at], live[at]
+            live_ids.append(record["child_id"])
+            live.append(child_true)
+            row[:] = live
+        pop_mean.extend(rows.mean(axis=1).tolist())
+        pop_var.extend(rows.var(axis=1).tolist())
+    return pop_mean, pop_var
 
 
 def compare(
@@ -76,10 +110,16 @@ def compare(
     target, target_source = resolve_target(oracle)
 
     summaries: Dict[str, List[RunSummary]] = {name: [] for name in strategies}
+    trajectories: Dict[str, list] = {name: [] for name in strategies}
     for name, run_cfg in run_cfgs.items():
         for seed in seeds:
             summary, log = run_strategy(run_cfg, seed, oracle, target)
             summaries[name].append(summary)
+            steps = log[1 + cfg.pop_size : -1]
+            trajectories[name].append(
+                _population_trajectories(summary.true_per_eval, cfg.pop_size, steps)
+                if name in POPULATION_STRATEGIES else None
+            )
             write_jsonl(os.path.join(out_dir, f"trace_{name}_{seed}.jsonl"), log)
             reached = summary.evals_to_target or "never"  # reached ones are >= 1
             print(
@@ -87,7 +127,7 @@ def compare(
                 f"evals_to_target={reached} ({summary.wall_time:.1f}s)"
             )
 
-    write_runs_csv(os.path.join(out_dir, "runs.csv"), summaries, strategies)
+    write_runs_csv(os.path.join(out_dir, "runs.csv"), summaries, trajectories, strategies)
     report = build_report(cfg, strategies, seeds, summaries, target, target_source)
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -160,15 +200,19 @@ def _fmt(value: Optional[float]) -> str:
 def write_runs_csv(
     path: str,
     summaries: Dict[str, List[RunSummary]],
+    trajectories: Dict[str, list],
     strategies: Sequence[str],
 ) -> None:
+    """One row per evaluation per run; trajectories holds each run's
+    (pop_mean, pop_var), or None for a strategy without a population."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["strategy", "seed", "eval", "true_fitness", "best_so_far", "pop_mean", "pop_var"]
         )
         for name in strategies:
-            for summary in summaries[name]:
+            for summary, pops in zip(summaries[name], trajectories[name]):
+                pop_mean, pop_var = pops or (None, None)
                 for i in range(len(summary.true_per_eval)):
                     writer.writerow(
                         [
@@ -177,7 +221,7 @@ def write_runs_csv(
                             i + 1,
                             _fmt(summary.true_per_eval[i]),
                             _fmt(summary.best_so_far[i]),
-                            _fmt(summary.pop_mean[i]) if summary.pop_mean else "",
-                            _fmt(summary.pop_var[i]) if summary.pop_var else "",
+                            _fmt(pop_mean[i]) if pop_mean else "",
+                            _fmt(pop_var[i]) if pop_var else "",
                         ]
                     )

@@ -8,8 +8,10 @@ runs on the paper's 5-block/6-op space and landscape oracle (seed 7, pop
 and ea_random runs on criterion 7's 3-block/4-op space and tabular oracle
 (seed 5, pop 20, sample 5, budget 300, run seeds 0 and 1), whose lookups
 rank each cell by its digits, taken at commit 1e0acd5, and random runs on
-that space and oracle, taken at commit d999268. A change that moves them
-changes what a seed means and must say so.
+that space and oracle, taken at commit d999268. The runs.csv digest pins a
+compare of ea_random and random on that space and oracle (run seeds 0 and
+1), its population trajectories included, taken at commit ed9dd54. A
+change that moves them changes what a seed means and must say so.
 """
 
 import hashlib
@@ -26,6 +28,7 @@ from evocell.harness import (
     run_strategy,
     write_jsonl,
 )
+from evocell.report import compare
 
 GOLDEN_SHA256 = {
     ("ea_random", 0): "7a322e098cdbfe886121ff39114465967739453ab91a0d37d8700f9c0600c531",
@@ -40,6 +43,8 @@ TABULAR_SHA256 = {
     ("random", 0): "bb6ad37c6e019420bf06a9b6b5b2efd7593f9a4d89e8a528e18d76f4d6abb6b1",
     ("random", 1): "dc113b67b363759eb03b2bd9120e06ee478338c002059751558e3e31995d8fcc",
 }
+
+RUNS_CSV_SHA256 = "e0ce3339dc8d82dc2404f681aa5cae055cb84aee660d2c8d492a98c30c0ac75a"
 
 
 @pytest.fixture(scope="module")
@@ -108,3 +113,10 @@ def test_log_bytes_match_golden_digest(landscape, strategy, seed, tmp_path):
     assert digest == GOLDEN_SHA256[(strategy, seed)]
     if strategy == "random":
         assert evals == _logged_evals(log)
+
+
+def test_compare_runs_csv_matches_golden_digest(tabular, tmp_path):
+    cfg, _, _ = tabular
+    compare(cfg, ["ea_random", "random"], [0, 1], str(tmp_path))
+    digest = hashlib.sha256((tmp_path / "runs.csv").read_bytes()).hexdigest()
+    assert digest == RUNS_CSV_SHA256

@@ -34,7 +34,9 @@ from evocell.cli import (
     parse_seeds,
 )
 from evocell.controller import (
+    LOG_ENCODER,
     ConstructionPolicy,
+    MutationTrace,
     init_controller,
     trace_from_dict,
     trace_json,
@@ -52,22 +54,23 @@ from evocell.harness import (
     ReplayDiverged,
     StrategyConfig,
     _evals_to_target,
-    _population_trajectories,
     config_from_header,
     header_record,
     make_oracle,
     pilot_digits,
     policy_size,
     read_jsonl,
+    record_line,
     replay,
     resolve_target,
     run_strategy,
+    eval_record,
     step_record,
     write_jsonl,
 )
 from evocell.nn_core import check_grads
 from evocell.reinforce import ReinforceTrainer
-from evocell.report import compare
+from evocell.report import _population_trajectories, compare
 from test_evolution import evolve
 
 CFG23 = SpaceConfig(num_blocks=2, num_ops=3)
@@ -399,19 +402,20 @@ def test_random_strategy_draws_same_cells_as_population_init():
 
 
 def test_population_summary_trajectories():
+    """The summary of a population run, and the population trajectories
+    that compare computes from its summary and its step records."""
     oracle = build_tabular(CFG23, seed=7)
     cfg = _cfg("ea_random", budget=40, pop_size=10, sample_size=4)
     summary, log = run_strategy(cfg, seed=2, oracle=oracle)
+    pop_mean, pop_var = _population_trajectories(summary.true_per_eval, 10, log[11:-1])
     assert len(summary.true_per_eval) == 40
     assert len(summary.best_so_far) == 40
-    assert len(summary.pop_mean) == len(summary.pop_var) == 40
+    assert len(pop_mean) == len(pop_var) == 40
     assert summary.best_so_far == list(np.maximum.accumulate(summary.true_per_eval))
     # during initialization the live set is exactly the prefix
-    assert summary.pop_mean[0] == pytest.approx(summary.true_per_eval[0])
-    assert summary.pop_mean[9] == pytest.approx(
-        float(np.mean(summary.true_per_eval[:10]))
-    )
-    assert all(v >= 0.0 for v in summary.pop_var)
+    assert pop_mean[0] == pytest.approx(summary.true_per_eval[0])
+    assert pop_mean[9] == pytest.approx(float(np.mean(summary.true_per_eval[:10])))
+    assert all(v >= 0.0 for v in pop_var)
     assert summary.final_best_true == max(
         make_oracle(cfg).true_fitness(cell_from_text(m["cell"], CFG23))
         for m in log
@@ -482,8 +486,9 @@ def test_population_trajectories_equal_per_step_reference(
     steps = [step_record(rec) for rec in result.records]
     trajectories = (true_vals, *_population_trajectories(true_vals, pop, steps))
     assert trajectories == _reference_trajectories(result, oracle)  # bit for bit
-    summary, _ = run_strategy(cfg, seed=4, oracle=oracle, target=1.0)
-    assert (summary.true_per_eval, summary.pop_mean, summary.pop_var) == trajectories
+    summary, log = run_strategy(cfg, seed=4, oracle=oracle, target=1.0)
+    from_run = _population_trajectories(summary.true_per_eval, pop, log[1 + pop : -1])
+    assert (summary.true_per_eval, *from_run) == trajectories
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -556,14 +561,18 @@ def test_learners_train_once_per_step_or_eval_and_replay_never(tmp_path, monkeyp
         assert trainers == [], strategy
 
 
-def test_rl_construct_run_shape():
+def test_rl_construct_run_shape(tmp_path):
     oracle = build_tabular(CFG23, seed=7)
-    summary, log = run_strategy(_cfg("rl_construct", budget=30), seed=1, oracle=oracle)
+    cfg = _cfg("rl_construct", budget=30)
+    summary, log = run_strategy(cfg, seed=1, oracle=oracle)
     evals = [r for r in log if r["kind"] == "eval"]
     assert len(evals) == 30
     assert all("grad_norm" in r for r in evals)
-    assert summary.pop_mean is None and summary.pop_var is None
     assert summary.final_best_true == max(summary.true_per_eval)
+    # compare gives it no population trajectories
+    compare(cfg, ["rl_construct"], [1], str(tmp_path))
+    rows = (tmp_path / "runs.csv").read_text().splitlines()[1:]
+    assert len(rows) == 30 and all(row.endswith(",,") for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -741,6 +750,79 @@ def _dict_traces(log):
     gives it back."""
     return [{**r, "trace": trace_to_dict(r["trace"])} if r["kind"] == "step" else r
             for r in log]
+
+
+def _assert_encoders_lines(records):
+    """record_line of each record, and of its read_jsonl form, is
+    LOG_ENCODER's encoding of that form, byte for byte."""
+    for record in records:
+        trace = record.get("trace")
+        plain = {**record, "trace": trace_to_dict(trace)} if type(trace) is MutationTrace else record
+        assert record_line(record) == LOG_ENCODER.encode(plain), record
+        assert record_line(plain) == LOG_ENCODER.encode(plain), plain
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("blocks, ops, kind", [(3, 4, "tabular"), (5, 6, "landscape")])
+def test_record_line_is_the_encoders_line(strategy, blocks, ops, kind):
+    """record_line joins step and eval lines from their fields' text; every
+    record of every strategy gets LOG_ENCODER's bytes."""
+    space = SpaceConfig(num_blocks=blocks, num_ops=ops)
+    cfg = _cfg(strategy, space=space, oracle_kind=kind, budget=30)
+    _, log = run_strategy(cfg, seed=3, oracle=make_oracle(cfg), target=1.0)
+    _assert_encoders_lines(log)
+
+
+@pytest.fixture(scope="module")
+def logged_step():
+    cfg = _cfg("reinforced", budget=10)
+    _, log = run_strategy(cfg, seed=0, oracle=make_oracle(cfg), target=1.0)
+    return next(r for r in log if r["kind"] == "step")
+
+
+@pytest.mark.parametrize("x", [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16])
+def test_record_line_writes_each_number_as_the_encoder_does(x, logged_step):
+    trace = logged_step["trace"]
+    actions = tuple(
+        replace(a, router_logprob=x, replace_logprob=-x, router_entropy=x, replace_entropy=x)
+        for a in trace.actions
+    )
+    big = 2**63
+    _assert_encoders_lines([
+        {**logged_step, "child_fitness": x, "parent_fitness": -x, "child_maturity": x},
+        {**logged_step, "diagnostics": {"reward": x, "advantage": -x, "grad_norm": x}},
+        {**logged_step, "step": big, "parent_id": big, "child_id": big, "removed_id": big,
+         "sampled_ids": [big, 0, -big]},
+        {**logged_step, "trace": MutationTrace(actions, x, -x)},
+        eval_record(big, "cell", x),
+        eval_record(1, "cell", -x, grad_norm=x),
+    ])
+
+
+def test_record_line_encodes_the_fields_it_does_not_format(logged_step):
+    """A step or eval record with another key set or a field of a type
+    that _records does not write gets the encoder's bytes."""
+    without = {k: v for k, v in logged_step.items() if k != "diagnostics"}
+    _assert_encoders_lines([
+        {**logged_step, "child_fitness": 1},
+        {**logged_step, "parent_id": True},
+        {**logged_step, "step": False},
+        {**logged_step, "sampled_ids": [1, True]},
+        {**logged_step, "sampled_ids": (1, 2)},
+        {**logged_step, "diagnostics": None},
+        {**logged_step, "kind": "init"},
+        {**logged_step, "extra": 1},
+        without,
+        {**without, "other": None},
+        eval_record(1, "cell", 1),
+        eval_record(True, "cell", 0.5),
+        eval_record(1, 'a "quoted" cell', 0.5),
+        eval_record(1, "caf\u00e9 \u2192 cell", 0.5),
+        eval_record(1, "cell", 0.5, grad_norm=None),
+        eval_record(1, "cell", 0.5, other=0.5),
+        {"kind": "eval", "index": 1, "cell": "cell"},
+        {"kind": "eval", "index": 1, "cell": None, "fitness": 0.5},
+    ])
 
 
 def test_replay_rejects_an_eval_record_with_a_bad_cell(tmp_path):
